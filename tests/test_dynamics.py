@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rvbsim.basis import (
@@ -36,6 +38,7 @@ from rvbsim.dynamics import (
     tphi_from_sigma,
     visibilities,
     W2PI,
+    _ramp_unitary_once,
 )
 from rvbsim.hamiltonians import (
     ExchangeConfig,
@@ -412,5 +415,74 @@ def test_ramp_step_cap_raises():
     j0 = ExchangeConfig.balanced(50, 0.5)
     j1 = ExchangeConfig.balanced(50, 50)
     seq = PulseSequence(init=singlet_x(), segments=(set_diabatic(j0), linear_ramp(j1, 300.0)))
-    with pytest.raises(RampConvergenceError):
+    # the 300 ns ramp converges at n = 2048; the message names where it stopped
+    with pytest.raises(RampConvergenceError, match=r"n=256 steps .* residual \d"):
         run_sequence(seq, ramp_step_cap=256)
+
+
+def test_magnus_ramps_converge_within_4096_steps():
+    # fourth-order steps converge both ramps within 2048 steps; a second-order
+    # (midpoint) rule needs 2^18 (singlet block) and 2^16 (16-dim) steps here
+    j0 = ExchangeConfig.balanced(50, 0.5)
+    j1 = ExchangeConfig.balanced(50, 50)
+    singlet = PulseSequence(init=singlet_x(), segments=(set_diabatic(j0), linear_ramp(j1, 200.0)))
+    product = PulseSequence(init=ST_INIT, segments=(set_diabatic(j0), linear_ramp(j1, 40.0)))
+    for seq in (singlet, product):
+        res = run_sequence(seq, ramp_step_cap=4096)
+        assert res.states.shape == (1, 16)
+        assert_allclose(np.linalg.norm(res.states), 1.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# properties of the Magnus ramp propagator
+
+_P2 = subspace_projector(Basis.GLOBAL_SINGLET_2)
+_PROPERTY = settings(max_examples=15, deadline=None)
+_couplings = st.lists(st.floats(0.5, 60.0), min_size=4, max_size=4).map(np.array)
+_modes = st.sampled_from(["voltage", "linear"])
+
+
+@_PROPERTY
+@given(_couplings, _couplings, st.floats(1.0, 80.0), st.sampled_from([64, 96, 256]), _modes,
+       st.booleans())
+def test_ramp_step_product_is_unitary(b0, b1, duration, n, mode, use2d):
+    u = _ramp_unitary_once(b0, b1, duration, n, mode, use2d)
+    assert_allclose(u @ u.conj().T, np.eye(len(u)), atol=1e-12)
+
+
+@_PROPERTY
+@given(_couplings, _couplings, st.floats(1.0, 80.0), _modes)
+def test_ramp_singlet_block_is_projected_full_space(b0, b1, duration, mode):
+    # imbalanced endpoints make [H2, H1] nonzero inside the block, which
+    # pins the sign of the commutator term in both kernels at once
+    u2 = _ramp_unitary_once(b0, b1, duration, 64, mode, use2d=True)
+    u16 = _ramp_unitary_once(b0, b1, duration, 64, mode, use2d=False)
+    assert_allclose(u2, _P2 @ u16 @ _P2.conj().T, atol=1e-12)
+
+
+@_PROPERTY
+@given(_couplings, st.lists(st.floats(10.0, 40.0), min_size=4, max_size=4), st.booleans(),
+       st.floats(20.0, 100.0))
+def test_ramp_error_is_fourth_order(b0, rise, downward, duration):
+    b1 = b0 + np.array(rise)
+    if downward:
+        b0, b1 = b1, b0
+    ref = _ramp_unitary_once(b0, b1, duration, 2**14, "voltage", True)
+    err = [np.abs(_ramp_unitary_once(b0, b1, duration, n, "voltage", True) - ref).max()
+           for n in (64, 128)]
+    assume(err[1] > 1e-11)  # well above the roundoff of the comparison
+    assert 12.0 <= err[0] / err[1] <= 20.0
+
+
+@_PROPERTY
+@given(_couplings, _couplings, st.floats(2.0, 60.0))
+def test_voltage_ramp_composes_at_geometric_mean(b0, b1, duration):
+    # U(T) = U(T/2) U(T/2), the halves meeting at sqrt(b0 b1) on the voltage path
+    cfg0, cfg1 = ExchangeConfig(*b0), ExchangeConfig(*b1)
+    mid = ExchangeConfig(*np.sqrt(b0 * b1))
+    one = PulseSequence(init=singlet_x(), segments=(set_diabatic(cfg0), linear_ramp(cfg1, duration)))
+    two = PulseSequence(
+        init=singlet_x(),
+        segments=(set_diabatic(cfg0), linear_ramp(mid, duration / 2), linear_ramp(cfg1, duration / 2)),
+    )
+    assert_allclose(run_sequence(one).states, run_sequence(two).states, atol=1e-8)
