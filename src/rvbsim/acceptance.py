@@ -15,7 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from .basis import Basis, SpinState, s_wave, singlet_x, subspace_projector, total_spin_operators
+from .basis import (
+    Basis,
+    Pair,
+    PairLabel,
+    PairState,
+    SpinState,
+    pair_product_state,
+    s_wave,
+    singlet_x,
+    subspace_projector,
+    total_spin_operators,
+)
 from .control import (
     CalibrationUncertainty,
     ExchangeVoltageModel,
@@ -393,16 +404,22 @@ def check_conservation_suite(seed: int = 0) -> CheckResult:
         out = evolve(state, h, float(rng.uniform(0, 500)))
         norm_drift = max(norm_drift, abs(np.linalg.norm(out.amplitudes) - 1.0))
 
+    # sector runs (2-dim singlet, 3-dim triplet, 4-dim m = -1 under a field)
+    # against full-space evolution
+    st_init = pair_product_state(PairState(Pair.Q12, PairLabel.S),
+                                 PairState(Pair.Q34, PairLabel.T_MINUS))
+    dwell = tuple(np.linspace(0.0, 60.0, 13))
     sub_worst = 0.0
     for _ in range(5):
         jx, jy = rng.uniform(5.0, 120.0, size=2)
         j = ExchangeConfig.balanced(jx, jy)
-        dwell = tuple(np.linspace(0.0, 60.0, 13))
-        seq = PulseSequence(init=singlet_x(), segments=(set_diabatic(j), hold(j, 0.0)),
-                            dwell_times=dwell)
-        full = run_sequence(seq, subspace="full").states
-        fast = run_sequence(seq, subspace="singlet").states
-        sub_worst = max(sub_worst, float(np.abs(full - fast).max()))
+        for init, zeeman in ((singlet_x(), None), (st_init, None), (st_init, ZeemanConfig())):
+            seq = PulseSequence(init=init, segments=(set_diabatic(j), hold(j, 0.0)),
+                                dwell_times=dwell)
+            h = heisenberg_full(j) + (0.0 if zeeman is None else zeeman_full(zeeman))
+            full = np.stack([evolve(init, h, t).amplitudes for t in dwell])
+            fast = run_sequence(seq, zeeman=zeeman).states
+            sub_worst = max(sub_worst, float(np.abs(full - fast).max()))
 
     oracle_worst = 0.0
     for j0x, j0y in ((50.0, 50.0), (80.0, 40.0), (30.0, 60.0)):

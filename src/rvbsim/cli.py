@@ -14,7 +14,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="flat key-value config overriding the built-in defaults")
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for grids")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,8 +63,7 @@ def cmd_figure(args) -> int:
         for name in FIGURES:
             print(name)
         return 0
-    product = run_figure(args.name, args.out, seed=args.seed,
-                         overrides=_load_overrides(args.spec), threads=args.threads)
+    product = run_figure(args.name, args.out, seed=args.seed, overrides=_load_overrides(args.spec))
     for path in product.files:
         print(path)
     print(f"# {product.name} done in {product.elapsed_s:.1f}s")
@@ -75,8 +73,7 @@ def cmd_figure(args) -> int:
 def cmd_calibrate(args) -> int:
     from .experiments import run_calibration
 
-    report = run_calibration(args.out, seed=args.seed,
-                             overrides=_load_overrides(args.spec), threads=args.threads)
+    report = run_calibration(args.out, seed=args.seed, overrides=_load_overrides(args.spec))
     print(f"center estimate: ({report.center_mv[0]:+.3f}, {report.center_mv[1]:+.3f}) mV "
           f"(true offset ({report.true_offset_mv[0]:+.3f}, {report.true_offset_mv[1]:+.3f}))")
     print(f"balanced sums: jx = {report.j0x_mhz:.2f} MHz (true {report.true_j0x_mhz:.2f}), "

@@ -11,6 +11,10 @@ are propagated with n fourth-order Magnus steps, each sampling the couplings
 at two Gauss-Legendre nodes; n is doubled until the final state moves by
 less than ``ramp_tol`` between n/2 and n steps, up to a hard step cap.
 
+Sequences run in the smallest invariant sector holding the initial state
+(2-dim total singlet, 3-dim S=1 m=-1 triplet, 4-dim m=-1 sector, or the
+full space); exchange conserves S^2 and S_z for any couplings, so this is exact.
+
 Quasi-static noise: each trajectory draws one Gaussian frequency offset
 (std ``sigma_f``) and scales every exchange coupling by the common factor
 ``1 + offset/f_ref``, which shifts any exchange-set oscillation frequency
@@ -27,16 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis, SpinState, subspace_projector
-from .hamiltonians import (
-    ExchangeConfig,
-    ZeemanConfig,
-    heisenberg_full,
-    singlet_block,
-    zeeman_full,
-    _BOND_OPS,
-)
-from .basis import Pair
+from .basis import Basis, Pair, SpinState, subspace_projector
+from .hamiltonians import ExchangeConfig, ZeemanConfig, zeeman_full, _BOND_OPS
 
 W2PI = 2 * np.pi * 1e-3  # rad per (MHz * ns)
 _SQRT3 = np.sqrt(3.0)
@@ -372,8 +368,41 @@ class SequenceResult:
 _BOND_STACK = np.stack(
     [_BOND_OPS[Pair.Q12], _BOND_OPS[Pair.Q34], _BOND_OPS[Pair.Q23], _BOND_OPS[Pair.Q14]]
 )
-_P2 = subspace_projector(Basis.GLOBAL_SINGLET_2)
-_SINGLET_BOND_STACK = _P2 @ _BOND_STACK @ _P2.conj().T
+
+#: Invariant sectors, smallest first: (isometry q, q^dagger, bond stack q B q^dagger).
+#: Every bond conserves S^2 and S_z, so each span is closed under exchange for
+#: any couplings; the last entry is the full space.
+_SUBSPACES = (Basis.GLOBAL_SINGLET_2, Basis.TRIPLET_MINUS_3, Basis.TRIPLET_MINUS_PLUS_Q_4)
+_SECTORS = tuple(
+    (q, q.conj().T, q @ _BOND_STACK @ q.conj().T)
+    for q in [subspace_projector(b) for b in _SUBSPACES] + [np.eye(16)]
+)
+
+#: Smallest ``ramp_tol`` the ramp propagator reaches: below it the residual
+#: between n and 2n steps stalls at accumulated round-off.
+RAMP_TOL_FLOOR = 1e-12
+
+
+def _sector(psi16: np.ndarray, zeeman16: np.ndarray | None):
+    """First sector whose span holds ``psi16`` and is mapped into itself by ``zeeman16``."""
+    for q, qh, stack in _SECTORS:
+        if np.linalg.norm(qh @ (q @ psi16) - psi16) > 1e-10:
+            continue
+        if zeeman16 is None or np.abs(zeeman16 @ qh - qh @ (q @ zeeman16 @ qh)).max() <= 1e-12:
+            return q, qh, stack
+
+
+def _exchange(config: ExchangeConfig, stack: np.ndarray) -> np.ndarray:
+    """Exchange Hamiltonian sum_b J_b stack_b of one coupling configuration."""
+    return np.einsum("b,bij->ij", config.as_array(), stack)
+
+
+def _evolve_ensemble(states, hj, zh, lam, times) -> np.ndarray:
+    """Evolve row s of ``states`` under lam_s hj + zh for each time: (samples, times, d)."""
+    w, v = np.linalg.eigh(lam[:, None, None] * hj + zh)
+    coords = np.einsum("sji,sj->si", v.conj(), states)
+    phases = np.exp(-1j * W2PI * w[:, None, :] * times[None, :, None])
+    return (phases * coords[:, None, :]) @ np.swapaxes(v, 1, 2)
 
 
 def _interp_bonds(b0: np.ndarray, b1: np.ndarray, s: np.ndarray, mode: str) -> np.ndarray:
@@ -409,18 +438,16 @@ def _chunked_ordered_product(unitaries_iter, dim: int) -> np.ndarray:
 
 
 def _ramp_unitary_once(
-    bonds0, bonds1, duration, n, mode, use2d, zeeman_h=None, chunk=1 << 12
+    bonds0, bonds1, duration, n, mode, stack, const=0.0, chunk=1 << 12
 ) -> np.ndarray:
     """Product of n fourth-order Magnus steps (two Gauss-Legendre nodes each).
 
     Step k exponentiates H_eff = (H1+H2)/2 - i (sqrt(3)/12) W2PI dt [H2, H1], with
-    H1, H2 at s = (k + 1/2 -+ sqrt(3)/6)/n; the singlet block uses the projected
-    bond stack, exact because every bond operator conserves S^2.
+    H1, H2 = sum_b J_b(s) stack_b + const at s = (k + 1/2 -+ sqrt(3)/6)/n; a
+    sector's projected bond stack gives the exact sector block of the propagator.
     """
     dt = duration / n
-    stack = _SINGLET_BOND_STACK if use2d else _BOND_STACK
     dim = stack.shape[1]
-    const = 0 if zeeman_h is None else zeeman_h
 
     def hamiltonians(s):
         return np.einsum("kb,bij->kij", _interp_bonds(bonds0, bonds1, s, mode), stack) + const
@@ -441,15 +468,7 @@ def _ramp_unitary_once(
 
 
 def _ramp_unitary(
-    bonds0,
-    bonds1,
-    duration,
-    mode,
-    use2d,
-    probe_state,
-    zeeman_h=None,
-    tol=1e-9,
-    step_cap=RAMP_STEP_CAP,
+    bonds0, bonds1, duration, mode, stack, probe_state, const=0.0, tol=1e-9, step_cap=RAMP_STEP_CAP
 ):
     """Adaptive Magnus ramp propagator, doubling n from 64 until converged.
 
@@ -457,12 +476,12 @@ def _ramp_unitary(
     steps; at ``step_cap`` a RampConvergenceError names the last n and residual.
     """
     if duration == 0:
-        return np.eye(2 if use2d else 16, dtype=complex)
+        return np.eye(stack.shape[1], dtype=complex)
     n, residual = 64, np.inf
-    psi_prev = _ramp_unitary_once(bonds0, bonds1, duration, n, mode, use2d, zeeman_h) @ probe_state
+    psi_prev = _ramp_unitary_once(bonds0, bonds1, duration, n, mode, stack, const) @ probe_state
     while n < step_cap:
         n *= 2
-        u = _ramp_unitary_once(bonds0, bonds1, duration, n, mode, use2d, zeeman_h)
+        u = _ramp_unitary_once(bonds0, bonds1, duration, n, mode, stack, const)
         psi = u @ probe_state
         residual = np.linalg.norm(psi - psi_prev)
         if residual < tol:
@@ -474,167 +493,86 @@ def _ramp_unitary(
     )
 
 
-def _segment_hamiltonian(config: ExchangeConfig, use2d: bool, zeeman_h):
-    if use2d:
-        return singlet_block(config.jx, config.jy)
-    h = heisenberg_full(config)
-    return h if zeeman_h is None else h + zeeman_h
-
-
-def _in_singlet_span(vec: np.ndarray) -> bool:
-    p = subspace_projector(Basis.GLOBAL_SINGLET_2)
-    coords = p @ vec
-    return np.linalg.norm(p.conj().T @ coords - vec) < 1e-10
-
-
-def _balanced(config: ExchangeConfig) -> bool:
-    return abs(config.delta_x) < 1e-12 and abs(config.delta_y) < 1e-12
-
-
 def run_sequence(
     seq: PulseSequence,
     noise: NoiseModel | None = None,
     *,
     zeeman: ZeemanConfig | None = None,
-    subspace: str = "auto",
     ramp_tol: float = 1e-9,
     ramp_step_cap: int = RAMP_STEP_CAP,
     noise_reference_mhz: float | None = None,
 ) -> SequenceResult:
     """Run a pulse sequence, optionally over a quasi-static noise ensemble.
 
-    ``subspace="auto"`` evolves inside the 2-dim global-singlet block when
-    the initial state lies in it, every segment is pair-balanced, and no
-    Zeeman term is present (exact, and much faster for long ramps);
-    "full"/"singlet" force the choice.  Results keep the basis of the
-    initial state.
+    The sequence evolves in the smallest invariant sector holding the
+    initial state: the 2-dim global singlet, the 3-dim S=1, m=-1 triplet,
+    the 4-dim m=-1 sector, or else the full space; with ``zeeman`` the
+    sector must also be mapped into itself by the Zeeman term.  Exchange
+    conserves S^2 and S_z for any couplings, so this is exact.  Results
+    keep the basis of the initial state.
 
     With ``noise``, every constant-coupling segment is rescaled per
     trajectory by ``1 + offset/f_ref`` (see the module docstring);
-    ramps run at nominal couplings.
+    ramps run at nominal couplings.  A ``ramp_tol`` below
+    ``RAMP_TOL_FLOOR`` is rejected, since no step count reaches it.
     """
-    init = seq.init
-    zeeman_h = zeeman_full(zeeman) if zeeman is not None else None
-
-    if subspace not in ("auto", "full", "singlet"):
-        raise ValueError("subspace must be auto, full, or singlet")
-    eligible = (
-        zeeman is None
-        and all(_balanced(s.target) for s in seq.segments)
-        and (
-            init.basis is Basis.GLOBAL_SINGLET_2
-            or (init.basis is Basis.FULL16 and _in_singlet_span(init.amplitudes))
+    if ramp_tol < RAMP_TOL_FLOOR:
+        raise ValueError(
+            f"ramp_tol {ramp_tol:g} is below the round-off floor {RAMP_TOL_FLOOR:g} "
+            "of the ramp propagator"
         )
-    )
-    if subspace == "singlet" and not eligible:
-        raise ValueError("sequence is not confined to the global-singlet subspace")
-    use2d = eligible if subspace == "auto" else subspace == "singlet"
-
-    if init.basis is Basis.GLOBAL_SINGLET_2 and not use2d:
-        psi0 = subspace_projector(Basis.GLOBAL_SINGLET_2).conj().T @ init.amplitudes
-    elif init.basis is Basis.FULL16 and use2d:
-        psi0 = subspace_projector(Basis.GLOBAL_SINGLET_2) @ init.amplitudes
-    elif init.basis in (Basis.FULL16, Basis.GLOBAL_SINGLET_2):
-        psi0 = init.amplitudes.copy()
+    init = seq.init
+    if init.basis is Basis.GLOBAL_SINGLET_2:
+        psi16 = _SECTORS[0][1] @ init.amplitudes
+    elif init.basis is Basis.FULL16:
+        psi16 = init.amplitudes
     else:
         raise ValueError("sequences run on FULL16 or GLOBAL_SINGLET_2 states")
+    zeeman16 = zeeman_full(zeeman) if zeeman is not None else None
+    q, qh, stack = _sector(psi16, zeeman16)
+    zh = 0.0 if zeeman16 is None else q @ zeeman16 @ qh
 
     if seq.dwell_times is not None:
         prefix, dwell_seg = seq.segments[:-1], seq.segments[-1]
-        dwell = np.asarray(seq.dwell_times, dtype=float)
     else:
         prefix, dwell_seg = seq.segments, None
-        dwell = None
 
     if noise is not None:
-        if noise_reference_mhz is not None:
-            f_ref = noise_reference_mhz
-        else:
-            ref_cfg = (dwell_seg or seq.segments[-1]).target
-            f_ref = f_ss(ref_cfg.jx, ref_cfg.jy)
+        ref_cfg = (dwell_seg or seq.segments[-1]).target
+        f_ref = f_ss(ref_cfg.jx, ref_cfg.jy) if noise_reference_mhz is None else noise_reference_mhz
         if f_ref <= 0:
             raise ValueError("noise needs a positive reference frequency")
         lam = np.maximum(1.0 + noise.frequency_offsets() / f_ref, 0.0)
     else:
-        lam = None
+        lam = np.ones(1)  # a noiseless run is a one-trajectory ensemble
 
-    # states: (n_samples, dim); noiseless runs carry a single row
-    states = np.tile(psi0, (len(lam) if lam is not None else 1, 1))
-
+    states = np.tile(q @ psi16, (len(lam), 1))  # (samples, d) sector coordinates
     prev_cfg = None
     for seg in prefix:
         if seg.kind is SegmentKind.LINEAR_RAMP:
             if prev_cfg is None:
                 raise ValueError("ramp without a preceding configuration")
-            u = _ramp_unitary(
-                prev_cfg.as_array(),
-                seg.target.as_array(),
-                seg.duration,
-                seg.ramp_mode,
-                use2d,
-                probe_state=states[0],
-                zeeman_h=zeeman_h,
-                tol=ramp_tol,
-                step_cap=ramp_step_cap,
-            )
+            u = _ramp_unitary(prev_cfg.as_array(), seg.target.as_array(), seg.duration,
+                              seg.ramp_mode, stack, states[0], zh, ramp_tol, ramp_step_cap)
             states = states @ u.T
             # a product of many step unitaries accumulates roundoff in the
             # norm; renormalize to keep the 1e-12 norm contract on states
             states /= np.linalg.norm(states, axis=-1, keepdims=True)
         elif seg.duration > 0:
-            h = _segment_hamiltonian(seg.target, use2d, zeeman_h)
-            if lam is None:
-                w, v = np.linalg.eigh(h)
-                states = (v @ (np.exp(-1j * W2PI * w * seg.duration)[:, None] * (v.conj().T @ states.T))).T
-            elif zeeman_h is None:
-                w, v = np.linalg.eigh(h)
-                coords = states @ v.conj()
-                coords *= np.exp(-1j * W2PI * np.outer(lam, w) * seg.duration)
-                states = coords @ v.T
-            else:
-                hj = _segment_hamiltonian(seg.target, use2d, None)
-                for s, scale in enumerate(lam):
-                    w, v = np.linalg.eigh(scale * hj + zeeman_h)
-                    states[s] = v @ (np.exp(-1j * W2PI * w * seg.duration) * (v.conj().T @ states[s]))
+            hj = _exchange(seg.target, stack)
+            states = _evolve_ensemble(states, hj, zh, lam, np.array([seg.duration]))[:, 0]
         prev_cfg = seg.target
 
     if dwell_seg is None:
-        # one final state per trajectory
-        result_states = states[:, None, :] if lam is not None else states[0:1, :]
-        dwell_arr = None
+        out, dwell = states[:, None, :], None
     else:
-        h = _segment_hamiltonian(dwell_seg.target, use2d, zeeman_h)
-        if lam is None:
-            w, v = np.linalg.eigh(h)
-            coords = states[0] @ v.conj()
-            phases = np.exp(-1j * W2PI * np.outer(dwell, w))
-            result_states = (phases * coords) @ v.T
-        elif zeeman_h is None:
-            w, v = np.linalg.eigh(h)
-            coords = states @ v.conj()  # (samples, dim)
-            phases = np.exp(-1j * W2PI * lam[:, None, None] * w[None, None, :] * dwell[None, :, None])
-            result_states = (phases * coords[:, None, :]) @ v.T
-        else:
-            hj = _segment_hamiltonian(dwell_seg.target, use2d, None)
-            result_states = np.empty((len(lam), len(dwell), states.shape[1]), dtype=complex)
-            for s, scale in enumerate(lam):
-                w, v = np.linalg.eigh(scale * hj + zeeman_h)
-                coords = v.conj().T @ states[s]
-                phases = np.exp(-1j * W2PI * np.outer(dwell, w))
-                result_states[s] = (phases * coords) @ v.T
-        dwell_arr = dwell
-
-    out_basis = init.basis
-    if use2d and out_basis is Basis.FULL16:
-        lift_m = subspace_projector(Basis.GLOBAL_SINGLET_2).conj().T
-        result_states = result_states @ lift_m.T
-    elif not use2d and out_basis is Basis.GLOBAL_SINGLET_2:
-        proj = subspace_projector(Basis.GLOBAL_SINGLET_2)
-        result_states = result_states @ proj.conj().T  # back to subspace coordinates
-
+        dwell = np.asarray(seq.dwell_times, dtype=float)
+        out = _evolve_ensemble(states, _exchange(dwell_seg.target, stack), zh, lam, dwell)
+    lift_m = qh if init.basis is Basis.FULL16 else _SECTORS[0][0] @ qh
+    out = out @ lift_m.T
     return SequenceResult(
-        basis=out_basis,
-        states=result_states,
-        dwell_times=dwell_arr,
-        scale_factors=lam,
+        basis=init.basis,
+        states=out if noise is not None else out[0],
+        dwell_times=dwell,
+        scale_factors=lam if noise is not None else None,
     )

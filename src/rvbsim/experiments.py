@@ -10,7 +10,6 @@ byte-identical.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -157,13 +156,6 @@ def sweep_model_from(params: dict, drift: bool = False) -> SweepModel:
     )
 
 
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def ensemble_probabilities(result, direction: ReadoutDirection) -> np.ndarray:
     """Mean joint outcome probabilities (n_dwell, 4) of a sequence result."""
     states = result.states_full()
@@ -227,7 +219,7 @@ def _sidecar(out_dir: Path, name: str, params: dict, seed: int, extra: dict | No
 # imbalance chevrons (horizontal/vertical balance calibration data)
 
 
-def _chevron_panel(params, seed, threads, sweep_axis: str):
+def _chevron_panel(params, seed, sweep_axis: str):
     model = ExchangeVoltageModel(
         j0x=params["chevron.j0x_mhz"],
         j0y=params["chevron.j0y_mhz"],
@@ -249,23 +241,23 @@ def _chevron_panel(params, seed, threads, sweep_axis: str):
         shot = _shot_column(probs, IDX_ST, params["readout.n_shots"], seed * 1009 + 97 * k)
         return probs[:, IDX_ST], shot
 
-    results = _parallel_map(column, list(enumerate(dv)), threads)
+    results = [column(a) for a in enumerate(dv)]
     ideal = np.stack([r[0] for r in results])
     shots = np.stack([r[1] for r in results])
     return dv, t, ideal, shots
 
 
-def figure_fig3c(out_dir: Path, params: dict, seed: int, threads: int) -> list[str]:
+def figure_fig3c(out_dir: Path, params: dict, seed: int) -> list[str]:
     """Singlet/T- chevron vs the horizontal imbalance voltage."""
-    dv, t, ideal, shots = _chevron_panel(params, seed, threads, sweep_axis="x")
+    dv, t, ideal, shots = _chevron_panel(params, seed, sweep_axis="x")
     path = out_dir / "fig3c_map.csv"
     _write_map_csv(path, "dvx_mv", dv, t, ideal, shots)
     return [str(path)]
 
 
-def figure_fig3d(out_dir: Path, params: dict, seed: int, threads: int) -> list[str]:
+def figure_fig3d(out_dir: Path, params: dict, seed: int) -> list[str]:
     """Singlet/T- chevron vs the vertical imbalance voltage."""
-    dv, t, ideal, shots = _chevron_panel(params, seed, threads, sweep_axis="y")
+    dv, t, ideal, shots = _chevron_panel(params, seed, sweep_axis="y")
     path = out_dir / "fig3d_map.csv"
     _write_map_csv(path, "dvy_mv", dv, t, ideal, shots)
     return [str(path)]
@@ -275,7 +267,7 @@ def figure_fig3d(out_dir: Path, params: dict, seed: int, threads: int) -> list[s
 # compensated symmetric sweep: exchange range and extraction
 
 
-def figure_fig3e(out_dir: Path, params: dict, seed: int, threads: int) -> list[str]:
+def figure_fig3e(out_dir: Path, params: dict, seed: int) -> list[str]:
     """ST oscillation maps along the compensated sweep plus extracted couplings."""
     sweep = sweep_model_from(params, drift=params["fig3e.jy_drift"])
     dvp = np.linspace(params["fig3e.dvp_min_mv"], params["fig3e.dvp_max_mv"], params["fig3e.dvp_points"])
@@ -302,7 +294,7 @@ def figure_fig3e(out_dir: Path, params: dict, seed: int, threads: int) -> list[s
                                 seed * 2027 + 31 * k + (0 if name == "vertical" else 500000))
             return probs[:, IDX_ST], shot
 
-        results = _parallel_map(column, list(enumerate(dvp)), threads)
+        results = [column(a) for a in enumerate(dvp)]
         ideal = np.stack([r[0] for r in results])
         shots = np.stack([r[1] for r in results])
         maps[name] = (ideal, shots)
@@ -347,7 +339,7 @@ def figure_fig3e(out_dir: Path, params: dict, seed: int, threads: int) -> list[s
 # valence bond resonances
 
 
-def figure_fig4b(out_dir: Path, params: dict, seed: int, threads: int) -> list[str]:
+def figure_fig4b(out_dir: Path, params: dict, seed: int) -> list[str]:
     """Equal-exchange singlet-singlet oscillation traces, both readouts."""
     j = ExchangeConfig.balanced(2 * params["fig4b.j_pair_mhz"], 2 * params["fig4b.j_pair_mhz"])
     t = np.linspace(0.0, params["fig4b.t_max_ns"], params["fig4b.t_points"])
@@ -378,7 +370,7 @@ def figure_fig4b(out_dir: Path, params: dict, seed: int, threads: int) -> list[s
     return [str(path), str(fit_path)]
 
 
-def _fig4cd_maps(params, seed, threads):
+def _fig4cd_maps(params, seed):
     sweep = sweep_model_from(params)
     dvp = np.linspace(params["fig3e.dvp_min_mv"], params["fig3e.dvp_max_mv"], params["fig3e.dvp_points"])
     t = np.linspace(0.0, params["fig4cd.t_max_ns"], params["fig4cd.t_points"])
@@ -396,7 +388,7 @@ def _fig4cd_maps(params, seed, threads):
             ensemble_probabilities(res, ReadoutDirection.VERTICAL),
         )
 
-    results = _parallel_map(column, list(enumerate(dvp)), threads)
+    results = [column(a) for a in enumerate(dvp)]
     n_shots = params["readout.n_shots"]
     px = np.stack([r[0][:, IDX_SS] for r in results])
     py = np.stack([r[1][:, IDX_SS] for r in results])
@@ -408,9 +400,9 @@ def _fig4cd_maps(params, seed, threads):
     return sweep, dvp, t, px, py, shots_x, shots_y
 
 
-def figure_fig4cd(out_dir: Path, params: dict, seed: int, threads: int) -> list[str]:
+def figure_fig4cd(out_dir: Path, params: dict, seed: int) -> list[str]:
     """Singlet-singlet oscillation maps along the sweep, both readouts."""
-    _, dvp, t, px, py, shots_x, shots_y = _fig4cd_maps(params, seed, threads)
+    _, dvp, t, px, py, shots_x, shots_y = _fig4cd_maps(params, seed)
     files = []
     for name, ideal, shots in (("c", px, shots_x), ("d", py, shots_y)):
         path = out_dir / f"fig4{name}_map.csv"
@@ -419,9 +411,9 @@ def figure_fig4cd(out_dir: Path, params: dict, seed: int, threads: int) -> list[
     return files
 
 
-def figure_fig4ef(out_dir: Path, params: dict, seed: int, threads: int) -> list[str]:
+def figure_fig4ef(out_dir: Path, params: dict, seed: int) -> list[str]:
     """Fitted frequencies and visibilities vs sweep, with model predictions."""
-    sweep, dvp, t, px, py, shots_x, shots_y = _fig4cd_maps(params, seed, threads)
+    sweep, dvp, t, px, py, shots_x, shots_y = _fig4cd_maps(params, seed)
     uncertainty = CalibrationUncertainty()
 
     rows = {k: [] for k in (
@@ -472,7 +464,7 @@ def _prep_sequence(jx0, jy0, jx1, jy1, t_ramp, dwell) -> PulseSequence:
     return PulseSequence(init=singlet_x(), segments=segments, dwell_times=tuple(dwell))
 
 
-def figure_fig5ab(out_dir: Path, params: dict, seed: int, threads: int) -> list[str]:
+def figure_fig5ab(out_dir: Path, params: dict, seed: int) -> list[str]:
     """Ramp-time map at equal exchange and sweep map after adiabatic prep."""
     jj = 2 * params["fig5.j_pair_mhz"]
     jy0 = params["fig5.jy_start_mhz"]
@@ -488,7 +480,7 @@ def figure_fig5ab(out_dir: Path, params: dict, seed: int, threads: int) -> list[
         res = run_sequence(seq, noise)
         return ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)
 
-    rows = _parallel_map(ramp_row, list(enumerate(ramps)), threads)
+    rows = [ramp_row(a) for a in enumerate(ramps)]
     ideal_a = np.stack([r[:, IDX_SS] for r in rows])
     shots_a = np.empty_like(ideal_a)
     for k, probs in enumerate(rows):
@@ -508,7 +500,7 @@ def figure_fig5ab(out_dir: Path, params: dict, seed: int, threads: int) -> list[
         res = run_sequence(seq, noise)
         return ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)
 
-    rows = _parallel_map(sweep_row, list(enumerate(dvp)), threads)
+    rows = [sweep_row(a) for a in enumerate(dvp)]
     ideal_b = np.stack([r[:, IDX_SS] for r in rows])
     shots_b = np.empty_like(ideal_b)
     for k, probs in enumerate(rows):
@@ -518,7 +510,7 @@ def figure_fig5ab(out_dir: Path, params: dict, seed: int, threads: int) -> list[
     return [str(path_a), str(path_b)]
 
 
-def figure_fig5c(out_dir: Path, params: dict, seed: int, threads: int) -> list[str]:
+def figure_fig5c(out_dir: Path, params: dict, seed: int) -> list[str]:
     """Mean singlet-singlet probability after adiabatic prep vs sweep, with theory."""
     sweep = sweep_model_from(params)
     dvp = np.linspace(params["fig3e.dvp_min_mv"], params["fig3e.dvp_max_mv"], params["fig3e.dvp_points"])
@@ -537,7 +529,7 @@ def figure_fig5c(out_dir: Path, params: dict, seed: int, threads: int) -> list[s
         py = ensemble_probabilities(res, ReadoutDirection.VERTICAL)[:, IDX_SS].mean()
         return px, py
 
-    rows = _parallel_map(sweep_row, list(enumerate(dvp)), threads)
+    rows = [sweep_row(a) for a in enumerate(dvp)]
     mean_x = np.array([r[0] for r in rows])
     mean_y = np.array([r[1] for r in rows])
 
@@ -572,7 +564,7 @@ def figure_fig5c(out_dir: Path, params: dict, seed: int, threads: int) -> list[s
     return [str(path)]
 
 
-def figure_fig5ef(out_dir: Path, params: dict, seed: int, threads: int) -> list[str]:
+def figure_fig5ef(out_dir: Path, params: dict, seed: int) -> list[str]:
     """Swap-pulse duration maps: oscillations vanish at the half-swap point."""
     jj = 2 * params["fig5.j_pair_mhz"]
     j23 = params["fig5ef.j23_mhz"]
@@ -596,7 +588,7 @@ def figure_fig5ef(out_dir: Path, params: dict, seed: int, threads: int) -> list[
             ensemble_probabilities(res, ReadoutDirection.VERTICAL),
         )
 
-    rows = _parallel_map(row, list(enumerate(tj)), threads)
+    rows = [row(a) for a in enumerate(tj)]
     files = []
     for name, idx in (("e", 0), ("f", 1)):
         ideal = np.stack([r[idx][:, IDX_SS] for r in rows])
@@ -614,7 +606,7 @@ def figure_fig5ef(out_dir: Path, params: dict, seed: int, threads: int) -> list[
 # fixed-time ellipse maps and local chevrons at the three operating points
 
 
-def _figs456(out_dir: Path, params: dict, seed: int, threads: int, tag: str) -> list[str]:
+def _figs456(out_dir: Path, params: dict, seed: int, tag: str) -> list[str]:
     dvp = params[f"{tag}.dvp_mv"]
     t_map = params[f"{tag}.t_map_ns"]
     sweep = sweep_model_from(params)
@@ -634,7 +626,7 @@ def _figs456(out_dir: Path, params: dict, seed: int, threads: int, tag: str) -> 
             res = run_sequence(seq)
             return ensemble_probabilities(res, direction)[0, IDX_ST]
 
-        cells = _parallel_map(cell, [(i, j) for i in range(n) for j in range(n)], threads)
+        cells = [cell((i, j)) for i in range(n) for j in range(n)]
         values = np.array(cells).reshape(n, n)
         cal = CalibrationMap(dvx=dvx, dvy=dvy, values=values, t_ns=t_map)
         path = out_dir / f"{tag}_map_{name}.csv"
@@ -653,7 +645,7 @@ def _figs456(out_dir: Path, params: dict, seed: int, threads: int, tag: str) -> 
                 res = run_sequence(_st_sequence(init, cfg, t))
                 return ensemble_probabilities(res, direction)[:, IDX_ST]
 
-            cols = _parallel_map(column, list(enumerate(dvx)), threads)
+            cols = [column(a) for a in enumerate(dvx)]
             ideal = np.stack(cols)
             path = out_dir / f"{tag}_chevron_{axis}_{name}.csv"
             _write_map_csv(path, f"{axis}_mv", dvx, t, ideal)
@@ -661,19 +653,19 @@ def _figs456(out_dir: Path, params: dict, seed: int, threads: int, tag: str) -> 
     return files
 
 
-def figure_figS4(out_dir, params, seed, threads):
-    return _figs456(out_dir, params, seed, threads, "figS4")
+def figure_figS4(out_dir, params, seed):
+    return _figs456(out_dir, params, seed, "figS4")
 
 
-def figure_figS5(out_dir, params, seed, threads):
-    return _figs456(out_dir, params, seed, threads, "figS5")
+def figure_figS5(out_dir, params, seed):
+    return _figs456(out_dir, params, seed, "figS5")
 
 
-def figure_figS6(out_dir, params, seed, threads):
-    return _figs456(out_dir, params, seed, threads, "figS6")
+def figure_figS6(out_dir, params, seed):
+    return _figs456(out_dir, params, seed, "figS6")
 
 
-def figure_figS9(out_dir: Path, params: dict, seed: int, threads: int) -> list[str]:
+def figure_figS9(out_dir: Path, params: dict, seed: int) -> list[str]:
     """Adiabatic preparation maps from both initial products, both readouts."""
     jj = 2 * params["fig5.j_pair_mhz"]
     jy0 = params["fig5.jy_start_mhz"]
@@ -703,7 +695,7 @@ def figure_figS9(out_dir: Path, params: dict, seed: int, threads: int) -> list[s
                 ensemble_probabilities(res, ReadoutDirection.VERTICAL)[:, IDX_SS],
             )
 
-        rows = _parallel_map(ramp_row, list(enumerate(ramps)), threads)
+        rows = [ramp_row(a) for a in enumerate(ramps)]
         for ro_name, idx in (("x", 0), ("y", 1)):
             ideal = np.stack([r[idx] for r in rows])
             path = out_dir / f"figS9_{init_name}_read{ro_name}.csv"
@@ -735,15 +727,14 @@ FIGURES = {
 }
 
 
-def run_figure(name: str, out_dir, seed: int = 0, overrides: dict | None = None,
-               threads: int = 1) -> FigureProduct:
+def run_figure(name: str, out_dir, seed: int = 0, overrides: dict | None = None) -> FigureProduct:
     if name not in FIGURES:
         raise KeyError(f"unknown figure {name!r}; choose from {sorted(FIGURES)}")
     params = resolve_params(overrides)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    files = FIGURES[name](out, params, seed, threads)
+    files = FIGURES[name](out, params, seed)
     elapsed = time.perf_counter() - start
     files.append(_sidecar(out, name, params, seed))
     return FigureProduct(name=name, files=files, elapsed_s=elapsed)
@@ -775,8 +766,7 @@ def _st_trace_probabilities(device, direction, dvp, dvx, dvy, t):
     return ensemble_probabilities(res, direction)[:, IDX_ST]
 
 
-def run_calibration(out_dir, seed: int = 0, overrides: dict | None = None,
-                    threads: int = 1) -> CalibrationReport:
+def run_calibration(out_dir, seed: int = 0, overrides: dict | None = None) -> CalibrationReport:
     """Ellipse-center plus frequency-minimum loop on a synthetic device.
 
     The device hides a balance-point offset; the loop recovers it, then
@@ -817,7 +807,7 @@ def run_calibration(out_dir, seed: int = 0, overrides: dict | None = None,
                                seed=seed * 911 + 37 * i + j_idx)
             return sample_shots(p, ro).probabilities()[IDX_ST]
 
-        cells = _parallel_map(cell, [(i, j) for i in range(n) for j in range(n)], threads)
+        cells = [cell((i, j)) for i in range(n) for j in range(n)]
         cal = CalibrationMap(dvx=dvx, dvy=dvy, values=np.array(cells).reshape(n, n), t_ns=t_map)
         ellipse = find_ellipse_center(cal)
         shift = np.array(ellipse.center) - center

@@ -11,6 +11,7 @@ from rvbsim.basis import (
     PairState,
     SpinState,
     d_wave,
+    lift,
     pair_product_state,
     s_wave,
     singlet_x,
@@ -38,7 +39,9 @@ from rvbsim.dynamics import (
     tphi_from_sigma,
     visibilities,
     W2PI,
+    _SECTORS,
     _ramp_unitary_once,
+    _sector,
 )
 from rvbsim.hamiltonians import (
     ExchangeConfig,
@@ -268,29 +271,65 @@ def test_run_sequence_dwell_grid_and_closed_form():
     assert_allclose(px, expected, atol=1e-12)
 
 
-def test_run_sequence_full_vs_singlet_subspace_paths():
+def test_sector_is_smallest_invariant_span():
+    rng = np.random.default_rng(30)
+    generic = rng.normal(size=16) + 1j * rng.normal(size=16)
+    z = zeeman_full(ZeemanConfig())
+    cases = (
+        (singlet_x().amplitudes, None, 2),
+        (ST_INIT.amplitudes, None, 3),
+        (ST_INIT.amplitudes, z, 4),
+        (singlet_x().amplitudes, z, 16),
+        (generic / np.linalg.norm(generic), None, 16),
+    )
+    for psi, zeeman, dim in cases:
+        assert len(_sector(psi, zeeman)[0]) == dim
+
+
+_INITS = ("singlet_x", "singlet_y", "st", "m1", "generic")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_INITS), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(0.5, 60.0), min_size=8, max_size=8),
+       st.floats(0.0, 50.0), st.booleans(), st.booleans())
+def test_run_sequence_matches_full_space_evolution(kind, seed, bonds, duration, with_zeeman,
+                                                   with_noise):
+    # every sector choice, noise and field setting reproduces per-trajectory
+    # 16-dim evolution under s H(j) + Z, prefix segment and dwell grid alike
+    rng = np.random.default_rng(seed)
+    if kind in ("m1", "generic"):
+        dim = 4 if kind == "m1" else 16
+        amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        amp /= np.linalg.norm(amp)
+        init = SpinState(Basis.FULL16, lift(amp, Basis.TRIPLET_MINUS_PLUS_Q_4) if dim == 4 else amp)
+    else:
+        init = {"singlet_x": singlet_x(), "singlet_y": singlet_y(), "st": ST_INIT}[kind]
+    j0, j1 = ExchangeConfig(*bonds[:4]), ExchangeConfig(*bonds[4:])
+    zeeman = ZeemanConfig() if with_zeeman else None
+    noise = NoiseModel(sigma_f=2.0, n_samples=4, seed=seed) if with_noise else None
+    dwell = (0.0, 7.5, 31.0)
+    seq = PulseSequence(init=init, segments=(hold(j0, duration), hold(j1, 0.0)), dwell_times=dwell)
+    res = run_sequence(seq, noise, zeeman=zeeman)
+
+    hz = zeeman_full(zeeman) if zeeman is not None else 0.0
+    scales = res.scale_factors if with_noise else [1.0]
+    expected = []
+    for s in scales:
+        mid = evolve(init, s * heisenberg_full(j0) + hz, duration)
+        expected.append([evolve(mid, s * heisenberg_full(j1) + hz, t).amplitudes for t in dwell])
+    expected = np.array(expected)
+    assert_allclose(res.states, expected if with_noise else expected[0], atol=1e-10)
+
+
+def test_ramp_tol_below_roundoff_floor_rejected():
     j0 = ExchangeConfig.balanced(50, 0.5)
     j1 = ExchangeConfig.balanced(50, 50)
-    dwell = tuple(np.linspace(0, 30, 7))
-    seq = PulseSequence(
-        init=singlet_x(),
-        segments=(set_diabatic(j0), linear_ramp(j1, 40.0), hold(j1, 0.0)),
-        dwell_times=dwell,
-    )
-    # both paths discretize the same schedule, so they agree to roundoff at
-    # any ramp tolerance; the loose tolerance only trims the step count
-    res_fast = run_sequence(seq, subspace="singlet", ramp_tol=3e-7)
-    res_full = run_sequence(seq, subspace="full", ramp_tol=3e-7)
-    assert_allclose(res_fast.states, res_full.states, atol=1e-10)
-
-
-def test_run_sequence_subspace_rejected_when_unbalanced():
-    j = ExchangeConfig(30, 20, 25, 25)
-    seq = PulseSequence(init=singlet_x(), segments=(hold(j, 5.0),))
-    with pytest.raises(ValueError, match="confined"):
-        run_sequence(seq, subspace="singlet")
-    res = run_sequence(seq)  # auto falls back to the full space
-    assert res.states.shape == (1, 16)
+    seq = PulseSequence(init=singlet_x(), segments=(set_diabatic(j0), linear_ramp(j1, 200.0)))
+    with pytest.raises(ValueError, match="round-off floor"):
+        run_sequence(seq, ramp_tol=1e-13)
+    res = run_sequence(seq, ramp_tol=1e-12)  # the floor itself converges (n = 16384)
+    assert_allclose(np.linalg.norm(res.states), 1.0, atol=1e-12)
 
 
 def test_adiabatic_ramp_prepares_ground_state():
@@ -332,7 +371,6 @@ def test_perfect_prep_probabilities_match_closed_forms():
     # the ideal-prep limit: project out the exact exchange ground state and
     # push it through the measurement route; a real voltage-linear ramp with
     # j * t_ramp >= 200 lands within 5e-3 of this (see the acceptance suite)
-    from rvbsim.basis import lift
     from rvbsim.readout import ReadoutDirection, measure_pair_probabilities
 
     rng = np.random.default_rng(29)
@@ -436,7 +474,7 @@ def test_magnus_ramps_converge_within_4096_steps():
 # ---------------------------------------------------------------------------
 # properties of the Magnus ramp propagator
 
-_P2 = subspace_projector(Basis.GLOBAL_SINGLET_2)
+_STACK2, _STACK16 = _SECTORS[0][2], _SECTORS[-1][2]
 _PROPERTY = settings(max_examples=15, deadline=None)
 _couplings = st.lists(st.floats(0.5, 60.0), min_size=4, max_size=4).map(np.array)
 _modes = st.sampled_from(["voltage", "linear"])
@@ -444,20 +482,23 @@ _modes = st.sampled_from(["voltage", "linear"])
 
 @_PROPERTY
 @given(_couplings, _couplings, st.floats(1.0, 80.0), st.sampled_from([64, 96, 256]), _modes,
-       st.booleans())
-def test_ramp_step_product_is_unitary(b0, b1, duration, n, mode, use2d):
-    u = _ramp_unitary_once(b0, b1, duration, n, mode, use2d)
+       st.sampled_from([_STACK2, _STACK16]))
+def test_ramp_step_product_is_unitary(b0, b1, duration, n, mode, stack):
+    u = _ramp_unitary_once(b0, b1, duration, n, mode, stack)
     assert_allclose(u @ u.conj().T, np.eye(len(u)), atol=1e-12)
 
 
 @_PROPERTY
 @given(_couplings, _couplings, st.floats(1.0, 80.0), _modes)
 def test_ramp_singlet_block_is_projected_full_space(b0, b1, duration, mode):
-    # imbalanced endpoints make [H2, H1] nonzero inside the block, which
-    # pins the sign of the commutator term in both kernels at once
-    u2 = _ramp_unitary_once(b0, b1, duration, 64, mode, use2d=True)
-    u16 = _ramp_unitary_once(b0, b1, duration, 64, mode, use2d=False)
-    assert_allclose(u2, _P2 @ u16 @ _P2.conj().T, atol=1e-12)
+    # imbalanced endpoints make [H2, H1] nonzero inside every sector, which
+    # pins the sign of the commutator term; the 4-dim m = -1 sector also
+    # carries the (sector-invariant) Zeeman term as the constant part
+    for q, qh, stack in _SECTORS[:3]:
+        z = zeeman_full(ZeemanConfig()) * (len(q) == 4)
+        u_sector = _ramp_unitary_once(b0, b1, duration, 64, mode, stack, q @ z @ qh)
+        u16 = _ramp_unitary_once(b0, b1, duration, 64, mode, _STACK16, z)
+        assert_allclose(u_sector, q @ u16 @ qh, atol=1e-12)
 
 
 @_PROPERTY
@@ -467,8 +508,8 @@ def test_ramp_error_is_fourth_order(b0, rise, downward, duration):
     b1 = b0 + np.array(rise)
     if downward:
         b0, b1 = b1, b0
-    ref = _ramp_unitary_once(b0, b1, duration, 2**14, "voltage", True)
-    err = [np.abs(_ramp_unitary_once(b0, b1, duration, n, "voltage", True) - ref).max()
+    ref = _ramp_unitary_once(b0, b1, duration, 2**14, "voltage", _STACK2)
+    err = [np.abs(_ramp_unitary_once(b0, b1, duration, n, "voltage", _STACK2) - ref).max()
            for n in (64, 128)]
     assume(err[1] > 1e-11)  # well above the roundoff of the comparison
     assert 12.0 <= err[0] / err[1] <= 20.0
