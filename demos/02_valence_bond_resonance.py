@@ -31,8 +31,9 @@ seq = PulseSequence(init=singlet_x(), segments=(set_diabatic(j), hold(j, 0.0)),
                     dwell_times=tuple(t))
 res = run_sequence(seq)
 
-p_x = pair_probabilities_batch(res.states_full(), ReadoutDirection.HORIZONTAL)[:, 0]
-p_y = pair_probabilities_batch(res.states_full(), ReadoutDirection.VERTICAL)[:, 0]
+# read out in the 2-dim singlet sector the sequence ran in (sample axis 0: noiseless)
+p_x = pair_probabilities_batch(res.amplitudes[0], ReadoutDirection.HORIZONTAL, res.sector)[:, 0]
+p_y = pair_probabilities_batch(res.amplitudes[0], ReadoutDirection.VERTICAL, res.sector)[:, 0]
 
 fit = fit_damped_cosine(t, p_x)
 print(f"fitted oscillation frequency: {fit.f:.4f} MHz")

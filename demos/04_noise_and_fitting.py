@@ -38,7 +38,9 @@ t = np.linspace(0.0, 300.0, 61)
 seq = PulseSequence(init=singlet_x(), segments=(set_diabatic(j), hold(j, 0.0)),
                     dwell_times=tuple(t))
 res = run_sequence(seq, NoiseModel(sigma_f=sigma, n_samples=800, seed=2))
-probs = pair_probabilities_batch(res.states_full(), ReadoutDirection.HORIZONTAL).mean(axis=0)
+# read out the (samples, dwell, 2) singlet-sector amplitudes, then average the ensemble
+probs = pair_probabilities_batch(res.amplitudes, ReadoutDirection.HORIZONTAL, res.sector)
+probs = probs.mean(axis=0)
 
 measured = np.empty(len(t))
 for k in range(len(t)):

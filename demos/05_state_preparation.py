@@ -42,7 +42,7 @@ for t_ramp in (40.0, 140.0, 400.0, 4000.0):
     )
     res = run_sequence(seq)
     fid = np.abs(res.states_full() @ s_wave(Basis.FULL16).amplitudes.conj()) ** 2
-    p_x = pair_probabilities_batch(res.states_full(), ReadoutDirection.HORIZONTAL)[:, 0]
+    p_x = pair_probabilities_batch(res.amplitudes[0], ReadoutDirection.HORIZONTAL, res.sector)[:, 0]
     print(f"  {t_ramp:6.0f}  {fid.mean():10.6f}   {np.ptp(p_x):.2e}")
 
 # Half-swap pulse: evolve under a single bond for half its swap period.
@@ -57,8 +57,8 @@ seq = PulseSequence(
 )
 res = run_sequence(seq)
 fid_d = np.abs(res.states_full() @ d_wave(Basis.FULL16).amplitudes.conj()) ** 2
-p_x = pair_probabilities_batch(res.states_full(), ReadoutDirection.HORIZONTAL)[:, 0]
-p_y = pair_probabilities_batch(res.states_full(), ReadoutDirection.VERTICAL)[:, 0]
+p_x = pair_probabilities_batch(res.amplitudes[0], ReadoutDirection.HORIZONTAL, res.sector)[:, 0]
+p_y = pair_probabilities_batch(res.amplitudes[0], ReadoutDirection.VERTICAL, res.sector)[:, 0]
 print(f"\nhalf-swap pulse ({t_j:.0f} ns on the Q23 bond):")
 print(f"  excited-state fidelity: {fid_d.min():.6f}")
 print(f"  singlet-singlet probabilities: {p_x.mean():.3f} / {p_y.mean():.3f} (both 1/4)")

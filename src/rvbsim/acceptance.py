@@ -286,8 +286,8 @@ def check_d_wave_preparation(seed: int = 0) -> CheckResult:
     res = run_sequence(seq)
     from .readout import pair_probabilities_batch
 
-    p_x = pair_probabilities_batch(res.states_full(), ReadoutDirection.HORIZONTAL)[:, 0]
-    p_y = pair_probabilities_batch(res.states_full(), ReadoutDirection.VERTICAL)[:, 0]
+    p_x = pair_probabilities_batch(res.amplitudes[0], ReadoutDirection.HORIZONTAL, res.sector)[:, 0]
+    p_y = pair_probabilities_batch(res.amplitudes[0], ReadoutDirection.VERTICAL, res.sector)[:, 0]
     vis = max(np.ptp(p_x), np.ptp(p_y))
     mean_ok = abs(p_x.mean() - 0.25) <= 0.005 and abs(p_y.mean() - 0.25) <= 0.005
     elapsed = time.perf_counter() - start

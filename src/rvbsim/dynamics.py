@@ -14,6 +14,10 @@ less than ``ramp_tol`` between n/2 and n steps, up to a hard step cap.
 Sequences run in the smallest invariant sector holding the initial state
 (2-dim total singlet, 3-dim S=1 m=-1 triplet, 4-dim m=-1 sector, or the
 full space); exchange conserves S^2 and S_z for any couplings, so this is exact.
+A :class:`SequenceResult` keeps the amplitudes in that sector, to be read out
+there; its ``states`` and ``states_full()`` are lifts built only when accessed.
+The result basis is the initial state's, except that a singlet-block start
+which a Zeeman term drives out of the block is returned in the full space.
 
 Quasi-static noise: each trajectory draws one Gaussian frequency offset
 (std ``sigma_f``) and scales every exchange coupling by the common factor
@@ -343,26 +347,44 @@ class PulseSequence:
 class SequenceResult:
     """States returned by :func:`run_sequence`.
 
-    ``states`` has shape (n_dwell, dim) without noise and
-    (n_samples, n_dwell, dim) with noise; without a dwell grid the n_dwell
-    axis is 1.
+    ``amplitudes`` holds the states in the invariant sector the sequence
+    ran in, shape (n_samples, n_dwell, d) with ``sector`` the basis of the
+    d coordinates; a noiseless run has n_samples = 1, and without a dwell
+    grid the n_dwell axis is 1.  Read out in the sector with
+    ``pair_probabilities_batch(amplitudes, direction, sector)``.
+
+    ``basis`` is the basis of ``states``: the initial state's basis, except
+    that a ``GLOBAL_SINGLET_2`` start whose sector is larger (a Zeeman term
+    that leaves the singlet block) reports ``FULL16``.  ``states`` (lifted
+    to ``basis``) and :meth:`states_full` (lifted to 16 dims) are built on
+    each access; ``states`` has shape (n_dwell, dim) without noise and
+    (n_samples, n_dwell, dim) with noise.
     """
 
     basis: Basis
-    states: np.ndarray
+    amplitudes: np.ndarray
+    sector: Basis
     dwell_times: np.ndarray | None
     scale_factors: np.ndarray | None = None
 
     @property
     def noisy(self) -> bool:
-        return self.states.ndim == 3
+        return self.scale_factors is not None
+
+    def _lifted(self, basis: Basis) -> np.ndarray:
+        amps = self.amplitudes
+        if basis is not self.sector:
+            amps = amps @ subspace_projector(self.sector).conj()
+        return amps if self.noisy else amps[0]
+
+    @property
+    def states(self) -> np.ndarray:
+        """States in ``basis``, lifted from the sector amplitudes on each access."""
+        return self._lifted(self.basis)
 
     def states_full(self) -> np.ndarray:
         """States lifted to the full 16-dim basis."""
-        if self.basis is Basis.FULL16:
-            return self.states
-        lift = subspace_projector(self.basis).conj().T
-        return self.states @ lift.T
+        return self._lifted(Basis.FULL16)
 
 
 _BOND_STACK = np.stack(
@@ -371,7 +393,8 @@ _BOND_STACK = np.stack(
 
 #: Invariant sectors, smallest first: (isometry q, q^dagger, bond stack q B q^dagger).
 #: Every bond conserves S^2 and S_z, so each span is closed under exchange for
-#: any couplings; the last entry is the full space.
+#: any couplings; the last entry is the full space.  A sector's ``Basis`` is
+#: the one whose dimension is ``len(q)``.
 _SUBSPACES = (Basis.GLOBAL_SINGLET_2, Basis.TRIPLET_MINUS_3, Basis.TRIPLET_MINUS_PLUS_Q_4)
 _SECTORS = tuple(
     (q, q.conj().T, q @ _BOND_STACK @ q.conj().T)
@@ -508,8 +531,10 @@ def run_sequence(
     initial state: the 2-dim global singlet, the 3-dim S=1, m=-1 triplet,
     the 4-dim m=-1 sector, or else the full space; with ``zeeman`` the
     sector must also be mapped into itself by the Zeeman term.  Exchange
-    conserves S^2 and S_z for any couplings, so this is exact.  Results
-    keep the basis of the initial state.
+    conserves S^2 and S_z for any couplings, so this is exact.  The result
+    keeps the amplitudes in that sector (see :class:`SequenceResult`); its
+    ``basis`` is the initial state's, or ``FULL16`` when a singlet-block
+    start runs in a larger sector.
 
     With ``noise``, every constant-coupling segment is rescaled per
     trajectory by ``1 + offset/f_ref`` (see the module docstring);
@@ -530,6 +555,7 @@ def run_sequence(
         raise ValueError("sequences run on FULL16 or GLOBAL_SINGLET_2 states")
     zeeman16 = zeeman_full(zeeman) if zeeman is not None else None
     q, qh, stack = _sector(psi16, zeeman16)
+    sector = Basis(len(q))
     zh = 0.0 if zeeman16 is None else q @ zeeman16 @ qh
 
     if seq.dwell_times is not None:
@@ -568,11 +594,10 @@ def run_sequence(
     else:
         dwell = np.asarray(seq.dwell_times, dtype=float)
         out = _evolve_ensemble(states, _exchange(dwell_seg.target, stack), zh, lam, dwell)
-    lift_m = qh if init.basis is Basis.FULL16 else _SECTORS[0][0] @ qh
-    out = out @ lift_m.T
     return SequenceResult(
-        basis=init.basis,
-        states=out if noise is not None else out[0],
+        basis=init.basis if init.basis is sector else Basis.FULL16,
+        amplitudes=out,
+        sector=sector,
         dwell_times=dwell,
         scale_factors=lam if noise is not None else None,
     )

@@ -157,10 +157,8 @@ def sweep_model_from(params: dict, drift: bool = False) -> SweepModel:
 
 
 def ensemble_probabilities(result, direction: ReadoutDirection) -> np.ndarray:
-    """Mean joint outcome probabilities (n_dwell, 4) of a sequence result."""
-    states = result.states_full()
-    probs = pair_probabilities_batch(states, direction)
-    return probs.mean(axis=0) if result.noisy else probs
+    """Mean joint outcome probabilities (n_dwell, 4) of a sequence result, read in its sector."""
+    return pair_probabilities_batch(result.amplitudes, direction, result.sector).mean(axis=0)
 
 
 def _shot_column(mean_probs: np.ndarray, outcome: int, n_shots: int, seed: int) -> np.ndarray:

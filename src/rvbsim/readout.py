@@ -6,6 +6,12 @@ dots they commute, so the sequential readout equals the joint projective
 measurement.  Charge physics is abstracted into per-pair assignment
 fidelities ``f_s``/``f_t`` (probability that a true singlet/triplet is
 recorded as such), defaulting to ideal.
+
+Batch readout takes states either in the full space or in one of the
+invariant sectors a sequence runs in: for each outcome it contracts the d
+sector coordinates with a factor of the outcome projector compressed to the
+sector (rank <= d, built once per direction and basis), so a noisy ensemble
+is read out without lifting it to 16 dims.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import Basis, DIM_FULL, Pair, SpinState, pair_singlet_projector
+from .basis import Basis, DIM_FULL, Pair, SpinState, pair_singlet_projector, subspace_projector
 
 #: Joint-outcome order used everywhere: (first pair, second pair).
 OUTCOMES = ("SS", "ST", "TS", "TT")
@@ -66,19 +72,50 @@ def _sector_isometries(direction: ReadoutDirection) -> tuple[np.ndarray, ...]:
     return tuple(sectors)
 
 
-def pair_probabilities_batch(states: np.ndarray, direction: ReadoutDirection) -> np.ndarray:
-    """Joint outcome probabilities for a stack of full-space states.
+@lru_cache(maxsize=None)
+def _outcome_factors(direction: ReadoutDirection, basis: Basis) -> tuple[np.ndarray, np.ndarray]:
+    """Readout of the four outcomes on coordinates in ``basis``: (F, S).
 
-    ``states`` has shape (..., 16); returns (..., 4) in :data:`OUTCOMES` order.
+    F stacks, per outcome k, the columns of B_k^T, where B_k^dagger B_k =
+    q P_k q^dagger is the outcome projector P_k compressed by the sector
+    isometry q (rank <= d); S (R, 4) sums each outcome's columns, so the
+    probabilities of a row stack ``a`` are ``|a @ F|^2 @ S``.
+    """
+    cols = _sector_isometries(direction)
+    if basis is Basis.FULL16:
+        factors = [c.conj() for c in cols]
+    else:
+        q = subspace_projector(basis)
+        factors = []
+        for c in cols:
+            w, v = np.linalg.eigh((q @ c) @ (q @ c).conj().T)
+            keep = w > 1e-14  # drop round-off null directions: rank <= d
+            factors.append(v[:, keep].conj() * np.sqrt(w[keep]))
+    f = np.concatenate(factors, axis=1)
+    s = np.repeat(np.eye(len(OUTCOMES)), [g.shape[1] for g in factors], axis=0)
+    f.setflags(write=False)
+    s.setflags(write=False)
+    return f, s
+
+
+def pair_probabilities_batch(
+    states: np.ndarray, direction: ReadoutDirection, basis: Basis = Basis.FULL16
+) -> np.ndarray:
+    """Joint outcome probabilities for a stack of states given in ``basis``.
+
+    ``states`` has shape (..., basis.dim): full-space states, or the sector
+    amplitudes of a :class:`~rvbsim.dynamics.SequenceResult` with its
+    ``sector``; returns (..., 4) in :data:`OUTCOMES` order.
     """
     states = np.asarray(states)
-    if states.shape[-1] != DIM_FULL:
-        raise ValueError("batch readout expects full-space states")
-    out = np.empty(states.shape[:-1] + (4,))
-    for k, cols in enumerate(_sector_isometries(direction)):
-        amps = states @ cols.conj()
-        out[..., k] = np.sum(np.abs(amps) ** 2, axis=-1)
-    return out
+    if states.shape[-1] != basis.dim:
+        raise ValueError(
+            f"batch readout in {basis.name} expects last dimension {basis.dim}, "
+            f"got {states.shape[-1]}"
+        )
+    f, s = _outcome_factors(direction, basis)
+    amps = states @ f
+    return (amps.real**2 + amps.imag**2) @ s
 
 
 def measure_pair_probabilities(state: SpinState, direction: ReadoutDirection) -> np.ndarray:

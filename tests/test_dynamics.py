@@ -407,6 +407,37 @@ def test_run_sequence_with_zeeman_term():
     assert_allclose(norms, np.ones_like(norms), atol=1e-12)
 
 
+def test_singlet_block_start_leaving_block_under_zeeman_returns_full_space():
+    # a 2-dim start under unequal g-factors leaks out of the singlet block;
+    # the result is reported in FULL16 with the leaked amplitude kept
+    j = ExchangeConfig.balanced(40, 40)
+    seq = PulseSequence(init=s_wave(), segments=(set_diabatic(j), hold(j, 173.0)))
+    res = run_sequence(seq, zeeman=ZeemanConfig())
+    assert res.basis is Basis.FULL16 and res.sector is Basis.FULL16
+    assert_allclose(np.linalg.norm(res.states[0]), 1.0, rtol=0, atol=1e-12)
+    direct = evolve(s_wave(Basis.FULL16), heisenberg_full(j) + zeeman_full(ZeemanConfig()), 173.0)
+    assert_allclose(res.states[0], direct.amplitudes, rtol=0, atol=1e-10)
+    SpinState(res.basis, res.states[0])  # within the norm contract
+
+
+def test_sequence_result_keeps_sector_amplitudes_and_lifts_on_access():
+    dwell = (0.0, 5.0, 9.0)
+    j = ExchangeConfig.balanced(30, 50)
+    noise = NoiseModel(sigma_f=1.0, n_samples=4, seed=5)
+    for init, noisy, basis, sector, dim in ((s_wave(), None, Basis.GLOBAL_SINGLET_2,
+                                             Basis.GLOBAL_SINGLET_2, 2),
+                                            (ST_INIT, noise, Basis.FULL16,
+                                             Basis.TRIPLET_MINUS_3, 16)):
+        seq = PulseSequence(init=init, segments=(set_diabatic(j), hold(j, 0.0)), dwell_times=dwell)
+        res = run_sequence(seq, noisy)
+        n = 1 if noisy is None else noise.n_samples
+        assert (res.basis, res.sector, res.noisy) == (basis, sector, noisy is not None)
+        assert res.amplitudes.shape == (n, len(dwell), sector.dim)
+        assert res.states.shape == ((n,) if noisy else ()) + (len(dwell), dim)
+        lifted = res.amplitudes @ subspace_projector(sector).conj()
+        assert_allclose(res.states_full(), lifted if noisy else lifted[0], rtol=0, atol=0)
+
+
 def test_zeeman_leakage_from_singlet_subspace():
     # pure exchange keeps the state in the 2-dim block; unequal g-factors leak
     j = ExchangeConfig.balanced(40, 40)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rvbsim.basis import (
@@ -8,6 +10,7 @@ from rvbsim.basis import (
     pair_singlet_projector,
     s_wave,
     singlet_x,
+    subspace_projector,
 )
 from rvbsim.readout import (
     OUTCOMES,
@@ -15,6 +18,7 @@ from rvbsim.readout import (
     ReadoutDirection,
     expected_recorded_probabilities,
     measure_pair_probabilities,
+    pair_probabilities_batch,
     sample_shots,
 )
 
@@ -71,6 +75,29 @@ def test_sequential_equals_joint_measurement():
                     seq.append(np.linalg.norm(o2 @ psi1) ** 2)
             probs = measure_pair_probabilities(SpinState(Basis.FULL16, psi), direction)
             assert_allclose(probs, seq, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(list(Basis)), st.sampled_from(list(ReadoutDirection)),
+       st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_sector_readout_matches_lifted_readout(basis, direction, n_samples, n_dwell, seed):
+    # reading sector amplitudes through the compressed outcome factors equals
+    # reading the lifted 16-dim states through the pair projectors
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(n_samples, n_dwell, basis.dim, 2)) @ [1, 1j]
+    amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+    lifted = amps if basis is Basis.FULL16 else amps @ subspace_projector(basis).conj()
+    first, second = (pair_singlet_projector(p) for p in direction.pairs)
+    eye = np.eye(16)
+    expected = np.stack([np.linalg.norm(lifted @ (o1 @ o2).T, axis=-1) ** 2
+                         for o1 in (first, eye - first) for o2 in (second, eye - second)],
+                        axis=-1)
+    probs = pair_probabilities_batch(amps, direction, basis)
+    assert probs.shape == (n_samples, n_dwell, 4)
+    assert_allclose(probs, expected, rtol=0, atol=1e-12)
+    assert_allclose(pair_probabilities_batch(lifted, direction), expected, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="last dimension"):
+        pair_probabilities_batch(np.zeros((n_dwell, basis.dim + 1)), direction, basis)
 
 
 def test_state_in_subspace_rejected():
