@@ -186,11 +186,12 @@ def _st_sequence(init: SpinState, target: ExchangeConfig, dwell: np.ndarray) -> 
 
 
 def _write_map_csv(path, sweep_name, sweep_values, t_ns, ideal, shots=None) -> None:
+    """Write a (sweep, t) map; ``p_ideal`` entries below 1e-15 in size are round-off, written as 0."""
     n_sweep, n_t = ideal.shape
     columns = {
         sweep_name: np.repeat(sweep_values, n_t),
         "t_ns": np.tile(t_ns, n_sweep),
-        "p_ideal": ideal.ravel(),
+        "p_ideal": np.where(np.abs(ideal) < 1e-15, 0.0, ideal).ravel(),
     }
     if shots is not None:
         columns["p_shot"] = shots.ravel()

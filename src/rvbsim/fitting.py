@@ -6,6 +6,13 @@ and a local parabola for frequency-vs-voltage minima.  The equal-exchange
 calibration map estimator exploits the two-fold point symmetry of the
 ideal probability pattern instead of fitting conics, which stays robust
 when the stripes are tilted or distorted.
+
+The damped-cosine fit takes its frequency seed from the power spectrum of
+the de-meaned trace on ``linspace(0, f_nyq, M)``.  When the time points
+are increasing and uniform (to 1e-9 of a step), that power is one
+zero-padded FFT of length 2(M - 1), whose bins fall exactly on the grid;
+any other time grid (unsorted, jittered or with gaps) takes a dense DFT.  The bounded least-squares polish uses the
+closed-form Jacobian of the model, which also gives the covariance.
 """
 
 from __future__ import annotations
@@ -57,8 +64,27 @@ class FitResult:
         return rec
 
 
+#: Radians per (MHz * ns): the model phase is ``_W * f * t + phi``.
+_W = 2 * np.pi * 1e-3
+
+
 def _model(t, a, f, phi, tphi, a0):
-    return a * np.cos(2 * np.pi * 1e-3 * f * t + phi) * np.exp(-((t / tphi) ** 2)) + a0
+    return a * np.cos(_W * f * t + phi) * np.exp(-((t / tphi) ** 2)) + a0
+
+
+def _model_jacobian(t, a, f, phi, tphi, a0):
+    """Closed-form derivatives of :func:`_model`, columns (a, f, phi, tphi, a0)."""
+    theta = _W * f * t + phi
+    env = np.exp(-((t / tphi) ** 2))
+    c = np.cos(theta) * env
+    s = -a * np.sin(theta) * env
+    jac = np.empty((len(t), 5))
+    jac[:, 0] = c
+    jac[:, 1] = _W * t * s
+    jac[:, 2] = s
+    jac[:, 3] = (2 * a / tphi**3) * t**2 * c
+    jac[:, 4] = 1.0
+    return jac
 
 
 def trace_to_csv(path, t_ns, p) -> None:
@@ -81,14 +107,41 @@ def fit_trace_csv(path) -> FitResult:
     return fit_damped_cosine(*trace_from_csv(path))
 
 
+def _dft_power(t: np.ndarray, x: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """|sum_j x_j exp(-2 pi i f t_j)| for every frequency f (MHz) of ``grid``, by a dense DFT."""
+    return np.abs(np.exp(-1j * _W * np.outer(grid, t)) @ x)
+
+
+def _fft_power(x: np.ndarray, m: int) -> np.ndarray:
+    """:func:`_dft_power` on ``linspace(0, f_nyq, m)`` for ``x`` sampled on a uniform grid.
+
+    Bin k of a length-2(m-1) transform is frequency k f_nyq / (m-1), so the
+    zero-padded FFT lands exactly on the dense grid; the grid origin only
+    adds a phase.
+    """
+    return np.abs(np.fft.rfft(x, n=2 * (m - 1)))
+
+
+def _is_uniform(t: np.ndarray, dt: float) -> bool:
+    """True when ``t`` increases in steps of ``dt``, to 1e-9 of a step at every point."""
+    return bool(np.abs(t - t[0] - dt * np.arange(len(t))).max() <= 1e-9 * dt)
+
+
 def _spectral_seed(t: np.ndarray, p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Dominant frequency (MHz) of the de-meaned trace via a dense DFT."""
+    """Dominant frequency (MHz) of the de-meaned trace, its frequency grid and power.
+
+    The grid runs from 0 to the Nyquist frequency of the median time step.
+    A uniform, increasing ``t`` takes the power from one zero-padded FFT;
+    any other ``t`` from the dense DFT.
+    """
     dt = np.median(np.diff(np.sort(t)))
     f_nyq = 0.5 / dt * 1e3  # MHz
     grid = np.linspace(0.0, f_nyq, max(512, 8 * len(t)))
     demeaned = p - p.mean()
-    phases = np.exp(-2j * np.pi * 1e-3 * np.outer(grid, t))
-    power = np.abs(phases @ demeaned)
+    if _is_uniform(t, dt):
+        power = _fft_power(demeaned, len(grid))
+    else:
+        power = _dft_power(t, demeaned, grid)
     lo = max(2, int(0.01 * len(grid)))  # skip the DC shoulder
     peak = lo + int(np.argmax(power[lo:]))
     floor = 4.0 * np.median(power[lo:]) + 1e-12 * (abs(p).max() + 1.0) * len(t)
@@ -97,14 +150,42 @@ def _spectral_seed(t: np.ndarray, p: np.ndarray) -> tuple[float, np.ndarray, np.
     return float(grid[peak]), grid, power
 
 
+def _seed_grid(t, p, f0, span) -> tuple[float, float, np.ndarray]:
+    """Best (f, tphi, [a cos phi, a sin phi, a0]) of a 3 x 4 variable-projection grid.
+
+    For each trial (f, tphi) the model is linear in the remaining
+    parameters; all twelve linear least-squares problems are solved from
+    one stacked SVD and the smallest residual wins.  Singular values below
+    ``np.linalg.lstsq``'s default cutoff are dropped, as it does: a trial
+    frequency at the Nyquist limit samples its sine column as zero.
+    """
+    f_try = f0 * np.array([0.97, 1.0, 1.03])
+    tphi_try = np.array([8 * span, 2 * span, span, span / 3])
+    theta = _W * f_try[:, None] * t
+    env = np.exp(-((t / tphi_try[:, None]) ** 2))
+    design = np.empty((len(f_try), len(tphi_try), len(t), 3))
+    design[..., 0] = np.cos(theta)[:, None] * env
+    design[..., 1] = -np.sin(theta)[:, None] * env
+    design[..., 2] = 1.0
+    design = design.reshape(-1, len(t), 3)
+    u, sv, vt = np.linalg.svd(design, full_matrices=False)
+    inv = np.where(sv > np.finfo(float).eps * len(t) * sv[:, :1], 1 / sv, 0.0)
+    coef = (vt.transpose(0, 2, 1) * inv[:, None, :]) @ (u.transpose(0, 2, 1) @ p)[..., None]
+    rss = np.sum(((design @ coef)[..., 0] - p) ** 2, axis=1)
+    k = int(np.argmin(rss))
+    return float(f_try[k // len(tphi_try)]), float(tphi_try[k % len(tphi_try)]), coef[k, :, 0]
+
+
 def fit_damped_cosine(t_ns, p) -> FitResult:
     """Least-squares fit of a Gaussian-damped cosine to a probability trace.
 
-    Seeds the frequency from the dominant spectral peak and the remaining
-    parameters from variable projection over a small decay-time grid, then
-    polishes with bounded nonlinear least squares (gradient tolerance
-    1e-10).  Requires at least 10 points spanning 1.5 periods of the
-    dominant frequency.
+    Seeds the frequency from the dominant spectral peak (one zero-padded
+    FFT when ``t_ns`` is uniform and increasing, a dense DFT otherwise) and
+    the remaining parameters from variable projection over a small
+    frequency and decay-time grid, then polishes with bounded nonlinear
+    least squares on the closed-form Jacobian (gradient tolerance 1e-10),
+    which also gives the covariance.  Requires at least 10 finite points at
+    distinct times, spanning 1.5 periods of the dominant frequency.
     """
     t = np.asarray(t_ns, dtype=float).ravel()
     p = np.asarray(p, dtype=float).ravel()
@@ -112,6 +193,10 @@ def fit_damped_cosine(t_ns, p) -> FitResult:
         raise ValueError("t and p must have matching length")
     if len(t) < 10:
         raise ValueError("need at least 10 points to fit")
+    if not (np.isfinite(t).all() and np.isfinite(p).all()):
+        raise ValueError("t and p must be finite")
+    if np.unique(t).size < t.size:
+        raise ValueError("time points must be distinct")
     f0, _, _ = _spectral_seed(t, p)
     span = t.max() - t.min()
     if span * f0 * 1e-3 < 1.5:
@@ -120,18 +205,7 @@ def fit_damped_cosine(t_ns, p) -> FitResult:
             "frequency; need at least 1.5"
         )
 
-    # variable projection: linear solve for (a cos, a sin, a0) on a seed grid
-    best = None
-    for f_try in f0 * np.array([0.97, 1.0, 1.03]):
-        for tphi_try in [8 * span, 2 * span, span, span / 3]:
-            env = np.exp(-((t / tphi_try) ** 2))
-            theta = 2 * np.pi * 1e-3 * f_try * t
-            design = np.column_stack([np.cos(theta) * env, -np.sin(theta) * env, np.ones_like(t)])
-            coef, *_ = np.linalg.lstsq(design, p, rcond=None)
-            rss = float(np.sum((design @ coef - p) ** 2))
-            if best is None or rss < best[0]:
-                best = (rss, f_try, tphi_try, coef)
-    _, f_seed, tphi_seed, (c1, c2, a0_seed) = best
+    f_seed, tphi_seed, (c1, c2, a0_seed) = _seed_grid(t, p, f0, span)
     a_seed = float(np.hypot(c1, c2))
     phi_seed = float(np.arctan2(c2, c1))
 
@@ -144,6 +218,7 @@ def fit_damped_cosine(t_ns, p) -> FitResult:
     res = least_squares(
         lambda x: _model(t, *x) - p,
         x0=x0,
+        jac=lambda x: _model_jacobian(t, *x),
         bounds=(lower, upper),
         gtol=1e-10,
         xtol=1e-12,

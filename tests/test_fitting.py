@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rvbsim.control import ExchangeVoltageModel, exchange_from_voltages
@@ -7,6 +9,11 @@ from rvbsim.dynamics import f_st_perturbative
 from rvbsim.fitting import (
     CalibrationMap,
     NoOscillationError,
+    _dft_power,
+    _is_uniform,
+    _model,
+    _model_jacobian,
+    _spectral_seed,
     find_ellipse_center,
     find_frequency_minimum,
     fit_damped_cosine,
@@ -76,6 +83,94 @@ def test_fit_rejects_flat_and_short_traces():
     t_short = np.linspace(0, 20, 40)
     with pytest.raises(ValueError, match="periods"):
         fit_damped_cosine(t_short, damped_cosine(t_short, 0.3, 50.0, 0.0, 1e9, 0.5))
+    # repeated time points and non-finite samples fail before the spectral seed
+    t_rep = np.repeat(np.linspace(0, 300, 20), 3)
+    with pytest.raises(ValueError, match="distinct"):
+        fit_damped_cosine(t_rep, damped_cosine(t_rep, 0.3, 50.0, 0.0, 130.0, 0.5))
+    p_nan = damped_cosine(t, 0.3, 50.0, 0.0, 130.0, 0.5)
+    p_nan[17] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        fit_damped_cosine(t, p_nan)
+    t_inf = t.copy()
+    t_inf[-1] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        fit_damped_cosine(t_inf, damped_cosine(t, 0.3, 50.0, 0.0, 130.0, 0.5))
+
+
+def test_noiseless_undamped_fit_reaches_roundoff():
+    # the closed-form Jacobian lets the solver converge to round-off; with
+    # finite differences it stalled at residual ~1e-10
+    for t, truth in ((np.linspace(0, 120, 60), (0.2, 33.0, 1.1, 1e9, 0.45)),
+                     (np.linspace(0, 300, 76), (0.375, 50.0, 0.0, 1e12, 0.5))):
+        fit = fit_damped_cosine(t, damped_cosine(t, *truth))
+        assert abs(fit.f - truth[1]) / truth[1] <= 1e-11
+        assert fit.residual_rms < 1e-11
+
+
+def test_trace_at_nyquist_frequency_fits():
+    # the seed grid's trial at the Nyquist frequency samples its sine column
+    # as zero; that rank-deficient solve must not wreck the seed
+    t = np.linspace(0, 300, 61)
+    fit = fit_damped_cosine(t, 0.5 + 0.3 * np.cos(np.pi * np.arange(61)))
+    assert_allclose(fit.a, 0.3, rtol=1e-3)
+    assert_allclose(fit.f, 100.0, rtol=1e-6)
+    assert fit.residual_rms < 1e-6
+
+
+_PROPERTY = settings(max_examples=40, deadline=None)
+_seeds = st.integers(0, 2**32 - 1)
+
+
+@_PROPERTY
+@given(st.floats(0.1, 1.0), st.floats(5.0, 200.0), st.floats(-np.pi, np.pi),
+       st.floats(50.0, 2000.0), st.floats(-1.0, 1.0), st.integers(10, 80), _seeds)
+def test_model_jacobian_matches_central_differences(a, f, phi, tphi, a0, n, seed):
+    # ranges where every column stays well above the differences' round-off
+    t = np.sort(np.random.default_rng(seed).uniform(0.0, 500.0, n))
+    x = np.array([a, f, phi, tphi, a0])
+    jac = _model_jacobian(t, *x)
+    fd = np.empty_like(jac)
+    for k in range(5):
+        h = np.zeros(5)
+        h[k] = 1e-6 * max(abs(x[k]), 1.0)
+        fd[:, k] = (_model(t, *(x + h)) - _model(t, *(x - h))) / (2 * h[k])
+    # relative to each column's scale: columns vanish wherever the envelope does
+    assert np.all(np.abs(jac - fd) <= 1e-6 * np.abs(fd).max(axis=0))
+
+
+@_PROPERTY
+@given(st.floats(-500.0, 500.0), st.floats(0.1, 20.0), st.integers(10, 200),
+       st.floats(0.05, 0.9), _seeds)
+def test_fft_seed_power_matches_dense_dft(t0, dt, n, f_frac, seed):
+    assume(f_frac * n >= 6)  # at least three periods, so the peak clears the floor
+    t = t0 + dt * np.arange(n)
+    f_nyq = 0.5 / dt * 1e3
+    rng = np.random.default_rng(seed)
+    p = 0.5 + 0.3 * np.cos(2 * np.pi * 1e-3 * f_frac * f_nyq * t + rng.uniform(-np.pi, np.pi))
+    p += 0.02 * rng.normal(size=n)
+    assert _is_uniform(t, np.median(np.diff(t)))  # takes the FFT path
+    t_off = t.copy()
+    t_off[n // 2] += 1e-6 * dt
+    assert not _is_uniform(t_off, np.median(np.diff(t_off)))
+    f0, grid, power = _spectral_seed(t, p)
+    assert_allclose(grid, np.linspace(0.0, f_nyq, max(512, 8 * n)), rtol=1e-12)
+    dense = _dft_power(t, p - p.mean(), grid)
+    assert np.abs(power - dense).max() <= 1e-9 * dense.max()
+    lo = max(2, int(0.01 * len(grid)))
+    assert f0 == grid[lo + int(np.argmax(dense[lo:]))]
+
+
+@_PROPERTY
+@given(st.floats(10.0, 60.0), st.floats(3.0, 6.0), st.integers(40, 100), st.floats(1.0, 10.0),
+       st.floats(-np.pi, np.pi), _seeds)
+def test_nonuniform_trace_seeds_and_fits(f, periods, n, tphi_spans, phi, seed):
+    span = periods / f * 1e3
+    dt = span / (n - 1)
+    t = dt * (np.arange(n) + np.random.default_rng(seed).uniform(-0.4, 0.4, n))
+    assert not _is_uniform(t, np.median(np.diff(t)))  # takes the dense-DFT path
+    fit = fit_damped_cosine(t, damped_cosine(t, 0.3, f, phi, tphi_spans * span, 0.5))
+    assert_allclose(fit.f, f, rtol=1e-6)
+    assert_allclose(fit.a, 0.3, rtol=1e-5)
 
 
 def test_visible_periods_in_valence_bond_regime():
