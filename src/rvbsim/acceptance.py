@@ -59,6 +59,7 @@ from .hamiltonians import (
     zeeman_sector_kets,
 )
 from .readout import ReadoutDirection, measure_pair_probabilities
+from .readout import rng as stream
 
 
 @dataclass
@@ -70,15 +71,10 @@ class CheckResult:
     elapsed_s: float
 
 
-def _rng(seed: int, tag: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, tag], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def check_frequency_law(seed: int = 0) -> CheckResult:
     """Fitted singlet-singlet frequency equals sqrt(jx^2+jy^2-jx*jy) to 0.5%."""
     start = time.perf_counter()
-    rng = _rng(seed, 1)
+    rng = stream(seed, 1)
     worst = 0.0
     for _ in range(100):
         jx, jy = rng.uniform(5.0, 120.0, size=2)
@@ -103,7 +99,7 @@ def check_frequency_law(seed: int = 0) -> CheckResult:
 def check_visibility_law(seed: int = 0) -> CheckResult:
     """Simulated peak-to-peak amplitudes match the closed forms to 1e-6."""
     start = time.perf_counter()
-    rng = _rng(seed, 2)
+    rng = stream(seed, 2)
     cases = [(50.0, 50.0), (40.0, 0.0)] + [tuple(rng.uniform(2.0, 120.0, size=2)) for _ in range(40)]
     worst = 0.0
     anti_ok = True
@@ -139,7 +135,7 @@ def _exact_fst(j: ExchangeConfig) -> float:
 def check_perturbative_frequency(seed: int = 0) -> CheckResult:
     """Perturbative swap frequency error shrinks ~16x when imbalances halve."""
     start = time.perf_counter()
-    rng = _rng(seed, 3)
+    rng = stream(seed, 3)
     ratios = []
     exact_at_zero = True
     for _ in range(20):
@@ -197,7 +193,7 @@ def check_degenerate_formula(seed: int = 0) -> CheckResult:
     """Closed form matches exact 3-level evolution; beat frequency fits
     (dx^2+dy^2)/(4J) to 1%."""
     start = time.perf_counter()
-    rng = _rng(seed, 4)
+    rng = stream(seed, 4)
     init = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
     worst = 0.0
     for _ in range(40):
@@ -371,7 +367,7 @@ def check_fit_recovery(seed: int = 0) -> CheckResult:
     p_mean = 0.375 * np.cos(2 * np.pi * 1e-3 * truth_f * t) * np.exp(-((t / truth_tphi) ** 2)) + 0.625
     trials, good = 200, 0
     for k in range(trials):
-        rng = _rng(seed, 9000 + k)
+        rng = stream(seed, 9, k)
         data = rng.binomial(500, np.clip(p_mean, 0.0, 1.0)) / 500.0
         try:
             fit = fit_damped_cosine(t, data)
@@ -390,7 +386,7 @@ def check_conservation_suite(seed: int = 0) -> CheckResult:
     """Norm drift, symmetry commutators, subspace agreement, and the
     calibration-uncertainty oracle."""
     start = time.perf_counter()
-    rng = _rng(seed, 10)
+    rng = stream(seed, 10)
     s2, sz = total_spin_operators()
 
     norm_drift = 0.0

@@ -42,7 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
                      default="both", help="readout direction(s) to tabulate")
     sim.add_argument("--sigma-f", type=float, default=0.0,
                      help="quasi-static frequency noise std (MHz)")
-    sim.add_argument("--samples", type=int, default=200, help="noise trajectories")
+    sim.add_argument("--samples", type=int, default=16,
+                     help="noise ensemble size in Gauss-Hermite quadrature nodes (≤128)")
     sim.add_argument("--shots", type=int, default=0,
                      help="also sample this many readout shots per dwell point")
     return parser
@@ -95,14 +96,14 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     from .dynamics import NoiseModel, run_sequence
-    from .experiments import ensemble_probabilities
+    from .experiments import SHOT_STREAMS, ensemble_probabilities
     from .io import load_sequence, write_csv
     from .readout import OUTCOMES, ReadoutConfig, ReadoutDirection, sample_shots
 
     seq = load_sequence(args.sequence)
     noise = None
     if args.sigma_f > 0:
-        noise = NoiseModel(sigma_f=args.sigma_f, n_samples=args.samples, seed=args.seed)
+        noise = NoiseModel(sigma_f=args.sigma_f, n_samples=args.samples)
     result = run_sequence(seq, noise)
 
     t = np.asarray(seq.dwell_times) if seq.dwell_times is not None else np.array([0.0])
@@ -112,17 +113,15 @@ def cmd_simulate(args) -> int:
         "vertical": [ReadoutDirection.VERTICAL],
         "both": [ReadoutDirection.HORIZONTAL, ReadoutDirection.VERTICAL],
     }[args.direction]
-    for direction in directions:
+    for panel, direction in enumerate(directions):
         tag = direction.name.lower()[0]
         probs = ensemble_probabilities(result, direction)
         for k, outcome in enumerate(OUTCOMES):
             columns[f"p_{outcome.lower()}_{tag}"] = probs[:, k]
         if args.shots > 0:
-            sampled = np.empty_like(probs)
-            for i in range(len(t)):
-                cfg = ReadoutConfig(direction, n_shots=args.shots,
-                                    seed=args.seed * 1543 + 29 * i)
-                sampled[i] = sample_shots(probs[i], cfg).probabilities()
+            cfg = ReadoutConfig(direction, n_shots=args.shots,
+                                seed=(args.seed, SHOT_STREAMS["simulate"], panel, 0))
+            sampled = sample_shots(probs, cfg).probabilities()
             for k, outcome in enumerate(OUTCOMES):
                 columns[f"shots_{outcome.lower()}_{tag}"] = sampled[:, k]
 

@@ -74,7 +74,7 @@ DEFAULTS: dict = {
     "device.compensation": COMPENSATION_FACTOR,
     "device.orientation": -1.0,
     "device.jy_slope_per_mv": 0.0,
-    "noise.n_samples": 500,
+    "noise.n_samples": 16,
     "readout.n_shots": 500,
     # decoupled-pair operating point for the imbalance chevrons
     "chevron.j0x_mhz": 30.0,
@@ -96,7 +96,6 @@ DEFAULTS: dict = {
     "fig4b.t_points": 88,
     "fig4b.tphi_x_ns": 144.0,
     "fig4b.tphi_y_ns": 130.0,
-    "fig4b.n_samples": 2000,
     "fig4cd.t_max_ns": 160.0,
     "fig4cd.t_points": 81,
     "fig4cd.tphi_ns": 130.0,
@@ -156,18 +155,22 @@ def sweep_model_from(params: dict, drift: bool = False) -> SweepModel:
     )
 
 
+#: The ``figure`` part of a shot-stream key (seed, figure, panel, column), per
+#: product that draws shots; fig4ef fits the fig4cd maps and so reads their streams.
+SHOT_STREAMS = {"fig3c": 1, "fig3d": 2, "fig3e": 3, "fig4b": 4, "fig4cd": 5, "fig5ab": 6,
+                "fig5ef": 7, "calibrate": 8, "simulate": 9}
+
+
 def ensemble_probabilities(result, direction: ReadoutDirection) -> np.ndarray:
-    """Mean joint outcome probabilities (n_dwell, 4) of a sequence result, read in its sector."""
-    return pair_probabilities_batch(result.amplitudes, direction, result.sector).mean(axis=0)
+    """Ensemble-averaged joint outcome probabilities (n_dwell, 4), read in the result's sector."""
+    probs = pair_probabilities_batch(result.amplitudes, direction, result.sector)
+    return np.tensordot(result.weights, probs, axes=1)
 
 
-def _shot_column(mean_probs: np.ndarray, outcome: int, n_shots: int, seed: int) -> np.ndarray:
-    """Per-dwell empirical outcome frequency from seeded categorical shots."""
-    out = np.empty(len(mean_probs))
-    for k, p in enumerate(mean_probs):
-        cfg = ReadoutConfig(ReadoutDirection.HORIZONTAL, n_shots=n_shots, seed=seed + k)
-        out[k] = sample_shots(p, cfg).probabilities()[outcome]
-    return out
+def _shot_column(mean_probs: np.ndarray, outcome: int, n_shots: int, key: tuple) -> np.ndarray:
+    """Shot frequency of one outcome at each point of a (points, 4) stack, drawn in one call."""
+    cfg = ReadoutConfig(ReadoutDirection.HORIZONTAL, n_shots=n_shots, seed=key)
+    return sample_shots(mean_probs, cfg).probabilities()[:, outcome]
 
 
 def _st_sequence(init: SpinState, target: ExchangeConfig, dwell: np.ndarray) -> PulseSequence:
@@ -218,7 +221,7 @@ def _sidecar(out_dir: Path, name: str, params: dict, seed: int, extra: dict | No
 # imbalance chevrons (horizontal/vertical balance calibration data)
 
 
-def _chevron_panel(params, seed, sweep_axis: str):
+def _chevron_panel(params, seed, figure: str, sweep_axis: str):
     model = ExchangeVoltageModel(
         j0x=params["chevron.j0x_mhz"],
         j0y=params["chevron.j0y_mhz"],
@@ -227,17 +230,17 @@ def _chevron_panel(params, seed, sweep_axis: str):
     dv = np.linspace(-params["fig3c.dv_max_mv"], params["fig3c.dv_max_mv"], params["fig3c.dv_points"])
     t = np.linspace(0.0, params["fig3c.t_max_ns"], params["fig3c.t_points"])
     init = st_product_state(ReadoutDirection.HORIZONTAL)
-    sigma = sigma_from_tphi(params["chevron.tphi_ns"])
+    noise = NoiseModel(sigma_from_tphi(params["chevron.tphi_ns"]), params["noise.n_samples"])
     f_ref = model.j0y / 2
 
     def column(args):
         k, dv_k = args
         j = exchange_from_voltages(model, dv_k, 0.0) if sweep_axis == "x" else \
             exchange_from_voltages(model, 0.0, dv_k)
-        noise = NoiseModel(sigma_f=sigma, n_samples=params["noise.n_samples"], seed=seed + 7 * k)
         res = run_sequence(_st_sequence(init, j, t), noise, noise_reference_mhz=f_ref)
         probs = ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)
-        shot = _shot_column(probs, IDX_ST, params["readout.n_shots"], seed * 1009 + 97 * k)
+        shot = _shot_column(probs, IDX_ST, params["readout.n_shots"],
+                            (seed, SHOT_STREAMS[figure], 0, k))
         return probs[:, IDX_ST], shot
 
     results = [column(a) for a in enumerate(dv)]
@@ -248,7 +251,7 @@ def _chevron_panel(params, seed, sweep_axis: str):
 
 def figure_fig3c(out_dir: Path, params: dict, seed: int) -> list[str]:
     """Singlet/T- chevron vs the horizontal imbalance voltage."""
-    dv, t, ideal, shots = _chevron_panel(params, seed, sweep_axis="x")
+    dv, t, ideal, shots = _chevron_panel(params, seed, "fig3c", sweep_axis="x")
     path = out_dir / "fig3c_map.csv"
     _write_map_csv(path, "dvx_mv", dv, t, ideal, shots)
     return [str(path)]
@@ -256,7 +259,7 @@ def figure_fig3c(out_dir: Path, params: dict, seed: int) -> list[str]:
 
 def figure_fig3d(out_dir: Path, params: dict, seed: int) -> list[str]:
     """Singlet/T- chevron vs the vertical imbalance voltage."""
-    dv, t, ideal, shots = _chevron_panel(params, seed, sweep_axis="y")
+    dv, t, ideal, shots = _chevron_panel(params, seed, "fig3d", sweep_axis="y")
     path = out_dir / "fig3d_map.csv"
     _write_map_csv(path, "dvy_mv", dv, t, ideal, shots)
     return [str(path)]
@@ -271,7 +274,6 @@ def figure_fig3e(out_dir: Path, params: dict, seed: int) -> list[str]:
     sweep = sweep_model_from(params, drift=params["fig3e.jy_drift"])
     dvp = np.linspace(params["fig3e.dvp_min_mv"], params["fig3e.dvp_max_mv"], params["fig3e.dvp_points"])
     t = np.linspace(0.0, params["fig3e.t_max_ns"], params["fig3e.t_points"])
-    sigma = sigma_from_tphi(params["fig3e.tphi_ns"])
 
     panels = {
         "vertical": ReadoutDirection.VERTICAL,  # oscillates at jx/2
@@ -279,18 +281,18 @@ def figure_fig3e(out_dir: Path, params: dict, seed: int) -> list[str]:
     }
     maps = {}
     fits = {name: [] for name in panels}
-    for name, direction in panels.items():
+    noise = NoiseModel(sigma_from_tphi(params["fig3e.tphi_ns"]), params["noise.n_samples"])
+    for panel, (name, direction) in enumerate(panels.items()):
         init = st_product_state(direction)
 
-        def column(args, direction=direction, name=name):
+        def column(args, direction=direction, panel=panel):
             k, dvp_k = args
             j = sweep.config(dvp_k)
             f_nominal = (j.jx if direction is ReadoutDirection.VERTICAL else j.jy) / 2
-            noise = NoiseModel(sigma, params["noise.n_samples"], seed + 13 * k)
             res = run_sequence(_st_sequence(init, j, t), noise, noise_reference_mhz=f_nominal)
             probs = ensemble_probabilities(res, direction)
             shot = _shot_column(probs, IDX_ST, params["readout.n_shots"],
-                                seed * 2027 + 31 * k + (0 if name == "vertical" else 500000))
+                                (seed, SHOT_STREAMS["fig3e"], panel, k))
             return probs[:, IDX_ST], shot
 
         results = [column(a) for a in enumerate(dvp)]
@@ -349,14 +351,15 @@ def figure_fig4b(out_dir: Path, params: dict, seed: int) -> list[str]:
     )
     columns: dict[str, np.ndarray] = {"t_ns": t}
     fit_payload = {}
-    for label, direction, tphi_key, n_seed in (
-        ("x", ReadoutDirection.HORIZONTAL, "fig4b.tphi_x_ns", 0),
-        ("y", ReadoutDirection.VERTICAL, "fig4b.tphi_y_ns", 1),
-    ):
-        noise = NoiseModel(sigma_from_tphi(params[tphi_key]), params["fig4b.n_samples"], seed + n_seed)
+    for panel, (label, direction, tphi_key) in enumerate((
+        ("x", ReadoutDirection.HORIZONTAL, "fig4b.tphi_x_ns"),
+        ("y", ReadoutDirection.VERTICAL, "fig4b.tphi_y_ns"),
+    )):
+        noise = NoiseModel(sigma_from_tphi(params[tphi_key]), params["noise.n_samples"])
         res = run_sequence(seq, noise)
         probs = ensemble_probabilities(res, direction)
-        shot = _shot_column(probs, IDX_SS, params["readout.n_shots"], seed * 31 + n_seed * 7919)
+        shot = _shot_column(probs, IDX_SS, params["readout.n_shots"],
+                            (seed, SHOT_STREAMS["fig4b"], panel, 0))
         columns[f"p_ss_{label}_ideal"] = probs[:, IDX_SS]
         columns[f"p_ss_{label}_shot"] = shot
         fit = fit_damped_cosine(t, shot)
@@ -373,14 +376,13 @@ def _fig4cd_maps(params, seed):
     sweep = sweep_model_from(params)
     dvp = np.linspace(params["fig3e.dvp_min_mv"], params["fig3e.dvp_max_mv"], params["fig3e.dvp_points"])
     t = np.linspace(0.0, params["fig4cd.t_max_ns"], params["fig4cd.t_points"])
-    sigma = sigma_from_tphi(params["fig4cd.tphi_ns"])
+    noise = NoiseModel(sigma_from_tphi(params["fig4cd.tphi_ns"]), params["noise.n_samples"])
 
     def column(args):
         k, dvp_k = args
         j = sweep.config(dvp_k)
         seq = PulseSequence(init=singlet_x(), segments=(set_diabatic(j), hold(j, 0.0)),
                             dwell_times=tuple(t))
-        noise = NoiseModel(sigma, params["noise.n_samples"], seed + 17 * k)
         res = run_sequence(seq, noise)
         return (
             ensemble_probabilities(res, ReadoutDirection.HORIZONTAL),
@@ -394,8 +396,8 @@ def _fig4cd_maps(params, seed):
     shots_x = np.empty_like(px)
     shots_y = np.empty_like(py)
     for k, (probs_x, probs_y) in enumerate(results):
-        shots_x[k] = _shot_column(probs_x, IDX_SS, n_shots, seed * 4099 + 811 * k)
-        shots_y[k] = _shot_column(probs_y, IDX_SS, n_shots, seed * 5501 + 977 * k)
+        shots_x[k] = _shot_column(probs_x, IDX_SS, n_shots, (seed, SHOT_STREAMS["fig4cd"], 0, k))
+        shots_y[k] = _shot_column(probs_y, IDX_SS, n_shots, (seed, SHOT_STREAMS["fig4cd"], 1, k))
     return sweep, dvp, t, px, py, shots_x, shots_y
 
 
@@ -468,14 +470,12 @@ def figure_fig5ab(out_dir: Path, params: dict, seed: int) -> list[str]:
     jj = 2 * params["fig5.j_pair_mhz"]
     jy0 = params["fig5.jy_start_mhz"]
     t = np.linspace(0.0, params["fig5.t_max_ns"], params["fig5.t_points"])
-    sigma = sigma_from_tphi(params["fig4cd.tphi_ns"])
-    n_samples = params["noise.n_samples"]
+    noise = NoiseModel(sigma_from_tphi(params["fig4cd.tphi_ns"]), params["noise.n_samples"])
     ramps = np.linspace(0.0, params["fig5a.t_ramp_max_ns"], params["fig5a.t_ramp_points"])
 
     def ramp_row(args):
         k, t_ramp = args
         seq = _prep_sequence(jj, jy0, jj, jj, t_ramp, t)
-        noise = NoiseModel(sigma, n_samples, seed + 23 * k)
         res = run_sequence(seq, noise)
         return ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)
 
@@ -483,7 +483,8 @@ def figure_fig5ab(out_dir: Path, params: dict, seed: int) -> list[str]:
     ideal_a = np.stack([r[:, IDX_SS] for r in rows])
     shots_a = np.empty_like(ideal_a)
     for k, probs in enumerate(rows):
-        shots_a[k] = _shot_column(probs, IDX_SS, params["readout.n_shots"], seed * 6007 + 89 * k)
+        shots_a[k] = _shot_column(probs, IDX_SS, params["readout.n_shots"],
+                                  (seed, SHOT_STREAMS["fig5ab"], 0, k))
     path_a = out_dir / "fig5a_map.csv"
     _write_map_csv(path_a, "t_ramp_ns", ramps, t, ideal_a, shots_a)
 
@@ -495,7 +496,6 @@ def figure_fig5ab(out_dir: Path, params: dict, seed: int) -> list[str]:
         k, dvp_k = args
         jx, jy = sweep.sums(dvp_k)
         seq = _prep_sequence(jx, jy0, jx, jy, t_ramp, t)
-        noise = NoiseModel(sigma, n_samples, seed + 29 * k)
         res = run_sequence(seq, noise)
         return ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)
 
@@ -503,7 +503,8 @@ def figure_fig5ab(out_dir: Path, params: dict, seed: int) -> list[str]:
     ideal_b = np.stack([r[:, IDX_SS] for r in rows])
     shots_b = np.empty_like(ideal_b)
     for k, probs in enumerate(rows):
-        shots_b[k] = _shot_column(probs, IDX_SS, params["readout.n_shots"], seed * 6029 + 83 * k)
+        shots_b[k] = _shot_column(probs, IDX_SS, params["readout.n_shots"],
+                                  (seed, SHOT_STREAMS["fig5ab"], 1, k))
     path_b = out_dir / "fig5b_map.csv"
     _write_map_csv(path_b, "dvp_mv", dvp, t, ideal_b, shots_b)
     return [str(path_a), str(path_b)]
@@ -515,14 +516,13 @@ def figure_fig5c(out_dir: Path, params: dict, seed: int) -> list[str]:
     dvp = np.linspace(params["fig3e.dvp_min_mv"], params["fig3e.dvp_max_mv"], params["fig3e.dvp_points"])
     t = np.linspace(0.0, params["fig5.t_max_ns"], params["fig5.t_points"])
     jy0 = params["fig5.jy_start_mhz"]
-    sigma = sigma_from_tphi(params["fig4cd.tphi_ns"])
+    noise = NoiseModel(sigma_from_tphi(params["fig4cd.tphi_ns"]), params["noise.n_samples"])
     uncertainty = CalibrationUncertainty()
 
     def sweep_row(args):
         k, dvp_k = args
         jx, jy = sweep.sums(dvp_k)
         seq = _prep_sequence(jx, jy0, jx, jy, params["fig5.t_ramp_ns"], t)
-        noise = NoiseModel(sigma, params["noise.n_samples"], seed + 41 * k)
         res = run_sequence(seq, noise)
         px = ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)[:, IDX_SS].mean()
         py = ensemble_probabilities(res, ReadoutDirection.VERTICAL)[:, IDX_SS].mean()
@@ -571,7 +571,7 @@ def figure_fig5ef(out_dir: Path, params: dict, seed: int) -> list[str]:
     equal = ExchangeConfig.balanced(jj, jj)
     t = np.linspace(0.0, params["fig5.t_max_ns"], params["fig5.t_points"])
     tj = np.linspace(0.0, params["fig5ef.tj_max_ns"], params["fig5ef.tj_points"])
-    sigma = sigma_from_tphi(params["fig4cd.tphi_ns"])
+    noise = NoiseModel(sigma_from_tphi(params["fig4cd.tphi_ns"]), params["noise.n_samples"])
 
     def row(args):
         k, tj_k = args
@@ -580,7 +580,6 @@ def figure_fig5ef(out_dir: Path, params: dict, seed: int) -> list[str]:
             segments=(exchange_pulse(pulse_cfg, tj_k), set_diabatic(equal), hold(equal, 0.0)),
             dwell_times=tuple(t),
         )
-        noise = NoiseModel(sigma, params["noise.n_samples"], seed + 37 * k)
         res = run_sequence(seq, noise)
         return (
             ensemble_probabilities(res, ReadoutDirection.HORIZONTAL),
@@ -594,7 +593,7 @@ def figure_fig5ef(out_dir: Path, params: dict, seed: int) -> list[str]:
         shots = np.empty_like(ideal)
         for k in range(len(tj)):
             shots[k] = _shot_column(rows[k][idx], IDX_SS, params["readout.n_shots"],
-                                    seed * 7013 + 71 * k + idx * 400000)
+                                    (seed, SHOT_STREAMS["fig5ef"], idx, k))
         path = out_dir / f"fig5{name}_map.csv"
         _write_map_csv(path, "t_j_ns", tj, t, ideal, shots)
         files.append(str(path))
@@ -670,7 +669,7 @@ def figure_figS9(out_dir: Path, params: dict, seed: int) -> list[str]:
     jy0 = params["fig5.jy_start_mhz"]
     t = np.linspace(0.0, params["fig5.t_max_ns"], params["fig5.t_points"])
     ramps = np.linspace(0.0, params["figS9.t_ramp_max_ns"], params["figS9.t_ramp_points"])
-    sigma = sigma_from_tphi(params["fig4cd.tphi_ns"])
+    noise = NoiseModel(sigma_from_tphi(params["fig4cd.tphi_ns"]), params["noise.n_samples"])
     files = []
     linecuts: dict[str, np.ndarray] = {"t_ns": t}
 
@@ -687,7 +686,6 @@ def figure_figS9(out_dir: Path, params: dict, seed: int) -> list[str]:
                 segments=(set_diabatic(start), linear_ramp(target, t_ramp), hold(target, 0.0)),
                 dwell_times=tuple(t),
             )
-            noise = NoiseModel(sigma, params["noise.n_samples"], seed + 43 * k)
             res = run_sequence(seq, noise)
             return (
                 ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)[:, IDX_SS],
@@ -801,13 +799,12 @@ def run_calibration(out_dir, seed: int = 0, overrides: dict | None = None) -> Ca
             cfg = device.config(0.0, dvx[i], dvy[j_idx])
             seq = _st_sequence(st_product_state(ReadoutDirection.HORIZONTAL), cfg, np.array([t_map]))
             res = run_sequence(seq)
-            p = ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)[0]
-            ro = ReadoutConfig(ReadoutDirection.HORIZONTAL, n_shots=params["readout.n_shots"],
-                               seed=seed * 911 + 37 * i + j_idx)
-            return sample_shots(p, ro).probabilities()[IDX_ST]
+            return ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)[0]
 
-        cells = [cell((i, j)) for i in range(n) for j in range(n)]
-        cal = CalibrationMap(dvx=dvx, dvy=dvy, values=np.array(cells).reshape(n, n), t_ns=t_map)
+        probs = np.array([cell((i, j)) for i in range(n) for j in range(n)])
+        shots = _shot_column(probs, IDX_ST, params["readout.n_shots"],
+                             (seed, SHOT_STREAMS["calibrate"], 0, iteration))
+        cal = CalibrationMap(dvx=dvx, dvy=dvy, values=shots.reshape(n, n), t_ns=t_map)
         ellipse = find_ellipse_center(cal)
         shift = np.array(ellipse.center) - center
         center = np.array(ellipse.center)

@@ -31,7 +31,8 @@ class NoOscillationError(ValueError):
 class FitResult:
     """Damped-cosine parameters with 1-sigma uncertainties.
 
-    Parameter order in ``covariance``: (a, f, phi, tphi, a0).
+    Parameter order in ``covariance``: (a, f, phi, tphi, a0); a parameter the
+    data do not fix (say ``tphi`` of an undamped trace) has an inf sigma.
     ``a`` is the oscillation amplitude (non-negative), ``f`` the frequency
     in MHz, ``phi`` the phase in (-pi, pi], ``tphi`` the Gaussian decay
     time in ns, ``a0`` the offset.
@@ -229,11 +230,26 @@ def fit_damped_cosine(t_ns, p) -> FitResult:
     phi = float((phi + np.pi) % (2 * np.pi) - np.pi)
 
     dof = max(len(t) - 5, 1)
-    sigma2 = 2 * res.cost / dof
-    jtj = res.jac.T @ res.jac
-    cov = sigma2 * np.linalg.pinv(jtj)
+    cov = _covariance(res.jac.T @ res.jac, 2 * res.cost / dof)
     rms = float(np.sqrt(np.mean(res.fun**2)))
     return FitResult(float(a), float(f), phi, float(tphi), float(a0), cov, rms)
+
+
+def _covariance(jtj: np.ndarray, sigma2: float) -> np.ndarray:
+    """sigma2 (J^T J)^-1 over the directions the data fix, inf for parameters they do not.
+
+    A direction is unfixed when its eigenvalue is at most 1e-15 of the largest
+    (the cutoff ``pinv`` would drop it at); a parameter with more than 1e-6 of
+    its squared weight on unfixed directions gets an inf row and column, so
+    its sigma reads inf instead of the truncated ~1e-17.
+    """
+    w, v = np.linalg.eigh(jtj)
+    fixed = w > 1e-15 * w.max()
+    cov = sigma2 * (v[:, fixed] / w[fixed]) @ v[:, fixed].T
+    loose = (v[:, ~fixed] ** 2).sum(axis=1) > 1e-6
+    cov[loose, :] = np.inf
+    cov[:, loose] = np.inf
+    return cov
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,10 @@ invariant sectors a sequence runs in: for each outcome it contracts the d
 sector coordinates with a factor of the outcome projector compressed to the
 sector (rank <= d, built once per direction and basis), so a noisy ensemble
 is read out without lifting it to 16 dims.
+
+Shots are drawn per point as multinomial counts of the recorded outcomes,
+one draw for a whole stack of points, from the stream :func:`rng` names
+by a key such as (seed, figure, panel, column).
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ class ReadoutConfig:
     f_s: float = 1.0
     f_t: float = 1.0
     n_shots: int = 500
-    seed: int = 0
+    seed: int | tuple[int, ...] = 0
 
     def __post_init__(self):
         if not (0.5 < self.f_s <= 1.0 and 0.5 < self.f_t <= 1.0):
@@ -131,86 +135,74 @@ def measure_pair_probabilities(state: SpinState, direction: ReadoutDirection) ->
 
 @dataclass(frozen=True)
 class ShotRecord:
-    """Outcome booleans (singlet = True) per shot for (first pair, second pair)."""
+    """Recorded outcome counts, shape (..., 4) in :data:`OUTCOMES` order, n_shots per point."""
 
-    outcomes: np.ndarray  # (n_shots, 2) bool
+    recorded: np.ndarray
+    n_shots: int
     direction: ReadoutDirection
 
     def __post_init__(self):
-        arr = np.asarray(self.outcomes, dtype=bool)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError("outcomes must have shape (n_shots, 2)")
+        arr = np.asarray(self.recorded)
+        if arr.ndim < 1 or arr.shape[-1] != len(OUTCOMES):
+            raise ValueError("recorded counts must have shape (..., 4)")
+        if np.any(arr.sum(axis=-1) != self.n_shots):
+            raise ValueError("recorded counts must sum to n_shots at every point")
         arr.setflags(write=False)
-        object.__setattr__(self, "outcomes", arr)
-
-    @property
-    def n_shots(self) -> int:
-        return self.outcomes.shape[0]
+        object.__setattr__(self, "recorded", arr)
 
     def counts(self) -> np.ndarray:
-        s1, s2 = self.outcomes[:, 0], self.outcomes[:, 1]
-        return np.array(
-            [
-                np.sum(s1 & s2),
-                np.sum(s1 & ~s2),
-                np.sum(~s1 & s2),
-                np.sum(~s1 & ~s2),
-            ]
-        )
+        return self.recorded
 
     def probabilities(self) -> np.ndarray:
-        """Empirical (P_SS, P_ST, P_TS, P_TT); sums to 1."""
-        return self.counts() / self.n_shots
+        """Empirical (P_SS, P_ST, P_TS, P_TT) per point; each row sums to 1."""
+        return self.recorded / self.n_shots
 
     def standard_errors(self) -> np.ndarray:
         """Binomial standard error per outcome probability."""
         p = self.probabilities()
         return np.sqrt(p * (1 - p) / self.n_shots)
 
-    def to_csv(self, path) -> None:
-        from .io import write_csv
 
-        write_csv(
-            path,
-            {
-                "shot_index": np.arange(self.n_shots),
-                "pair1_outcome": self.outcomes[:, 0].astype(int),
-                "pair2_outcome": self.outcomes[:, 1].astype(int),
-            },
-        )
+_KEY_MASK = (1 << 64) - 1
 
 
-def _rng(seed: int, tag: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, tag], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def rng(seed: int, *key: int) -> np.random.Generator:
+    """Generator of the independent stream named by ``(seed, *key)``.
+
+    Each part is masked to a non-negative 64-bit int and fed to
+    ``np.random.SeedSequence`` as two 32-bit words after the part count, so
+    distinct keys give distinct entropy (a plain int list would let
+    ``[s]`` and ``[s, 0]``, or ``[2**32 * s]`` and ``[0, s]``, coincide).
+    """
+    parts = [len(key) + 1] + [int(k) & _KEY_MASK for k in (seed, *key)]
+    words = np.array(parts, dtype=np.uint64).view(np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(words))
 
 
 def sample_shots(probs, cfg: ReadoutConfig) -> ShotRecord:
-    """Draw categorical shots from joint probabilities and apply readout errors.
+    """Draw ``cfg.n_shots`` recorded shots at every point of a (..., 4) probability stack.
 
     A true singlet is recorded as singlet with probability ``f_s``, a true
-    triplet as triplet with probability ``f_t``, independently per pair.
-    Deterministic given ``cfg.seed``.
+    triplet as triplet with probability ``f_t``, independently per pair and
+    shot; the recorded outcomes of a point are therefore multinomial in
+    :func:`expected_recorded_probabilities`, drawn in one call.
+    Deterministic given ``cfg.seed``, an int or a key tuple for :func:`rng`.
     """
     p = np.asarray(probs, dtype=float)
-    if p.shape != (4,):
-        raise ValueError("expected 4 joint outcome probabilities")
-    if abs(p.sum() - 1.0) > 1e-9 or np.any(p < -1e-12):
+    if p.ndim < 1 or p.shape[-1] != len(OUTCOMES):
+        raise ValueError("expected 4 joint outcome probabilities along the last axis")
+    if np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-9) or np.any(p < -1e-12):
         raise ValueError("outcome probabilities must be non-negative and sum to 1")
     p = np.clip(p, 0, None)
-    p = p / p.sum()
-
-    rng = _rng(cfg.seed, 0x5407)
-    draws = rng.choice(4, size=cfg.n_shots, p=p)
-    true_s = np.stack([draws <= 1, (draws == 0) | (draws == 2)], axis=1)
-    keep = rng.random(size=true_s.shape)
-    recorded = np.where(true_s, keep < cfg.f_s, ~(keep < cfg.f_t))
-    return ShotRecord(outcomes=recorded, direction=cfg.direction)
+    p = p / p.sum(axis=-1, keepdims=True)
+    key = cfg.seed if isinstance(cfg.seed, tuple) else (cfg.seed,)
+    counts = rng(*key).multinomial(cfg.n_shots, expected_recorded_probabilities(p, cfg.f_s, cfg.f_t))
+    return ShotRecord(recorded=counts, n_shots=cfg.n_shots, direction=cfg.direction)
 
 
 def expected_recorded_probabilities(probs, f_s: float, f_t: float) -> np.ndarray:
-    """Joint probabilities after the independent per-pair error channel."""
+    """Joint probabilities (..., 4) after the independent per-pair error channel."""
     p = np.asarray(probs, dtype=float)
     m1 = np.array([[f_s, 1 - f_t], [1 - f_s, f_t]])  # recorded x true, one pair
-    joint = p.reshape(2, 2)
-    return (m1 @ joint @ m1.T).reshape(4)
+    joint = p.reshape(*p.shape[:-1], 2, 2)
+    return (m1 @ joint @ m1.T).reshape(p.shape)

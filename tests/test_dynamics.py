@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -43,6 +45,7 @@ from rvbsim.dynamics import (
     _ramp_unitary_once,
     _sector,
 )
+from rvbsim.experiments import ensemble_probabilities
 from rvbsim.hamiltonians import (
     ExchangeConfig,
     ZeemanConfig,
@@ -51,6 +54,7 @@ from rvbsim.hamiltonians import (
     triplet_block_transformed,
     zeeman_full,
 )
+from rvbsim.readout import ReadoutDirection
 
 ST_INIT = pair_product_state(
     PairState(Pair.Q12, PairLabel.S), PairState(Pair.Q34, PairLabel.T_MINUS)
@@ -234,21 +238,83 @@ def test_tphi_sigma_round_trip():
 
 
 def test_dephasing_envelope_matches_gaussian():
-    noise = NoiseModel(sigma_f=sigma_from_tphi(130.0), n_samples=20000, seed=5)
-    t = np.array([0.0, 65.0, 130.0, 200.0])
+    # the default 16-node rule reproduces the Gaussian characteristic function
+    noise = NoiseModel(sigma_f=sigma_from_tphi(130.0))
+    t = np.linspace(0.0, 260.0, 53)
     env = dephasing_envelope(noise, t)
-    tol = 3 / np.sqrt(noise.n_samples)
-    assert_allclose(env, np.exp(-((t / 130.0) ** 2)), atol=tol)
-    assert abs(env[2] - np.e**-1) < tol
-    assert_allclose(dephasing_envelope(NoiseModel(0.0, 100, 1), t), np.ones(4), atol=0)
+    assert_allclose(env, np.exp(-((t / 130.0) ** 2)), rtol=0, atol=1e-6)
+    assert abs(dephasing_envelope(noise, 130.0) - np.e**-1) < 1e-12
+    assert_allclose(dephasing_envelope(NoiseModel(0.0, 100, 1), t), np.ones_like(t), atol=1e-15)
 
 
-def test_noise_draws_deterministic_and_counter_based():
-    n1 = NoiseModel(sigma_f=1.0, n_samples=8, seed=42)
-    n2 = NoiseModel(sigma_f=1.0, n_samples=16, seed=42)
-    d1, d2 = n1.frequency_offsets(), n2.frequency_offsets()
-    assert_allclose(d1, d2[:8], atol=0)  # prefix-stable: per-trajectory streams
-    assert not np.allclose(d1, NoiseModel(1.0, 8, 43).frequency_offsets())
+def test_noise_quadrature_rule_and_node_cap():
+    sigma = 1.7
+    for n in (1, 2, 16, 128):
+        offsets, weights = NoiseModel(sigma_f=sigma, n_samples=n).quadrature()
+        assert offsets.shape == weights.shape == (n,)
+        assert_allclose(weights.sum(), 1.0, rtol=0, atol=1e-14)
+        assert np.all(weights > 0)
+        assert_allclose(offsets, -offsets[::-1], rtol=0, atol=1e-12)  # symmetric rule
+        if n >= 3:  # exact Gaussian moments up to degree 2n - 1
+            assert_allclose(weights @ offsets**2, sigma**2, rtol=1e-12)
+            assert_allclose(weights @ offsets**4, 3 * sigma**4, rtol=1e-12)
+    # deterministic: the seed no longer enters
+    a, b = NoiseModel(1.0, 8, seed=42).quadrature(), NoiseModel(1.0, 8, seed=43).quadrature()
+    assert_allclose(a, b, rtol=0, atol=0)
+    for n in (0, 129, 500):
+        with pytest.raises(ValueError, match="1..128"):
+            NoiseModel(sigma_f=1.0, n_samples=n)
+
+
+@dataclass(frozen=True)
+class MonteCarloNoise:
+    """Reference ensemble: n Gaussian draws of weight 1/n, through the quadrature interface."""
+
+    sigma_f: float
+    n_samples: int
+    seed: int = 0
+
+    def quadrature(self):
+        draws = np.random.default_rng(self.seed).standard_normal(self.n_samples)
+        return self.sigma_f * draws, np.full(self.n_samples, 1.0 / self.n_samples)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.sampled_from(("singlet_x", "singlet_y", "st")), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(5.0, 40.0), min_size=8, max_size=8),
+       st.floats(0.0, 40.0), st.floats(0.005, 0.05), st.booleans())
+def test_quadrature_matches_monte_carlo_reference(kind, seed, bonds, duration, rel_sigma,
+                                                  with_zeeman):
+    # 16 nodes against 20k random draws of the same quasi-static ensemble, with a
+    # prefix segment and optionally the Zeeman field; the noise is a fraction of the
+    # dwell frequency, so the phase spread stays in the range the rule integrates
+    init = {"singlet_x": singlet_x(), "singlet_y": singlet_y(), "st": ST_INIT}[kind]
+    j0, j1 = ExchangeConfig(*bonds[:4]), ExchangeConfig(*bonds[4:])
+    seq = PulseSequence(init=init, segments=(hold(j0, duration), hold(j1, 0.0)),
+                        dwell_times=(0.0, 12.0, 30.0))
+    sigma = rel_sigma * f_ss(j1.jx, j1.jy)
+    zeeman = ZeemanConfig() if with_zeeman else None
+    quad = run_sequence(seq, NoiseModel(sigma), zeeman=zeeman)
+    mc = run_sequence(seq, MonteCarloNoise(sigma, 20000, seed), zeeman=zeeman)
+    tol = 3 / np.sqrt(20000)
+    for direction in ReadoutDirection:
+        assert_allclose(ensemble_probabilities(quad, direction),
+                        ensemble_probabilities(mc, direction), rtol=0, atol=tol)
+
+
+def test_clipped_weight_counts_negative_scale_factors():
+    seq = PulseSequence(init=singlet_x(), segments=(set_diabatic(ExchangeConfig.balanced(50, 50)),
+                                                    hold(ExchangeConfig.balanced(50, 50), 0.0)),
+                        dwell_times=(0.0, 10.0))
+    noise = NoiseModel(sigma_f=2.0)
+    assert run_sequence(seq).clipped_weight == 0.0
+    assert run_sequence(seq, noise).clipped_weight == 0.0  # f_ref = 50 MHz >> sigma_f
+    res = run_sequence(seq, noise, noise_reference_mhz=7.0)  # f_ref < 4 sigma_f
+    offsets, weights = noise.quadrature()
+    clipped = 1.0 + offsets / 7.0 < 0
+    assert clipped.any() and np.all(res.scale_factors[clipped] == 0.0)
+    assert res.clipped_weight > 0
+    assert_allclose(res.clipped_weight, weights[clipped].sum(), rtol=0, atol=0)
 
 
 def test_run_sequence_single_hold_matches_evolve():
@@ -461,17 +527,17 @@ def test_run_sequence_noise_deterministic_and_enveloped():
     dwell = tuple(np.linspace(0, 300, 61))
     seq = PulseSequence(init=singlet_x(), segments=(set_diabatic(j), hold(j, 0.0)),
                         dwell_times=dwell)
-    noise = NoiseModel(sigma_f=sigma_from_tphi(130.0), n_samples=3000, seed=9)
+    noise = NoiseModel(sigma_f=sigma_from_tphi(130.0))
     res1 = run_sequence(seq, noise)
     res2 = run_sequence(seq, noise)
     assert_allclose(res1.states, res2.states, atol=0)
-    assert res1.states.shape == (3000, len(dwell), 16)
+    assert res1.states.shape == (noise.n_samples, len(dwell), 16)
 
     sx = singlet_x().amplitudes
-    px = (np.abs(res1.states @ sx.conj()) ** 2).mean(axis=0)
+    px = res1.weights @ np.abs(res1.states @ sx.conj()) ** 2
     t = np.array(dwell)
     expected, _ = singlet_singlet_probabilities(50, 50, t, sigma_f=noise.sigma_f)
-    assert_allclose(px, expected, atol=4 / np.sqrt(noise.n_samples))
+    assert_allclose(px, expected, rtol=0, atol=1e-6)
 
 
 def test_ramp_requires_previous_segment():

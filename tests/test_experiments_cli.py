@@ -32,8 +32,6 @@ def test_unknown_figure_name():
 SMALL_4B = {
     "fig4b.t_points": 40,
     "fig4b.t_max_ns": 156.0,
-    "fig4b.n_samples": 400,
-    "noise.n_samples": 100,
 }
 
 
@@ -138,3 +136,81 @@ def test_cli_calibrate(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "center estimate" in out and "converged: True" in out
+
+
+def test_shot_streams_are_distinct_per_column(tmp_path, monkeypatch):
+    # every (figure, panel, column) shot key drawn at default sizes is used once and
+    # names its own stream; fig4ef fits the fig4cd maps, so it is not run separately
+    from rvbsim import experiments, readout
+
+    keys = []
+    original = readout.sample_shots
+
+    def recording(probs, cfg):
+        keys.append(cfg.seed)
+        return original(probs, cfg)
+
+    monkeypatch.setattr(experiments, "sample_shots", recording)
+    monkeypatch.setattr(readout, "sample_shots", recording)
+    for name in ("fig3c", "fig3d", "fig3e", "fig4b", "fig4cd", "fig5ab", "fig5ef"):
+        run_figure(name, tmp_path / name, seed=0)
+    run_calibration(tmp_path / "calibrate", seed=0)
+    seq = tmp_path / "hold.txt"
+    seq.write_text("init state sx\nsegment hold j12=25 j34=25 j23=25 j14=25 dur=0\n"
+                   "dwell range 0 40 4\n")
+    assert main(["simulate", str(seq), "--out", str(tmp_path / "sim"), "--shots", "50"]) == 0
+
+    assert all(isinstance(k, tuple) and len(k) == 4 and k[0] == 0 for k in keys)
+    assert {k[1] for k in keys} == set(experiments.SHOT_STREAMS.values())
+    assert len(set(keys)) == len(keys)
+    firsts = {tuple(readout.rng(*k).integers(0, 2**63, size=2)) for k in keys}
+    assert len(firsts) == len(keys)
+
+
+def _standardized_residuals(path, n_shots):
+    data = read_csv(path)
+    n_sweep = len(np.unique(data["dvp_mv"]))
+    p = data["p_ideal"].reshape(n_sweep, -1)
+    shot = data["p_shot"].reshape(n_sweep, -1)
+    var = p * (1 - p) / n_shots
+    return np.where(var > 1e-9, (shot - p) / np.sqrt(np.maximum(var, 1e-9)), np.nan)
+
+
+def test_adjacent_fig3e_columns_draw_uncorrelated_shots(tmp_path):
+    # with stream strides shorter than the dwell grid, column k + 1 used to replay
+    # column k's shots shifted by 31 points (correlation 0.75 at that offset)
+    run_figure("fig3e", tmp_path, seed=0)
+    z = _standardized_residuals(tmp_path / "fig3e_map_vertical.csv", 500)
+    assert 0.8 < np.nanstd(z) < 1.2
+    for offset in range(61):
+        a, b = z[:-1, offset:].ravel(), z[1:, : z.shape[1] - offset].ravel()
+        ok = np.isfinite(a) & np.isfinite(b)
+        assert abs(np.corrcoef(a[ok], b[ok])[0, 1]) < 0.1, offset
+
+
+def test_figs9_zero_ramp_rows_match_closed_form(tmp_path):
+    # the default quadrature reaches the Gaussian-envelope closed form; the 3/sqrt(n)
+    # bound a Monte-Carlo ensemble needs would be 0.75 at n = 16
+    from rvbsim.dynamics import sigma_from_tphi, singlet_singlet_probabilities
+
+    run_figure("figS9", tmp_path, seed=0, overrides={"figS9.t_ramp_points": 2})
+    params = resolve_params()
+    jj = 2 * params["fig5.j_pair_mhz"]
+    sigma = sigma_from_tphi(params["fig4cd.tphi_ns"])
+    for init in ("sx", "sy"):
+        for readout in ("x", "y"):
+            cols = read_csv(tmp_path / f"figS9_{init}_read{readout}.csv")
+            zero = cols["t_ramp_ns"] == 0.0
+            p_return, p_swapped = singlet_singlet_probabilities(jj, jj, cols["t_ns"][zero], sigma)
+            expected = p_return if (init == "sx") == (readout == "x") else p_swapped
+            assert_allclose(cols["p_ideal"][zero], expected, rtol=0, atol=1e-5)
+
+
+def test_fig4b_undetermined_decay_time_round_trips_as_inf(tmp_path):
+    # an effectively undamped trace leaves tphi unfixed: its sigma is written as
+    # JSON Infinity and read back as inf, the others stay finite
+    run_figure("fig4b", tmp_path, seed=0,
+               overrides={"fig4b.tphi_x_ns": 1e12, "readout.n_shots": 10**6})
+    fit = json.loads((tmp_path / "fig4b_fits.json").read_text())["x"]
+    assert fit["fit.sigma_tphi_ns"] == np.inf
+    assert all(np.isfinite(fit[f"fit.sigma_{k}"]) for k in ("a", "f_mhz", "phi_rad", "a0"))

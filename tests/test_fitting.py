@@ -133,7 +133,12 @@ def test_model_jacobian_matches_central_differences(a, f, phi, tphi, a0, n, seed
     for k in range(5):
         h = np.zeros(5)
         h[k] = 1e-6 * max(abs(x[k]), 1.0)
-        fd[:, k] = (_model(t, *(x + h)) - _model(t, *(x - h))) / (2 * h[k])
+        # difference the oscillating part alone (offset 0) for the four shape
+        # columns: the model is linear in a0, and rounding a0 + (vanishing
+        # oscillation) would swamp a difference of a column that small
+        off = 1.0 if k == 4 else 0.0
+        fd[:, k] = (_model(t, *(x + h)[:4], off * (x + h)[4])
+                    - _model(t, *(x - h)[:4], off * (x - h)[4])) / (2 * h[k])
     # relative to each column's scale: columns vanish wherever the envelope does
     assert np.all(np.abs(jac - fd) <= 1e-6 * np.abs(fd).max(axis=0))
 
@@ -292,3 +297,18 @@ def test_trace_csv_round_trip_and_fit(tmp_path):
     assert_allclose(t2, t, atol=1e-8)
     fit = fit_trace_csv(path)
     assert_allclose(fit.f, 40.0, rtol=1e-6)
+
+
+def test_undetermined_decay_time_has_infinite_sigma():
+    # an undamped 30 ns trace cannot fix tphi: its sigma is inf, not the ~1e-17 a
+    # truncated pseudo-inverse of J^T J reports; the fixed parameters stay finite
+    t = np.linspace(0.0, 30.0, 61)
+    fit = fit_damped_cosine(t, 0.375 * np.cos(2 * np.pi * 1e-3 * 120.0 * t) + 0.625)
+    assert fit.tphi > 1e3
+    sig = fit.sigmas
+    assert sig[3] == np.inf and np.all(np.isfinite(sig[[0, 1, 2, 4]]))
+    # a damped noisy trace fixes every parameter
+    rng = np.random.default_rng(3)
+    t = np.linspace(0.0, 300.0, 50)
+    p = 0.375 * np.cos(2 * np.pi * 1e-3 * 50.0 * t) * np.exp(-((t / 130.0) ** 2)) + 0.625
+    assert np.all(np.isfinite(fit_damped_cosine(t, rng.binomial(500, p) / 500).sigmas))

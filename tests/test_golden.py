@@ -30,7 +30,6 @@ SMALL = {
     "fig3e.dvp_points": 6,
     "fig3e.t_points": 61,
     "fig4b.t_points": 44,
-    "fig4b.n_samples": 100,
     "fig4cd.t_points": 21,
     "fig5a.t_ramp_points": 4,
     "fig5.t_points": 21,

@@ -18,7 +18,9 @@ from rvbsim.readout import (
     ReadoutDirection,
     expected_recorded_probabilities,
     measure_pair_probabilities,
+    ShotRecord,
     pair_probabilities_batch,
+    rng,
     sample_shots,
 )
 
@@ -121,10 +123,46 @@ def test_sample_shots_uniform_law_of_large_numbers():
 
 
 def test_sample_shots_deterministic_given_seed():
-    cfg = ReadoutConfig(ReadoutDirection.VERTICAL, n_shots=500, seed=7)
-    r1 = sample_shots([0.4, 0.1, 0.3, 0.2], cfg)
-    r2 = sample_shots([0.4, 0.1, 0.3, 0.2], cfg)
-    assert np.array_equal(r1.outcomes, r2.outcomes)
+    probs = np.tile([0.4, 0.1, 0.3, 0.2], (50, 1))
+
+    def counts(seed):
+        cfg = ReadoutConfig(ReadoutDirection.VERTICAL, n_shots=500, seed=seed)
+        return sample_shots(probs, cfg).counts()
+
+    for seed in (7, (7, 3, 1, 4)):
+        assert np.array_equal(counts(seed), counts(seed))
+    assert not np.array_equal(counts((7, 3, 1, 4)), counts((7, 3, 1, 5)))
+
+
+def test_rng_keys_name_distinct_streams():
+    # a plain SeedSequence int list maps [s] and [s, 0], and [2**32 s] and [0, s], to
+    # one stream; the helper's fixed-width words and leading part count do not
+    def first(*key):
+        return tuple(rng(*key).integers(0, 2**63, size=2))
+
+    keys = [(5,), (5, 0), (5, 0, 0), (5 * 2**32,), (0, 5), (0, 5, 0), (2**64 - 1,), (7, 1, 0, 3)]
+    assert len({first(*k) for k in keys}) == len(keys)
+    assert first(-1) == first(2**64 - 1)  # keys are masked to non-negative 64-bit ints
+    assert first(7, 1, 0, 3) == first(7, 1, 0, 3)
+
+
+def test_sample_shots_stack_is_multinomial_in_recorded_probabilities():
+    # one draw for a (columns, points, 4) stack: every point gets n_shots recorded
+    # shots whose mean frequencies follow the per-pair error channel
+    p = np.random.default_rng(4).dirichlet(np.ones(4), size=(3, 40))
+    cfg = ReadoutConfig(ReadoutDirection.HORIZONTAL, f_s=0.9, f_t=0.8, n_shots=20000, seed=(1, 2))
+    rec = sample_shots(p, cfg)
+    assert rec.counts().shape == (3, 40, 4) and rec.n_shots == 20000
+    assert np.all(rec.counts().sum(axis=-1) == 20000)
+    expected = expected_recorded_probabilities(p, 0.9, 0.8)
+    z = (rec.probabilities() - expected) / np.sqrt(expected * (1 - expected) / cfg.n_shots)
+    assert np.abs(z).max() < 5 and abs(z.mean()) < 0.2 and 0.8 < z.std() < 1.2
+    for i, j in ((0, 0), (2, 39)):
+        assert_allclose(expected[i, j], expected_recorded_probabilities(p[i, j], 0.9, 0.8))
+    with pytest.raises(ValueError, match="last axis"):
+        sample_shots(np.full((5, 3), 1 / 3), cfg)
+    with pytest.raises(ValueError, match="sum to 1"):
+        sample_shots(np.full((5, 4), 0.3), cfg)
 
 
 def test_readout_error_channel():
@@ -136,18 +174,16 @@ def test_readout_error_channel():
     assert abs(rec.probabilities()[0] - 0.81) < 3 * sigma
 
 
-def test_shot_record_standard_errors_and_csv(tmp_path):
+def test_shot_record_standard_errors_vectorised():
     cfg = ReadoutConfig(ReadoutDirection.HORIZONTAL, n_shots=500, seed=11)
-    rec = sample_shots([0.5, 0.2, 0.2, 0.1], cfg)
-    se = rec.standard_errors()
+    rec = sample_shots(np.tile([0.5, 0.2, 0.2, 0.1], (2, 3, 1)), cfg)
     p = rec.probabilities()
-    assert_allclose(se, np.sqrt(p * (1 - p) / 500), atol=0)
-
-    path = tmp_path / "shots.csv"
-    rec.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "shot_index,pair1_outcome,pair2_outcome"
-    assert len(lines) == 501
+    assert p.shape == rec.standard_errors().shape == (2, 3, 4)
+    assert_allclose(p.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+    assert_allclose(rec.standard_errors(), np.sqrt(p * (1 - p) / 500), atol=0)
+    assert rec.direction is ReadoutDirection.HORIZONTAL
+    with pytest.raises(ValueError, match="sum to n_shots"):
+        ShotRecord(np.array([1, 2, 3, 4]), n_shots=9, direction=ReadoutDirection.HORIZONTAL)
 
 
 def test_readout_config_validation():
