@@ -8,6 +8,17 @@ from pathlib import Path
 
 import numpy as np
 
+from .dynamics import MAX_QUADRATURE_NODES
+
+
+def _quadrature_nodes(text: str) -> int:
+    """``--samples`` value: a node count the noise ensemble accepts."""
+    n = int(text)
+    if not 1 <= n <= MAX_QUADRATURE_NODES:
+        raise argparse.ArgumentTypeError("counts Gauss-Hermite quadrature nodes and must be "
+                                         f"in 1..{MAX_QUADRATURE_NODES}, got {n}")
+    return n
+
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--spec", type=Path, default=None,
@@ -42,8 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
                      default="both", help="readout direction(s) to tabulate")
     sim.add_argument("--sigma-f", type=float, default=0.0,
                      help="quasi-static frequency noise std (MHz)")
-    sim.add_argument("--samples", type=int, default=16,
-                     help="noise ensemble size in Gauss-Hermite quadrature nodes (≤128)")
+    sim.add_argument("--samples", type=_quadrature_nodes, default=16,
+                     help="noise ensemble size in Gauss-Hermite quadrature nodes "
+                          f"(1..{MAX_QUADRATURE_NODES})")
     sim.add_argument("--shots", type=int, default=0,
                      help="also sample this many readout shots per dwell point")
     return parser

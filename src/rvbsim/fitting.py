@@ -11,8 +11,16 @@ The damped-cosine fit takes its frequency seed from the power spectrum of
 the de-meaned trace on ``linspace(0, f_nyq, M)``.  When the time points
 are increasing and uniform (to 1e-9 of a step), that power is one
 zero-padded FFT of length 2(M - 1), whose bins fall exactly on the grid;
-any other time grid (unsorted, jittered or with gaps) takes a dense DFT.  The bounded least-squares polish uses the
-closed-form Jacobian of the model, which also gives the covariance.
+any other time grid (unsorted, jittered or with gaps) takes a dense DFT.
+
+The polish is a small bounded Levenberg-Marquardt loop in
+kappa = T_phi^-2 rather than T_phi: the model is smooth through kappa = 0,
+so the undamped limit is the bound kappa = TPHI_MAX_NS^-2 that the loop
+reaches in a step or two, where in T_phi it was a direction the solver crept
+along.  The loop stops when no step can gain more than round-off; an
+undetermined decay time therefore reads the 1e12 ns bound, with an inf
+sigma.  Covariance and residual are evaluated in T_phi from the closed-form
+Jacobian of the model.
 """
 
 from __future__ import annotations
@@ -20,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 
 class NoOscillationError(ValueError):
@@ -67,6 +74,9 @@ class FitResult:
 
 #: Radians per (MHz * ns): the model phase is ``_W * f * t + phi``.
 _W = 2 * np.pi * 1e-3
+
+#: Largest reported decay time (ns): the fit's lower bound on kappa = tphi^-2 is its inverse square.
+TPHI_MAX_NS = 1e12
 
 
 def _model(t, a, f, phi, tphi, a0):
@@ -183,10 +193,17 @@ def fit_damped_cosine(t_ns, p) -> FitResult:
     Seeds the frequency from the dominant spectral peak (one zero-padded
     FFT when ``t_ns`` is uniform and increasing, a dense DFT otherwise) and
     the remaining parameters from variable projection over a small
-    frequency and decay-time grid, then polishes with bounded nonlinear
-    least squares on the closed-form Jacobian (gradient tolerance 1e-10),
-    which also gives the covariance.  Requires at least 10 finite points at
-    distinct times, spanning 1.5 periods of the dominant frequency.
+    frequency and decay-time grid, then polishes (a, f, phi, kappa, a0),
+    kappa = tphi^-2, with a bounded Levenberg-Marquardt loop
+    (:func:`_bounded_lm`) inside the box a in [0, 10 ptp(p)],
+    f in [0, 2 f0 + f_nyq], phi in [-2 pi, 2 pi],
+    tphi in [1e-3 span, TPHI_MAX_NS].  The loop stops at the first step
+    whose predicted gain is below 1e-14 of the cost or the round-off of the
+    data, so a trace whose decay the data cannot tell from none returns
+    tphi = TPHI_MAX_NS (1e12 ns) with an inf sigma.  The covariance and
+    residual come from the closed-form Jacobian in tphi at the result.
+    Requires at least 10 finite points at distinct times, spanning 1.5
+    periods of the dominant frequency.
     """
     t = np.asarray(t_ns, dtype=float).ravel()
     p = np.asarray(p, dtype=float).ravel()
@@ -198,7 +215,7 @@ def fit_damped_cosine(t_ns, p) -> FitResult:
         raise ValueError("t and p must be finite")
     if np.unique(t).size < t.size:
         raise ValueError("time points must be distinct")
-    f0, _, _ = _spectral_seed(t, p)
+    f0, grid, _ = _spectral_seed(t, p)
     span = t.max() - t.min()
     if span * f0 * 1e-3 < 1.5:
         raise ValueError(
@@ -211,28 +228,91 @@ def fit_damped_cosine(t_ns, p) -> FitResult:
     phi_seed = float(np.arctan2(c2, c1))
 
     scale = max(p.max() - p.min(), 1e-6)
-    x0 = [max(a_seed, 1e-4 * scale), f_seed, phi_seed, tphi_seed, a0_seed]
-    lower = [0.0, 0.0, -2 * np.pi, span * 1e-3, -np.inf]
-    upper = [10 * scale, 2 * f0 + 0.5 / (np.median(np.diff(np.sort(t)))) * 1e3, 2 * np.pi, 1e12, np.inf]
-    x0 = np.clip(x0, lower, upper)
-
-    res = least_squares(
-        lambda x: _model(t, *x) - p,
-        x0=x0,
-        jac=lambda x: _model_jacobian(t, *x),
-        bounds=(lower, upper),
-        gtol=1e-10,
-        xtol=1e-12,
-        ftol=1e-12,
-        max_nfev=2000,
-    )
-    a, f, phi, tphi, a0 = res.x
+    lower = np.array([0.0, 0.0, -2 * np.pi, TPHI_MAX_NS**-2, -np.inf])
+    upper = np.array([10 * scale, 2 * f0 + grid[-1], 2 * np.pi, (1e-3 * span) ** -2, np.inf])
+    x0 = np.array([max(a_seed, 1e-4 * scale), f_seed, phi_seed, tphi_seed**-2, a0_seed])
+    a, f, phi, kappa, a0 = _bounded_lm(t, p, np.clip(x0, lower, upper), lower, upper)
+    tphi = float(kappa**-0.5)
     phi = float((phi + np.pi) % (2 * np.pi) - np.pi)
 
-    dof = max(len(t) - 5, 1)
-    cov = _covariance(res.jac.T @ res.jac, 2 * res.cost / dof)
-    rms = float(np.sqrt(np.mean(res.fun**2)))
-    return FitResult(float(a), float(f), phi, float(tphi), float(a0), cov, rms)
+    resid = _model(t, a, f, phi, tphi, a0) - p
+    jac = _model_jacobian(t, a, f, phi, tphi, a0)
+    cov = _covariance(jac.T @ jac, (resid @ resid) / max(len(t) - 5, 1))
+    rms = float(np.sqrt(np.mean(resid**2)))
+    return FitResult(float(a), float(f), phi, tphi, float(a0), cov, rms)
+
+
+def _kappa_model(t, t2, x):
+    """:func:`_model` in kappa = tphi^-2 and its Jacobian, columns (a, f, phi, kappa, a0)."""
+    a, f, phi, kappa, a0 = x
+    theta = _W * f * t + phi
+    env = np.exp(-kappa * t2)
+    c = np.cos(theta) * env
+    s = -a * np.sin(theta) * env
+    jac = np.empty((len(t), 5))
+    jac[:, 0] = c
+    jac[:, 1] = _W * t * s
+    jac[:, 2] = s
+    jac[:, 3] = -a * t2 * c
+    jac[:, 4] = 1.0
+    return a * c + a0, jac
+
+
+def _bounded_lm(t, p, x, lower, upper, ftol=1e-14, xtol=1e-13, max_eval=200) -> np.ndarray:
+    """Levenberg-Marquardt on (a, f, phi, kappa, a0) inside the box [lower, upper].
+
+    Marquardt damping mu D^2 with Moré's scaling D^2, the running maximum of
+    diag(J^T J) (Moré, LNM 630, 1978), floored at 1e-15 of its largest entry
+    so a numerically zero column (the sine columns at the Nyquist frequency)
+    is not amplified; mu starts at 1e-6, near Gauss-Newton, because the seed
+    is close, and follows Nielsen's gain-ratio update (Madsen, Nielsen &
+    Tingleff 2004).  A parameter on a bound whose gradient points out of the
+    box is held (the active set); the others take the damped
+    Gauss-Newton step, projected back into the box.  A step is kept when it
+    lowers the cost ||r||^2.  Stops, without taking it, at the first
+    unprojected step whose predicted reduction is at most ``ftol`` cost +
+    (``xtol`` ||p||)^2, i.e. nothing left to gain above round-off, or after
+    ``max_eval`` model evaluations.  A kappa that the same floor cannot tell
+    from its lower bound is then put on it.
+    """
+    t2 = t * t
+    floor = (xtol * np.linalg.norm(p)) ** 2
+    model, jac = _kappa_model(t, t2, x)
+    r = model - p
+    cost, g, jtj = r @ r, r @ jac, jac.T @ jac
+    d2 = np.zeros(5)
+    mu, nu = 1e-6, 2.0
+    for _ in range(max_eval - 1):
+        d2 = np.maximum(d2, jtj.diagonal())
+        d2 = np.maximum(d2, 1e-15 * d2.max())
+        held = ((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0))
+        m = jtj + np.diag(mu * d2)
+        m[held] = 0.0  # identity rows and columns pin the held steps to 0
+        m[:, held] = 0.0
+        m[held, held] = 1.0
+        trial = x + np.linalg.solve(m, np.where(held, 0.0, -g))
+        x_new = np.minimum(np.maximum(trial, lower), upper)
+        step = x_new - x
+        predicted = -(2 * g @ step + step @ jtj @ step)
+        if predicted <= ftol * cost + floor and (x_new == trial).all():
+            break
+        model, jac_new = _kappa_model(t, t2, x_new)
+        r_new = model - p
+        gain = cost - r_new @ r_new
+        if gain > 0:
+            x, r, jac, cost = x_new, r_new, jac_new, cost - gain
+            g, jtj = r @ jac, jac.T @ jac
+            # gain ratio, read as 1 for a projected step the quadratic model misjudged
+            rho = gain / max(predicted, gain)
+            mu *= max(1 / 3, 1 - (2 * rho - 1) ** 3)
+            nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2
+    # a decay the floor cannot tell from none lands on the bound, tphi = TPHI_MAX_NS
+    if np.linalg.norm(jac[:, 3]) * (x[3] - lower[3]) <= np.sqrt(floor):
+        x[3] = lower[3]
+    return x
 
 
 def _covariance(jtj: np.ndarray, sigma2: float) -> np.ndarray:

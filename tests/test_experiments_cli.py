@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rvbsim.cli import main
+from rvbsim.dynamics import MAX_QUADRATURE_NODES
 from rvbsim.experiments import FIGURES, resolve_params, run_calibration, run_figure
 from rvbsim.io import read_csv
 
@@ -126,6 +127,15 @@ def test_cli_simulate(tmp_path, capsys):
     assert np.ptp(data["p_ss_h"]) < 1e-9
     assert "shots_ss_h" in data
     assert abs(data["shots_ss_h"].mean() - 0.25) < 0.02
+
+
+@pytest.mark.parametrize("samples", ["0", "129", "200"])
+def test_cli_simulate_rejects_samples_outside_quadrature_cap(tmp_path, capsys, samples):
+    # a usage error naming the cap, before the sequence file is read
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", str(tmp_path / "missing.txt"), "--sigma-f", "1.0", "--samples", samples])
+    assert exc.value.code == 2
+    assert f"1..{MAX_QUADRATURE_NODES}, got {samples}" in capsys.readouterr().err
 
 
 def test_cli_calibrate(tmp_path, capsys):
