@@ -8,15 +8,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import MAX_QUADRATURE_NODES
+from .dynamics import MAX_QUADRATURE_NODES, NoiseModel
 
 
 def _quadrature_nodes(text: str) -> int:
     """``--samples`` value: a node count the noise ensemble accepts."""
     n = int(text)
-    if not 1 <= n <= MAX_QUADRATURE_NODES:
-        raise argparse.ArgumentTypeError("counts Gauss-Hermite quadrature nodes and must be "
-                                         f"in 1..{MAX_QUADRATURE_NODES}, got {n}")
+    try:
+        NoiseModel(0.0, n)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
     return n
 
 
@@ -107,7 +108,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .dynamics import NoiseModel, run_sequence
+    from .dynamics import run_sequence
     from .experiments import SHOT_STREAMS, ensemble_probabilities
     from .io import load_sequence, write_csv
     from .readout import OUTCOMES, ReadoutConfig, ReadoutDirection, sample_shots

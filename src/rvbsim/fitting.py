@@ -78,23 +78,41 @@ _W = 2 * np.pi * 1e-3
 #: Largest reported decay time (ns): the fit's lower bound on kappa = tphi^-2 is its inverse square.
 TPHI_MAX_NS = 1e12
 
+#: Stopping rule of :func:`_bounded_lm`: predicted reduction at most
+#: _FTOL cost + (_XTOL ||p||)^2, or _MAX_EVAL model evaluations.
+_FTOL = 1e-14
+_XTOL = 1e-13
+_MAX_EVAL = 200
 
-def _model(t, a, f, phi, tphi, a0):
-    return a * np.cos(_W * f * t + phi) * np.exp(-((t / tphi) ** 2)) + a0
 
-
-def _model_jacobian(t, a, f, phi, tphi, a0):
-    """Closed-form derivatives of :func:`_model`, columns (a, f, phi, tphi, a0)."""
+def _kappa_model(t, t2, x):
+    """The damped cosine in kappa = tphi^-2 and its Jacobian, columns (a, f, phi, kappa, a0)."""
+    a, f, phi, kappa, a0 = x
     theta = _W * f * t + phi
-    env = np.exp(-((t / tphi) ** 2))
+    env = np.exp(-kappa * t2)
     c = np.cos(theta) * env
     s = -a * np.sin(theta) * env
     jac = np.empty((len(t), 5))
     jac[:, 0] = c
     jac[:, 1] = _W * t * s
     jac[:, 2] = s
-    jac[:, 3] = (2 * a / tphi**3) * t**2 * c
+    jac[:, 3] = -a * t2 * c
     jac[:, 4] = 1.0
+    return a * c + a0, jac
+
+
+def _model(t, a, f, phi, tphi, a0):
+    return _kappa_model(t, t * t, (a, f, phi, tphi**-2, a0))[0]
+
+
+def _model_jacobian(t, a, f, phi, tphi, a0):
+    """Closed-form derivatives of :func:`_model`, columns (a, f, phi, tphi, a0).
+
+    The kappa Jacobian of :func:`_kappa_model` with column 3 times
+    dkappa/dtphi = -2 tphi^-3.
+    """
+    jac = _kappa_model(t, t * t, (a, f, phi, tphi**-2, a0))[1]
+    jac[:, 3] *= -2 / tphi**3
     return jac
 
 
@@ -242,23 +260,7 @@ def fit_damped_cosine(t_ns, p) -> FitResult:
     return FitResult(float(a), float(f), phi, tphi, float(a0), cov, rms)
 
 
-def _kappa_model(t, t2, x):
-    """:func:`_model` in kappa = tphi^-2 and its Jacobian, columns (a, f, phi, kappa, a0)."""
-    a, f, phi, kappa, a0 = x
-    theta = _W * f * t + phi
-    env = np.exp(-kappa * t2)
-    c = np.cos(theta) * env
-    s = -a * np.sin(theta) * env
-    jac = np.empty((len(t), 5))
-    jac[:, 0] = c
-    jac[:, 1] = _W * t * s
-    jac[:, 2] = s
-    jac[:, 3] = -a * t2 * c
-    jac[:, 4] = 1.0
-    return a * c + a0, jac
-
-
-def _bounded_lm(t, p, x, lower, upper, ftol=1e-14, xtol=1e-13, max_eval=200) -> np.ndarray:
+def _bounded_lm(t, p, x, lower, upper) -> np.ndarray:
     """Levenberg-Marquardt on (a, f, phi, kappa, a0) inside the box [lower, upper].
 
     Marquardt damping mu D^2 with Moré's scaling D^2, the running maximum of
@@ -270,19 +272,19 @@ def _bounded_lm(t, p, x, lower, upper, ftol=1e-14, xtol=1e-13, max_eval=200) -> 
     box is held (the active set); the others take the damped
     Gauss-Newton step, projected back into the box.  A step is kept when it
     lowers the cost ||r||^2.  Stops, without taking it, at the first
-    unprojected step whose predicted reduction is at most ``ftol`` cost +
-    (``xtol`` ||p||)^2, i.e. nothing left to gain above round-off, or after
-    ``max_eval`` model evaluations.  A kappa that the same floor cannot tell
+    unprojected step whose predicted reduction is at most _FTOL cost +
+    (_XTOL ||p||)^2, i.e. nothing left to gain above round-off, or after
+    _MAX_EVAL model evaluations.  A kappa that the same floor cannot tell
     from its lower bound is then put on it.
     """
     t2 = t * t
-    floor = (xtol * np.linalg.norm(p)) ** 2
+    floor = (_XTOL * np.linalg.norm(p)) ** 2
     model, jac = _kappa_model(t, t2, x)
     r = model - p
     cost, g, jtj = r @ r, r @ jac, jac.T @ jac
     d2 = np.zeros(5)
     mu, nu = 1e-6, 2.0
-    for _ in range(max_eval - 1):
+    for _ in range(_MAX_EVAL - 1):
         d2 = np.maximum(d2, jtj.diagonal())
         d2 = np.maximum(d2, 1e-15 * d2.max())
         held = ((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0))
@@ -294,7 +296,7 @@ def _bounded_lm(t, p, x, lower, upper, ftol=1e-14, xtol=1e-13, max_eval=200) -> 
         x_new = np.minimum(np.maximum(trial, lower), upper)
         step = x_new - x
         predicted = -(2 * g @ step + step @ jtj @ step)
-        if predicted <= ftol * cost + floor and (x_new == trial).all():
+        if predicted <= _FTOL * cost + floor and (x_new == trial).all():
             break
         model, jac_new = _kappa_model(t, t2, x_new)
         r_new = model - p

@@ -17,6 +17,7 @@ from rvbsim.fitting import (
     NoOscillationError,
     _covariance,
     _dft_power,
+    _fft_power,
     _is_uniform,
     _model,
     _model_jacobian,
@@ -165,19 +166,22 @@ def test_fft_seed_power_matches_dense_dft(t0, dt, n, f_frac, seed):
     t_off = t.copy()
     t_off[n // 2] += 1e-6 * dt
     assert not _is_uniform(t_off, np.median(np.diff(t_off)))
+    grid = np.linspace(0.0, f_nyq, max(512, 8 * n))
+    dense = _dft_power(t, p - p.mean(), grid)
+    fft = _fft_power(p - p.mean(), len(grid))
+    assert np.abs(fft - dense).max() <= 1e-9 * dense.max()
     try:
-        f0, grid, power = _spectral_seed(t, p)
+        f0, seed_grid, power = _spectral_seed(t, p)
     except NoOscillationError:
         # a short noisy trace can miss the 4x-median floor; the dense DFT (the
         # jittered grid) must then miss it too
         with pytest.raises(NoOscillationError):
             _spectral_seed(t_off, p)
         return
-    assert_allclose(grid, np.linspace(0.0, f_nyq, max(512, 8 * n)), rtol=1e-12)
-    dense = _dft_power(t, p - p.mean(), grid)
-    assert np.abs(power - dense).max() <= 1e-9 * dense.max()
+    assert_allclose(seed_grid, grid, rtol=1e-12)
+    assert np.array_equal(power, fft)
     lo = max(2, int(0.01 * len(grid)))
-    assert f0 == grid[lo + int(np.argmax(dense[lo:]))]
+    assert f0 == seed_grid[lo + int(np.argmax(dense[lo:]))]
 
 
 @_PROPERTY
