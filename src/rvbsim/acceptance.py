@@ -327,7 +327,7 @@ def check_exchange_range(seed: int = 0) -> CheckResult:
     """Compensated sweep spans the published coupling range within 15%."""
     import tempfile
 
-    from .experiments import run_calibration, st_product_state, _st_sequence, ensemble_probabilities
+    from .experiments import run_calibration, st_scan
 
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
@@ -341,9 +341,7 @@ def check_exchange_range(seed: int = 0) -> CheckResult:
         j = sweep.config(dvp)
         f_nom = j.jx / 2
         t = np.linspace(0.0, 3.0e3 / f_nom, 121)
-        init = st_product_state(ReadoutDirection.VERTICAL)
-        res = run_sequence(_st_sequence(init, j, t))
-        p = ensemble_probabilities(res, ReadoutDirection.VERTICAL)[:, 1]
+        p = st_scan(sweep.config, [(dvp,)], ReadoutDirection.VERTICAL, t)[0]
         fitted[dvp] = 2 * fit_damped_cosine(t, p).f
     err_hi = abs(fitted[-20.0] - 108.0) / 108.0
     err_lo = abs(fitted[26.0] - 15.0) / 15.0

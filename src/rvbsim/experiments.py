@@ -5,17 +5,27 @@ with the default device parameters (overridable through a flat config) and
 writes one CSV per panel plus a JSON sidecar carrying every parameter.
 Outputs are deterministic: identical (config, seed) reruns are
 byte-identical.
+
+Every figure repeats one measurement: set a gate point, evolve, read a pair
+outcome probability against dwell time.  A figure declares its sweep values,
+a ``run(value)`` that builds and runs one column's sequence, the readout
+directions, the outcome and any fits; :func:`_scan` owns the loop and the
+ensemble readout, and given a stream ``(seed, figure, panel)`` draws column
+k of direction i from the shot key ``(seed, SHOT_STREAMS[figure], panel + i,
+k)``.  A fig3e/fig4ef column whose fit fails reads NaN, with a RuntimeWarning.
 """
 
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .basis import Pair, PairLabel, PairState, SpinState, pair_product_state, singlet_x, singlet_y
+from .basis import PairLabel, PairState, SpinState, pair_product_state, singlet_x, singlet_y
 from .control import (
     COMPENSATION_FACTOR,
     CalibrationUncertainty,
@@ -50,20 +60,18 @@ ZERO_CONFIG = ExchangeConfig(0, 0, 0, 0)
 #: outcome column index per joint result, first readout pair first
 IDX_SS, IDX_ST, IDX_TS, IDX_TT = 0, 1, 2, 3
 
+BOTH_READOUTS = (ReadoutDirection.HORIZONTAL, ReadoutDirection.VERTICAL)
+
 
 def st_product_state(direction: ReadoutDirection) -> SpinState:
     """Four-spin singlet/T- product matching a readout direction.
 
-    Horizontal experiments start from T- on Q34 with a singlet on Q12;
-    vertical ones from T- on Q23 with a singlet on Q14.
+    T- sits on the first pair read and the singlet on the second: horizontal
+    experiments start from T- on Q34 with a singlet on Q12, vertical ones
+    from T- on Q23 with a singlet on Q14.
     """
-    if direction is ReadoutDirection.HORIZONTAL:
-        return pair_product_state(
-            PairState(Pair.Q12, PairLabel.S), PairState(Pair.Q34, PairLabel.T_MINUS)
-        )
-    return pair_product_state(
-        PairState(Pair.Q14, PairLabel.S), PairState(Pair.Q23, PairLabel.T_MINUS)
-    )
+    triplet, singlet = direction.pairs
+    return pair_product_state(PairState(singlet, PairLabel.S), PairState(triplet, PairLabel.T_MINUS))
 
 
 DEFAULTS: dict = {
@@ -155,6 +163,17 @@ def sweep_model_from(params: dict, drift: bool = False) -> SweepModel:
     )
 
 
+def _dvp(params: dict) -> np.ndarray:
+    """Plunger values of the compensated sweep (fig3e, fig4cd/ef, fig5b/c)."""
+    return np.linspace(params["fig3e.dvp_min_mv"], params["fig3e.dvp_max_mv"],
+                       params["fig3e.dvp_points"])
+
+
+def _noise(params: dict, tphi_key: str) -> NoiseModel:
+    """Quasi-static noise ensemble with the decay time stored under ``tphi_key``."""
+    return NoiseModel(sigma_from_tphi(params[tphi_key]), params["noise.n_samples"])
+
+
 #: The ``figure`` part of a shot-stream key (seed, figure, panel, column), per
 #: product that draws shots; fig4ef fits the fig4cd maps and so reads their streams.
 SHOT_STREAMS = {"fig3c": 1, "fig3d": 2, "fig3e": 3, "fig4b": 4, "fig4cd": 5, "fig5ab": 6,
@@ -167,29 +186,99 @@ def ensemble_probabilities(result, direction: ReadoutDirection) -> np.ndarray:
     return np.tensordot(result.weights, probs, axes=1)
 
 
-def _shot_column(mean_probs: np.ndarray, outcome: int, n_shots: int, key: tuple) -> np.ndarray:
+def _shot_column(mean_probs, direction, outcome: int, n_shots: int, key: tuple) -> np.ndarray:
     """Shot frequency of one outcome at each point of a (points, 4) stack, drawn in one call."""
-    cfg = ReadoutConfig(ReadoutDirection.HORIZONTAL, n_shots=n_shots, seed=key)
+    cfg = ReadoutConfig(direction, n_shots=n_shots, seed=key)
     return sample_shots(mean_probs, cfg).probabilities()[:, outcome]
 
 
-def _st_sequence(init: SpinState, target: ExchangeConfig, dwell: np.ndarray) -> PulseSequence:
-    # structural prep steps: decoupled wait (the pair S -> T- rotation slot),
-    # then the diabatic switch to the interacting point
-    return PulseSequence(
-        init=init,
-        segments=(
-            set_diabatic(ZERO_CONFIG),
-            hold(ZERO_CONFIG, T_PI_NS),
-            set_diabatic(target),
-            hold(target, 0.0),
-        ),
-        dwell_times=tuple(dwell),
-    )
+def _scan(values, run, directions, outcome, stream=None, n_shots=None):
+    """Ensemble probability of ``outcome`` over a sweep, shape (directions, values, dwell).
+
+    ``run(v)`` returns column v's :class:`SequenceResult`; ``outcome`` may be a
+    slice.  A ``stream`` adds ``n_shots``-shot frequencies (module docstring).
+    """
+    probs = np.array([[ensemble_probabilities(res, d) for d in directions]
+                      for res in map(run, values)]).swapaxes(0, 1)
+    if stream is None:
+        return probs[..., outcome]
+    seed, figure, panel = stream
+    shots = np.array([
+        [_shot_column(p, d, outcome, n_shots, (seed, SHOT_STREAMS[figure], panel + i, k))
+         for k, p in enumerate(column)]
+        for i, (d, column) in enumerate(zip(directions, probs))
+    ])
+    return probs[..., outcome], shots
 
 
-def _write_map_csv(path, sweep_name, sweep_values, t_ns, ideal, shots=None) -> None:
-    """Write a (sweep, t) map; ``p_ideal`` entries below 1e-15 in size are round-off, written as 0."""
+#: S/T- preparation: a decoupled wait (the pair S -> T- rotation slot) before
+#: the diabatic switch to the interacting point
+_ST_PREP = (set_diabatic(ZERO_CONFIG), hold(ZERO_CONFIG, T_PI_NS))
+
+
+def _sequence(init: SpinState, target: ExchangeConfig, dwell, *prefix) -> PulseSequence:
+    """``prefix`` segments, a diabatic switch to ``target``, then the dwell grid there.
+
+    After a ramp that ends at ``target`` the zero-length switch does nothing.
+    """
+    segments = (*prefix, set_diabatic(target), hold(target, 0.0))
+    return PulseSequence(init=init, segments=segments, dwell_times=tuple(dwell))
+
+
+def st_scan(config, points, direction: ReadoutDirection, dwell, outcome=IDX_ST) -> np.ndarray:
+    """Noiseless singlet/T- scan: probability of ``outcome``, shape (points, dwell).
+
+    Each column starts in the S/T- product read in ``direction``, runs the
+    S/T- preparation and dwells at the couplings ``config(*point)``.
+    """
+    init = st_product_state(direction)
+    return _scan(points, lambda p: run_sequence(_sequence(init, config(*p), dwell, *_ST_PREP)),
+                 (direction,), outcome)[0]
+
+
+def _fit_rows(t, traces, figure: str, panel: str) -> np.ndarray:
+    """Fitted (frequency, visibility) per row of ``traces``, shape (rows, 2).
+
+    A row the damped-cosine fit rejects with a ``ValueError`` reads NaN and
+    raises a ``RuntimeWarning`` naming figure, panel, column and reason.
+    """
+    rows = np.full((len(traces), 2), np.nan)
+    for k, trace in enumerate(traces):
+        try:
+            fit = fit_damped_cosine(t, trace)
+        except ValueError as err:
+            warnings.warn(f"{figure} panel {panel} column {k}: {err}", RuntimeWarning, stacklevel=2)
+            continue
+        rows[k] = fit.f, fit.visibility
+    return rows
+
+
+def _calibration_sigmas(sweep: SweepModel, jx: float, jy: float) -> tuple[float, float]:
+    """(sigma_jx, sigma_jy) of the default calibration uncertainty at couplings (jx, jy)."""
+    model = ExchangeVoltageModel(j0x=max(jx, 1e-3), j0y=max(jy, 1e-3), kappa=sweep.model.kappa)
+    return propagate_calibration_error(model, CalibrationUncertainty())
+
+
+def _theory_columns(sweep: SweepModel, dvp, law, names) -> dict[str, np.ndarray]:
+    """Columns ``names[i].format(band)`` of the i-th value of ``law(jx, jy)`` along the sweep.
+
+    Band "theory" is the law at the sweep couplings, "lo"/"hi" its extremes over
+    (jx, jy) + {-1, 0, 1} sigmas, clipped at 0 as sigma_jx exceeds jx far out.
+    """
+    bands = []
+    for dvp_k in dvp:
+        jx, jy = sweep.sums(dvp_k)
+        sx, sy = _calibration_sigmas(sweep, jx, jy)
+        corners = np.array([law(max(jx + a, 0.0), max(jy + b, 0.0))
+                            for a in (-sx, 0, sx) for b in (-sy, 0, sy)])
+        bands.append((law(jx, jy), corners.min(axis=0), corners.max(axis=0)))
+    bands = np.array(bands)  # (sweep, band, value)
+    return {name.format(band): bands[:, b, i] for i, name in enumerate(names)
+            for b, band in enumerate(("theory", "lo", "hi"))}
+
+
+def _write_map_csv(path, sweep_name, sweep_values, t_ns, ideal, shots=None) -> str:
+    """Write a (sweep, t) map, ``p_ideal`` round-off below 1e-15 as 0; return its path."""
     n_sweep, n_t = ideal.shape
     columns = {
         sweep_name: np.repeat(sweep_values, n_t),
@@ -199,6 +288,7 @@ def _write_map_csv(path, sweep_name, sweep_values, t_ns, ideal, shots=None) -> N
     if shots is not None:
         columns["p_shot"] = shots.ravel()
     write_csv(path, columns)
+    return str(path)
 
 
 @dataclass
@@ -208,20 +298,12 @@ class FigureProduct:
     elapsed_s: float
 
 
-def _sidecar(out_dir: Path, name: str, params: dict, seed: int, extra: dict | None = None) -> str:
-    payload = {"figure": name, "seed": seed, "parameters": {k: params[k] for k in sorted(params)}}
-    if extra:
-        payload.update(extra)
-    path = out_dir / f"{name}_params.json"
-    write_json(path, payload)
-    return str(path)
-
-
 # ---------------------------------------------------------------------------
 # imbalance chevrons (horizontal/vertical balance calibration data)
 
 
-def _chevron_panel(params, seed, figure: str, sweep_axis: str):
+def _chevron(out_dir: Path, params: dict, seed: int, figure: str, axis: str) -> list[str]:
+    """Singlet/T- chevron vs the ``axis`` ("x" or "y") imbalance voltage."""
     model = ExchangeVoltageModel(
         j0x=params["chevron.j0x_mhz"],
         j0y=params["chevron.j0y_mhz"],
@@ -230,39 +312,16 @@ def _chevron_panel(params, seed, figure: str, sweep_axis: str):
     dv = np.linspace(-params["fig3c.dv_max_mv"], params["fig3c.dv_max_mv"], params["fig3c.dv_points"])
     t = np.linspace(0.0, params["fig3c.t_max_ns"], params["fig3c.t_points"])
     init = st_product_state(ReadoutDirection.HORIZONTAL)
-    noise = NoiseModel(sigma_from_tphi(params["chevron.tphi_ns"]), params["noise.n_samples"])
-    f_ref = model.j0y / 2
+    noise = _noise(params, "chevron.tphi_ns")
 
-    def column(args):
-        k, dv_k = args
-        j = exchange_from_voltages(model, dv_k, 0.0) if sweep_axis == "x" else \
-            exchange_from_voltages(model, 0.0, dv_k)
-        res = run_sequence(_st_sequence(init, j, t), noise, noise_reference_mhz=f_ref)
-        probs = ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)
-        shot = _shot_column(probs, IDX_ST, params["readout.n_shots"],
-                            (seed, SHOT_STREAMS[figure], 0, k))
-        return probs[:, IDX_ST], shot
+    def run(dv_k):
+        j = exchange_from_voltages(model, *((dv_k, 0.0) if axis == "x" else (0.0, dv_k)))
+        return run_sequence(_sequence(init, j, t, *_ST_PREP), noise,
+                            noise_reference_mhz=model.j0y / 2)
 
-    results = [column(a) for a in enumerate(dv)]
-    ideal = np.stack([r[0] for r in results])
-    shots = np.stack([r[1] for r in results])
-    return dv, t, ideal, shots
-
-
-def figure_fig3c(out_dir: Path, params: dict, seed: int) -> list[str]:
-    """Singlet/T- chevron vs the horizontal imbalance voltage."""
-    dv, t, ideal, shots = _chevron_panel(params, seed, "fig3c", sweep_axis="x")
-    path = out_dir / "fig3c_map.csv"
-    _write_map_csv(path, "dvx_mv", dv, t, ideal, shots)
-    return [str(path)]
-
-
-def figure_fig3d(out_dir: Path, params: dict, seed: int) -> list[str]:
-    """Singlet/T- chevron vs the vertical imbalance voltage."""
-    dv, t, ideal, shots = _chevron_panel(params, seed, "fig3d", sweep_axis="y")
-    path = out_dir / "fig3d_map.csv"
-    _write_map_csv(path, "dvy_mv", dv, t, ideal, shots)
-    return [str(path)]
+    ideal, shots = _scan(dv, run, (ReadoutDirection.HORIZONTAL,), IDX_ST, (seed, figure, 0),
+                         params["readout.n_shots"])
+    return [_write_map_csv(out_dir / f"{figure}_map.csv", f"dv{axis}_mv", dv, t, ideal[0], shots[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -272,68 +331,38 @@ def figure_fig3d(out_dir: Path, params: dict, seed: int) -> list[str]:
 def figure_fig3e(out_dir: Path, params: dict, seed: int) -> list[str]:
     """ST oscillation maps along the compensated sweep plus extracted couplings."""
     sweep = sweep_model_from(params, drift=params["fig3e.jy_drift"])
-    dvp = np.linspace(params["fig3e.dvp_min_mv"], params["fig3e.dvp_max_mv"], params["fig3e.dvp_points"])
+    dvp = _dvp(params)
     t = np.linspace(0.0, params["fig3e.t_max_ns"], params["fig3e.t_points"])
-
-    panels = {
-        "vertical": ReadoutDirection.VERTICAL,  # oscillates at jx/2
-        "horizontal": ReadoutDirection.HORIZONTAL,  # oscillates at jy/2
-    }
-    maps = {}
-    fits = {name: [] for name in panels}
-    noise = NoiseModel(sigma_from_tphi(params["fig3e.tphi_ns"]), params["noise.n_samples"])
-    for panel, (name, direction) in enumerate(panels.items()):
+    noise = _noise(params, "fig3e.tphi_ns")
+    files, j_fit = [], {}
+    # the vertical readout oscillates at jx/2, the horizontal one at jy/2
+    for panel, (name, direction) in enumerate(zip(("vertical", "horizontal"), BOTH_READOUTS[::-1])):
         init = st_product_state(direction)
 
-        def column(args, direction=direction, panel=panel):
-            k, dvp_k = args
+        def run(dvp_k, init=init, vertical=direction is ReadoutDirection.VERTICAL):
             j = sweep.config(dvp_k)
-            f_nominal = (j.jx if direction is ReadoutDirection.VERTICAL else j.jy) / 2
-            res = run_sequence(_st_sequence(init, j, t), noise, noise_reference_mhz=f_nominal)
-            probs = ensemble_probabilities(res, direction)
-            shot = _shot_column(probs, IDX_ST, params["readout.n_shots"],
-                                (seed, SHOT_STREAMS["fig3e"], panel, k))
-            return probs[:, IDX_ST], shot
+            return run_sequence(_sequence(init, j, t, *_ST_PREP), noise,
+                                noise_reference_mhz=(j.jx if vertical else j.jy) / 2)
 
-        results = [column(a) for a in enumerate(dvp)]
-        ideal = np.stack([r[0] for r in results])
-        shots = np.stack([r[1] for r in results])
-        maps[name] = (ideal, shots)
-        for k in range(len(dvp)):
-            fits[name].append(fit_damped_cosine(t, shots[k]))
+        ideal, shots = _scan(dvp, run, (direction,), IDX_ST, (seed, "fig3e", panel),
+                             params["readout.n_shots"])
+        files.append(_write_map_csv(out_dir / f"fig3e_map_{name}.csv", "dvp_mv", dvp, t,
+                                    ideal[0], shots[0]))
+        j_fit[name] = 2 * _fit_rows(t, shots[0], "fig3e", name)[:, 0]
 
-    files = []
-    for name, (ideal, shots) in maps.items():
-        path = out_dir / f"fig3e_map_{name}.csv"
-        _write_map_csv(path, "dvp_mv", dvp, t, ideal, shots)
-        files.append(str(path))
-
-    model = sweep.model
-    uncertainty = CalibrationUncertainty()
-    jx_fit = np.array([2 * f.f for f in fits["vertical"]])
-    jy_fit = np.array([2 * f.f for f in fits["horizontal"]])
-    sigma_pairs = [
-        propagate_calibration_error(
-            ExchangeVoltageModel(j0x=max(jx, 1e-3), j0y=max(jy, 1e-3), kappa=model.kappa),
-            uncertainty,
-        )
-        for jx, jy in (sweep.sums(v) for v in dvp)
-    ]
+    sums = np.array([sweep.sums(v) for v in dvp])
+    sigmas = np.array([_calibration_sigmas(sweep, jx, jy) for jx, jy in sums])
     path = out_dir / "fig3e_exchange.csv"
-    write_csv(
-        path,
-        {
-            "dvp_mv": dvp,
-            "jx_fit_mhz": jx_fit,
-            "jy_fit_mhz": jy_fit,
-            "jx_model_mhz": [sweep.sums(v)[0] for v in dvp],
-            "jy_model_mhz": [sweep.sums(v)[1] for v in dvp],
-            "sigma_jx_mhz": [s[0] for s in sigma_pairs],
-            "sigma_jy_mhz": [s[1] for s in sigma_pairs],
-        },
-    )
-    files.append(str(path))
-    return files
+    write_csv(path, {
+        "dvp_mv": dvp,
+        "jx_fit_mhz": j_fit["vertical"],
+        "jy_fit_mhz": j_fit["horizontal"],
+        "jx_model_mhz": sums[:, 0],
+        "jy_model_mhz": sums[:, 1],
+        "sigma_jx_mhz": sigmas[:, 0],
+        "sigma_jy_mhz": sigmas[:, 1],
+    })
+    return [*files, str(path)]
 
 
 # ---------------------------------------------------------------------------
@@ -344,113 +373,53 @@ def figure_fig4b(out_dir: Path, params: dict, seed: int) -> list[str]:
     """Equal-exchange singlet-singlet oscillation traces, both readouts."""
     j = ExchangeConfig.balanced(2 * params["fig4b.j_pair_mhz"], 2 * params["fig4b.j_pair_mhz"])
     t = np.linspace(0.0, params["fig4b.t_max_ns"], params["fig4b.t_points"])
-    seq = PulseSequence(
-        init=singlet_y(),
-        segments=(set_diabatic(j), hold(j, 0.0)),
-        dwell_times=tuple(t),
-    )
+    seq = _sequence(singlet_y(), j, t)
     columns: dict[str, np.ndarray] = {"t_ns": t}
     fit_payload = {}
-    for panel, (label, direction, tphi_key) in enumerate((
-        ("x", ReadoutDirection.HORIZONTAL, "fig4b.tphi_x_ns"),
-        ("y", ReadoutDirection.VERTICAL, "fig4b.tphi_y_ns"),
-    )):
-        noise = NoiseModel(sigma_from_tphi(params[tphi_key]), params["noise.n_samples"])
-        res = run_sequence(seq, noise)
-        probs = ensemble_probabilities(res, direction)
-        shot = _shot_column(probs, IDX_SS, params["readout.n_shots"],
-                            (seed, SHOT_STREAMS["fig4b"], panel, 0))
-        columns[f"p_ss_{label}_ideal"] = probs[:, IDX_SS]
-        columns[f"p_ss_{label}_shot"] = shot
-        fit = fit_damped_cosine(t, shot)
+    for panel, (label, direction) in enumerate(zip("xy", BOTH_READOUTS)):
+        tphi_key = f"fig4b.tphi_{label}_ns"
+        ideal, shots = _scan([_noise(params, tphi_key)], lambda noise: run_sequence(seq, noise),
+                             (direction,), IDX_SS, (seed, "fig4b", panel), params["readout.n_shots"])
+        columns[f"p_ss_{label}_ideal"] = ideal[0, 0]
+        columns[f"p_ss_{label}_shot"] = shots[0, 0]
+        fit = fit_damped_cosine(t, shots[0, 0])
         fit_payload[label] = fit.to_flat_record() | {"target_tphi_ns": params[tphi_key]}
 
-    path = out_dir / "fig4b_traces.csv"
-    write_csv(path, columns)
-    fit_path = out_dir / "fig4b_fits.json"
-    write_json(fit_path, fit_payload)
-    return [str(path), str(fit_path)]
+    files = [str(out_dir / "fig4b_traces.csv"), str(out_dir / "fig4b_fits.json")]
+    write_csv(files[0], columns)
+    write_json(files[1], fit_payload)
+    return files
 
 
 def _fig4cd_maps(params, seed):
     sweep = sweep_model_from(params)
-    dvp = np.linspace(params["fig3e.dvp_min_mv"], params["fig3e.dvp_max_mv"], params["fig3e.dvp_points"])
+    dvp = _dvp(params)
     t = np.linspace(0.0, params["fig4cd.t_max_ns"], params["fig4cd.t_points"])
-    noise = NoiseModel(sigma_from_tphi(params["fig4cd.tphi_ns"]), params["noise.n_samples"])
-
-    def column(args):
-        k, dvp_k = args
-        j = sweep.config(dvp_k)
-        seq = PulseSequence(init=singlet_x(), segments=(set_diabatic(j), hold(j, 0.0)),
-                            dwell_times=tuple(t))
-        res = run_sequence(seq, noise)
-        return (
-            ensemble_probabilities(res, ReadoutDirection.HORIZONTAL),
-            ensemble_probabilities(res, ReadoutDirection.VERTICAL),
-        )
-
-    results = [column(a) for a in enumerate(dvp)]
-    n_shots = params["readout.n_shots"]
-    px = np.stack([r[0][:, IDX_SS] for r in results])
-    py = np.stack([r[1][:, IDX_SS] for r in results])
-    shots_x = np.empty_like(px)
-    shots_y = np.empty_like(py)
-    for k, (probs_x, probs_y) in enumerate(results):
-        shots_x[k] = _shot_column(probs_x, IDX_SS, n_shots, (seed, SHOT_STREAMS["fig4cd"], 0, k))
-        shots_y[k] = _shot_column(probs_y, IDX_SS, n_shots, (seed, SHOT_STREAMS["fig4cd"], 1, k))
-    return sweep, dvp, t, px, py, shots_x, shots_y
+    noise = _noise(params, "fig4cd.tphi_ns")
+    ideal, shots = _scan(dvp, lambda v: run_sequence(_sequence(singlet_x(), sweep.config(v), t), noise),
+                         BOTH_READOUTS, IDX_SS, (seed, "fig4cd", 0), params["readout.n_shots"])
+    return sweep, dvp, t, ideal, shots
 
 
 def figure_fig4cd(out_dir: Path, params: dict, seed: int) -> list[str]:
     """Singlet-singlet oscillation maps along the sweep, both readouts."""
-    _, dvp, t, px, py, shots_x, shots_y = _fig4cd_maps(params, seed)
-    files = []
-    for name, ideal, shots in (("c", px, shots_x), ("d", py, shots_y)):
-        path = out_dir / f"fig4{name}_map.csv"
-        _write_map_csv(path, "dvp_mv", dvp, t, ideal, shots)
-        files.append(str(path))
-    return files
+    _, dvp, t, ideal, shots = _fig4cd_maps(params, seed)
+    return [_write_map_csv(out_dir / f"fig4{name}_map.csv", "dvp_mv", dvp, t, ideal_i, shots_i)
+            for name, ideal_i, shots_i in zip("cd", ideal, shots)]
 
 
 def figure_fig4ef(out_dir: Path, params: dict, seed: int) -> list[str]:
     """Fitted frequencies and visibilities vs sweep, with model predictions."""
-    sweep, dvp, t, px, py, shots_x, shots_y = _fig4cd_maps(params, seed)
-    uncertainty = CalibrationUncertainty()
-
-    rows = {k: [] for k in (
-        "f_fit_x_mhz", "f_fit_y_mhz", "vis_fit_x", "vis_fit_y",
-        "f_theory_mhz", "f_lo_mhz", "f_hi_mhz",
-        "vx_theory", "vx_lo", "vx_hi", "vy_theory", "vy_lo", "vy_hi",
-    )}
-    for k in range(len(dvp)):
-        fit_x = fit_damped_cosine(t, shots_x[k])
-        fit_y = fit_damped_cosine(t, shots_y[k])
-        jx, jy = sweep.sums(dvp[k])
-        sig_jx, sig_jy = propagate_calibration_error(
-            ExchangeVoltageModel(j0x=jx, j0y=jy, kappa=sweep.model.kappa), uncertainty
-        )
-        corners = [
-            (jx + sx, jy + sy) for sx in (-sig_jx, 0, sig_jx) for sy in (-sig_jy, 0, sig_jy)
-        ]
-        f_corner = [f_ss(*c) for c in corners]
-        v_corner = [visibilities(*c) for c in corners]
-        rows["f_fit_x_mhz"].append(fit_x.f)
-        rows["f_fit_y_mhz"].append(fit_y.f)
-        rows["vis_fit_x"].append(fit_x.visibility)
-        rows["vis_fit_y"].append(fit_y.visibility)
-        rows["f_theory_mhz"].append(f_ss(jx, jy))
-        rows["f_lo_mhz"].append(min(f_corner))
-        rows["f_hi_mhz"].append(max(f_corner))
-        vx, vy = visibilities(jx, jy)
-        rows["vx_theory"].append(vx)
-        rows["vy_theory"].append(vy)
-        rows["vx_lo"].append(min(v[0] for v in v_corner))
-        rows["vx_hi"].append(max(v[0] for v in v_corner))
-        rows["vy_lo"].append(min(v[1] for v in v_corner))
-        rows["vy_hi"].append(max(v[1] for v in v_corner))
-
+    sweep, dvp, t, _, shots = _fig4cd_maps(params, seed)
+    fits = [(panel, _fit_rows(t, s, "fig4ef", panel)) for panel, s in zip("xy", shots)]
     path = out_dir / "fig4ef_extraction.csv"
-    write_csv(path, {"dvp_mv": dvp} | {k: np.array(v) for k, v in rows.items()})
+    write_csv(path, {
+        "dvp_mv": dvp,
+        **{f"f_fit_{panel}_mhz": fit[:, 0] for panel, fit in fits},
+        **{f"vis_fit_{panel}": fit[:, 1] for panel, fit in fits},
+        **_theory_columns(sweep, dvp, lambda jx, jy: (f_ss(jx, jy), *visibilities(jx, jy)),
+                          ("f_{}_mhz", "vx_{}", "vy_{}")),
+    })
     return [str(path)]
 
 
@@ -458,107 +427,53 @@ def figure_fig4ef(out_dir: Path, params: dict, seed: int) -> list[str]:
 # eigenstate preparation
 
 
-def _prep_sequence(jx0, jy0, jx1, jy1, t_ramp, dwell) -> PulseSequence:
-    start = ExchangeConfig.balanced(jx0, jy0)
-    target = ExchangeConfig.balanced(jx1, jy1)
-    segments = (set_diabatic(start), linear_ramp(target, t_ramp), hold(target, 0.0))
-    return PulseSequence(init=singlet_x(), segments=segments, dwell_times=tuple(dwell))
+def _prep(init, start: ExchangeConfig, target: ExchangeConfig, t_ramp, dwell, noise):
+    """Run an adiabatic preparation: switch to ``start``, ramp to ``target``, dwell there."""
+    seq = _sequence(init, target, dwell, set_diabatic(start), linear_ramp(target, t_ramp))
+    return run_sequence(seq, noise)
+
+
+def _prep_along_sweep(params, sweep, dvp_k, dwell, noise):
+    """Preparation at sweep point ``dvp_k``: from (jx, fig5.jy_start) ramp to (jx, jy)."""
+    jx, jy = sweep.sums(dvp_k)
+    start = ExchangeConfig.balanced(jx, params["fig5.jy_start_mhz"])
+    return _prep(singlet_x(), start, ExchangeConfig.balanced(jx, jy), params["fig5.t_ramp_ns"],
+                 dwell, noise)
 
 
 def figure_fig5ab(out_dir: Path, params: dict, seed: int) -> list[str]:
     """Ramp-time map at equal exchange and sweep map after adiabatic prep."""
     jj = 2 * params["fig5.j_pair_mhz"]
-    jy0 = params["fig5.jy_start_mhz"]
+    n_shots = params["readout.n_shots"]
+    start = ExchangeConfig.balanced(jj, params["fig5.jy_start_mhz"])
     t = np.linspace(0.0, params["fig5.t_max_ns"], params["fig5.t_points"])
-    noise = NoiseModel(sigma_from_tphi(params["fig4cd.tphi_ns"]), params["noise.n_samples"])
+    noise = _noise(params, "fig4cd.tphi_ns")
     ramps = np.linspace(0.0, params["fig5a.t_ramp_max_ns"], params["fig5a.t_ramp_points"])
-
-    def ramp_row(args):
-        k, t_ramp = args
-        seq = _prep_sequence(jj, jy0, jj, jj, t_ramp, t)
-        res = run_sequence(seq, noise)
-        return ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)
-
-    rows = [ramp_row(a) for a in enumerate(ramps)]
-    ideal_a = np.stack([r[:, IDX_SS] for r in rows])
-    shots_a = np.empty_like(ideal_a)
-    for k, probs in enumerate(rows):
-        shots_a[k] = _shot_column(probs, IDX_SS, params["readout.n_shots"],
-                                  (seed, SHOT_STREAMS["fig5ab"], 0, k))
-    path_a = out_dir / "fig5a_map.csv"
-    _write_map_csv(path_a, "t_ramp_ns", ramps, t, ideal_a, shots_a)
-
+    target = ExchangeConfig.balanced(jj, jj)
+    ideal, shots = _scan(ramps, lambda t_ramp: _prep(singlet_x(), start, target, t_ramp, t, noise),
+                         (ReadoutDirection.HORIZONTAL,), IDX_SS, (seed, "fig5ab", 0), n_shots)
+    path_a = _write_map_csv(out_dir / "fig5a_map.csv", "t_ramp_ns", ramps, t, ideal[0], shots[0])
     sweep = sweep_model_from(params)
-    dvp = np.linspace(params["fig3e.dvp_min_mv"], params["fig3e.dvp_max_mv"], params["fig3e.dvp_points"])
-    t_ramp = params["fig5.t_ramp_ns"]
-
-    def sweep_row(args):
-        k, dvp_k = args
-        jx, jy = sweep.sums(dvp_k)
-        seq = _prep_sequence(jx, jy0, jx, jy, t_ramp, t)
-        res = run_sequence(seq, noise)
-        return ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)
-
-    rows = [sweep_row(a) for a in enumerate(dvp)]
-    ideal_b = np.stack([r[:, IDX_SS] for r in rows])
-    shots_b = np.empty_like(ideal_b)
-    for k, probs in enumerate(rows):
-        shots_b[k] = _shot_column(probs, IDX_SS, params["readout.n_shots"],
-                                  (seed, SHOT_STREAMS["fig5ab"], 1, k))
-    path_b = out_dir / "fig5b_map.csv"
-    _write_map_csv(path_b, "dvp_mv", dvp, t, ideal_b, shots_b)
-    return [str(path_a), str(path_b)]
+    dvp = _dvp(params)
+    ideal, shots = _scan(dvp, lambda v: _prep_along_sweep(params, sweep, v, t, noise),
+                         (ReadoutDirection.HORIZONTAL,), IDX_SS, (seed, "fig5ab", 1), n_shots)
+    return [path_a, _write_map_csv(out_dir / "fig5b_map.csv", "dvp_mv", dvp, t, ideal[0], shots[0])]
 
 
 def figure_fig5c(out_dir: Path, params: dict, seed: int) -> list[str]:
     """Mean singlet-singlet probability after adiabatic prep vs sweep, with theory."""
     sweep = sweep_model_from(params)
-    dvp = np.linspace(params["fig3e.dvp_min_mv"], params["fig3e.dvp_max_mv"], params["fig3e.dvp_points"])
+    dvp = _dvp(params)
     t = np.linspace(0.0, params["fig5.t_max_ns"], params["fig5.t_points"])
-    jy0 = params["fig5.jy_start_mhz"]
-    noise = NoiseModel(sigma_from_tphi(params["fig4cd.tphi_ns"]), params["noise.n_samples"])
-    uncertainty = CalibrationUncertainty()
-
-    def sweep_row(args):
-        k, dvp_k = args
-        jx, jy = sweep.sums(dvp_k)
-        seq = _prep_sequence(jx, jy0, jx, jy, params["fig5.t_ramp_ns"], t)
-        res = run_sequence(seq, noise)
-        px = ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)[:, IDX_SS].mean()
-        py = ensemble_probabilities(res, ReadoutDirection.VERTICAL)[:, IDX_SS].mean()
-        return px, py
-
-    rows = [sweep_row(a) for a in enumerate(dvp)]
-    mean_x = np.array([r[0] for r in rows])
-    mean_y = np.array([r[1] for r in rows])
-
-    theory_x, theory_y, lo_x, hi_x, lo_y, hi_y = [], [], [], [], [], []
-    for dvp_k in dvp:
-        jx, jy = sweep.sums(dvp_k)
-        sig_jx, sig_jy = propagate_calibration_error(
-            ExchangeVoltageModel(j0x=jx, j0y=jy, kappa=sweep.model.kappa), uncertainty
-        )
-        px, py = ground_state_probabilities(jx, jy)
-        corners = [ground_state_probabilities(jx + sx, jy + sy)
-                   for sx in (-sig_jx, 0, sig_jx) for sy in (-sig_jy, 0, sig_jy)]
-        theory_x.append(px)
-        theory_y.append(py)
-        lo_x.append(min(c[0] for c in corners))
-        hi_x.append(max(c[0] for c in corners))
-        lo_y.append(min(c[1] for c in corners))
-        hi_y.append(max(c[1] for c in corners))
-
+    noise = _noise(params, "fig4cd.tphi_ns")
+    mean_x, mean_y = _scan(dvp, lambda v: _prep_along_sweep(params, sweep, v, t, noise),
+                           BOTH_READOUTS, IDX_SS).mean(axis=-1)
     path = out_dir / "fig5c_ground_state.csv"
     write_csv(path, {
         "dvp_mv": dvp,
         "p_ss_x_sim": mean_x,
         "p_ss_y_sim": mean_y,
-        "p_ss_x_theory": np.array(theory_x),
-        "p_ss_x_lo": np.array(lo_x),
-        "p_ss_x_hi": np.array(hi_x),
-        "p_ss_y_theory": np.array(theory_y),
-        "p_ss_y_lo": np.array(lo_y),
-        "p_ss_y_hi": np.array(hi_y),
+        **_theory_columns(sweep, dvp, ground_state_probabilities, ("p_ss_x_{}", "p_ss_y_{}")),
     })
     return [str(path)]
 
@@ -566,38 +481,19 @@ def figure_fig5c(out_dir: Path, params: dict, seed: int) -> list[str]:
 def figure_fig5ef(out_dir: Path, params: dict, seed: int) -> list[str]:
     """Swap-pulse duration maps: oscillations vanish at the half-swap point."""
     jj = 2 * params["fig5.j_pair_mhz"]
-    j23 = params["fig5ef.j23_mhz"]
-    pulse_cfg = ExchangeConfig(0.0, 0.0, j23, 0.0)
+    pulse_cfg = ExchangeConfig(0.0, 0.0, params["fig5ef.j23_mhz"], 0.0)
     equal = ExchangeConfig.balanced(jj, jj)
     t = np.linspace(0.0, params["fig5.t_max_ns"], params["fig5.t_points"])
     tj = np.linspace(0.0, params["fig5ef.tj_max_ns"], params["fig5ef.tj_points"])
-    noise = NoiseModel(sigma_from_tphi(params["fig4cd.tphi_ns"]), params["noise.n_samples"])
+    noise = _noise(params, "fig4cd.tphi_ns")
 
-    def row(args):
-        k, tj_k = args
-        seq = PulseSequence(
-            init=singlet_x(),
-            segments=(exchange_pulse(pulse_cfg, tj_k), set_diabatic(equal), hold(equal, 0.0)),
-            dwell_times=tuple(t),
-        )
-        res = run_sequence(seq, noise)
-        return (
-            ensemble_probabilities(res, ReadoutDirection.HORIZONTAL),
-            ensemble_probabilities(res, ReadoutDirection.VERTICAL),
-        )
+    def run(tj_k):
+        return run_sequence(_sequence(singlet_x(), equal, t, exchange_pulse(pulse_cfg, tj_k)), noise)
 
-    rows = [row(a) for a in enumerate(tj)]
-    files = []
-    for name, idx in (("e", 0), ("f", 1)):
-        ideal = np.stack([r[idx][:, IDX_SS] for r in rows])
-        shots = np.empty_like(ideal)
-        for k in range(len(tj)):
-            shots[k] = _shot_column(rows[k][idx], IDX_SS, params["readout.n_shots"],
-                                    (seed, SHOT_STREAMS["fig5ef"], idx, k))
-        path = out_dir / f"fig5{name}_map.csv"
-        _write_map_csv(path, "t_j_ns", tj, t, ideal, shots)
-        files.append(str(path))
-    return files
+    ideal, shots = _scan(tj, run, BOTH_READOUTS, IDX_SS, (seed, "fig5ef", 0),
+                         params["readout.n_shots"])
+    return [_write_map_csv(out_dir / f"fig5{name}_map.csv", "t_j_ns", tj, t, ideal_i, shots_i)
+            for name, ideal_i, shots_i in zip("ef", ideal, shots)]
 
 
 # ---------------------------------------------------------------------------
@@ -610,66 +506,32 @@ def _figs456(out_dir: Path, params: dict, seed: int, tag: str) -> list[str]:
     sweep = sweep_model_from(params)
     half = params["figs456.dv_max_mv"]
     n = params["figs456.dv_points"]
-    dvx = np.linspace(-half, half, n)
-    dvy = np.linspace(-half, half, n)
+    dv = np.linspace(-half, half, n)
+    readouts = tuple(zip("xy", BOTH_READOUTS))
+    at = partial(sweep.config, dvp)
     files = []
-
-    for name, direction in (("x", ReadoutDirection.HORIZONTAL), ("y", ReadoutDirection.VERTICAL)):
-        init = st_product_state(direction)
-
-        def cell(args, direction=direction):
-            i, j_idx = args
-            cfg = sweep.config(dvp, dvx[i], dvy[j_idx])
-            seq = _st_sequence(init, cfg, np.array([t_map]))
-            res = run_sequence(seq)
-            return ensemble_probabilities(res, direction)[0, IDX_ST]
-
-        cells = [cell((i, j)) for i in range(n) for j in range(n)]
-        values = np.array(cells).reshape(n, n)
-        cal = CalibrationMap(dvx=dvx, dvy=dvy, values=values, t_ns=t_map)
-        path = out_dir / f"{tag}_map_{name}.csv"
-        cal.to_csv(path)
-        files.append(str(path))
+    for name, direction in readouts:
+        values = st_scan(at, [(x, y) for x in dv for y in dv], direction, [t_map]).reshape(n, n)
+        files.append(str(out_dir / f"{tag}_map_{name}.csv"))
+        CalibrationMap(dvx=dv, dvy=dv, values=values, t_ns=t_map).to_csv(files[-1])
 
     # local chevrons through the operating point
     t = np.linspace(0.0, 3.0 * t_map, 121)
-    for axis in ("dvx", "dvy"):
-        for name, direction in (("x", ReadoutDirection.HORIZONTAL), ("y", ReadoutDirection.VERTICAL)):
-            init = st_product_state(direction)
-
-            def column(args, direction=direction, axis=axis):
-                k, dv_k = args
-                cfg = sweep.config(dvp, dv_k, 0.0) if axis == "dvx" else sweep.config(dvp, 0.0, dv_k)
-                res = run_sequence(_st_sequence(init, cfg, t))
-                return ensemble_probabilities(res, direction)[:, IDX_ST]
-
-            cols = [column(a) for a in enumerate(dvx)]
-            ideal = np.stack(cols)
-            path = out_dir / f"{tag}_chevron_{axis}_{name}.csv"
-            _write_map_csv(path, f"{axis}_mv", dvx, t, ideal)
-            files.append(str(path))
-    return files
-
-
-def figure_figS4(out_dir, params, seed):
-    return _figs456(out_dir, params, seed, "figS4")
-
-
-def figure_figS5(out_dir, params, seed):
-    return _figs456(out_dir, params, seed, "figS5")
-
-
-def figure_figS6(out_dir, params, seed):
-    return _figs456(out_dir, params, seed, "figS6")
+    lines = (("dvx", [(v, 0.0) for v in dv]), ("dvy", [(0.0, v) for v in dv]))
+    return files + [_write_map_csv(out_dir / f"{tag}_chevron_{axis}_{name}.csv", f"{axis}_mv", dv, t,
+                                   st_scan(at, points, direction, t))
+                    for axis, points in lines for name, direction in readouts]
 
 
 def figure_figS9(out_dir: Path, params: dict, seed: int) -> list[str]:
     """Adiabatic preparation maps from both initial products, both readouts."""
     jj = 2 * params["fig5.j_pair_mhz"]
     jy0 = params["fig5.jy_start_mhz"]
+    target = ExchangeConfig.balanced(jj, jj)
     t = np.linspace(0.0, params["fig5.t_max_ns"], params["fig5.t_points"])
     ramps = np.linspace(0.0, params["figS9.t_ramp_max_ns"], params["figS9.t_ramp_points"])
-    noise = NoiseModel(sigma_from_tphi(params["fig4cd.tphi_ns"]), params["noise.n_samples"])
+    cut = int(np.argmin(np.abs(ramps - params["figS9.linecut_ns"])))
+    noise = _noise(params, "fig4cd.tphi_ns")
     files = []
     linecuts: dict[str, np.ndarray] = {"t_ns": t}
 
@@ -677,39 +539,21 @@ def figure_figS9(out_dir: Path, params: dict, seed: int) -> list[str]:
         ("sx", singlet_x(), ExchangeConfig.balanced(jj, jy0)),
         ("sy", singlet_y(), ExchangeConfig.balanced(jy0, jj)),
     ):
-        target = ExchangeConfig.balanced(jj, jj)
-
-        def ramp_row(args, init=init, start=start, target=target):
-            k, t_ramp = args
-            seq = PulseSequence(
-                init=init,
-                segments=(set_diabatic(start), linear_ramp(target, t_ramp), hold(target, 0.0)),
-                dwell_times=tuple(t),
-            )
-            res = run_sequence(seq, noise)
-            return (
-                ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)[:, IDX_SS],
-                ensemble_probabilities(res, ReadoutDirection.VERTICAL)[:, IDX_SS],
-            )
-
-        rows = [ramp_row(a) for a in enumerate(ramps)]
-        for ro_name, idx in (("x", 0), ("y", 1)):
-            ideal = np.stack([r[idx] for r in rows])
+        maps = _scan(ramps, lambda t_ramp, init=init, start=start:
+                     _prep(init, start, target, t_ramp, t, noise), BOTH_READOUTS, IDX_SS)
+        for ro_name, ideal in zip("xy", maps):
             path = out_dir / f"figS9_{init_name}_read{ro_name}.csv"
-            _write_map_csv(path, "t_ramp_ns", ramps, t, ideal)
-            files.append(str(path))
-            cut = int(np.argmin(np.abs(ramps - params["figS9.linecut_ns"])))
+            files.append(_write_map_csv(path, "t_ramp_ns", ramps, t, ideal))
             linecuts[f"{init_name}_read{ro_name}"] = ideal[cut]
 
     cut_path = out_dir / "figS9_linecuts.csv"
     write_csv(cut_path, linecuts)
-    files.append(str(cut_path))
-    return files
+    return [*files, str(cut_path)]
 
 
 FIGURES = {
-    "fig3c": figure_fig3c,
-    "fig3d": figure_fig3d,
+    "fig3c": partial(_chevron, figure="fig3c", axis="x"),
+    "fig3d": partial(_chevron, figure="fig3d", axis="y"),
     "fig3e": figure_fig3e,
     "fig4b": figure_fig4b,
     "fig4cd": figure_fig4cd,
@@ -717,9 +561,9 @@ FIGURES = {
     "fig5ab": figure_fig5ab,
     "fig5c": figure_fig5c,
     "fig5ef": figure_fig5ef,
-    "figS4": figure_figS4,
-    "figS5": figure_figS5,
-    "figS6": figure_figS6,
+    "figS4": partial(_figs456, tag="figS4"),
+    "figS5": partial(_figs456, tag="figS5"),
+    "figS6": partial(_figs456, tag="figS6"),
     "figS9": figure_figS9,
 }
 
@@ -733,7 +577,9 @@ def run_figure(name: str, out_dir, seed: int = 0, overrides: dict | None = None)
     start = time.perf_counter()
     files = FIGURES[name](out, params, seed)
     elapsed = time.perf_counter() - start
-    files.append(_sidecar(out, name, params, seed))
+    files.append(str(out / f"{name}_params.json"))
+    write_json(files[-1], {"figure": name, "seed": seed,
+                           "parameters": {k: params[k] for k in sorted(params)}})
     return FigureProduct(name=name, files=files, elapsed_s=elapsed)
 
 
@@ -756,13 +602,6 @@ class CalibrationReport:
     converged: bool
 
 
-def _st_trace_probabilities(device, direction, dvp, dvx, dvy, t):
-    init = st_product_state(direction)
-    cfg = device.config(dvp, dvx, dvy)
-    res = run_sequence(_st_sequence(init, cfg, t))
-    return ensemble_probabilities(res, direction)[:, IDX_ST]
-
-
 def run_calibration(out_dir, seed: int = 0, overrides: dict | None = None) -> CalibrationReport:
     """Ellipse-center plus frequency-minimum loop on a synthetic device.
 
@@ -781,63 +620,47 @@ def run_calibration(out_dir, seed: int = 0, overrides: dict | None = None) -> Ca
         offset_dvy=params["calibrate.offset_dvy_mv"],
     )
 
+    at = partial(device.config, 0.0)
     half = params["calibrate.grid_mv"]
     n = params["calibrate.grid_points"]
     t_map = params["calibrate.map_t_ns"]
     center = np.array([0.0, 0.0])
     converged = False
-    iterations = 0
-    ellipse = None
-
-    for iteration in range(params["calibrate.max_iterations"]):
-        iterations = iteration + 1
+    for iterations in range(1, params["calibrate.max_iterations"] + 1):
         dvx = center[0] + np.linspace(-half, half, n)
         dvy = center[1] + np.linspace(-half, half, n)
-
-        def cell(args):
-            i, j_idx = args
-            cfg = device.config(0.0, dvx[i], dvy[j_idx])
-            seq = _st_sequence(st_product_state(ReadoutDirection.HORIZONTAL), cfg, np.array([t_map]))
-            res = run_sequence(seq)
-            return ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)[0]
-
-        probs = np.array([cell((i, j)) for i in range(n) for j in range(n)])
-        shots = _shot_column(probs, IDX_ST, params["readout.n_shots"],
-                             (seed, SHOT_STREAMS["calibrate"], 0, iteration))
+        probs = st_scan(at, [(x, y) for x in dvx for y in dvy], ReadoutDirection.HORIZONTAL,
+                        [t_map], outcome=slice(None))[:, 0]
+        # the whole map is one draw under one key per iteration
+        shots = _shot_column(probs, ReadoutDirection.HORIZONTAL, IDX_ST, params["readout.n_shots"],
+                             (seed, SHOT_STREAMS["calibrate"], 0, iterations - 1))
         cal = CalibrationMap(dvx=dvx, dvy=dvy, values=shots.reshape(n, n), t_ns=t_map)
         ellipse = find_ellipse_center(cal)
         shift = np.array(ellipse.center) - center
         center = np.array(ellipse.center)
-        if np.linalg.norm(shift) < params["calibrate.tolerance_mv"] and iteration > 0:
+        if np.linalg.norm(shift) < params["calibrate.tolerance_mv"] and iterations > 1:
             converged = True
             break
 
-    # frequency minima through the recovered center
+    # frequency minima through the recovered center: the horizontal readout
+    # oscillates at jy/2 along dvx, the vertical one at jx/2 along dvy
     t = np.linspace(0.0, 240.0, 121)
-    dv_line = np.linspace(-4.0, 4.0, 9)
-
-    sweep_x = []
-    for dv in dv_line:
-        p = _st_trace_probabilities(device, ReadoutDirection.HORIZONTAL, 0.0,
-                                    center[0] + dv, center[1], t)
-        sweep_x.append((center[0] + dv, fit_damped_cosine(t, p)))
-    min_x = find_frequency_minimum(sweep_x)
+    minima = []
+    for axis, direction in enumerate(BOTH_READOUTS):
+        line = center[axis] + np.linspace(-4.0, 4.0, 9)
+        points = [(v, center[1]) if axis == 0 else (center[0], v) for v in line]
+        traces = st_scan(at, points, direction, t)
+        minima.append(find_frequency_minimum([(v, fit_damped_cosine(t, p))
+                                              for v, p in zip(line, traces)]))
+    min_x, min_y = minima
     j0y = 2 * min_x.f_min
-
-    sweep_y = []
-    for dv in dv_line:
-        p = _st_trace_probabilities(device, ReadoutDirection.VERTICAL, 0.0,
-                                    center[0], center[1] + dv, t)
-        sweep_y.append((center[1] + dv, fit_damped_cosine(t, p)))
-    min_y = find_frequency_minimum(sweep_y)
     j0x = 2 * min_y.f_min
 
-    refined = np.array([min_x.dv_star, min_y.dv_star])
     model = ExchangeVoltageModel(j0x=j0x, j0y=j0y, kappa=sweep.model.kappa)
     sigma_jx, sigma_jy = propagate_calibration_error(model, CalibrationUncertainty())
 
     report = CalibrationReport(
-        center_mv=(float(refined[0]), float(refined[1])),
+        center_mv=(float(min_x.dv_star), float(min_y.dv_star)),
         center_uncertainty_mv=ellipse.uncertainty,
         j0x_mhz=float(j0x),
         j0y_mhz=float(j0y),
