@@ -236,15 +236,20 @@ def st_scan(config, points, direction: ReadoutDirection, dwell, outcome=IDX_ST) 
                  (direction,), outcome)[0]
 
 
-def _fit_rows(t, traces, figure: str, panel: str) -> np.ndarray:
+def _fit_rows(t, traces, f_model, figure: str, panel: str) -> np.ndarray:
     """Fitted (frequency, visibility) per row of ``traces``, shape (rows, 2).
 
-    A row the damped-cosine fit rejects with a ``ValueError`` reads NaN and
-    raises a ``RuntimeWarning`` naming figure, panel, column and reason.
+    A row whose model frequency ``f_model[k]`` (MHz) reaches the Nyquist frequency
+    of ``t`` would alias, and one the damped-cosine fit rejects with a ``ValueError``:
+    each reads NaN and raises a ``RuntimeWarning`` naming figure, panel, column and reason.
     """
+    f_nyq = 0.5e3 / (t[1] - t[0])
     rows = np.full((len(traces), 2), np.nan)
-    for k, trace in enumerate(traces):
+    for k, (trace, f_k) in enumerate(zip(traces, f_model)):
         try:
+            if f_k >= f_nyq:
+                raise ValueError(f"model frequency {f_k:.1f} MHz is at or above the dwell "
+                                 f"grid's Nyquist frequency {f_nyq:.1f} MHz")
             fit = fit_damped_cosine(t, trace)
         except ValueError as err:
             warnings.warn(f"{figure} panel {panel} column {k}: {err}", RuntimeWarning, stacklevel=2)
@@ -264,13 +269,14 @@ def _theory_columns(sweep: SweepModel, dvp, law, names) -> dict[str, np.ndarray]
 
     Band "theory" is the law at the sweep couplings, "lo"/"hi" its extremes over
     (jx, jy) + {-1, 0, 1} sigmas, clipped at 0 as sigma_jx exceeds jx far out.
+    A corner clipped to (0, 0), where the laws are undefined, is left out.
     """
     bands = []
     for dvp_k in dvp:
         jx, jy = sweep.sums(dvp_k)
         sx, sy = _calibration_sigmas(sweep, jx, jy)
-        corners = np.array([law(max(jx + a, 0.0), max(jy + b, 0.0))
-                            for a in (-sx, 0, sx) for b in (-sy, 0, sy)])
+        clipped = [(max(jx + a, 0.0), max(jy + b, 0.0)) for a in (-sx, 0, sx) for b in (-sy, 0, sy)]
+        corners = np.array([law(*c) for c in clipped if any(c)])
         bands.append((law(jx, jy), corners.min(axis=0), corners.max(axis=0)))
     bands = np.array(bands)  # (sweep, band, value)
     return {name.format(band): bands[:, b, i] for i, name in enumerate(names)
@@ -334,8 +340,9 @@ def figure_fig3e(out_dir: Path, params: dict, seed: int) -> list[str]:
     dvp = _dvp(params)
     t = np.linspace(0.0, params["fig3e.t_max_ns"], params["fig3e.t_points"])
     noise = _noise(params, "fig3e.tphi_ns")
+    sums = np.array([sweep.sums(v) for v in dvp])
     files, j_fit = [], {}
-    # the vertical readout oscillates at jx/2, the horizontal one at jy/2
+    # the vertical readout oscillates at jx/2 (sums column 0), the horizontal one at jy/2
     for panel, (name, direction) in enumerate(zip(("vertical", "horizontal"), BOTH_READOUTS[::-1])):
         init = st_product_state(direction)
 
@@ -348,9 +355,8 @@ def figure_fig3e(out_dir: Path, params: dict, seed: int) -> list[str]:
                              params["readout.n_shots"])
         files.append(_write_map_csv(out_dir / f"fig3e_map_{name}.csv", "dvp_mv", dvp, t,
                                     ideal[0], shots[0]))
-        j_fit[name] = 2 * _fit_rows(t, shots[0], "fig3e", name)[:, 0]
+        j_fit[name] = 2 * _fit_rows(t, shots[0], sums[:, panel] / 2, "fig3e", name)[:, 0]
 
-    sums = np.array([sweep.sums(v) for v in dvp])
     sigmas = np.array([_calibration_sigmas(sweep, jx, jy) for jx, jy in sums])
     path = out_dir / "fig3e_exchange.csv"
     write_csv(path, {
@@ -411,14 +417,16 @@ def figure_fig4cd(out_dir: Path, params: dict, seed: int) -> list[str]:
 def figure_fig4ef(out_dir: Path, params: dict, seed: int) -> list[str]:
     """Fitted frequencies and visibilities vs sweep, with model predictions."""
     sweep, dvp, t, _, shots = _fig4cd_maps(params, seed)
-    fits = [(panel, _fit_rows(t, s, "fig4ef", panel)) for panel, s in zip("xy", shots)]
+    theory = _theory_columns(sweep, dvp, lambda jx, jy: (f_ss(jx, jy), *visibilities(jx, jy)),
+                             ("f_{}_mhz", "vx_{}", "vy_{}"))
+    fits = [(panel, _fit_rows(t, s, theory["f_theory_mhz"], "fig4ef", panel))
+            for panel, s in zip("xy", shots)]
     path = out_dir / "fig4ef_extraction.csv"
     write_csv(path, {
         "dvp_mv": dvp,
         **{f"f_fit_{panel}_mhz": fit[:, 0] for panel, fit in fits},
         **{f"vis_fit_{panel}": fit[:, 1] for panel, fit in fits},
-        **_theory_columns(sweep, dvp, lambda jx, jy: (f_ss(jx, jy), *visibilities(jx, jy)),
-                          ("f_{}_mhz", "vx_{}", "vy_{}")),
+        **theory,
     })
     return [str(path)]
 

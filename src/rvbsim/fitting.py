@@ -31,7 +31,7 @@ import numpy as np
 
 
 class NoOscillationError(ValueError):
-    """The trace has no spectral peak above the noise floor."""
+    """The trace has no spectral peak above the noise floor, or one at the Nyquist frequency."""
 
 
 @dataclass(frozen=True)
@@ -159,9 +159,10 @@ def _is_uniform(t: np.ndarray, dt: float) -> bool:
 def _spectral_seed(t: np.ndarray, p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Dominant frequency (MHz) of the de-meaned trace, its frequency grid and power.
 
-    The grid runs from 0 to the Nyquist frequency of the median time step.
-    A uniform, increasing ``t`` takes the power from one zero-padded FFT;
-    any other ``t`` from the dense DFT.
+    The grid runs from 0 to the Nyquist frequency of the median time step;
+    a peak in its top 1% raises :class:`NoOscillationError`.  A uniform,
+    increasing ``t`` takes the power from one zero-padded FFT; any other
+    ``t`` from the dense DFT.
     """
     dt = np.median(np.diff(np.sort(t)))
     f_nyq = 0.5 / dt * 1e3  # MHz
@@ -176,6 +177,8 @@ def _spectral_seed(t: np.ndarray, p: np.ndarray) -> tuple[float, np.ndarray, np.
     floor = 4.0 * np.median(power[lo:]) + 1e-12 * (abs(p).max() + 1.0) * len(t)
     if power[peak] <= floor:
         raise NoOscillationError("no spectral peak above the noise floor")
+    if peak >= len(grid) - lo:  # the sine column vanishes there: only a cos(phi) is determined
+        raise NoOscillationError(f"spectral peak at the Nyquist frequency {f_nyq:.1f} MHz")
     return float(grid[peak]), grid, power
 
 

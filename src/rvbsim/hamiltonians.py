@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .basis import (
     Basis,
@@ -85,11 +84,6 @@ class ExchangeConfig:
             j34=(jx - delta_x) / 2,
             j23=(jy + delta_y) / 2,
             j14=(jy - delta_y) / 2,
-        )
-
-    def scaled(self, factor: float) -> "ExchangeConfig":
-        return ExchangeConfig(
-            self.j12 * factor, self.j34 * factor, self.j23 * factor, self.j14 * factor
         )
 
     def as_array(self) -> np.ndarray:
@@ -318,15 +312,13 @@ def double_dot_energies(m: DoubleDotModel, eps: float) -> tuple[float, float, fl
 def find_st_anticrossing(m: DoubleDotModel, eps_max: float = 1000.0) -> float | None:
     """Detuning where the singlet crosses T- within (0, eps_max], else None.
 
-    Larger tunnel coupling pushes the crossing to larger detuning and, once
-    it leaves the modelled detuning range, removes it: the singlet then
-    stays the ground state throughout.
+    E_S(eps) = -e_z (e_z the pair Zeeman energy) squares to the unique root
+    eps* = (2 tc^2 - e_z^2) / e_z, as the gap E_S - E_T- rises with eps.  With
+    e_z <= 0 or e_z >= sqrt(2) tc there is none; larger tunnel coupling pushes
+    it out of the modelled range: the singlet then stays the ground state.
     """
-
-    def gap(eps):
-        e = double_dot_energies(m, eps)
-        return e[0] - e[3]
-
-    if gap(0.0) >= 0 or gap(eps_max) < 0:
+    e_z = double_dot_energies(m, 0.0)[2]
+    if e_z <= 0:
         return None
-    return float(brentq(gap, 0.0, eps_max, xtol=1e-10))
+    eps = (2 * m.tc**2 - e_z**2) / e_z
+    return float(eps) if 0 < eps <= eps_max else None

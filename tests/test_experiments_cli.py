@@ -255,14 +255,42 @@ def test_fig3e_failed_column_fits_read_nan(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore:fig4ef panel:RuntimeWarning")
+# at 100 mV sigma_jy also exceeds jy, so one corner clips to the undefined (0, 0)
+@pytest.mark.parametrize("dvp_max_mv", [60.0, 100.0], ids=["60mV", "100mV"])
 @pytest.mark.parametrize("name, csv, prefixes", [
     ("fig4ef", "fig4ef_extraction.csv", ("f_{}_mhz", "vx_{}", "vy_{}")),
     ("fig5c", "fig5c_ground_state.csv", ("p_ss_x_{}", "p_ss_y_{}")),
 ])
-def test_theory_band_clips_corner_couplings_at_zero(tmp_path, name, csv, prefixes):
-    run_figure(name, tmp_path, seed=0, overrides=FAR_SWEEP)
+def test_theory_band_clips_corner_couplings_at_zero(tmp_path, name, csv, prefixes, dvp_max_mv):
+    run_figure(name, tmp_path, seed=0, overrides=FAR_SWEEP | {"fig3e.dvp_max_mv": dvp_max_mv})
     data = read_csv(tmp_path / csv)
     for prefix in prefixes:
         lo, theory, hi = (data[prefix.format(band)] for band in ("lo", "theory", "hi"))
         assert np.all(np.isfinite(lo) & np.isfinite(hi))
         assert np.all((lo <= theory) & (theory <= hi)), prefix
+
+
+_FIG4EF_FITS = ("f_fit_x_mhz", "f_fit_y_mhz", "vis_fit_x", "vis_fit_y")
+
+
+@pytest.mark.parametrize("name, csv, grid, model", [
+    ("fig3e", "fig3e_exchange.csv", "fig3e",
+     {"jx_fit_mhz": ("jx_model_mhz", 2), "jy_fit_mhz": ("jy_model_mhz", 2)}),
+    ("fig4ef", "fig4ef_extraction.csv", "fig4cd", dict.fromkeys(_FIG4EF_FITS, ("f_theory_mhz", 1))),
+])
+def test_rows_above_nyquist_read_nan(tmp_path, name, csv, grid, model):
+    # from -60 mV up jx runs 838, 365, 159, ... MHz against the dwell grid's 250 MHz
+    # Nyquist frequency; a row's model frequency (jx/2, jy/2 or f_ss) decides whether it aliases
+    overrides = {"fig3e.dvp_min_mv": -60.0, "fig3e.dvp_points": 6, "noise.n_samples": 8}
+    with pytest.warns(RuntimeWarning, match=rf"^{name} panel \w+ column \d+: model frequency"):
+        run_figure(name, tmp_path, seed=0, overrides=overrides)
+    params = resolve_params(overrides)
+    f_nyq = 0.5e3 * (params[f"{grid}.t_points"] - 1) / params[f"{grid}.t_max_ns"]
+    data = read_csv(tmp_path / csv)
+    aliased = {column: data[model_column] / divisor >= f_nyq
+               for column, (model_column, divisor) in model.items()}
+    assert 0 < sum(map(np.sum, aliased.values())) < len(aliased) * len(data["dvp_mv"])
+    for column, rows in aliased.items():
+        assert np.array_equal(np.isnan(data[column]), rows), column
+    for column in data.keys() - model.keys():
+        assert np.all(np.isfinite(data[column])), column

@@ -116,14 +116,33 @@ def test_noiseless_undamped_fit_reaches_roundoff():
         assert fit.residual_rms < 1e-11
 
 
-def test_trace_at_nyquist_frequency_fits():
+def test_seed_grid_survives_trial_at_nyquist_frequency():
     # the seed grid's trial at the Nyquist frequency samples its sine column
     # as zero; that rank-deficient solve must not wreck the seed
     t = np.linspace(0, 300, 61)
-    fit = fit_damped_cosine(t, 0.5 + 0.3 * np.cos(np.pi * np.arange(61)))
-    assert_allclose(fit.a, 0.3, rtol=1e-3)
-    assert_allclose(fit.f, 100.0, rtol=1e-6)
-    assert fit.residual_rms < 1e-6
+    p = 0.5 + 0.3 * np.cos(np.pi * np.arange(61))
+    f, _, (c1, c2, a0) = _seed_grid(t, p, 100.0, 300.0)
+    assert f == 100.0
+    assert_allclose([c1, c2, a0], [0.3, 0.0, 0.5], rtol=1e-2, atol=1e-9)
+
+
+def _nyquist_shot_trace():
+    # 20 points over 30 ns, amplitude 0.19 at f_nyq = 316.7 MHz, 500 shots
+    t = np.linspace(0.0, 30.0, 20)
+    p = 0.5 + 0.19 * np.cos(np.pi * np.arange(20))
+    return t, np.random.default_rng(0).binomial(500, p) / 500
+
+
+@pytest.mark.parametrize("t, p", [
+    (np.linspace(0, 300, 61), 0.5 + 0.3 * np.cos(np.pi * np.arange(61))),
+    _nyquist_shot_trace(),
+], ids=["noiseless-100MHz", "shots-316.7MHz"])
+def test_peak_at_nyquist_frequency_raises(t, p):
+    # only a cos(phi) is determined there: the fit must refuse, not return a
+    # wrong amplitude with a huge sigma
+    f_nyq = 0.5e3 / (t[1] - t[0])
+    with pytest.raises(NoOscillationError, match=f"Nyquist frequency {f_nyq:.1f} MHz"):
+        fit_damped_cosine(t, p)
 
 
 _PROPERTY = settings(max_examples=40, deadline=None)
@@ -173,8 +192,8 @@ def test_fft_seed_power_matches_dense_dft(t0, dt, n, f_frac, seed):
     try:
         f0, seed_grid, power = _spectral_seed(t, p)
     except NoOscillationError:
-        # a short noisy trace can miss the 4x-median floor; the dense DFT (the
-        # jittered grid) must then miss it too
+        # a short noisy trace can miss the 4x-median floor or peak at the
+        # Nyquist edge; the dense DFT (the jittered grid) must then fail too
         with pytest.raises(NoOscillationError):
             _spectral_seed(t_off, p)
         return

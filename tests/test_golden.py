@@ -41,6 +41,10 @@ SMALL = {
 
 PRODUCTS = (*FIGURES, "calibrate")
 
+#: At ``SMALL`` sizes fig4cd's 21-point dwell grid resolves up to 62.5 MHz, so
+#: fig4ef's two most negative sweep rows (105 and 68 MHz) read NaN and warn.
+EXPECTED_WARNINGS = {"fig4ef": r"^fig4ef panel [xy] column [01]: model frequency"}
+
 
 def product_hashes(name: str, out: Path) -> dict[str, str]:
     """sha256 per output file of one product run at seed 0 with ``SMALL`` sizes."""
@@ -58,7 +62,12 @@ def test_golden_table_covers_every_product():
 @pytest.mark.parametrize("name", PRODUCTS)
 def test_golden_outputs(name, tmp_path):
     golden = json.loads(GOLDEN_PATH.read_text())[name]
-    assert product_hashes(name, tmp_path) == golden
+    if name in EXPECTED_WARNINGS:
+        with pytest.warns(RuntimeWarning, match=EXPECTED_WARNINGS[name]):
+            hashes = product_hashes(name, tmp_path)
+    else:
+        hashes = product_hashes(name, tmp_path)
+    assert hashes == golden
 
 
 if __name__ == "__main__":

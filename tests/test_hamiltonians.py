@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq
 
 from rvbsim.basis import Basis, singlet_x, subspace_projector, total_spin_operators
 from rvbsim.hamiltonians import (
@@ -227,3 +228,44 @@ def test_anticrossing_moves_out_with_tunnel_coupling():
 def test_no_anticrossing_at_zero_field():
     m = DoubleDotModel(tc=5.0, sum_g=0.5, b_mt=0.0)
     assert find_st_anticrossing(m, eps_max=500.0) is None
+
+
+def test_anticrossing_closed_form_matches_root_find():
+    # the gap E_S - E_T- = E_S + e_z is bracketed on [0, eps_max] exactly when a crossing exists
+    eps_max = 1000.0
+    outcomes = set()
+    for tc in (2.0, 5.0, 10.0, 20.0, 30.0):
+        for sum_g in (0.3, 0.5, 0.9):
+            for b in (0.5, 1.0, 2.0, 4.0):
+                m = DoubleDotModel(tc=tc, sum_g=sum_g, b_mt=b)
+                e_z = double_dot_energies(m, 0.0)[2]
+
+                def gap(eps):
+                    return double_dot_energies(m, eps)[0] + e_z
+
+                eps_so = find_st_anticrossing(m, eps_max=eps_max)
+                if gap(0.0) >= 0:
+                    outcomes.add("T- lowest at eps = 0")
+                    assert eps_so is None
+                elif gap(eps_max) < 0:
+                    outcomes.add("beyond eps_max")
+                    assert eps_so is None
+                else:
+                    outcomes.add("crossing")
+                    root = brentq(gap, 0.0, eps_max, xtol=1e-12)
+                    assert abs(eps_so - root) <= 1e-9 * max(1.0, root)
+    assert len(outcomes) == 3
+
+
+def test_anticrossing_absent_cases():
+    tc, sum_g = 5.0, 0.5
+    e_z_per_mt = double_dot_energies(DoubleDotModel(tc=tc, sum_g=sum_g, b_mt=1.0), 0.0)[2]
+    # reversed field, or e_z at and above sqrt(2) tc: T- never lies above the singlet
+    for b in (-1.0, np.sqrt(2) * tc / e_z_per_mt, 2 * tc / e_z_per_mt):
+        assert find_st_anticrossing(DoubleDotModel(tc=tc, sum_g=sum_g, b_mt=b)) is None
+    # the crossing lies beyond eps_max
+    m = DoubleDotModel(tc=tc, sum_g=sum_g, b_mt=1.0)
+    eps_so = find_st_anticrossing(m)
+    assert eps_so is not None
+    assert find_st_anticrossing(m, eps_max=eps_so) == eps_so
+    assert find_st_anticrossing(m, eps_max=0.999 * eps_so) is None
