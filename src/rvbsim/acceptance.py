@@ -165,6 +165,8 @@ def _fit_beat_frequency(t: np.ndarray, p: np.ndarray, carrier_guess: float) -> f
     With the constant and amplitudes projected out, (nu1, nu2) start at the best of a
     120-point splitting grid and take Gauss-Newton steps on a central-difference
     Jacobian (h = 1e-7 MHz) until a step is below 1e-12 MHz, for at most 20 steps.
+    A best start on the first or last grid point raises ValueError: the splitting
+    may lie outside the grid.
     """
 
     def residual(x):  # columns: constant, nu1, nu2 and nu2 - nu1
@@ -174,7 +176,11 @@ def _fit_beat_frequency(t: np.ndarray, p: np.ndarray, carrier_guess: float) -> f
 
     starts = [np.array([carrier_guess - delta / 2, carrier_guess + delta / 2])
               for delta in np.linspace(0.005, 0.12, 120)]
-    x = min(starts, key=lambda x: float(np.sum(residual(x) ** 2)))
+    best = int(np.argmin([np.sum(residual(x) ** 2) for x in starts]))
+    if best in (0, len(starts) - 1):
+        raise ValueError("best beat-fit start lies on the edge of its splitting grid "
+                         "[0.005, 0.12] MHz")
+    x = starts[best]
     for _ in range(20):
         jac = np.column_stack([(residual(x + dx) - residual(x - dx)) / 2e-7
                                for dx in np.eye(2) * 1e-7])

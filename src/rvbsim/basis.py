@@ -90,11 +90,10 @@ class PairState:
 
 @dataclass(frozen=True)
 class SpinState:
-    """Normalized complex amplitude vector over a declared basis."""
+    """Complex amplitude vector over a declared basis, normalized to 1e-12."""
 
     basis: Basis
     amplitudes: np.ndarray
-    norm_tolerance: float = 1e-12
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex)
@@ -104,8 +103,8 @@ class SpinState:
                 f"{self.basis.name} (dim {self.basis.dim})"
             )
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > self.norm_tolerance:
-            raise ValueError(f"state norm {norm!r} outside tolerance {self.norm_tolerance}")
+        if abs(norm - 1.0) > 1e-12:
+            raise ValueError(f"state norm {norm!r} outside tolerance 1e-12")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 
@@ -218,8 +217,7 @@ def change_basis_singlet_xy(state: SpinState) -> SpinState:
     """
     if state.basis is not Basis.GLOBAL_SINGLET_2:
         raise ValueError("change_basis_singlet_xy expects a 2-dim global-singlet state")
-    return SpinState(Basis.GLOBAL_SINGLET_2, SINGLET_XY_MATRIX @ state.amplitudes,
-                     norm_tolerance=state.norm_tolerance)
+    return SpinState(Basis.GLOBAL_SINGLET_2, SINGLET_XY_MATRIX @ state.amplitudes)
 
 
 _SZ1 = np.diag([0.5, -0.5])

@@ -136,7 +136,6 @@ class ExchangeVoltageModel:
     j0x: float
     j0y: float
     kappa: float = DEFAULT_KAPPA
-    reference_point: tuple[float, float, float, float] = DEFAULT_REFERENCE_POINT
 
     def __post_init__(self):
         if self.kappa <= 0:
@@ -202,13 +201,12 @@ class SweepModel:
     def config(self, dvp: float, dvx: float = 0.0, dvy: float = 0.0) -> ExchangeConfig:
         """Exchange couplings at sweep amplitude ``dvp`` with local excursions."""
         jx, jy = self.sums(dvp)
-        local = ExchangeVoltageModel(j0x=jx, j0y=jy, kappa=self.model.kappa,
-                                     reference_point=self.model.reference_point)
+        local = ExchangeVoltageModel(j0x=jx, j0y=jy, kappa=self.model.kappa)
         return exchange_from_voltages(local, dvx, dvy)
 
     def barrier_point(self, dvp: float) -> np.ndarray:
         """Absolute virtual barrier voltages (mV) at sweep amplitude ``dvp``."""
-        return np.asarray(self.model.reference_point) + apply_compensation(dvp, self.compensation)
+        return np.asarray(DEFAULT_REFERENCE_POINT) + apply_compensation(dvp, self.compensation)
 
 
 @dataclass(frozen=True)
@@ -233,11 +231,6 @@ class CalibrationUncertainty:
 
     dvx0: float = 2.0
     dvy0: float = 2.0
-    sigma_center: float = 2.0
-
-    def __post_init__(self):
-        if self.sigma_center <= 0:
-            raise ValueError("sigma_center must be positive")
 
 
 def propagate_calibration_error(

@@ -5,11 +5,10 @@ Phase convention: a level at energy f (MHz) accumulates phase
 ``U = exp(-i * 2*pi*1e-3 * H * t)`` evaluated by exact eigendecomposition.
 
 Linear ramps interpolate gate voltages linearly, so each exchange coupling
-moves geometrically (exponentially) between its endpoints; a linear-in-J
-ramp is available behind ``mode="linear"`` for sensitivity studies.  Ramps
-are propagated with n fourth-order Magnus steps, each sampling the couplings
+moves geometrically (exponentially) between its endpoints.  Ramps are
+propagated with n fourth-order Magnus steps, each sampling the couplings
 at two Gauss-Legendre nodes; n is doubled until the final state moves by
-less than ``ramp_tol`` between n/2 and n steps, up to a hard step cap.
+less than RAMP_TOL between n/2 and n steps, up to RAMP_STEP_CAP steps.
 
 Sequences run in the smallest invariant sector holding the initial state
 (2-dim total singlet, 3-dim S=1 m=-1 triplet, 4-dim m=-1 sector, or the
@@ -48,11 +47,7 @@ from .hamiltonians import ExchangeConfig, ZeemanConfig, zeeman_full, _BOND_OPS
 W2PI = 2 * np.pi * 1e-3  # rad per (MHz * ns)
 _SQRT3 = np.sqrt(3.0)
 
-#: Duration of the pair singlet -> T- rotation step in the hardware pulse
-#: pattern; the pairs are decoupled during this step, so it contributes no
-#: four-spin phase and is kept for structural fidelity of sequences.
-T_PI_NS = 300.0
-
+RAMP_TOL = 1e-9
 RAMP_STEP_CAP = 2**20
 
 
@@ -69,7 +64,7 @@ def evolve(state: SpinState, h: np.ndarray, t_ns: float) -> SpinState:
         )
     w, v = np.linalg.eigh(h)
     amps = v @ (np.exp(-1j * W2PI * w * t_ns) * (v.conj().T @ state.amplitudes))
-    return SpinState(state.basis, amps, norm_tolerance=state.norm_tolerance)
+    return SpinState(state.basis, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -294,21 +289,17 @@ class PulseSegment:
     ``SET_DIABATIC``, ``HOLD`` and ``EXCHANGE_PULSE`` evolve under the
     target couplings for ``duration`` ns (0 means an instantaneous switch).
     ``LINEAR_RAMP`` interpolates from the previous segment's couplings to
-    the target over ``duration``; ``ramp_mode`` "voltage" moves each
-    coupling geometrically (linear gate voltage), "linear" moves it
-    linearly.
+    the target over ``duration``, moving each coupling geometrically
+    (linear gate voltage).
     """
 
     kind: SegmentKind
     target: ExchangeConfig
     duration: float = 0.0
-    ramp_mode: str = "voltage"
 
     def __post_init__(self):
         if self.duration < 0:
             raise ValueError("segment duration must be non-negative")
-        if self.ramp_mode not in ("voltage", "linear"):
-            raise ValueError("ramp_mode must be 'voltage' or 'linear'")
 
 
 def set_diabatic(target: ExchangeConfig, duration: float = 0.0) -> PulseSegment:
@@ -323,8 +314,8 @@ def exchange_pulse(target: ExchangeConfig, duration: float) -> PulseSegment:
     return PulseSegment(SegmentKind.EXCHANGE_PULSE, target, duration)
 
 
-def linear_ramp(target: ExchangeConfig, duration: float, mode: str = "voltage") -> PulseSegment:
-    return PulseSegment(SegmentKind.LINEAR_RAMP, target, duration, ramp_mode=mode)
+def linear_ramp(target: ExchangeConfig, duration: float) -> PulseSegment:
+    return PulseSegment(SegmentKind.LINEAR_RAMP, target, duration)
 
 
 @dataclass(frozen=True)
@@ -349,6 +340,8 @@ class PulseSequence:
             raise ValueError("a ramp cannot be the first segment (no starting couplings)")
         if self.dwell_times is not None:
             dw = tuple(float(t) for t in self.dwell_times)
+            if not dw:
+                raise ValueError("a dwell grid needs at least one time")
             if any(t < 0 for t in dw):
                 raise ValueError("dwell times must be non-negative")
             if segments[-1].kind is not SegmentKind.HOLD:
@@ -420,10 +413,6 @@ _SECTORS = tuple(
     for q in [subspace_projector(b) for b in _SUBSPACES] + [np.eye(16)]
 )
 
-#: Smallest ``ramp_tol`` the ramp propagator reaches: below it the residual
-#: between n and 2n steps stalls at accumulated round-off.
-RAMP_TOL_FLOOR = 1e-12
-
 
 def _sector(psi16: np.ndarray, zeeman16: np.ndarray | None):
     """First sector whose span holds ``psi16`` and is mapped into itself by ``zeeman16``."""
@@ -447,10 +436,8 @@ def _evolve_ensemble(states, hj, zh, lam, times) -> np.ndarray:
     return (phases * coords[:, None, :]) @ np.swapaxes(v, 1, 2)
 
 
-def _interp_bonds(b0: np.ndarray, b1: np.ndarray, s: np.ndarray, mode: str) -> np.ndarray:
+def _interp_bonds(b0: np.ndarray, b1: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Per-bond coupling schedule along the ramp, shape (n, 4)."""
-    if mode == "linear":
-        return b0 + np.outer(s, b1 - b0)
     out = np.empty((len(s), 4))
     floor = 1e-12
     for b in range(4):
@@ -463,75 +450,59 @@ def _interp_bonds(b0: np.ndarray, b1: np.ndarray, s: np.ndarray, mode: str) -> n
     return out
 
 
-def _chunked_ordered_product(unitaries_iter, dim: int) -> np.ndarray:
-    """Product U_{n-1} ... U_1 U_0 from an iterator of (chunk, dim, dim) arrays."""
-    total = np.eye(dim, dtype=complex)
-    for chunk in unitaries_iter:
-        m = chunk
-        while m.shape[0] > 1:
-            if m.shape[0] % 2:
-                tail = m[-1]
-                m = m[1:-1:2] @ m[0:-1:2]
-                m = np.concatenate([m, tail[None]])
-            else:
-                m = m[1::2] @ m[0::2]
-        total = m[0] @ total
-    return total
-
-
-def _ramp_unitary_once(
-    bonds0, bonds1, duration, n, mode, stack, const=0.0, chunk=1 << 12
-) -> np.ndarray:
+def _ramp_unitary_once(bonds0, bonds1, duration, n, stack, const=0.0) -> np.ndarray:
     """Product of n fourth-order Magnus steps (two Gauss-Legendre nodes each).
 
     Step k exponentiates H_eff = (H1+H2)/2 - i (sqrt(3)/12) W2PI dt [H2, H1], with
     H1, H2 = sum_b J_b(s) stack_b + const at s = (k + 1/2 -+ sqrt(3)/6)/n; a
     sector's projected bond stack gives the exact sector block of the propagator.
+    Steps are built in blocks of 4096; n is a power of two, so each block reduces
+    to one matrix by a pairwise tree.
     """
     dt = duration / n
     dim = stack.shape[1]
 
     def hamiltonians(s):
-        return np.einsum("kb,bij->kij", _interp_bonds(bonds0, bonds1, s, mode), stack) + const
+        return np.einsum("kb,bij->kij", _interp_bonds(bonds0, bonds1, s), stack) + const
 
-    def chunks():
-        for start in range(0, n, chunk):
-            k = np.arange(start, min(start + chunk, n)) + 0.5
-            h1 = hamiltonians((k - _SQRT3 / 6) / n)
-            h2 = hamiltonians((k + _SQRT3 / 6) / n)
-            h = 0.5 * (h1 + h2) - (1j * _SQRT3 / 12 * W2PI * dt) * (h2 @ h1 - h1 @ h2)
-            tr = np.trace(h, axis1=1, axis2=2).real / dim
-            h -= tr[:, None, None] * np.eye(dim)
-            w, v = np.linalg.eigh(h)
-            phases = np.exp(-1j * W2PI * (w + tr[:, None]) * dt)
-            yield (v * phases[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
+    total = np.eye(dim, dtype=complex)
+    for start in range(0, n, 4096):
+        k = np.arange(start, min(start + 4096, n)) + 0.5
+        h1 = hamiltonians((k - _SQRT3 / 6) / n)
+        h2 = hamiltonians((k + _SQRT3 / 6) / n)
+        h = 0.5 * (h1 + h2) - (1j * _SQRT3 / 12 * W2PI * dt) * (h2 @ h1 - h1 @ h2)
+        tr = np.trace(h, axis1=1, axis2=2).real / dim
+        h -= tr[:, None, None] * np.eye(dim)
+        w, v = np.linalg.eigh(h)
+        phases = np.exp(-1j * W2PI * (w + tr[:, None]) * dt)
+        m = (v * phases[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
+        while m.shape[0] > 1:
+            m = m[1::2] @ m[0::2]
+        total = m[0] @ total
+    return total
 
-    return _chunked_ordered_product(chunks(), dim)
 
-
-def _ramp_unitary(
-    bonds0, bonds1, duration, mode, stack, probe_state, const=0.0, tol=1e-9, step_cap=RAMP_STEP_CAP
-):
+def _ramp_unitary(bonds0, bonds1, duration, stack, probe_state, const=0.0):
     """Adaptive Magnus ramp propagator, doubling n from 64 until converged.
 
-    Converged means ``probe_state`` moves by less than ``tol`` between n/2 and n
-    steps; at ``step_cap`` a RampConvergenceError names the last n and residual.
+    Converged means ``probe_state`` moves by less than RAMP_TOL between n/2 and n
+    steps; at RAMP_STEP_CAP a RampConvergenceError names the last n and residual.
     """
     if duration == 0:
         return np.eye(stack.shape[1], dtype=complex)
     n, residual = 64, np.inf
-    psi_prev = _ramp_unitary_once(bonds0, bonds1, duration, n, mode, stack, const) @ probe_state
-    while n < step_cap:
+    psi_prev = _ramp_unitary_once(bonds0, bonds1, duration, n, stack, const) @ probe_state
+    while n < RAMP_STEP_CAP:
         n *= 2
-        u = _ramp_unitary_once(bonds0, bonds1, duration, n, mode, stack, const)
+        u = _ramp_unitary_once(bonds0, bonds1, duration, n, stack, const)
         psi = u @ probe_state
         residual = np.linalg.norm(psi - psi_prev)
-        if residual < tol:
+        if residual < RAMP_TOL:
             return u
         psi_prev = psi
     raise RampConvergenceError(
-        f"ramp discretization stopped at n={n} steps (cap {step_cap}) with residual "
-        f"{residual:.3g}, above tol {tol}"
+        f"ramp discretization stopped at n={n} steps (cap {RAMP_STEP_CAP}) with residual "
+        f"{residual:.3g}, above tol {RAMP_TOL}"
     )
 
 
@@ -540,8 +511,6 @@ def run_sequence(
     noise: NoiseModel | None = None,
     *,
     zeeman: ZeemanConfig | None = None,
-    ramp_tol: float = 1e-9,
-    ramp_step_cap: int = RAMP_STEP_CAP,
     noise_reference_mhz: float | None = None,
 ) -> SequenceResult:
     """Run a pulse sequence, optionally over a quasi-static noise ensemble.
@@ -557,14 +526,8 @@ def run_sequence(
 
     With ``noise``, every constant-coupling segment is rescaled per
     quadrature node by ``1 + offset/f_ref``, clipped at 0 (see the module
-    docstring); ramps run at nominal couplings.  A ``ramp_tol`` below
-    ``RAMP_TOL_FLOOR`` is rejected, since no step count reaches it.
+    docstring); ramps run at nominal couplings.
     """
-    if ramp_tol < RAMP_TOL_FLOOR:
-        raise ValueError(
-            f"ramp_tol {ramp_tol:g} is below the round-off floor {RAMP_TOL_FLOOR:g} "
-            "of the ramp propagator"
-        )
     init = seq.init
     if init.basis is Basis.GLOBAL_SINGLET_2:
         psi16 = _SECTORS[0][1] @ init.amplitudes
@@ -602,7 +565,7 @@ def run_sequence(
             if prev_cfg is None:
                 raise ValueError("ramp without a preceding configuration")
             u = _ramp_unitary(prev_cfg.as_array(), seg.target.as_array(), seg.duration,
-                              seg.ramp_mode, stack, states[0], zh, ramp_tol, ramp_step_cap)
+                              stack, states[0], zh)
             states = states @ u.T
             # a product of many step unitaries accumulates roundoff in the
             # norm; renormalize to keep the 1e-12 norm contract on states

@@ -40,7 +40,6 @@ from .dynamics import (
     ExchangeConfig,
     NoiseModel,
     PulseSequence,
-    T_PI_NS,
     exchange_pulse,
     f_ss,
     ground_state_probabilities,
@@ -54,8 +53,6 @@ from .dynamics import (
 from .fitting import CalibrationMap, find_ellipse_center, find_frequency_minimum, fit_damped_cosine
 from .io import write_csv, write_json
 from .readout import ReadoutConfig, ReadoutDirection, pair_probabilities_batch, sample_shots
-
-ZERO_CONFIG = ExchangeConfig(0, 0, 0, 0)
 
 #: outcome column index per joint result, first readout pair first
 IDX_SS, IDX_ST, IDX_TS, IDX_TT = 0, 1, 2, 3
@@ -143,7 +140,7 @@ DEFAULTS: dict = {
 def resolve_params(overrides: dict | None = None) -> dict:
     params = dict(DEFAULTS)
     if overrides:
-        unknown = [k for k in overrides if k not in params and not k.startswith("user.")]
+        unknown = [k for k in overrides if k not in params]
         if unknown:
             raise KeyError(f"unknown config keys: {unknown}")
         params.update(overrides)
@@ -211,28 +208,20 @@ def _scan(values, run, directions, outcome, stream=None, n_shots=None):
     return probs[..., outcome], shots
 
 
-#: S/T- preparation: a decoupled wait (the pair S -> T- rotation slot) before
-#: the diabatic switch to the interacting point
-_ST_PREP = (set_diabatic(ZERO_CONFIG), hold(ZERO_CONFIG, T_PI_NS))
-
-
 def _sequence(init: SpinState, target: ExchangeConfig, dwell, *prefix) -> PulseSequence:
-    """``prefix`` segments, a diabatic switch to ``target``, then the dwell grid there.
-
-    After a ramp that ends at ``target`` the zero-length switch does nothing.
-    """
-    segments = (*prefix, set_diabatic(target), hold(target, 0.0))
+    """``prefix`` segments, then a hold at ``target`` swept over the dwell grid."""
+    segments = (*prefix, hold(target, 0.0))
     return PulseSequence(init=init, segments=segments, dwell_times=tuple(dwell))
 
 
 def st_scan(config, points, direction: ReadoutDirection, dwell, outcome=IDX_ST) -> np.ndarray:
     """Noiseless singlet/T- scan: probability of ``outcome``, shape (points, dwell).
 
-    Each column starts in the S/T- product read in ``direction``, runs the
-    S/T- preparation and dwells at the couplings ``config(*point)``.
+    Each column starts in the S/T- product read in ``direction`` and dwells at
+    the couplings ``config(*point)``.
     """
     init = st_product_state(direction)
-    return _scan(points, lambda p: run_sequence(_sequence(init, config(*p), dwell, *_ST_PREP)),
+    return _scan(points, lambda p: run_sequence(_sequence(init, config(*p), dwell)),
                  (direction,), outcome)[0]
 
 
@@ -322,8 +311,7 @@ def _chevron(out_dir: Path, params: dict, seed: int, figure: str, axis: str) -> 
 
     def run(dv_k):
         j = exchange_from_voltages(model, *((dv_k, 0.0) if axis == "x" else (0.0, dv_k)))
-        return run_sequence(_sequence(init, j, t, *_ST_PREP), noise,
-                            noise_reference_mhz=model.j0y / 2)
+        return run_sequence(_sequence(init, j, t), noise, noise_reference_mhz=model.j0y / 2)
 
     ideal, shots = _scan(dv, run, (ReadoutDirection.HORIZONTAL,), IDX_ST, (seed, figure, 0),
                          params["readout.n_shots"])
@@ -348,7 +336,7 @@ def figure_fig3e(out_dir: Path, params: dict, seed: int) -> list[str]:
 
         def run(dvp_k, init=init, vertical=direction is ReadoutDirection.VERTICAL):
             j = sweep.config(dvp_k)
-            return run_sequence(_sequence(init, j, t, *_ST_PREP), noise,
+            return run_sequence(_sequence(init, j, t), noise,
                                 noise_reference_mhz=(j.jx if vertical else j.jy) / 2)
 
         ideal, shots = _scan(dvp, run, (direction,), IDX_ST, (seed, "fig3e", panel),

@@ -449,11 +449,12 @@ def _reflection_score(v: np.ndarray, ci2: int, cj2: int) -> tuple[float, int]:
     return float(np.sum(da * db) / denom), n
 
 
-def find_ellipse_center(cal_map: CalibrationMap, min_overlap: float = 0.25) -> EllipseCenter:
+def find_ellipse_center(cal_map: CalibrationMap) -> EllipseCenter:
     """Estimate the symmetry center of a fixed-time probability map.
 
     Maximizes the autocorrelation under point reflection over a half-step
-    center lattice, then refines the peak with a local parabola.  The
+    center lattice, scoring only reflection points whose overlap with the
+    map covers at least a quarter of it, then refines the peak with a local parabola.  The
     reported uncertainty is the half-width at half the peak prominence.
     Raises if no reflection point correlates above 0.2.
     """
@@ -464,7 +465,7 @@ def find_ellipse_center(cal_map: CalibrationMap, min_overlap: float = 0.25) -> E
     for ci2 in range(2 * nx - 1):
         for cj2 in range(2 * ny - 1):
             s, n = _reflection_score(v, ci2, cj2)
-            if n >= min_overlap * total:
+            if n >= 0.25 * total:
                 scores[ci2, cj2] = s
     if not np.isfinite(scores).any():
         raise ValueError("map too small for a symmetric-overlap search")

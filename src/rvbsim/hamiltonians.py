@@ -103,7 +103,6 @@ class ZeemanConfig:
     g2: float = DEFAULT_G_FACTORS[1]
     g3: float = DEFAULT_G_FACTORS[2]
     g4: float = DEFAULT_G_FACTORS[3]
-    mu_b_over_h: float = MU_B_OVER_H
 
     @property
     def g(self) -> tuple[float, float, float, float]:
@@ -115,21 +114,18 @@ class DoubleDotModel:
     """Singlet/triplet energies of one detuned double dot.
 
     ``tc`` is the tunnel coupling (MHz), ``sum_g`` the g-factor sum of the
-    pair, ``b_mt`` the field.  ``delta_so`` records the measured upper bound
-    on the spin-orbit gap at the S/T- anticrossing (2 MHz at 1 mT); it is a
-    documented magnitude, not a Hamiltonian term.
+    pair, ``b_mt`` the field.  The measured upper bound on the spin-orbit
+    gap at the S/T- anticrossing is 2 MHz at 1 mT; it is a documented
+    magnitude, not a Hamiltonian term.
     """
 
     tc: float
     sum_g: float
     b_mt: float
-    delta_so: float = 2.0
 
     def __post_init__(self):
         if self.tc <= 0:
             raise ValueError("tunnel coupling must be positive")
-        if self.delta_so < 0:
-            raise ValueError("delta_so must be non-negative")
 
 
 _BONDS = {Pair.Q12: (1, 2), Pair.Q34: (3, 4), Pair.Q23: (2, 3), Pair.Q14: (1, 4)}
@@ -240,7 +236,7 @@ def zeeman_full(z: ZeemanConfig) -> np.ndarray:
         for d, g in enumerate(z.g, start=1):
             spin = 0.5 if ((n >> (d - 1)) & 1) == 0 else -0.5
             diag[n] += g * spin
-    return np.diag(z.b_mt * z.mu_b_over_h * diag)
+    return np.diag(z.b_mt * MU_B_OVER_H * diag)
 
 
 def _unpolarized_triplet_kets() -> dict[str, np.ndarray]:
@@ -276,7 +272,7 @@ def zeeman_sector_elements(z: ZeemanConfig) -> dict[tuple[str, str], float]:
     All couplings are driven by g-factor differences and vanish when the
     four g-factors are equal; values are MHz.
     """
-    e = z.b_mt * z.mu_b_over_h
+    e = z.b_mt * MU_B_OVER_H
     g1, g2, g3, g4 = z.g
     s3, s6, s8 = 2 * _SQRT3, np.sqrt(6.0), 2 * np.sqrt(2.0)
     return {

@@ -3,7 +3,8 @@
 Config files are flat ``section.key = value`` documents (one per line,
 ``#`` comments); values parse as int, float, bool, or string.
 
-Pulse-sequence files (one directive per line)::
+Pulse-sequence files (one directive per line; ``mode=voltage``, the only ramp
+mode, may be left out)::
 
     init product S Q12 T- Q34        # pair states on two disjoint pairs
     init state swave                 # or: sx, sy, dwave
@@ -12,7 +13,7 @@ Pulse-sequence files (one directive per line)::
     segment ramp j12=25 j34=25 j23=25 j14=25 dur=160 mode=voltage
     segment hold j12=25 j34=25 j23=25 j14=25 dur=0
     dwell 0 4 8 12                   # explicit dwell times (ns)
-    dwell range 0 300 2              # inclusive arange
+    dwell range 0 300 2              # inclusive arange: start <= stop, step > 0
 
 CSV emitters format floats with %.10g so reruns are byte-identical.
 """
@@ -196,13 +197,13 @@ def _parse_segment(tokens: list[str]) -> PulseSegment:
         j14=float(kv.pop("j14")),
     )
     duration = float(kv.pop("dur", 0.0))
-    mode = kv.pop("mode", "voltage")
+    if kv.pop("mode", "voltage") != "voltage":
+        raise ValueError("ramp mode must be 'voltage'")
     if kv:
         raise ValueError(f"unknown segment fields {sorted(kv)}")
-    if kind is SegmentKind.LINEAR_RAMP:
-        return linear_ramp(config, duration, mode)
     return {
         SegmentKind.SET_DIABATIC: set_diabatic,
+        SegmentKind.LINEAR_RAMP: linear_ramp,
         SegmentKind.HOLD: hold,
         SegmentKind.EXCHANGE_PULSE: exchange_pulse,
     }[kind](config, duration)
@@ -211,6 +212,9 @@ def _parse_segment(tokens: list[str]) -> PulseSegment:
 def _parse_dwell(tokens: list[str]) -> tuple[float, ...]:
     if tokens[0] == "range":
         start, stop, step = map(float, tokens[1:4])
+        if not (0 < step < np.inf and start <= stop):
+            raise ValueError(f"dwell range {start:g} {stop:g} {step:g} makes no grid: it needs "
+                             "start <= stop and a positive, finite step")
         n = int(round((stop - start) / step)) + 1
         return tuple(start + step * k for k in range(n))
     return tuple(float(tok) for tok in tokens)
@@ -227,8 +231,6 @@ def sequence_to_text(seq: PulseSequence) -> str:
             f"j23={t.j23:.10g}", f"j14={t.j14:.10g}",
             f"dur={seg.duration:.10g}",
         ]
-        if seg.kind is SegmentKind.LINEAR_RAMP:
-            parts.append(f"mode={seg.ramp_mode}")
         lines.append(" ".join(parts))
     if seq.dwell_times is not None:
         lines.append("dwell " + " ".join(f"{t:.10g}" for t in seq.dwell_times))

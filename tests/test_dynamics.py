@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from rvbsim import dynamics
 from rvbsim.basis import (
     Basis,
     Pair,
@@ -388,16 +389,6 @@ def test_run_sequence_matches_full_space_evolution(kind, seed, bonds, duration, 
     assert_allclose(res.states, expected if with_noise else expected[0], atol=1e-10)
 
 
-def test_ramp_tol_below_roundoff_floor_rejected():
-    j0 = ExchangeConfig.balanced(50, 0.5)
-    j1 = ExchangeConfig.balanced(50, 50)
-    seq = PulseSequence(init=singlet_x(), segments=(set_diabatic(j0), linear_ramp(j1, 200.0)))
-    with pytest.raises(ValueError, match="round-off floor"):
-        run_sequence(seq, ramp_tol=1e-13)
-    res = run_sequence(seq, ramp_tol=1e-12)  # the floor itself converges (n = 16384)
-    assert_allclose(np.linalg.norm(res.states), 1.0, atol=1e-12)
-
-
 def test_adiabatic_ramp_prepares_ground_state():
     # slow voltage-linear ramp from decoupled verticals to equal exchange
     j0 = ExchangeConfig.balanced(50, 0.5)
@@ -546,24 +537,32 @@ def test_ramp_requires_previous_segment():
         PulseSequence(init=singlet_x(), segments=(linear_ramp(j, 100.0),))
 
 
-def test_ramp_step_cap_raises():
+def test_empty_dwell_grid_rejected():
+    j = ExchangeConfig.balanced(50, 50)
+    with pytest.raises(ValueError, match="at least one time"):
+        PulseSequence(init=singlet_x(), segments=(hold(j, 0.0),), dwell_times=())
+
+
+def test_ramp_step_cap_raises(monkeypatch):
     j0 = ExchangeConfig.balanced(50, 0.5)
     j1 = ExchangeConfig.balanced(50, 50)
     seq = PulseSequence(init=singlet_x(), segments=(set_diabatic(j0), linear_ramp(j1, 300.0)))
     # the 300 ns ramp converges at n = 2048; the message names where it stopped
+    monkeypatch.setattr(dynamics, "RAMP_STEP_CAP", 256)
     with pytest.raises(RampConvergenceError, match=r"n=256 steps .* residual \d"):
-        run_sequence(seq, ramp_step_cap=256)
+        run_sequence(seq)
 
 
-def test_magnus_ramps_converge_within_4096_steps():
+def test_magnus_ramps_converge_within_4096_steps(monkeypatch):
     # fourth-order steps converge both ramps within 2048 steps; a second-order
     # (midpoint) rule needs 2^18 (singlet block) and 2^16 (16-dim) steps here
     j0 = ExchangeConfig.balanced(50, 0.5)
     j1 = ExchangeConfig.balanced(50, 50)
     singlet = PulseSequence(init=singlet_x(), segments=(set_diabatic(j0), linear_ramp(j1, 200.0)))
     product = PulseSequence(init=ST_INIT, segments=(set_diabatic(j0), linear_ramp(j1, 40.0)))
+    monkeypatch.setattr(dynamics, "RAMP_STEP_CAP", 4096)
     for seq in (singlet, product):
-        res = run_sequence(seq, ramp_step_cap=4096)
+        res = run_sequence(seq)
         assert res.states.shape == (1, 16)
         assert_allclose(np.linalg.norm(res.states), 1.0, atol=1e-12)
 
@@ -574,27 +573,26 @@ def test_magnus_ramps_converge_within_4096_steps():
 _STACK2, _STACK16 = _SECTORS[0][2], _SECTORS[-1][2]
 _PROPERTY = settings(max_examples=15, deadline=None)
 _couplings = st.lists(st.floats(0.5, 60.0), min_size=4, max_size=4).map(np.array)
-_modes = st.sampled_from(["voltage", "linear"])
 
 
 @_PROPERTY
-@given(_couplings, _couplings, st.floats(1.0, 80.0), st.sampled_from([64, 96, 256]), _modes,
+@given(_couplings, _couplings, st.floats(1.0, 80.0), st.sampled_from([64, 128, 256]),
        st.sampled_from([_STACK2, _STACK16]))
-def test_ramp_step_product_is_unitary(b0, b1, duration, n, mode, stack):
-    u = _ramp_unitary_once(b0, b1, duration, n, mode, stack)
+def test_ramp_step_product_is_unitary(b0, b1, duration, n, stack):
+    u = _ramp_unitary_once(b0, b1, duration, n, stack)
     assert_allclose(u @ u.conj().T, np.eye(len(u)), atol=1e-12)
 
 
 @_PROPERTY
-@given(_couplings, _couplings, st.floats(1.0, 80.0), _modes)
-def test_ramp_singlet_block_is_projected_full_space(b0, b1, duration, mode):
+@given(_couplings, _couplings, st.floats(1.0, 80.0))
+def test_ramp_singlet_block_is_projected_full_space(b0, b1, duration):
     # imbalanced endpoints make [H2, H1] nonzero inside every sector, which
     # pins the sign of the commutator term; the 4-dim m = -1 sector also
     # carries the (sector-invariant) Zeeman term as the constant part
     for q, qh, stack in _SECTORS[:3]:
         z = zeeman_full(ZeemanConfig()) * (len(q) == 4)
-        u_sector = _ramp_unitary_once(b0, b1, duration, 64, mode, stack, q @ z @ qh)
-        u16 = _ramp_unitary_once(b0, b1, duration, 64, mode, _STACK16, z)
+        u_sector = _ramp_unitary_once(b0, b1, duration, 64, stack, q @ z @ qh)
+        u16 = _ramp_unitary_once(b0, b1, duration, 64, _STACK16, z)
         assert_allclose(u_sector, q @ u16 @ qh, atol=1e-12)
 
 
@@ -605,8 +603,8 @@ def test_ramp_error_is_fourth_order(b0, rise, downward, duration):
     b1 = b0 + np.array(rise)
     if downward:
         b0, b1 = b1, b0
-    ref = _ramp_unitary_once(b0, b1, duration, 2**14, "voltage", _STACK2)
-    err = [np.abs(_ramp_unitary_once(b0, b1, duration, n, "voltage", _STACK2) - ref).max()
+    ref = _ramp_unitary_once(b0, b1, duration, 2**14, _STACK2)
+    err = [np.abs(_ramp_unitary_once(b0, b1, duration, n, _STACK2) - ref).max()
            for n in (64, 128)]
     assume(err[1] > 1e-11)  # well above the roundoff of the comparison
     assert 12.0 <= err[0] / err[1] <= 20.0

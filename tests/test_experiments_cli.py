@@ -15,6 +15,8 @@ from rvbsim.io import read_csv
 def test_resolve_params_rejects_unknown_keys():
     with pytest.raises(KeyError, match="unknown config"):
         resolve_params({"fig4b.not_a_key": 1})
+    with pytest.raises(KeyError, match="user.note"):
+        resolve_params({"user.note": 1})
     params = resolve_params({"fig4b.t_points": 44})
     assert params["fig4b.t_points"] == 44
 

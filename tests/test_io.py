@@ -94,6 +94,27 @@ def test_sequence_requires_init():
         sequence_from_text("segment hold j12=1 j34=1 j23=1 j14=1 dur=1\n")
 
 
+RAMP_TEXT = """init state sx
+segment diabatic j12=25 j34=25 j23=0.5 j14=0.5
+segment ramp j12=25 j34=25 j23=25 j14=25 dur=160 mode={mode}
+"""
+
+
+def test_ramp_mode_voltage_is_the_only_mode():
+    seq = sequence_from_text(RAMP_TEXT.format(mode="voltage"))
+    assert seq.segments[1].kind is SegmentKind.LINEAR_RAMP
+    assert sequence_from_text(sequence_to_text(seq)).segments == seq.segments
+    with pytest.raises(ValueError, match="sequence line 3: ramp mode must be 'voltage'"):
+        sequence_from_text(RAMP_TEXT.format(mode="linear"))
+
+
+@pytest.mark.parametrize("grid", ["0 300 0", "300 0 2", "0 300 -2", "0 300 inf"])
+def test_dwell_range_without_points_rejected(grid):
+    text = f"init state sx\nsegment hold j12=1 j34=1 j23=1 j14=1 dur=0\ndwell range {grid}\n"
+    with pytest.raises(ValueError, match="sequence line 3: dwell range .* makes no grid"):
+        sequence_from_text(text)
+
+
 def test_load_sequence(tmp_path):
     path = tmp_path / "seq.txt"
     path.write_text(SEQ_TEXT)
