@@ -18,14 +18,9 @@ from .basis import (
 from .hamiltonians import (
     DEFAULT_G_FACTORS,
     MU_B_OVER_H,
-    DoubleDotModel,
     ExchangeConfig,
     ZeemanConfig,
-    double_dot_energies,
-    find_st_anticrossing,
     heisenberg_full,
-    singlet_block,
-    triplet_block,
     triplet_block_split,
     triplet_block_transformed,
     zeeman_full,

@@ -191,13 +191,6 @@ def subspace_projector(basis: Basis) -> np.ndarray:
     return _SUBSPACE_KETS[basis].conj()
 
 
-def project(state: SpinState, basis: Basis) -> np.ndarray:
-    """Coordinates of a full-space state in a subspace basis (not renormalized)."""
-    if state.basis is not Basis.FULL16:
-        raise ValueError("project expects a full-space state")
-    return subspace_projector(basis) @ state.amplitudes
-
-
 def lift(coords: np.ndarray, basis: Basis) -> np.ndarray:
     """Full-space vector of subspace coordinates."""
     return subspace_projector(basis).conj().T @ np.asarray(coords, dtype=complex)

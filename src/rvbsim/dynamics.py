@@ -146,24 +146,6 @@ def f_st_perturbative(j: ExchangeConfig) -> float:
     return float(jy / 2 + dx**2 / jy + dy**2 / (2 * jx))
 
 
-def degenerate_frequencies(j_mhz: float, delta_x: float, delta_y: float) -> dict[str, float]:
-    """Spectral lines of the equal-exchange triplet-subspace oscillation (MHz).
-
-    Returns the two dominant lines ``f1 <= f2``, their slow ``beat``
-    (f2 - f1)/2 ~ (dx^2 + dy^2)/(4 J), and the ``fast`` carrier (f1 + f2)/2.
-    """
-    r = np.sqrt(j_mhz**2 + 4 * delta_x**2 + 4 * delta_y**2)
-    f1 = (j_mhz + r) / 4
-    f2 = r / 2
-    return {
-        "f1": float(f1),
-        "f2": float(f2),
-        "beat": float((f2 - f1) / 2),
-        "fast": float((f1 + f2) / 2),
-        "low": float(f2 - f1),
-    }
-
-
 def p_st_degenerate(j_mhz: float, delta_x: float, delta_y: float, t_ns):
     """Survival probability of the singlet/T- product at equal exchange jx = jy = J.
 

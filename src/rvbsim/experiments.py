@@ -54,8 +54,8 @@ from .fitting import CalibrationMap, find_ellipse_center, find_frequency_minimum
 from .io import write_csv, write_json
 from .readout import ReadoutConfig, ReadoutDirection, pair_probabilities_batch, sample_shots
 
-#: outcome column index per joint result, first readout pair first
-IDX_SS, IDX_ST, IDX_TS, IDX_TT = 0, 1, 2, 3
+#: outcome column index per joint result (readout.OUTCOMES order), first readout pair first
+IDX_SS, IDX_ST = 0, 1
 
 BOTH_READOUTS = (ReadoutDirection.HORIZONTAL, ReadoutDirection.VERTICAL)
 
@@ -606,6 +606,9 @@ def run_calibration(out_dir, seed: int = 0, overrides: dict | None = None) -> Ca
     the worst-case exchange uncertainty for the stated center precision.
     """
     params = resolve_params(overrides)
+    if params["calibrate.max_iterations"] < 1:
+        raise ValueError("calibrate.max_iterations must be at least 1, got "
+                         f"{params['calibrate.max_iterations']}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -116,26 +116,6 @@ def _model_jacobian(t, a, f, phi, tphi, a0):
     return jac
 
 
-def trace_to_csv(path, t_ns, p) -> None:
-    """Write a (t_ns, probability) trace."""
-    from .io import write_csv
-
-    write_csv(path, {"t_ns": np.asarray(t_ns), "probability": np.asarray(p)})
-
-
-def trace_from_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a (t_ns, probability) trace."""
-    from .io import read_csv
-
-    data = read_csv(path)
-    return data["t_ns"], data["probability"]
-
-
-def fit_trace_csv(path) -> FitResult:
-    """Fit the damped cosine to a trace file."""
-    return fit_damped_cosine(*trace_from_csv(path))
-
-
 def _dft_power(t: np.ndarray, x: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """|sum_j x_j exp(-2 pi i f t_j)| for every frequency f (MHz) of ``grid``, by a dense DFT."""
     return np.abs(np.exp(-1j * _W * np.outer(grid, t)) @ x)
@@ -406,21 +386,6 @@ class CalibrationMap:
             "dvy_mv": yy.ravel(),
             "probability": self.values.ravel(),
         })
-
-    @classmethod
-    def from_csv(cls, path, t_ns: float = 0.0) -> "CalibrationMap":
-        from .io import read_csv
-
-        data = read_csv(path)
-        dvx = np.unique(data["dvx_mv"])
-        dvy = np.unique(data["dvy_mv"])
-        values = np.full((len(dvx), len(dvy)), np.nan)
-        ix = np.searchsorted(dvx, data["dvx_mv"])
-        iy = np.searchsorted(dvy, data["dvy_mv"])
-        values[ix, iy] = data["probability"]
-        if np.isnan(values).any():
-            raise ValueError("map CSV does not cover a full rectangular grid")
-        return cls(dvx=dvx, dvy=dvy, values=values, t_ns=t_ns)
 
 
 @dataclass(frozen=True)

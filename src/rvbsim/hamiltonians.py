@@ -1,4 +1,4 @@
-"""Heisenberg and Zeeman Hamiltonians for the 2x2 array, plus the double-dot energy model.
+"""Heisenberg and Zeeman Hamiltonians for the 2x2 array.
 
 Energy unit is MHz (energy / h) throughout; magnetic fields are in mT.
 Time-evolution phase conventions live in :mod:`rvbsim.dynamics`.
@@ -109,25 +109,6 @@ class ZeemanConfig:
         return (self.g1, self.g2, self.g3, self.g4)
 
 
-@dataclass(frozen=True)
-class DoubleDotModel:
-    """Singlet/triplet energies of one detuned double dot.
-
-    ``tc`` is the tunnel coupling (MHz), ``sum_g`` the g-factor sum of the
-    pair, ``b_mt`` the field.  The measured upper bound on the spin-orbit
-    gap at the S/T- anticrossing is 2 MHz at 1 mT; it is a documented
-    magnitude, not a Hamiltonian term.
-    """
-
-    tc: float
-    sum_g: float
-    b_mt: float
-
-    def __post_init__(self):
-        if self.tc <= 0:
-            raise ValueError("tunnel coupling must be positive")
-
-
 _BONDS = {Pair.Q12: (1, 2), Pair.Q34: (3, 4), Pair.Q23: (2, 3), Pair.Q14: (1, 4)}
 
 
@@ -157,57 +138,12 @@ def heisenberg_full(j: ExchangeConfig) -> np.ndarray:
     )
 
 
-def singlet_block(jx: float, jy: float) -> np.ndarray:
-    """Heisenberg Hamiltonian restricted to the 2-dim total-spin-zero subspace.
-
-    In the x-pairing basis::
-
-        [[-jx - jy/4,  sqrt(3)/4 jy],
-         [sqrt(3)/4 jy,     -3/4 jy]]
-
-    The eigen-gap is sqrt(jx^2 - jx jy + jy^2).
-    """
-    if jx < 0 or jy < 0:
-        raise ValueError("couplings must be non-negative")
-    return np.array(
-        [
-            [-jx - jy / 4, _SQRT3 / 4 * jy],
-            [_SQRT3 / 4 * jy, -0.75 * jy],
-        ]
-    )
-
-
-def triplet_block(j: ExchangeConfig) -> np.ndarray:
-    """Heisenberg Hamiltonian in the natural m = -1 triplet basis (3x3).
-
-    Basis order {|S_12 T-_34>, |T-_12 S_34>, (|T0_12 T-_34> - |T-_12 T0_34>)/sqrt(2)}.
-    The sign of the delta_y coupling follows from these ket definitions
-    (it equals the projection of the full Hamiltonian entrywise).
-    """
-    jx, jy, dx, dy = j.jx, j.jy, j.delta_x, j.delta_y
-    c = dy / (2 * np.sqrt(2.0))
-    return np.array(
-        [
-            [-(jx + dx) / 2 - jy / 4, -jy / 4, c],
-            [-jy / 4, -(jx - dx) / 2 - jy / 4, c],
-            [c, c, -jy / 2],
-        ]
-    )
-
-
-_TRIPLET_SUMDIFF = np.array(
-    [
-        [1 / np.sqrt(2), -1 / np.sqrt(2), 0],
-        [1 / np.sqrt(2), 1 / np.sqrt(2), 0],
-        [0, 0, 1.0],
-    ]
-)  # rows: difference, sum, third ket
-
-
 def triplet_block_transformed(j: ExchangeConfig) -> np.ndarray:
     """Triplet-subspace Hamiltonian in the sum/difference basis.
 
-    Basis {(|0>-|1>)/sqrt(2), (|0>+|1>)/sqrt(2), |2>} of :func:`triplet_block`.
+    Basis {(|0>-|1>)/sqrt(2), (|0>+|1>)/sqrt(2), |2>} of the m = -1 triplet
+    kets |0> = |S_12 T-_34>, |1> = |T-_12 S_34> and
+    |2> = (|T0_12 T-_34> - |T-_12 T0_34>)/sqrt(2).
     Splits as a diagonal part carrying jx, jy and an off-diagonal part
     carrying only delta_x, delta_y; see :func:`triplet_block_split`.
     """
@@ -292,29 +228,3 @@ def zeeman_sector_elements(z: ZeemanConfig) -> dict[tuple[str, str], float]:
         ("Qm", "1_Tm"): e / s8 * (g3 - g4),
         ("Qm", "0_Tm"): e / s8 * (g1 - g2),
     }
-
-
-def double_dot_energies(m: DoubleDotModel, eps: float) -> tuple[float, float, float, float]:
-    """(E_S, E_T0, E_T+, E_T-) at detuning ``eps`` (MHz), (1,1) sector.
-
-    E_S = eps/2 - sqrt(eps^2/4 + 2 tc^2); the triplets are flat with the
-    polarized ones split by the pair Zeeman energy.
-    """
-    e_s = eps / 2 - np.sqrt(eps**2 / 4 + 2 * m.tc**2)
-    e_z = (m.sum_g / 2) * MU_B_OVER_H * m.b_mt
-    return (float(e_s), 0.0, float(e_z), float(-e_z))
-
-
-def find_st_anticrossing(m: DoubleDotModel, eps_max: float = 1000.0) -> float | None:
-    """Detuning where the singlet crosses T- within (0, eps_max], else None.
-
-    E_S(eps) = -e_z (e_z the pair Zeeman energy) squares to the unique root
-    eps* = (2 tc^2 - e_z^2) / e_z, as the gap E_S - E_T- rises with eps.  With
-    e_z <= 0 or e_z >= sqrt(2) tc there is none; larger tunnel coupling pushes
-    it out of the modelled range: the singlet then stays the ground state.
-    """
-    e_z = double_dot_energies(m, 0.0)[2]
-    if e_z <= 0:
-        return None
-    eps = (2 * m.tc**2 - e_z**2) / e_z
-    return float(eps) if 0 < eps <= eps_max else None

@@ -4,7 +4,7 @@ Config files are flat ``section.key = value`` documents (one per line,
 ``#`` comments); values parse as int, float, bool, or string.
 
 Pulse-sequence files (one directive per line; ``mode=voltage``, the only ramp
-mode, may be left out)::
+mode, may be left out, and other segments take no ``mode``)::
 
     init product S Q12 T- Q34        # pair states on two disjoint pairs
     init state swave                 # or: sx, sy, dwave
@@ -27,15 +27,7 @@ import numpy as np
 
 from .basis import Basis, Pair, PairLabel, PairState, SpinState, pair_product_state
 from .basis import d_wave, s_wave, singlet_x, singlet_y
-from .dynamics import (
-    PulseSegment,
-    PulseSequence,
-    SegmentKind,
-    exchange_pulse,
-    hold,
-    linear_ramp,
-    set_diabatic,
-)
+from .dynamics import PulseSegment, PulseSequence, SegmentKind
 from .hamiltonians import ExchangeConfig
 
 
@@ -76,11 +68,6 @@ def _parse_scalar(value: str):
 
 def load_config(path) -> dict:
     return parse_config(Path(path).read_text())
-
-
-def format_config(cfg: dict) -> str:
-    lines = [f"{key} = {cfg[key]}" for key in sorted(cfg)]
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -197,16 +184,11 @@ def _parse_segment(tokens: list[str]) -> PulseSegment:
         j14=float(kv.pop("j14")),
     )
     duration = float(kv.pop("dur", 0.0))
-    if kv.pop("mode", "voltage") != "voltage":
+    if kind is SegmentKind.LINEAR_RAMP and kv.pop("mode", "voltage") != "voltage":
         raise ValueError("ramp mode must be 'voltage'")
     if kv:
         raise ValueError(f"unknown segment fields {sorted(kv)}")
-    return {
-        SegmentKind.SET_DIABATIC: set_diabatic,
-        SegmentKind.LINEAR_RAMP: linear_ramp,
-        SegmentKind.HOLD: hold,
-        SegmentKind.EXCHANGE_PULSE: exchange_pulse,
-    }[kind](config, duration)
+    return PulseSegment(kind, config, duration)
 
 
 def _parse_dwell(tokens: list[str]) -> tuple[float, ...]:
@@ -218,43 +200,3 @@ def _parse_dwell(tokens: list[str]) -> tuple[float, ...]:
         n = int(round((stop - start) / step)) + 1
         return tuple(start + step * k for k in range(n))
     return tuple(float(tok) for tok in tokens)
-
-
-def sequence_to_text(seq: PulseSequence) -> str:
-    lines = [_format_init(seq.init)]
-    for seg in seq.segments:
-        kind = {v: k for k, v in _SEGMENT_KINDS.items()}[seg.kind]
-        t = seg.target
-        parts = [
-            f"segment {kind}",
-            f"j12={t.j12:.10g}", f"j34={t.j34:.10g}",
-            f"j23={t.j23:.10g}", f"j14={t.j14:.10g}",
-            f"dur={seg.duration:.10g}",
-        ]
-        lines.append(" ".join(parts))
-    if seq.dwell_times is not None:
-        lines.append("dwell " + " ".join(f"{t:.10g}" for t in seq.dwell_times))
-    return "\n".join(lines) + "\n"
-
-
-def _format_init(state: SpinState) -> str:
-    for name, factory in _NAMED_INITS.items():
-        ref = factory()
-        if state.basis is ref.basis and np.allclose(state.amplitudes, ref.amplitudes, atol=1e-12):
-            return f"init state {name}"
-    if state.basis is Basis.FULL16:
-        for la, pa, lb, pb in _product_candidates():
-            ref = pair_product_state(PairState(pa, _LABELS[la]), PairState(pb, _LABELS[lb]))
-            if np.allclose(state.amplitudes, ref.amplitudes, atol=1e-12):
-                return f"init product {la} {pa.name} {lb} {pb.name}"
-    amps = " ".join(f"{a.real:.10g}:{a.imag:.10g}" for a in state.amplitudes)
-    return f"init amplitudes {state.basis.name.lower()} {amps}"
-
-
-def _product_candidates():
-    pairs = [(Pair.Q12, Pair.Q34), (Pair.Q34, Pair.Q12), (Pair.Q23, Pair.Q14), (Pair.Q14, Pair.Q23)]
-    labels = list(_LABELS)
-    for pa, pb in pairs:
-        for la in labels:
-            for lb in labels:
-                yield la, pa, lb, pb

@@ -3,9 +3,9 @@
 The two parallel pairs are read one after the other (the idle pair is
 assumed perfectly isolated); because the pair projectors act on disjoint
 dots they commute, so the sequential readout equals the joint projective
-measurement.  Charge physics is abstracted into per-pair assignment
-fidelities ``f_s``/``f_t`` (probability that a true singlet/triplet is
-recorded as such), defaulting to ideal.
+measurement.  Readout is ideal: each pair's singlet/triplet outcome is
+recorded as it is, and charge-sensor physics and assignment errors are not
+modelled.
 
 Batch readout takes states either in the full space or in one of the
 invariant sectors a sequence runs in: for each outcome it contracts the d
@@ -13,8 +13,8 @@ sector coordinates with a factor of the outcome projector compressed to the
 sector (rank <= d, built once per direction and basis), so a noisy ensemble
 is read out without lifting it to 16 dims.
 
-Shots are drawn per point as multinomial counts of the recorded outcomes,
-one draw for a whole stack of points, from the stream :func:`rng` names
+Shots are drawn per point as multinomial counts of the outcomes, one
+draw for a whole stack of points, from the stream :func:`rng` names
 by a key such as (seed, figure, panel, column).
 """
 
@@ -46,14 +46,10 @@ class ReadoutDirection(enum.Enum):
 @dataclass(frozen=True)
 class ReadoutConfig:
     direction: ReadoutDirection
-    f_s: float = 1.0
-    f_t: float = 1.0
     n_shots: int = 500
     seed: int | tuple[int, ...] = 0
 
     def __post_init__(self):
-        if not (0.5 < self.f_s <= 1.0 and 0.5 < self.f_t <= 1.0):
-            raise ValueError("readout fidelities must be in (0.5, 1]")
         if self.n_shots < 1:
             raise ValueError("n_shots must be at least 1")
 
@@ -139,7 +135,6 @@ class ShotRecord:
 
     recorded: np.ndarray
     n_shots: int
-    direction: ReadoutDirection
 
     def __post_init__(self):
         arr = np.asarray(self.recorded)
@@ -156,11 +151,6 @@ class ShotRecord:
     def probabilities(self) -> np.ndarray:
         """Empirical (P_SS, P_ST, P_TS, P_TT) per point; each row sums to 1."""
         return self.recorded / self.n_shots
-
-    def standard_errors(self) -> np.ndarray:
-        """Binomial standard error per outcome probability."""
-        p = self.probabilities()
-        return np.sqrt(p * (1 - p) / self.n_shots)
 
 
 _KEY_MASK = (1 << 64) - 1
@@ -180,13 +170,12 @@ def rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def sample_shots(probs, cfg: ReadoutConfig) -> ShotRecord:
-    """Draw ``cfg.n_shots`` recorded shots at every point of a (..., 4) probability stack.
+    """Draw ``cfg.n_shots`` shots at every point of a (..., 4) probability stack.
 
-    A true singlet is recorded as singlet with probability ``f_s``, a true
-    triplet as triplet with probability ``f_t``, independently per pair and
-    shot; the recorded outcomes of a point are therefore multinomial in
-    :func:`expected_recorded_probabilities`, drawn in one call.
-    Deterministic given ``cfg.seed``, an int or a key tuple for :func:`rng`.
+    The outcome counts of a point are multinomial in its probabilities ``p``
+    (validated, clipped at 0 and renormalised), drawn for the whole stack in
+    one call.  Deterministic given ``cfg.seed``, an int or a key tuple for
+    :func:`rng`.
     """
     p = np.asarray(probs, dtype=float)
     if p.ndim < 1 or p.shape[-1] != len(OUTCOMES):
@@ -196,13 +185,5 @@ def sample_shots(probs, cfg: ReadoutConfig) -> ShotRecord:
     p = np.clip(p, 0, None)
     p = p / p.sum(axis=-1, keepdims=True)
     key = cfg.seed if isinstance(cfg.seed, tuple) else (cfg.seed,)
-    counts = rng(*key).multinomial(cfg.n_shots, expected_recorded_probabilities(p, cfg.f_s, cfg.f_t))
-    return ShotRecord(recorded=counts, n_shots=cfg.n_shots, direction=cfg.direction)
-
-
-def expected_recorded_probabilities(probs, f_s: float, f_t: float) -> np.ndarray:
-    """Joint probabilities (..., 4) after the independent per-pair error channel."""
-    p = np.asarray(probs, dtype=float)
-    m1 = np.array([[f_s, 1 - f_t], [1 - f_s, f_t]])  # recorded x true, one pair
-    joint = p.reshape(*p.shape[:-1], 2, 2)
-    return (m1 @ joint @ m1.T).reshape(p.shape)
+    counts = rng(*key).multinomial(cfg.n_shots, p)
+    return ShotRecord(recorded=counts, n_shots=cfg.n_shots)

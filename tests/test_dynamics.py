@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from hamiltonian_blocks import singlet_block
 from rvbsim import dynamics
 from rvbsim.basis import (
     Basis,
@@ -30,7 +31,6 @@ from rvbsim.dynamics import (
     exchange_pulse,
     f_ss,
     f_st_perturbative,
-    degenerate_frequencies,
     ground_state_probabilities,
     hold,
     linear_ramp,
@@ -51,7 +51,6 @@ from rvbsim.hamiltonians import (
     ExchangeConfig,
     ZeemanConfig,
     heisenberg_full,
-    singlet_block,
     triplet_block_transformed,
     zeeman_full,
 )
@@ -216,21 +215,12 @@ def test_p_st_degenerate_matches_exact_three_level():
 def test_p_st_degenerate_special_case_frequency():
     # with delta_y = 0 the oscillation runs at J/2 + dx^2/J
     j, dx = 40.0, 2.0
-    freqs = degenerate_frequencies(j, dx, 0.0)
-    assert_allclose(freqs["f2"], j / 2 + dx**2 / j, rtol=3e-4)
-    # spectral content of the trace itself
     t = np.arange(0, 8000, 0.5)
     p = p_st_degenerate(j, dx, 0.0, t)
     padded = 8 * len(t)
     spec = np.abs(np.fft.rfft(p - p.mean(), n=padded))
     f_axis = np.fft.rfftfreq(padded, 0.5) * 1e3
     assert_allclose(f_axis[int(np.argmax(spec))], j / 2 + dx**2 / j, rtol=2e-3)
-
-
-def test_degenerate_beat_frequency():
-    j, dx, dy = 25.0, 1.2, 0.9
-    freqs = degenerate_frequencies(j, dx, dy)
-    assert_allclose(freqs["beat"], (dx**2 + dy**2) / (4 * j), rtol=5e-3)
 
 
 def test_tphi_sigma_round_trip():

@@ -94,6 +94,20 @@ def test_calibration_with_drift_hook(tmp_path):
     assert payload["report"]["converged"] is True
 
 
+@pytest.mark.parametrize("iterations", [0, -1])
+def test_calibration_rejects_max_iterations_below_one(tmp_path, monkeypatch, iterations):
+    # refused before any scan: the loop would never fit an ellipse to report
+    from rvbsim import experiments
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a scan ran")
+
+    monkeypatch.setattr(experiments, "st_scan", no_scan)
+    with pytest.raises(ValueError, match="calibrate.max_iterations must be at least 1"):
+        run_calibration(tmp_path / "out", overrides={"calibrate.max_iterations": iterations})
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_figure_list(capsys):
     assert main(["figure", "list"]) == 0
     out = capsys.readouterr().out

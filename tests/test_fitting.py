@@ -27,6 +27,7 @@ from rvbsim.fitting import (
     find_frequency_minimum,
     fit_damped_cosine,
 )
+from rvbsim.io import read_csv
 
 
 def damped_cosine(t, a, f, phi, tphi, a0):
@@ -319,22 +320,10 @@ def test_calibration_map_validation_and_csv(tmp_path):
     cal.to_csv(path)
     header = path.read_text().splitlines()[0]
     assert header == "dvx_mv,dvy_mv,probability"
-    back = CalibrationMap.from_csv(path, t_ns=cal.t_ns)
-    assert_allclose(back.values, cal.values, atol=1e-9)
-    assert_allclose(back.dvx, cal.dvx, atol=1e-9)
-
-
-def test_trace_csv_round_trip_and_fit(tmp_path):
-    from rvbsim.fitting import fit_trace_csv, trace_from_csv, trace_to_csv
-
-    t = np.linspace(0, 250, 70)
-    p = damped_cosine(t, 0.3, 40.0, 0.4, 150.0, 0.5)
-    path = tmp_path / "trace.csv"
-    trace_to_csv(path, t, p)
-    t2, p2 = trace_from_csv(path)
-    assert_allclose(t2, t, atol=1e-8)
-    fit = fit_trace_csv(path)
-    assert_allclose(fit.f, 40.0, rtol=1e-6)
+    back = {name: col.reshape(5, 7) for name, col in read_csv(path).items()}
+    assert_allclose(back["probability"], cal.values, atol=1e-9)
+    assert_allclose(back["dvx_mv"], np.repeat(cal.dvx[:, None], 7, axis=1), atol=1e-9)
+    assert_allclose(back["dvy_mv"], np.repeat(cal.dvy[None, :], 5, axis=0), atol=1e-9)
 
 
 def test_undetermined_decay_time_has_infinite_sigma():

@@ -1,18 +1,13 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.optimize import brentq
 
+from hamiltonian_blocks import singlet_block, triplet_block
 from rvbsim.basis import Basis, singlet_x, subspace_projector, total_spin_operators
 from rvbsim.hamiltonians import (
-    DoubleDotModel,
     ExchangeConfig,
     ZeemanConfig,
-    double_dot_energies,
-    find_st_anticrossing,
     heisenberg_full,
-    singlet_block,
-    triplet_block,
     triplet_block_split,
     triplet_block_transformed,
     zeeman_full,
@@ -195,77 +190,3 @@ def test_zeeman_quintuplet_element_zero_against_first_singlet():
     hz = zeeman_full(z)
     kets = zeeman_sector_kets()
     assert abs(np.vdot(kets["2_T0"], hz @ kets["0_S"])) < 1e-14
-
-
-def test_double_dot_energies():
-    m = DoubleDotModel(tc=10.0, sum_g=0.5, b_mt=1.0)
-    e_s, e_t0, e_tp, e_tm = double_dot_energies(m, eps=0.0)
-    assert_allclose(e_s, -np.sqrt(2) * 10.0, atol=1e-12)
-    assert e_t0 == 0.0
-    assert_allclose(e_tp, 0.25 * 13.996, atol=1e-12)
-    assert_allclose(e_tm, -e_tp, atol=0)
-    with pytest.raises(ValueError):
-        DoubleDotModel(tc=0.0, sum_g=0.5, b_mt=1.0)
-
-
-def test_anticrossing_moves_out_with_tunnel_coupling():
-    # numeric root-find oracle: E_S(eps) = E_T- defines the crossing
-    b, sum_g = 1.0, 0.5
-    eps_max = 500.0
-    found = []
-    for tc in (3.0, 6.0, 12.0):
-        m = DoubleDotModel(tc=tc, sum_g=sum_g, b_mt=b)
-        eps_so = find_st_anticrossing(m, eps_max=eps_max)
-        assert eps_so is not None
-        e = double_dot_energies(m, eps_so)
-        assert_allclose(e[0], e[3], atol=1e-6)
-        found.append(eps_so)
-    assert found == sorted(found)  # larger tc pushes the crossing out
-    # large enough tunnel coupling removes the crossing entirely
-    assert find_st_anticrossing(DoubleDotModel(tc=30.0, sum_g=sum_g, b_mt=b), eps_max) is None
-
-
-def test_no_anticrossing_at_zero_field():
-    m = DoubleDotModel(tc=5.0, sum_g=0.5, b_mt=0.0)
-    assert find_st_anticrossing(m, eps_max=500.0) is None
-
-
-def test_anticrossing_closed_form_matches_root_find():
-    # the gap E_S - E_T- = E_S + e_z is bracketed on [0, eps_max] exactly when a crossing exists
-    eps_max = 1000.0
-    outcomes = set()
-    for tc in (2.0, 5.0, 10.0, 20.0, 30.0):
-        for sum_g in (0.3, 0.5, 0.9):
-            for b in (0.5, 1.0, 2.0, 4.0):
-                m = DoubleDotModel(tc=tc, sum_g=sum_g, b_mt=b)
-                e_z = double_dot_energies(m, 0.0)[2]
-
-                def gap(eps):
-                    return double_dot_energies(m, eps)[0] + e_z
-
-                eps_so = find_st_anticrossing(m, eps_max=eps_max)
-                if gap(0.0) >= 0:
-                    outcomes.add("T- lowest at eps = 0")
-                    assert eps_so is None
-                elif gap(eps_max) < 0:
-                    outcomes.add("beyond eps_max")
-                    assert eps_so is None
-                else:
-                    outcomes.add("crossing")
-                    root = brentq(gap, 0.0, eps_max, xtol=1e-12)
-                    assert abs(eps_so - root) <= 1e-9 * max(1.0, root)
-    assert len(outcomes) == 3
-
-
-def test_anticrossing_absent_cases():
-    tc, sum_g = 5.0, 0.5
-    e_z_per_mt = double_dot_energies(DoubleDotModel(tc=tc, sum_g=sum_g, b_mt=1.0), 0.0)[2]
-    # reversed field, or e_z at and above sqrt(2) tc: T- never lies above the singlet
-    for b in (-1.0, np.sqrt(2) * tc / e_z_per_mt, 2 * tc / e_z_per_mt):
-        assert find_st_anticrossing(DoubleDotModel(tc=tc, sum_g=sum_g, b_mt=b)) is None
-    # the crossing lies beyond eps_max
-    m = DoubleDotModel(tc=tc, sum_g=sum_g, b_mt=1.0)
-    eps_so = find_st_anticrossing(m)
-    assert eps_so is not None
-    assert find_st_anticrossing(m, eps_max=eps_so) == eps_so
-    assert find_st_anticrossing(m, eps_max=0.999 * eps_so) is None
