@@ -21,7 +21,7 @@ from rvbsim import (
     visibilities,
 )
 from rvbsim.fitting import fit_damped_cosine
-from rvbsim.readout import pair_probabilities_batch
+from rvbsim.readout import ensemble_probabilities
 
 jx, jy = 50.0, 50.0  # MHz; all four couplings at 25 MHz
 j = ExchangeConfig.balanced(jx, jy)
@@ -31,9 +31,9 @@ seq = PulseSequence(init=singlet_x(), segments=(set_diabatic(j), hold(j, 0.0)),
                     dwell_times=tuple(t))
 res = run_sequence(seq)
 
-# read out in the 2-dim singlet sector the sequence ran in (sample axis 0: noiseless)
-p_x = pair_probabilities_batch(res.amplitudes[0], ReadoutDirection.HORIZONTAL, res.sector)[:, 0]
-p_y = pair_probabilities_batch(res.amplitudes[0], ReadoutDirection.VERTICAL, res.sector)[:, 0]
+# singlet-singlet probability (outcome 0) in each readout direction
+p_x = ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)[:, 0]
+p_y = ensemble_probabilities(res, ReadoutDirection.VERTICAL)[:, 0]
 
 fit = fit_damped_cosine(t, p_x)
 print(f"fitted oscillation frequency: {fit.f:.4f} MHz")

@@ -9,7 +9,6 @@ from rvbsim import (
     ExchangeConfig,
     NoiseModel,
     PulseSequence,
-    ReadoutConfig,
     ReadoutDirection,
     dephasing_envelope,
     hold,
@@ -20,7 +19,7 @@ from rvbsim import (
     singlet_x,
 )
 from rvbsim.fitting import fit_damped_cosine
-from rvbsim.readout import pair_probabilities_batch
+from rvbsim.readout import ensemble_probabilities
 
 tphi = 130.0  # ns
 sigma = sigma_from_tphi(tphi)
@@ -41,14 +40,11 @@ t = np.linspace(0.0, 300.0, 61)
 seq = PulseSequence(init=singlet_x(), segments=(set_diabatic(j), hold(j, 0.0)),
                     dwell_times=tuple(t))
 res = run_sequence(seq, noise)
-# read out the (nodes, dwell, 2) singlet-sector amplitudes, then take the
-# quadrature-weighted ensemble average
-probs = pair_probabilities_batch(res.amplitudes, ReadoutDirection.HORIZONTAL, res.sector)
-probs = np.tensordot(res.weights, probs, axes=1)
+# quadrature-weighted ensemble average of the horizontal readout, (dwell, 4)
+probs = ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)
 
 # one multinomial draw gives 500 recorded shots at every dwell point
-cfg = ReadoutConfig(ReadoutDirection.HORIZONTAL, n_shots=500, seed=(2, 0))
-measured = sample_shots(probs, cfg).probabilities()[:, 0]
+measured = sample_shots(probs, 500, (2, 0)).probabilities()[:, 0]
 
 fit = fit_damped_cosine(t, measured)
 print("\nfit of the 500-shot trace:")

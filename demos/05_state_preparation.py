@@ -25,7 +25,7 @@ from rvbsim import (
     set_diabatic,
     singlet_x,
 )
-from rvbsim.readout import pair_probabilities_batch
+from rvbsim.readout import ensemble_probabilities
 
 jj = 50.0  # equal-exchange sums (all couplings at 25 MHz)
 start = ExchangeConfig.balanced(jj, 0.5)
@@ -41,8 +41,8 @@ for t_ramp in (40.0, 140.0, 400.0, 4000.0):
         dwell_times=dwell,
     )
     res = run_sequence(seq)
-    fid = np.abs(res.states_full() @ s_wave(Basis.FULL16).amplitudes.conj()) ** 2
-    p_x = pair_probabilities_batch(res.amplitudes[0], ReadoutDirection.HORIZONTAL, res.sector)[:, 0]
+    fid = np.abs(res.states[0] @ s_wave(Basis.FULL16).amplitudes.conj()) ** 2
+    p_x = ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)[:, 0]
     print(f"  {t_ramp:6.0f}  {fid.mean():10.6f}   {np.ptp(p_x):.2e}")
 
 # Half-swap pulse: evolve under a single bond for half its swap period.
@@ -56,9 +56,9 @@ seq = PulseSequence(
     dwell_times=dwell,
 )
 res = run_sequence(seq)
-fid_d = np.abs(res.states_full() @ d_wave(Basis.FULL16).amplitudes.conj()) ** 2
-p_x = pair_probabilities_batch(res.amplitudes[0], ReadoutDirection.HORIZONTAL, res.sector)[:, 0]
-p_y = pair_probabilities_batch(res.amplitudes[0], ReadoutDirection.VERTICAL, res.sector)[:, 0]
+fid_d = np.abs(res.states[0] @ d_wave(Basis.FULL16).amplitudes.conj()) ** 2
+p_x = ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)[:, 0]
+p_y = ensemble_probabilities(res, ReadoutDirection.VERTICAL)[:, 0]
 print(f"\nhalf-swap pulse ({t_j:.0f} ns on the Q23 bond):")
 print(f"  excited-state fidelity: {fid_d.min():.6f}")
 print(f"  singlet-singlet probabilities: {p_x.mean():.3f} / {p_y.mean():.3f} (both 1/4)")
@@ -75,5 +75,5 @@ for scale in (0.0, 0.5, 1.0, 1.5, 2.0):
         dwell_times=dwell,
     )
     res = run_sequence(seq)
-    p = np.abs(res.states_full() @ singlet_x().amplitudes.conj()) ** 2
+    p = ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)[:, 0]
     print(f"  t_J = {scale * t_j:5.1f} ns -> visibility {np.ptp(p):.3f}")

@@ -62,10 +62,8 @@ from .dynamics import (
     visibilities,
 )
 from .readout import (
-    ReadoutConfig,
     ReadoutDirection,
     ShotRecord,
-    measure_pair_probabilities,
     sample_shots,
 )
 from .fitting import (

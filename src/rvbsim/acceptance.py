@@ -57,7 +57,7 @@ from .hamiltonians import (
     zeeman_sector_elements,
     zeeman_sector_kets,
 )
-from .readout import ReadoutDirection, measure_pair_probabilities
+from .readout import ReadoutDirection, ensemble_probabilities, pair_probabilities_batch
 from .readout import rng as stream
 
 
@@ -86,7 +86,7 @@ def check_frequency_law(seed: int = 0) -> CheckResult:
             dwell_times=tuple(t),
         )
         res = run_sequence(seq)
-        p = np.abs(res.states[:, 0]) ** 2
+        p = ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)[:, 0]
         fit = fit_damped_cosine(t, p)
         worst = max(worst, abs(fit.f - f_law) / f_law)
     elapsed = time.perf_counter() - start
@@ -107,11 +107,11 @@ def check_visibility_law(seed: int = 0) -> CheckResult:
         vx, vy = visibilities(jx, jy) if (jx or jy) else (0, 0)
         h = heisenberg_full(ExchangeConfig.balanced(jx, jy))
         half = 0.5e3 / f_ss(jx, jy)
-        p0_x = measure_pair_probabilities(sx, ReadoutDirection.HORIZONTAL)[0]
-        p0_y = measure_pair_probabilities(sx, ReadoutDirection.VERTICAL)[0]
+        p0_x = pair_probabilities_batch(sx.amplitudes, ReadoutDirection.HORIZONTAL)[0]
+        p0_y = pair_probabilities_batch(sx.amplitudes, ReadoutDirection.VERTICAL)[0]
         psi = evolve(sx, h, half)
-        ph_x = measure_pair_probabilities(psi, ReadoutDirection.HORIZONTAL)[0]
-        ph_y = measure_pair_probabilities(psi, ReadoutDirection.VERTICAL)[0]
+        ph_x = pair_probabilities_batch(psi.amplitudes, ReadoutDirection.HORIZONTAL)[0]
+        ph_y = pair_probabilities_batch(psi.amplitudes, ReadoutDirection.VERTICAL)[0]
         worst = max(worst, abs((p0_x - ph_x) - vx), abs((ph_y - p0_y) - vy))
         if jy > 0 and not (p0_x - ph_x > 0 > p0_y - ph_y):
             anti_ok = False
@@ -234,7 +234,7 @@ def _residual_amplitude(t_ramp: float, jx: float, jy0: float) -> float:
         dwell_times=dwell,
     )
     res = run_sequence(seq)
-    p = np.abs(res.states @ singlet_x().amplitudes.conj()) ** 2
+    p = ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)[:, 0]
     return float(np.ptp(p)) / 2
 
 
@@ -254,10 +254,10 @@ def check_s_wave_preparation(seed: int = 0) -> CheckResult:
         segments=(set_diabatic(ExchangeConfig.balanced(jx, jy0)), linear_ramp(target, t_ramp)),
     )
     res = run_sequence(seq)
-    final = SpinState(Basis.FULL16, res.states[0])
+    final = SpinState(Basis.FULL16, res.states[0, 0])
     fidelity = abs(np.vdot(s_wave(Basis.FULL16).amplitudes, final.amplitudes)) ** 2
-    p_x = measure_pair_probabilities(final, ReadoutDirection.HORIZONTAL)[0]
-    p_y = measure_pair_probabilities(final, ReadoutDirection.VERTICAL)[0]
+    p_x = pair_probabilities_batch(final.amplitudes, ReadoutDirection.HORIZONTAL)[0]
+    p_y = pair_probabilities_batch(final.amplitudes, ReadoutDirection.VERTICAL)[0]
     plateau_ok = abs(p_x - 0.75) <= 0.005 and abs(p_y - 0.75) <= 0.005
 
     ramps = [140.0, 180.0, 220.0, 260.0, 300.0]
@@ -283,10 +283,8 @@ def check_d_wave_preparation(seed: int = 0) -> CheckResult:
         dwell_times=dwell,
     )
     res = run_sequence(seq)
-    from .readout import pair_probabilities_batch
-
-    p_x = pair_probabilities_batch(res.amplitudes[0], ReadoutDirection.HORIZONTAL, res.sector)[:, 0]
-    p_y = pair_probabilities_batch(res.amplitudes[0], ReadoutDirection.VERTICAL, res.sector)[:, 0]
+    p_x = ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)[:, 0]
+    p_y = ensemble_probabilities(res, ReadoutDirection.VERTICAL)[:, 0]
     vis = max(np.ptp(p_x), np.ptp(p_y))
     mean_ok = abs(p_x.mean() - 0.25) <= 0.005 and abs(p_y.mean() - 0.25) <= 0.005
     elapsed = time.perf_counter() - start
@@ -415,7 +413,7 @@ def check_conservation_suite(seed: int = 0) -> CheckResult:
                                 dwell_times=dwell)
             h = heisenberg_full(j) + (0.0 if zeeman is None else zeeman_full(zeeman))
             full = np.stack([evolve(init, h, t).amplitudes for t in dwell])
-            fast = run_sequence(seq, zeeman=zeeman).states
+            fast = run_sequence(seq, zeeman=zeeman).states[0]
             sub_worst = max(sub_worst, float(np.abs(full - fast).max()))
 
     oracle_worst = 0.0

@@ -21,6 +21,22 @@ def _quadrature_nodes(text: str) -> int:
     return n
 
 
+def _noise_std(text: str) -> float:
+    """``--sigma-f`` value: a finite, non-negative frequency noise std (MHz)."""
+    sigma = float(text)
+    if not 0 <= sigma < np.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
+    return sigma
+
+
+def _shot_count(text: str) -> int:
+    """``--shots`` value: a non-negative shot count (0 draws no shots)."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return n
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--spec", type=Path, default=None,
                         help="flat key-value config overriding the built-in defaults")
@@ -52,12 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sim)
     sim.add_argument("--direction", choices=["horizontal", "vertical", "both"],
                      default="both", help="readout direction(s) to tabulate")
-    sim.add_argument("--sigma-f", type=float, default=0.0,
+    sim.add_argument("--sigma-f", type=_noise_std, default=0.0,
                      help="quasi-static frequency noise std (MHz)")
     sim.add_argument("--samples", type=_quadrature_nodes, default=16,
                      help="noise ensemble size in Gauss-Hermite quadrature nodes "
                           f"(1..{MAX_QUADRATURE_NODES})")
-    sim.add_argument("--shots", type=int, default=0,
+    sim.add_argument("--shots", type=_shot_count, default=0,
                      help="also sample this many readout shots per dwell point")
     return parser
 
@@ -109,9 +125,9 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     from .dynamics import run_sequence
-    from .experiments import SHOT_STREAMS, ensemble_probabilities
+    from .experiments import SHOT_STREAMS
     from .io import load_sequence, write_csv
-    from .readout import OUTCOMES, ReadoutConfig, ReadoutDirection, sample_shots
+    from .readout import OUTCOMES, ReadoutDirection, ensemble_probabilities, sample_shots
 
     seq = load_sequence(args.sequence)
     noise = None
@@ -132,9 +148,8 @@ def cmd_simulate(args) -> int:
         for k, outcome in enumerate(OUTCOMES):
             columns[f"p_{outcome.lower()}_{tag}"] = probs[:, k]
         if args.shots > 0:
-            cfg = ReadoutConfig(direction, n_shots=args.shots,
-                                seed=(args.seed, SHOT_STREAMS["simulate"], panel, 0))
-            sampled = sample_shots(probs, cfg).probabilities()
+            key = (args.seed, SHOT_STREAMS["simulate"], panel, 0)
+            sampled = sample_shots(probs, args.shots, key).probabilities()
             for k, outcome in enumerate(OUTCOMES):
                 columns[f"shots_{outcome.lower()}_{tag}"] = sampled[:, k]
 

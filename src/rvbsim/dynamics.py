@@ -13,10 +13,9 @@ less than RAMP_TOL between n/2 and n steps, up to RAMP_STEP_CAP steps.
 Sequences run in the smallest invariant sector holding the initial state
 (2-dim total singlet, 3-dim S=1 m=-1 triplet, 4-dim m=-1 sector, or the
 full space); exchange conserves S^2 and S_z for any couplings, so this is exact.
-A :class:`SequenceResult` keeps the amplitudes in that sector, to be read out
-there; its ``states`` and ``states_full()`` are lifts built only when accessed.
-The result basis is the initial state's, except that a singlet-block start
-which a Zeeman term drives out of the block is returned in the full space.
+A :class:`SequenceResult` keeps the amplitudes in that sector, where
+:func:`rvbsim.readout.ensemble_probabilities` reads them out; its ``states``
+property lifts them to the full space on each access.
 
 Quasi-static noise: each trajectory carries one Gaussian frequency offset
 (std ``sigma_f``) and scales every exchange coupling by the common factor
@@ -304,9 +303,9 @@ def linear_ramp(target: ExchangeConfig, duration: float) -> PulseSegment:
 class PulseSequence:
     """Initial state, ordered segments, and an optional dwell-time grid.
 
-    With ``dwell_times`` set, the final segment must be a HOLD whose
-    duration is swept over the grid; the result then holds one state per
-    dwell time.
+    With ``dwell_times`` set, the final segment must be a HOLD of duration
+    0, the grid taking the place of its duration; the result then holds one
+    state per dwell time.
     """
 
     init: SpinState
@@ -328,6 +327,8 @@ class PulseSequence:
                 raise ValueError("dwell times must be non-negative")
             if segments[-1].kind is not SegmentKind.HOLD:
                 raise ValueError("a dwell grid sweeps the final segment, which must be a HOLD")
+            if segments[-1].duration != 0:
+                raise ValueError("a dwell grid sets the final HOLD's duration, which must be 0")
             object.__setattr__(self, "dwell_times", dw)
 
 
@@ -336,49 +337,26 @@ class SequenceResult:
     """States returned by :func:`run_sequence`.
 
     ``amplitudes`` holds the states in the invariant sector the sequence
-    ran in, shape (n_samples, n_dwell, d) with ``sector`` the basis of the
-    d coordinates; a noiseless run has n_samples = 1, and without a dwell
-    grid the n_dwell axis is 1.  Read out in the sector with
-    ``pair_probabilities_batch(amplitudes, direction, sector)`` and average
-    the ensemble as ``weights @ probabilities``: ``weights`` are the
-    quadrature weights of the noise trajectories (``[1.0]`` without noise).
-    ``clipped_weight`` is the total weight of trajectories whose coupling
-    scale factor ``1 + offset/f_ref`` was negative and clipped to 0.
-
-    ``basis`` is the basis of ``states``: the initial state's basis, except
-    that a ``GLOBAL_SINGLET_2`` start whose sector is larger (a Zeeman term
-    that leaves the singlet block) reports ``FULL16``.  ``states`` (lifted
-    to ``basis``) and :meth:`states_full` (lifted to 16 dims) are built on
-    each access; ``states`` has shape (n_dwell, dim) without noise and
-    (n_samples, n_dwell, dim) with noise.
+    ran in, shape (n_nodes, n_dwell, d) with ``sector`` the basis of the
+    d coordinates; a noiseless run is a one-node ensemble, and without a
+    dwell grid the n_dwell axis is 1.  ``weights`` are the quadrature
+    weights of the noise nodes (``[1.0]`` without noise).  Read a result
+    out with :func:`rvbsim.readout.ensemble_probabilities`.
+    ``clipped_weight`` is the total weight of nodes whose coupling scale
+    factor ``1 + offset/f_ref`` was negative and clipped to 0.
     """
 
-    basis: Basis
     amplitudes: np.ndarray
     sector: Basis
-    dwell_times: np.ndarray | None
     weights: np.ndarray
-    scale_factors: np.ndarray | None = None
-    clipped_weight: float = 0.0
-
-    @property
-    def noisy(self) -> bool:
-        return self.scale_factors is not None
-
-    def _lifted(self, basis: Basis) -> np.ndarray:
-        amps = self.amplitudes
-        if basis is not self.sector:
-            amps = amps @ subspace_projector(self.sector).conj()
-        return amps if self.noisy else amps[0]
+    clipped_weight: float
 
     @property
     def states(self) -> np.ndarray:
-        """States in ``basis``, lifted from the sector amplitudes on each access."""
-        return self._lifted(self.basis)
-
-    def states_full(self) -> np.ndarray:
-        """States lifted to the full 16-dim basis."""
-        return self._lifted(Basis.FULL16)
+        """Full-space states (n_nodes, n_dwell, 16), lifted from the amplitudes on each access."""
+        if self.sector is Basis.FULL16:
+            return self.amplitudes
+        return self.amplitudes @ subspace_projector(self.sector).conj()
 
 
 _BOND_STACK = np.stack(
@@ -502,9 +480,7 @@ def run_sequence(
     the 4-dim m=-1 sector, or else the full space; with ``zeeman`` the
     sector must also be mapped into itself by the Zeeman term.  Exchange
     conserves S^2 and S_z for any couplings, so this is exact.  The result
-    keeps the amplitudes in that sector (see :class:`SequenceResult`); its
-    ``basis`` is the initial state's, or ``FULL16`` when a singlet-block
-    start runs in a larger sector.
+    keeps the amplitudes in that sector (see :class:`SequenceResult`).
 
     With ``noise``, every constant-coupling segment is rescaled per
     quadrature node by ``1 + offset/f_ref``, clipped at 0 (see the module
@@ -519,7 +495,6 @@ def run_sequence(
         raise ValueError("sequences run on FULL16 or GLOBAL_SINGLET_2 states")
     zeeman16 = zeeman_full(zeeman) if zeeman is not None else None
     q, qh, stack = _sector(psi16, zeeman16)
-    sector = Basis(len(q))
     zh = 0.0 if zeeman16 is None else q @ zeeman16 @ qh
 
     if seq.dwell_times is not None:
@@ -558,16 +533,9 @@ def run_sequence(
         prev_cfg = seg.target
 
     if dwell_seg is None:
-        out, dwell = states[:, None, :], None
+        out = states[:, None, :]
     else:
         dwell = np.asarray(seq.dwell_times, dtype=float)
         out = _evolve_ensemble(states, _exchange(dwell_seg.target, stack), zh, lam, dwell)
-    return SequenceResult(
-        basis=init.basis if init.basis is sector else Basis.FULL16,
-        amplitudes=out,
-        sector=sector,
-        dwell_times=dwell,
-        weights=weights,
-        scale_factors=lam if noise is not None else None,
-        clipped_weight=clipped_weight,
-    )
+    return SequenceResult(amplitudes=out, sector=Basis(len(q)), weights=weights,
+                          clipped_weight=clipped_weight)

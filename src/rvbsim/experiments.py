@@ -52,7 +52,7 @@ from .dynamics import (
 )
 from .fitting import CalibrationMap, find_ellipse_center, find_frequency_minimum, fit_damped_cosine
 from .io import write_csv, write_json
-from .readout import ReadoutConfig, ReadoutDirection, pair_probabilities_batch, sample_shots
+from .readout import ReadoutDirection, ensemble_probabilities, sample_shots
 
 #: outcome column index per joint result (readout.OUTCOMES order), first readout pair first
 IDX_SS, IDX_ST = 0, 1
@@ -177,16 +177,9 @@ SHOT_STREAMS = {"fig3c": 1, "fig3d": 2, "fig3e": 3, "fig4b": 4, "fig4cd": 5, "fi
                 "fig5ef": 7, "calibrate": 8, "simulate": 9}
 
 
-def ensemble_probabilities(result, direction: ReadoutDirection) -> np.ndarray:
-    """Ensemble-averaged joint outcome probabilities (n_dwell, 4), read in the result's sector."""
-    probs = pair_probabilities_batch(result.amplitudes, direction, result.sector)
-    return np.tensordot(result.weights, probs, axes=1)
-
-
-def _shot_column(mean_probs, direction, outcome: int, n_shots: int, key: tuple) -> np.ndarray:
+def _shot_column(mean_probs, outcome: int, n_shots: int, key: tuple) -> np.ndarray:
     """Shot frequency of one outcome at each point of a (points, 4) stack, drawn in one call."""
-    cfg = ReadoutConfig(direction, n_shots=n_shots, seed=key)
-    return sample_shots(mean_probs, cfg).probabilities()[:, outcome]
+    return sample_shots(mean_probs, n_shots, key).probabilities()[:, outcome]
 
 
 def _scan(values, run, directions, outcome, stream=None, n_shots=None):
@@ -201,9 +194,9 @@ def _scan(values, run, directions, outcome, stream=None, n_shots=None):
         return probs[..., outcome]
     seed, figure, panel = stream
     shots = np.array([
-        [_shot_column(p, d, outcome, n_shots, (seed, SHOT_STREAMS[figure], panel + i, k))
+        [_shot_column(p, outcome, n_shots, (seed, SHOT_STREAMS[figure], panel + i, k))
          for k, p in enumerate(column)]
-        for i, (d, column) in enumerate(zip(directions, probs))
+        for i, column in enumerate(probs)
     ])
     return probs[..., outcome], shots
 
@@ -509,7 +502,7 @@ def _figs456(out_dir: Path, params: dict, seed: int, tag: str) -> list[str]:
     for name, direction in readouts:
         values = st_scan(at, [(x, y) for x in dv for y in dv], direction, [t_map]).reshape(n, n)
         files.append(str(out_dir / f"{tag}_map_{name}.csv"))
-        CalibrationMap(dvx=dv, dvy=dv, values=values, t_ns=t_map).to_csv(files[-1])
+        CalibrationMap(dvx=dv, dvy=dv, values=values).to_csv(files[-1])
 
     # local chevrons through the operating point
     t = np.linspace(0.0, 3.0 * t_map, 121)
@@ -631,9 +624,9 @@ def run_calibration(out_dir, seed: int = 0, overrides: dict | None = None) -> Ca
         probs = st_scan(at, [(x, y) for x in dvx for y in dvy], ReadoutDirection.HORIZONTAL,
                         [t_map], outcome=slice(None))[:, 0]
         # the whole map is one draw under one key per iteration
-        shots = _shot_column(probs, ReadoutDirection.HORIZONTAL, IDX_ST, params["readout.n_shots"],
+        shots = _shot_column(probs, IDX_ST, params["readout.n_shots"],
                              (seed, SHOT_STREAMS["calibrate"], 0, iterations - 1))
-        cal = CalibrationMap(dvx=dvx, dvy=dvy, values=shots.reshape(n, n), t_ns=t_map)
+        cal = CalibrationMap(dvx=dvx, dvy=dvy, values=shots.reshape(n, n))
         ellipse = find_ellipse_center(cal)
         shift = np.array(ellipse.center) - center
         center = np.array(ellipse.center)

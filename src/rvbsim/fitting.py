@@ -360,7 +360,6 @@ class CalibrationMap:
     dvx: np.ndarray
     dvy: np.ndarray
     values: np.ndarray
-    t_ns: float = 0.0
 
     def __post_init__(self):
         dvx = np.asarray(self.dvx, dtype=float)

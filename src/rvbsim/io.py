@@ -15,6 +15,9 @@ mode, may be left out, and other segments take no ``mode``)::
     dwell 0 4 8 12                   # explicit dwell times (ns)
     dwell range 0 300 2              # inclusive arange: start <= stop, step > 0
 
+A file has one ``init`` line and at most one ``dwell`` line, and a segment
+line names each field once; a repeat is rejected with its line number.
+
 CSV emitters format floats with %.10g so reruns are byte-identical.
 """
 
@@ -140,10 +143,14 @@ def sequence_from_text(text: str) -> PulseSequence:
         tokens = line.split()
         try:
             if tokens[0] == "init":
+                if init is not None:
+                    raise ValueError("repeated init directive")
                 init = _parse_init(tokens[1:])
             elif tokens[0] == "segment":
                 segments.append(_parse_segment(tokens[1:]))
             elif tokens[0] == "dwell":
+                if dwell is not None:
+                    raise ValueError("repeated dwell directive")
                 dwell = _parse_dwell(tokens[1:])
             else:
                 raise ValueError(f"unknown directive {tokens[0]!r}")
@@ -176,7 +183,11 @@ def _parse_init(tokens: list[str]) -> SpinState:
 
 def _parse_segment(tokens: list[str]) -> PulseSegment:
     kind = _SEGMENT_KINDS[tokens[0]]
+    keys = [tok.split("=", 1)[0] for tok in tokens[1:]]
     kv = dict(tok.split("=", 1) for tok in tokens[1:])
+    if len(kv) < len(keys):
+        repeated = sorted({k for k in keys if keys.count(k) > 1})
+        raise ValueError(f"repeated segment fields {repeated}")
     config = ExchangeConfig(
         j12=float(kv.pop("j12")),
         j34=float(kv.pop("j34")),

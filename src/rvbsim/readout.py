@@ -11,7 +11,9 @@ Batch readout takes states either in the full space or in one of the
 invariant sectors a sequence runs in: for each outcome it contracts the d
 sector coordinates with a factor of the outcome projector compressed to the
 sector (rank <= d, built once per direction and basis), so a noisy ensemble
-is read out without lifting it to 16 dims.
+is read out without lifting it to 16 dims.  :func:`ensemble_probabilities`
+is the one reader of a :class:`~rvbsim.dynamics.SequenceResult`: it reads
+the sector amplitudes in their sector and weights the quadrature nodes.
 
 Shots are drawn per point as multinomial counts of the outcomes, one
 draw for a whole stack of points, from the stream :func:`rng` names
@@ -26,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import Basis, DIM_FULL, Pair, SpinState, pair_singlet_projector, subspace_projector
+from .basis import Basis, DIM_FULL, Pair, pair_singlet_projector, subspace_projector
 
 #: Joint-outcome order used everywhere: (first pair, second pair).
 OUTCOMES = ("SS", "ST", "TS", "TT")
@@ -41,17 +43,6 @@ class ReadoutDirection(enum.Enum):
     @property
     def pairs(self) -> tuple[Pair, Pair]:
         return self.value
-
-
-@dataclass(frozen=True)
-class ReadoutConfig:
-    direction: ReadoutDirection
-    n_shots: int = 500
-    seed: int | tuple[int, ...] = 0
-
-    def __post_init__(self):
-        if self.n_shots < 1:
-            raise ValueError("n_shots must be at least 1")
 
 
 @lru_cache(maxsize=None)
@@ -118,15 +109,14 @@ def pair_probabilities_batch(
     return (amps.real**2 + amps.imag**2) @ s
 
 
-def measure_pair_probabilities(state: SpinState, direction: ReadoutDirection) -> np.ndarray:
-    """(P_SS, P_ST, P_TS, P_TT) for sequential readout of the two pairs.
+def ensemble_probabilities(result, direction: ReadoutDirection) -> np.ndarray:
+    """Ensemble-averaged joint outcome probabilities (n_dwell, 4) of a sequence result.
 
-    The first letter is the outcome of the first pair read (Q34 for
-    horizontal, Q23 for vertical).  Probabilities sum to 1.
+    Reads ``result.amplitudes`` in ``result.sector`` and sums the nodes with
+    ``result.weights``; a noiseless result is a one-node ensemble.
     """
-    if state.basis is not Basis.FULL16:
-        raise ValueError("pair readout is defined on full-space states")
-    return pair_probabilities_batch(state.amplitudes, direction)
+    probs = pair_probabilities_batch(result.amplitudes, direction, result.sector)
+    return np.tensordot(result.weights, probs, axes=1)
 
 
 @dataclass(frozen=True)
@@ -169,14 +159,16 @@ def rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(words))
 
 
-def sample_shots(probs, cfg: ReadoutConfig) -> ShotRecord:
-    """Draw ``cfg.n_shots`` shots at every point of a (..., 4) probability stack.
+def sample_shots(probs, n_shots: int, key: int | tuple[int, ...]) -> ShotRecord:
+    """Draw ``n_shots`` shots at every point of a (..., 4) probability stack.
 
     The outcome counts of a point are multinomial in its probabilities ``p``
     (validated, clipped at 0 and renormalised), drawn for the whole stack in
-    one call.  Deterministic given ``cfg.seed``, an int or a key tuple for
+    one call.  Deterministic given ``key``, an int or a key tuple for
     :func:`rng`.
     """
+    if n_shots < 1:
+        raise ValueError("n_shots must be at least 1")
     p = np.asarray(probs, dtype=float)
     if p.ndim < 1 or p.shape[-1] != len(OUTCOMES):
         raise ValueError("expected 4 joint outcome probabilities along the last axis")
@@ -184,6 +176,6 @@ def sample_shots(probs, cfg: ReadoutConfig) -> ShotRecord:
         raise ValueError("outcome probabilities must be non-negative and sum to 1")
     p = np.clip(p, 0, None)
     p = p / p.sum(axis=-1, keepdims=True)
-    key = cfg.seed if isinstance(cfg.seed, tuple) else (cfg.seed,)
-    counts = rng(*key).multinomial(cfg.n_shots, p)
-    return ShotRecord(recorded=counts, n_shots=cfg.n_shots)
+    key = key if isinstance(key, tuple) else (key,)
+    counts = rng(*key).multinomial(n_shots, p)
+    return ShotRecord(recorded=counts, n_shots=n_shots)

@@ -46,7 +46,6 @@ from rvbsim.dynamics import (
     _ramp_unitary_once,
     _sector,
 )
-from rvbsim.experiments import ensemble_probabilities
 from rvbsim.hamiltonians import (
     ExchangeConfig,
     ZeemanConfig,
@@ -54,7 +53,7 @@ from rvbsim.hamiltonians import (
     triplet_block_transformed,
     zeeman_full,
 )
-from rvbsim.readout import ReadoutDirection
+from rvbsim.readout import ReadoutDirection, ensemble_probabilities, pair_probabilities_batch
 
 ST_INIT = pair_product_state(
     PairState(Pair.Q12, PairLabel.S), PairState(Pair.Q34, PairLabel.T_MINUS)
@@ -303,7 +302,11 @@ def test_clipped_weight_counts_negative_scale_factors():
     res = run_sequence(seq, noise, noise_reference_mhz=7.0)  # f_ref < 4 sigma_f
     offsets, weights = noise.quadrature()
     clipped = 1.0 + offsets / 7.0 < 0
-    assert clipped.any() and np.all(res.scale_factors[clipped] == 0.0)
+    # a node scaled to 0 has no exchange: it stays in the initial state
+    assert clipped.any()
+    start = np.broadcast_to(singlet_x().amplitudes, (clipped.sum(), 2, 16))
+    assert_allclose(res.states[clipped], start, rtol=0, atol=1e-15)
+    assert np.abs(res.states[~clipped][:, 1] - singlet_x().amplitudes).max() > 0.1
     assert res.clipped_weight > 0
     assert_allclose(res.clipped_weight, weights[clipped].sum(), rtol=0, atol=0)
 
@@ -313,7 +316,7 @@ def test_run_sequence_single_hold_matches_evolve():
     seq = PulseSequence(init=singlet_x(), segments=(hold(j, 13.0),))
     res = run_sequence(seq)
     direct = evolve(singlet_x(), heisenberg_full(j), 13.0)
-    assert_allclose(res.states[0], direct.amplitudes, atol=1e-12)
+    assert_allclose(res.states[0, 0], direct.amplitudes, atol=1e-12)
 
 
 def test_run_sequence_dwell_grid_and_closed_form():
@@ -323,7 +326,7 @@ def test_run_sequence_dwell_grid_and_closed_form():
                         dwell_times=dwell)
     res = run_sequence(seq)
     sx = singlet_x().amplitudes
-    px = np.abs(res.states @ sx.conj()) ** 2
+    px = np.abs(res.states[0] @ sx.conj()) ** 2
     expected, _ = singlet_singlet_probabilities(50, 50, np.array(dwell))
     assert_allclose(px, expected, atol=1e-12)
 
@@ -370,13 +373,14 @@ def test_run_sequence_matches_full_space_evolution(kind, seed, bonds, duration, 
     res = run_sequence(seq, noise, zeeman=zeeman)
 
     hz = zeeman_full(zeeman) if zeeman is not None else 0.0
-    scales = res.scale_factors if with_noise else [1.0]
+    # each node scales the couplings by 1 + offset/f_ref, clipped at 0
+    scales = np.maximum(1 + noise.quadrature()[0] / f_ss(j1.jx, j1.jy), 0) if with_noise else [1.0]
     expected = []
     for s in scales:
         mid = evolve(init, s * heisenberg_full(j0) + hz, duration)
         expected.append([evolve(mid, s * heisenberg_full(j1) + hz, t).amplitudes for t in dwell])
     expected = np.array(expected)
-    assert_allclose(res.states, expected if with_noise else expected[0], atol=1e-10)
+    assert_allclose(res.states, expected, atol=1e-10)
 
 
 def test_adiabatic_ramp_prepares_ground_state():
@@ -388,7 +392,7 @@ def test_adiabatic_ramp_prepares_ground_state():
         segments=(set_diabatic(j0), linear_ramp(j1, 4000.0)),
     )
     res = run_sequence(seq)
-    fid = abs(np.vdot(s_wave(Basis.FULL16).amplitudes, res.states[0])) ** 2
+    fid = abs(np.vdot(s_wave(Basis.FULL16).amplitudes, res.states[0, 0])) ** 2
     assert fid >= 0.999
 
 
@@ -406,10 +410,10 @@ def test_diabatic_permutation_pulse_reaches_d_wave():
     )
     res = run_sequence(seq)
     d16 = d_wave(Basis.FULL16).amplitudes
-    fid = np.abs(res.states @ d16.conj()) ** 2
+    fid = np.abs(res.states[0] @ d16.conj()) ** 2
     assert np.min(fid) > 1 - 1e-10
     sx = singlet_x().amplitudes
-    px = np.abs(res.states @ sx.conj()) ** 2
+    px = np.abs(res.states[0] @ sx.conj()) ** 2
     assert np.ptp(px) < 1e-10
     assert_allclose(px.mean(), 0.25, atol=1e-10)
 
@@ -418,15 +422,13 @@ def test_perfect_prep_probabilities_match_closed_forms():
     # the ideal-prep limit: project out the exact exchange ground state and
     # push it through the measurement route; a real voltage-linear ramp with
     # j * t_ramp >= 200 lands within 5e-3 of this (see the acceptance suite)
-    from rvbsim.readout import ReadoutDirection, measure_pair_probabilities
-
     rng = np.random.default_rng(29)
     for _ in range(20):
         jx, jy = rng.uniform(5, 120, size=2)
         w, v = np.linalg.eigh(singlet_block(jx, jy))
         ground = SpinState(Basis.FULL16, lift(v[:, 0], Basis.GLOBAL_SINGLET_2))
-        px = measure_pair_probabilities(ground, ReadoutDirection.HORIZONTAL)[0]
-        py = measure_pair_probabilities(ground, ReadoutDirection.VERTICAL)[0]
+        px = pair_probabilities_batch(ground.amplitudes, ReadoutDirection.HORIZONTAL)[0]
+        py = pair_probabilities_batch(ground.amplitudes, ReadoutDirection.VERTICAL)[0]
         px_law, py_law = ground_state_probabilities(jx, jy)
         assert abs(px - px_law) < 1e-6
         assert abs(py - py_law) < 1e-6
@@ -438,7 +440,7 @@ def test_run_sequence_with_zeeman_term():
     seq = PulseSequence(init=singlet_x(), segments=(hold(j, 57.0),))
     res = run_sequence(seq, zeeman=z)
     direct = evolve(singlet_x(), heisenberg_full(j) + zeeman_full(z), 57.0)
-    assert_allclose(res.states[0], direct.amplitudes, atol=1e-12)
+    assert_allclose(res.states[0, 0], direct.amplitudes, atol=1e-12)
 
     # noisy ensemble with a Zeeman term exercises the per-trajectory path
     # (the scale factor multiplies the exchange part only)
@@ -456,33 +458,33 @@ def test_run_sequence_with_zeeman_term():
 
 def test_singlet_block_start_leaving_block_under_zeeman_returns_full_space():
     # a 2-dim start under unequal g-factors leaks out of the singlet block;
-    # the result is reported in FULL16 with the leaked amplitude kept
+    # the run moves to FULL16 and keeps the leaked amplitude
     j = ExchangeConfig.balanced(40, 40)
     seq = PulseSequence(init=s_wave(), segments=(set_diabatic(j), hold(j, 173.0)))
     res = run_sequence(seq, zeeman=ZeemanConfig())
-    assert res.basis is Basis.FULL16 and res.sector is Basis.FULL16
-    assert_allclose(np.linalg.norm(res.states[0]), 1.0, rtol=0, atol=1e-12)
+    assert res.sector is Basis.FULL16
+    assert_allclose(np.linalg.norm(res.states[0, 0]), 1.0, rtol=0, atol=1e-12)
     direct = evolve(s_wave(Basis.FULL16), heisenberg_full(j) + zeeman_full(ZeemanConfig()), 173.0)
-    assert_allclose(res.states[0], direct.amplitudes, rtol=0, atol=1e-10)
-    SpinState(res.basis, res.states[0])  # within the norm contract
+    assert_allclose(res.states[0, 0], direct.amplitudes, rtol=0, atol=1e-10)
+    SpinState(Basis.FULL16, res.states[0, 0])  # within the norm contract
 
 
 def test_sequence_result_keeps_sector_amplitudes_and_lifts_on_access():
     dwell = (0.0, 5.0, 9.0)
     j = ExchangeConfig.balanced(30, 50)
     noise = NoiseModel(sigma_f=1.0, n_samples=4, seed=5)
-    for init, noisy, basis, sector, dim in ((s_wave(), None, Basis.GLOBAL_SINGLET_2,
-                                             Basis.GLOBAL_SINGLET_2, 2),
-                                            (ST_INIT, noise, Basis.FULL16,
-                                             Basis.TRIPLET_MINUS_3, 16)):
+    for init, noisy, sector in ((s_wave(), None, Basis.GLOBAL_SINGLET_2),
+                                (ST_INIT, noise, Basis.TRIPLET_MINUS_3)):
         seq = PulseSequence(init=init, segments=(set_diabatic(j), hold(j, 0.0)), dwell_times=dwell)
         res = run_sequence(seq, noisy)
         n = 1 if noisy is None else noise.n_samples
-        assert (res.basis, res.sector, res.noisy) == (basis, sector, noisy is not None)
+        assert res.sector is sector
+        assert_allclose(res.weights.sum(), 1.0, rtol=0, atol=1e-14)
+        assert res.weights.shape == (n,)
         assert res.amplitudes.shape == (n, len(dwell), sector.dim)
-        assert res.states.shape == ((n,) if noisy else ()) + (len(dwell), dim)
         lifted = res.amplitudes @ subspace_projector(sector).conj()
-        assert_allclose(res.states_full(), lifted if noisy else lifted[0], rtol=0, atol=0)
+        assert res.states.shape == (n, len(dwell), 16)
+        assert_allclose(res.states, lifted, rtol=0, atol=0)
 
 
 def test_zeeman_leakage_from_singlet_subspace():
@@ -533,6 +535,15 @@ def test_empty_dwell_grid_rejected():
         PulseSequence(init=singlet_x(), segments=(hold(j, 0.0),), dwell_times=())
 
 
+def test_dwell_grid_rejects_a_final_hold_with_its_own_duration():
+    # the grid replaces the final hold's duration, so a nonzero one would be ignored
+    j = ExchangeConfig.balanced(50, 50)
+    with pytest.raises(ValueError, match="final HOLD's duration, which must be 0"):
+        PulseSequence(init=singlet_x(), segments=(set_diabatic(j), hold(j, 10.0)),
+                      dwell_times=(0.0, 4.0, 8.0))
+    PulseSequence(init=singlet_x(), segments=(hold(j, 10.0),))  # no grid: the duration holds
+
+
 def test_ramp_step_cap_raises(monkeypatch):
     j0 = ExchangeConfig.balanced(50, 0.5)
     j1 = ExchangeConfig.balanced(50, 50)
@@ -553,7 +564,7 @@ def test_magnus_ramps_converge_within_4096_steps(monkeypatch):
     monkeypatch.setattr(dynamics, "RAMP_STEP_CAP", 4096)
     for seq in (singlet, product):
         res = run_sequence(seq)
-        assert res.states.shape == (1, 16)
+        assert res.states.shape == (1, 1, 16)
         assert_allclose(np.linalg.norm(res.states), 1.0, atol=1e-12)
 
 

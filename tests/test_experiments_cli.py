@@ -155,6 +155,21 @@ def test_cli_simulate_rejects_samples_outside_quadrature_cap(tmp_path, capsys, s
     assert f"1..{MAX_QUADRATURE_NODES}, got {samples}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--sigma-f", "-1", "must be finite and non-negative, got -1"),
+    ("--sigma-f", "nan", "must be finite and non-negative, got nan"),
+    ("--sigma-f", "inf", "must be finite and non-negative, got inf"),
+    ("--shots", "-5", "must be non-negative, got -5"),
+])
+def test_cli_simulate_rejects_negative_or_non_finite_noise_and_shots(tmp_path, capsys, flag,
+                                                                     value, message):
+    # a usage error, not a silent noiseless or shot-free run
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", str(tmp_path / "missing.txt"), flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+
 def test_cli_calibrate(tmp_path, capsys):
     # keep the loop small for test runtime
     spec = tmp_path / "cal.cfg"
@@ -173,9 +188,9 @@ def test_shot_streams_are_distinct_per_column(tmp_path, monkeypatch):
     keys = []
     original = readout.sample_shots
 
-    def recording(probs, cfg):
-        keys.append(cfg.seed)
-        return original(probs, cfg)
+    def recording(probs, n_shots, key):
+        keys.append(key)
+        return original(probs, n_shots, key)
 
     monkeypatch.setattr(experiments, "sample_shots", recording)
     monkeypatch.setattr(readout, "sample_shots", recording)

@@ -282,7 +282,7 @@ def _symmetric_map(nx=21, ny=21, center=(0.0, 0.0), tilt=0.0):
     u = xx + tilt * yy
     w = yy - tilt * xx
     values = 0.5 + 0.4 * np.cos(0.35 * np.sqrt(1.3 * u**2 + 0.6 * w**2 + 0.4 * u * w))
-    return CalibrationMap(dvx=dvx, dvy=dvy, values=values, t_ns=100.0)
+    return CalibrationMap(dvx=dvx, dvy=dvy, values=values)
 
 
 def test_ellipse_center_centered_map():

@@ -110,6 +110,24 @@ def test_dwell_range_without_points_rejected(grid):
         sequence_from_text(text)
 
 
+_HOLD = "segment hold j12=1 j34=1 j23=1 j14=1 dur=0"
+
+
+@pytest.mark.parametrize("text, error", [
+    (f"init state sx\ninit state sy\n{_HOLD}\n", r"sequence line 2: repeated init directive"),
+    (f"init state sx\n{_HOLD}\ndwell 0 4\ndwell 8\n",
+     r"sequence line 4: repeated dwell directive"),
+    ("init state sx\nsegment hold j12=25 j34=1 j23=1 j14=1 j12=1 dur=1\n",
+     r"sequence line 2: repeated segment fields \['j12'\]"),
+    ("init state sx\nsegment hold j12=1 j34=1 j23=1 j14=1 dur=1 dur=2 j34=1\n",
+     r"sequence line 2: repeated segment fields \['dur', 'j34'\]"),
+])
+def test_repeated_directive_or_field_rejected(text, error):
+    # the last repeat used to win without a word
+    with pytest.raises(ValueError, match=error):
+        sequence_from_text(text)
+
+
 def test_load_sequence(tmp_path):
     path = tmp_path / "seq.txt"
     path.write_text(SEQ_TEXT)

@@ -6,18 +6,23 @@ from numpy.testing import assert_allclose
 
 from rvbsim.basis import (
     Basis,
+    Pair,
+    PairLabel,
+    PairState,
     SpinState,
+    pair_product_state,
     pair_singlet_projector,
     s_wave,
     singlet_x,
     subspace_projector,
 )
+from rvbsim.dynamics import NoiseModel, PulseSequence, hold, run_sequence
+from rvbsim.hamiltonians import ExchangeConfig, ZeemanConfig
 from rvbsim.readout import (
     OUTCOMES,
-    ReadoutConfig,
     ReadoutDirection,
-    measure_pair_probabilities,
     ShotRecord,
+    ensemble_probabilities,
     pair_probabilities_batch,
     rng,
     sample_shots,
@@ -30,12 +35,12 @@ def random_state(rng):
 
 
 def test_singlet_x_horizontal_readout():
-    probs = measure_pair_probabilities(singlet_x(), ReadoutDirection.HORIZONTAL)
+    probs = pair_probabilities_batch(singlet_x().amplitudes, ReadoutDirection.HORIZONTAL)
     assert_allclose(probs, [1, 0, 0, 0], atol=1e-12)
 
 
 def test_singlet_x_vertical_readout():
-    probs = measure_pair_probabilities(singlet_x(), ReadoutDirection.VERTICAL)
+    probs = pair_probabilities_batch(singlet_x().amplitudes, ReadoutDirection.VERTICAL)
     assert_allclose(probs[0], 0.25, atol=1e-12)  # |<S_y|S_x>|^2
     assert_allclose(probs.sum(), 1.0, atol=1e-12)
 
@@ -43,7 +48,7 @@ def test_singlet_x_vertical_readout():
 def test_s_wave_first_pair_singlet_probability():
     state = s_wave(Basis.FULL16)
     for direction in ReadoutDirection:
-        probs = measure_pair_probabilities(state, direction)
+        probs = pair_probabilities_batch(state.amplitudes, direction)
         assert_allclose(probs[0] + probs[1], 0.75, atol=1e-12)  # P(first = S)
         assert_allclose(probs[0], 0.75, atol=1e-12)  # both-singlet outcome
 
@@ -53,7 +58,7 @@ def test_probabilities_sum_to_one_on_random_states():
     for _ in range(20):
         state = random_state(rng)
         for direction in ReadoutDirection:
-            probs = measure_pair_probabilities(state, direction)
+            probs = pair_probabilities_batch(state.amplitudes, direction)
             assert_allclose(probs.sum(), 1.0, atol=1e-12)
             assert np.all(probs > -1e-14)
 
@@ -74,7 +79,7 @@ def test_sequential_equals_joint_measurement():
                 psi1 = o1 @ psi  # unnormalized post-measurement branch
                 for o2 in (p2, eye - p2):
                     seq.append(np.linalg.norm(o2 @ psi1) ** 2)
-            probs = measure_pair_probabilities(SpinState(Basis.FULL16, psi), direction)
+            probs = pair_probabilities_batch(psi, direction)
             assert_allclose(probs, seq, atol=1e-12)
 
 
@@ -102,31 +107,57 @@ def test_sector_readout_matches_lifted_readout(basis, direction, n_samples, n_dw
 
 
 def test_state_in_subspace_rejected():
-    with pytest.raises(ValueError, match="full-space"):
-        measure_pair_probabilities(s_wave(), ReadoutDirection.HORIZONTAL)
+    # subspace coordinates are read only with their basis named
+    with pytest.raises(ValueError, match="FULL16 expects last dimension 16, got 2"):
+        pair_probabilities_batch(s_wave().amplitudes, ReadoutDirection.HORIZONTAL)
+
+
+_ST_PRODUCT = pair_product_state(PairState(Pair.Q12, PairLabel.S),
+                                 PairState(Pair.Q34, PairLabel.T_MINUS))
+
+
+@pytest.mark.parametrize("init, zeeman, sector", [
+    (singlet_x(), None, Basis.GLOBAL_SINGLET_2),
+    (_ST_PRODUCT, None, Basis.TRIPLET_MINUS_3),
+    (_ST_PRODUCT, ZeemanConfig(), Basis.TRIPLET_MINUS_PLUS_Q_4),
+    (singlet_x(), ZeemanConfig(), Basis.FULL16),
+])
+def test_ensemble_probabilities_is_weighted_projector_readout_of_full_states(init, zeeman, sector):
+    # oracle: weights @ |P_k psi|^2 on the full-space lift, P_k the joint outcome projectors
+    j0, j1 = ExchangeConfig(12.0, 31.0, 7.0, 22.0), ExchangeConfig(25.0, 18.0, 40.0, 9.0)
+    seq = PulseSequence(init=init, segments=(hold(j0, 17.0), hold(j1, 0.0)),
+                        dwell_times=(0.0, 6.5, 23.0))
+    noise = NoiseModel(sigma_f=1.5, n_samples=5)
+    res = run_sequence(seq, noise, zeeman=zeeman)
+    assert res.sector is sector and res.states.shape == (5, 3, 16)
+    eye = np.eye(16)
+    for direction in ReadoutDirection:
+        first, second = (pair_singlet_projector(p) for p in direction.pairs)
+        node_probs = np.stack([np.linalg.norm(res.states @ (o1 @ o2).T, axis=-1) ** 2
+                               for o1 in (first, eye - first) for o2 in (second, eye - second)],
+                              axis=-1)
+        expected = np.einsum("n,ndk->dk", res.weights, node_probs)
+        assert_allclose(ensemble_probabilities(res, direction), expected, rtol=0, atol=1e-12)
 
 
 def test_sample_shots_perfect_fidelity_pure_outcome():
-    cfg = ReadoutConfig(ReadoutDirection.HORIZONTAL, n_shots=100, seed=1)
-    rec = sample_shots([1.0, 0.0, 0.0, 0.0], cfg)
+    rec = sample_shots([1.0, 0.0, 0.0, 0.0], 100, 1)
     assert rec.n_shots == 100
     assert_allclose(rec.probabilities(), [1, 0, 0, 0], atol=0)
 
 
 def test_sample_shots_uniform_law_of_large_numbers():
-    cfg = ReadoutConfig(ReadoutDirection.HORIZONTAL, n_shots=40000, seed=2)
-    rec = sample_shots([0.25, 0.25, 0.25, 0.25], cfg)
-    sigma = np.sqrt(0.25 * 0.75 / cfg.n_shots)
+    rec = sample_shots([0.25, 0.25, 0.25, 0.25], 40000, 2)
+    sigma = np.sqrt(0.25 * 0.75 / rec.n_shots)
     assert np.all(np.abs(rec.probabilities() - 0.25) < 3 * sigma)
-    assert rec.counts().sum() == cfg.n_shots
+    assert rec.counts().sum() == 40000
 
 
 def test_sample_shots_deterministic_given_seed():
     probs = np.tile([0.4, 0.1, 0.3, 0.2], (50, 1))
 
     def counts(seed):
-        cfg = ReadoutConfig(ReadoutDirection.VERTICAL, n_shots=500, seed=seed)
-        return sample_shots(probs, cfg).counts()
+        return sample_shots(probs, 500, seed).counts()
 
     for seed in (7, (7, 3, 1, 4)):
         assert np.array_equal(counts(seed), counts(seed))
@@ -149,22 +180,20 @@ def test_sample_shots_stack_is_multinomial_in_recorded_probabilities():
     # one draw for a (columns, points, 4) stack: every point gets n_shots shots
     # whose mean frequencies follow its probabilities
     p = np.random.default_rng(4).dirichlet(np.ones(4), size=(3, 40))
-    cfg = ReadoutConfig(ReadoutDirection.HORIZONTAL, n_shots=20000, seed=(1, 2))
-    rec = sample_shots(p, cfg)
+    rec = sample_shots(p, 20000, (1, 2))
     assert rec.counts().shape == (3, 40, 4) and rec.n_shots == 20000
     assert np.all(rec.counts().sum(axis=-1) == 20000)
     expected = p
-    z = (rec.probabilities() - expected) / np.sqrt(expected * (1 - expected) / cfg.n_shots)
+    z = (rec.probabilities() - expected) / np.sqrt(expected * (1 - expected) / rec.n_shots)
     assert np.abs(z).max() < 5 and abs(z.mean()) < 0.2 and 0.8 < z.std() < 1.2
     with pytest.raises(ValueError, match="last axis"):
-        sample_shots(np.full((5, 3), 1 / 3), cfg)
+        sample_shots(np.full((5, 3), 1 / 3), 20000, (1, 2))
     with pytest.raises(ValueError, match="sum to 1"):
-        sample_shots(np.full((5, 4), 0.3), cfg)
+        sample_shots(np.full((5, 4), 0.3), 20000, (1, 2))
 
 
 def test_shot_record_standard_errors_vectorised():
-    cfg = ReadoutConfig(ReadoutDirection.HORIZONTAL, n_shots=500, seed=11)
-    rec = sample_shots(np.tile([0.5, 0.2, 0.2, 0.1], (2, 3, 1)), cfg)
+    rec = sample_shots(np.tile([0.5, 0.2, 0.2, 0.1], (2, 3, 1)), 500, 11)
     p = rec.probabilities()
     assert p.shape == (2, 3, 4)
     assert_allclose(p.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
@@ -172,7 +201,7 @@ def test_shot_record_standard_errors_vectorised():
         ShotRecord(np.array([1, 2, 3, 4]), n_shots=9)
 
 
-def test_readout_config_validation():
-    with pytest.raises(ValueError):
-        ReadoutConfig(ReadoutDirection.HORIZONTAL, n_shots=0)
+def test_sample_shots_needs_a_shot():
+    with pytest.raises(ValueError, match="n_shots must be at least 1"):
+        sample_shots([0.25, 0.25, 0.25, 0.25], 0, 1)
     assert OUTCOMES == ("SS", "ST", "TS", "TT")
