@@ -172,28 +172,28 @@ def _triplet_minus_kets(with_q: bool) -> np.ndarray:
     return np.stack(kets)
 
 
-_SUBSPACE_KETS = {
+_BASIS_KETS = {
+    Basis.FULL16: np.eye(DIM_FULL),
     Basis.GLOBAL_SINGLET_2: _global_singlet_kets(),
     Basis.TRIPLET_MINUS_3: _triplet_minus_kets(False),
     Basis.TRIPLET_MINUS_PLUS_Q_4: _triplet_minus_kets(True),
 }
-for _m in _SUBSPACE_KETS.values():
+for _m in _BASIS_KETS.values():
     _m.setflags(write=False)
 
 
 def subspace_projector(basis: Basis) -> np.ndarray:
-    """Rows are the orthonormal subspace kets: maps full 16-dim -> dim(basis).
+    """Isometry q of ``basis``: maps full 16-dim -> dim(basis), the identity for FULL16.
 
-    ``P @ P.conj().T`` is the identity on the subspace.
+    Its rows are the orthonormal basis kets; ``q @ q.conj().T`` is the identity
+    on the subspace.
     """
-    if basis is Basis.FULL16:
-        raise ValueError("projector is only defined for proper subspaces")
-    return _SUBSPACE_KETS[basis].conj()
+    return _BASIS_KETS[basis].conj()
 
 
 def lift(coords: np.ndarray, basis: Basis) -> np.ndarray:
-    """Full-space vector of subspace coordinates."""
-    return subspace_projector(basis).conj().T @ np.asarray(coords, dtype=complex)
+    """Full-space vectors q^dagger c of a (..., dim(basis)) stack of coordinates."""
+    return np.asarray(coords, dtype=complex) @ subspace_projector(basis).conj()
 
 
 # coordinates of the x-pairing kets in the y-pairing basis: column k holds
@@ -278,21 +278,19 @@ def singlet_y() -> SpinState:
     return pair_product_state(PairState(Pair.Q14, PairLabel.S), PairState(Pair.Q23, PairLabel.S))
 
 
+def _global_singlet_state(name: str, coords: tuple[float, float], basis: Basis) -> SpinState:
+    if basis not in (Basis.GLOBAL_SINGLET_2, Basis.FULL16):
+        raise ValueError(f"{name} lives in the global-singlet subspace")
+    coords = np.array(coords, dtype=complex)
+    full = basis is Basis.FULL16
+    return SpinState(basis, lift(coords, Basis.GLOBAL_SINGLET_2) if full else coords)
+
+
 def s_wave(basis: Basis = Basis.GLOBAL_SINGLET_2) -> SpinState:
     """Equal-exchange ground state, coordinates (-sqrt(3)/2, 1/2) in the x-pairing basis."""
-    coords = np.array([-_SQRT3 / 2, 0.5], dtype=complex)
-    if basis is Basis.GLOBAL_SINGLET_2:
-        return SpinState(basis, coords)
-    if basis is Basis.FULL16:
-        return SpinState(basis, lift(coords, Basis.GLOBAL_SINGLET_2))
-    raise ValueError("s_wave lives in the global-singlet subspace")
+    return _global_singlet_state("s_wave", (-_SQRT3 / 2, 0.5), basis)
 
 
 def d_wave(basis: Basis = Basis.GLOBAL_SINGLET_2) -> SpinState:
     """Equal-exchange excited state, coordinates (1/2, sqrt(3)/2) in the x-pairing basis."""
-    coords = np.array([0.5, _SQRT3 / 2], dtype=complex)
-    if basis is Basis.GLOBAL_SINGLET_2:
-        return SpinState(basis, coords)
-    if basis is Basis.FULL16:
-        return SpinState(basis, lift(coords, Basis.GLOBAL_SINGLET_2))
-    raise ValueError("d_wave lives in the global-singlet subspace")
+    return _global_singlet_state("d_wave", (0.5, _SQRT3 / 2), basis)

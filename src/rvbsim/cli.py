@@ -22,10 +22,12 @@ def _quadrature_nodes(text: str) -> int:
 
 
 def _noise_std(text: str) -> float:
-    """``--sigma-f`` value: a finite, non-negative frequency noise std (MHz)."""
+    """``--sigma-f`` value: a frequency noise std (MHz) the noise ensemble accepts."""
     sigma = float(text)
-    if not 0 <= sigma < np.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
+    try:
+        NoiseModel(sigma)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
     return sigma
 
 
@@ -129,7 +131,12 @@ def cmd_simulate(args) -> int:
     from .io import load_sequence, write_csv
     from .readout import OUTCOMES, ReadoutDirection, ensemble_probabilities, sample_shots
 
-    seq = load_sequence(args.sequence)
+    try:
+        seq = load_sequence(args.sequence)
+    except (OSError, ValueError) as err:
+        detail = getattr(err, "strerror", None) or err
+        print(f"rvbsim simulate: {args.sequence}: {detail}", file=sys.stderr)
+        return 2
     noise = None
     if args.sigma_f > 0:
         noise = NoiseModel(sigma_f=args.sigma_f, n_samples=args.samples)

@@ -10,9 +10,10 @@ propagated with n fourth-order Magnus steps, each sampling the couplings
 at two Gauss-Legendre nodes; n is doubled until the final state moves by
 less than RAMP_TOL between n/2 and n steps, up to RAMP_STEP_CAP steps.
 
-Sequences run in the smallest invariant sector holding the initial state
-(2-dim total singlet, 3-dim S=1 m=-1 triplet, 4-dim m=-1 sector, or the
-full space); exchange conserves S^2 and S_z for any couplings, so this is exact.
+Sequences start from a state in any :class:`~rvbsim.basis.Basis` and run in
+the smallest invariant sector holding it (2-dim total singlet, 3-dim S=1 m=-1
+triplet, 4-dim m=-1 sector, or the full space, whose isometry is the identity);
+exchange conserves S^2 and S_z for any couplings, so this is exact.
 A :class:`SequenceResult` keeps the amplitudes in that sector, where
 :func:`rvbsim.readout.ensemble_probabilities` reads them out; its ``states``
 property lifts them to the full space on each access.
@@ -34,13 +35,14 @@ rescaled per trajectory.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .basis import Basis, Pair, SpinState, subspace_projector
+from .basis import Basis, Pair, SpinState, lift, subspace_projector
 from .hamiltonians import ExchangeConfig, ZeemanConfig, zeeman_full, _BOND_OPS
 
 W2PI = 2 * np.pi * 1e-3  # rad per (MHz * ns)
@@ -224,8 +226,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_f < 0:
-            raise ValueError("sigma_f must be non-negative")
+        if not 0 <= self.sigma_f < math.inf:
+            raise ValueError(f"sigma_f must be finite and non-negative, got {self.sigma_f!r}")
         if not 1 <= self.n_samples <= MAX_QUADRATURE_NODES:
             raise ValueError(
                 f"n_samples counts quadrature nodes and must be in 1..{MAX_QUADRATURE_NODES}, "
@@ -271,7 +273,7 @@ class PulseSegment:
     target couplings for ``duration`` ns (0 means an instantaneous switch).
     ``LINEAR_RAMP`` interpolates from the previous segment's couplings to
     the target over ``duration``, moving each coupling geometrically
-    (linear gate voltage).
+    (linear gate voltage).  The duration must be finite and non-negative.
     """
 
     kind: SegmentKind
@@ -279,8 +281,9 @@ class PulseSegment:
     duration: float = 0.0
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("segment duration must be non-negative")
+        if not 0 <= self.duration < math.inf:
+            raise ValueError("segment duration must be finite and non-negative, "
+                             f"got {self.duration}")
 
 
 def set_diabatic(target: ExchangeConfig, duration: float = 0.0) -> PulseSegment:
@@ -323,8 +326,8 @@ class PulseSequence:
             dw = tuple(float(t) for t in self.dwell_times)
             if not dw:
                 raise ValueError("a dwell grid needs at least one time")
-            if any(t < 0 for t in dw):
-                raise ValueError("dwell times must be non-negative")
+            if not (all(map(math.isfinite, dw)) and min(dw) >= 0):
+                raise ValueError("dwell times must be finite and non-negative")
             if segments[-1].kind is not SegmentKind.HOLD:
                 raise ValueError("a dwell grid sweeps the final segment, which must be a HOLD")
             if segments[-1].duration != 0:
@@ -354,33 +357,30 @@ class SequenceResult:
     @property
     def states(self) -> np.ndarray:
         """Full-space states (n_nodes, n_dwell, 16), lifted from the amplitudes on each access."""
-        if self.sector is Basis.FULL16:
-            return self.amplitudes
-        return self.amplitudes @ subspace_projector(self.sector).conj()
+        return lift(self.amplitudes, self.sector)
 
 
 _BOND_STACK = np.stack(
     [_BOND_OPS[Pair.Q12], _BOND_OPS[Pair.Q34], _BOND_OPS[Pair.Q23], _BOND_OPS[Pair.Q14]]
 )
 
-#: Invariant sectors, smallest first: (isometry q, q^dagger, bond stack q B q^dagger).
-#: Every bond conserves S^2 and S_z, so each span is closed under exchange for
-#: any couplings; the last entry is the full space.  A sector's ``Basis`` is
-#: the one whose dimension is ``len(q)``.
-_SUBSPACES = (Basis.GLOBAL_SINGLET_2, Basis.TRIPLET_MINUS_3, Basis.TRIPLET_MINUS_PLUS_Q_4)
+#: Invariant sectors, smallest first: (basis, isometry q, q^dagger, bond stack
+#: q B q^dagger).  Every bond conserves S^2 and S_z, so each span is closed
+#: under exchange for any couplings; the last entry is the full space, q = I.
 _SECTORS = tuple(
-    (q, q.conj().T, q @ _BOND_STACK @ q.conj().T)
-    for q in [subspace_projector(b) for b in _SUBSPACES] + [np.eye(16)]
+    (b, q, q.conj().T, q @ _BOND_STACK @ q.conj().T)
+    for b in sorted(Basis, key=lambda b: b.dim)
+    for q in [subspace_projector(b)]
 )
 
 
 def _sector(psi16: np.ndarray, zeeman16: np.ndarray | None):
     """First sector whose span holds ``psi16`` and is mapped into itself by ``zeeman16``."""
-    for q, qh, stack in _SECTORS:
+    for basis, q, qh, stack in _SECTORS:
         if np.linalg.norm(qh @ (q @ psi16) - psi16) > 1e-10:
             continue
         if zeeman16 is None or np.abs(zeeman16 @ qh - qh @ (q @ zeeman16 @ qh)).max() <= 1e-12:
-            return q, qh, stack
+            return basis, q, qh, stack
 
 
 def _exchange(config: ExchangeConfig, stack: np.ndarray) -> np.ndarray:
@@ -475,26 +475,21 @@ def run_sequence(
 ) -> SequenceResult:
     """Run a pulse sequence, optionally over a quasi-static noise ensemble.
 
-    The sequence evolves in the smallest invariant sector holding the
-    initial state: the 2-dim global singlet, the 3-dim S=1, m=-1 triplet,
-    the 4-dim m=-1 sector, or else the full space; with ``zeeman`` the
-    sector must also be mapped into itself by the Zeeman term.  Exchange
-    conserves S^2 and S_z for any couplings, so this is exact.  The result
-    keeps the amplitudes in that sector (see :class:`SequenceResult`).
+    The initial state may be given in any :class:`~rvbsim.basis.Basis`.  Its
+    full-space lift evolves in the smallest invariant sector holding it: the
+    2-dim global singlet, the 3-dim S=1, m=-1 triplet, the 4-dim m=-1
+    sector, or else the full space; with ``zeeman`` the sector must also be
+    mapped into itself by the Zeeman term.  Exchange conserves S^2 and S_z
+    for any couplings, so this is exact.  The result keeps the amplitudes in
+    that sector (see :class:`SequenceResult`).
 
     With ``noise``, every constant-coupling segment is rescaled per
     quadrature node by ``1 + offset/f_ref``, clipped at 0 (see the module
     docstring); ramps run at nominal couplings.
     """
-    init = seq.init
-    if init.basis is Basis.GLOBAL_SINGLET_2:
-        psi16 = _SECTORS[0][1] @ init.amplitudes
-    elif init.basis is Basis.FULL16:
-        psi16 = init.amplitudes
-    else:
-        raise ValueError("sequences run on FULL16 or GLOBAL_SINGLET_2 states")
+    psi16 = lift(seq.init.amplitudes, seq.init.basis)
     zeeman16 = zeeman_full(zeeman) if zeeman is not None else None
-    q, qh, stack = _sector(psi16, zeeman16)
+    sector, q, qh, stack = _sector(psi16, zeeman16)
     zh = 0.0 if zeeman16 is None else q @ zeeman16 @ qh
 
     if seq.dwell_times is not None:
@@ -537,5 +532,5 @@ def run_sequence(
     else:
         dwell = np.asarray(seq.dwell_times, dtype=float)
         out = _evolve_ensemble(states, _exchange(dwell_seg.target, stack), zh, lam, dwell)
-    return SequenceResult(amplitudes=out, sector=Basis(len(q)), weights=weights,
+    return SequenceResult(amplitudes=out, sector=sector, weights=weights,
                           clipped_weight=clipped_weight)

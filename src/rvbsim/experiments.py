@@ -642,8 +642,7 @@ def run_calibration(out_dir, seed: int = 0, overrides: dict | None = None) -> Ca
         line = center[axis] + np.linspace(-4.0, 4.0, 9)
         points = [(v, center[1]) if axis == 0 else (center[0], v) for v in line]
         traces = st_scan(at, points, direction, t)
-        minima.append(find_frequency_minimum([(v, fit_damped_cosine(t, p))
-                                              for v, p in zip(line, traces)]))
+        minima.append(find_frequency_minimum(line, [fit_damped_cosine(t, p).f for p in traces]))
     min_x, min_y = minima
     j0y = 2 * min_x.f_min
     j0x = 2 * min_y.f_min

@@ -324,15 +324,15 @@ class FrequencyMinimum:
     curvature: float  # MHz per mV^2
 
 
-def find_frequency_minimum(sweep) -> FrequencyMinimum:
-    """Vertex of a local parabola through (voltage, frequency) sweep points.
+def find_frequency_minimum(dv, f) -> FrequencyMinimum:
+    """Vertex of a local parabola through the sweep points (dv[k] mV, f[k] MHz).
 
-    ``sweep`` is a sequence of (dv_mv, frequency) with frequency either a
-    float or a :class:`FitResult`.  Needs at least 5 points bracketing an
-    interior minimum.
+    Needs at least 5 points bracketing an interior minimum.
     """
-    dv = np.array([s[0] for s in sweep], dtype=float)
-    f = np.array([s[1].f if isinstance(s[1], FitResult) else float(s[1]) for s in sweep])
+    dv = np.asarray(dv, dtype=float)
+    f = np.asarray(f, dtype=float)
+    if dv.shape != f.shape:
+        raise ValueError(f"dv and f must have one shape, got {dv.shape} and {f.shape}")
     order = np.argsort(dv)
     dv, f = dv[order], f[order]
     if len(dv) < 5:

@@ -15,6 +15,7 @@ hyperfine < 0.48 MHz) are carried as documentation on the configs only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +53,9 @@ class ExchangeConfig:
     j14: float
 
     def __post_init__(self):
-        for name in ("j12", "j34", "j23", "j14"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"negative exchange coupling {name}={getattr(self, name)}")
+        for name, value in vars(self).items():
+            if not 0 <= value < math.inf:
+                raise ValueError(f"negative or non-finite exchange coupling {name}={value}")
 
     @property
     def jx(self) -> float:

@@ -8,15 +8,17 @@ mode, may be left out, and other segments take no ``mode``)::
 
     init product S Q12 T- Q34        # pair states on two disjoint pairs
     init state swave                 # or: sx, sy, dwave
-    init amplitudes full16 re:im re:im ...
+    init amplitudes triplet_minus_3 re:im re:im re:im   # or full16, global_singlet_2, ...
     segment diabatic j12=25 j34=25 j23=0 j14=0
     segment ramp j12=25 j34=25 j23=25 j14=25 dur=160 mode=voltage
     segment hold j12=25 j34=25 j23=25 j14=25 dur=0
     dwell 0 4 8 12                   # explicit dwell times (ns)
     dwell range 0 300 2              # inclusive arange: start <= stop, step > 0
 
-A file has one ``init`` line and at most one ``dwell`` line, and a segment
-line names each field once; a repeat is rejected with its line number.
+``init amplitudes`` gives one re:im pair per coordinate of any
+:class:`~rvbsim.basis.Basis`.  A file has one ``init`` line and at most one
+``dwell`` line, and a segment line names each field once; a repeat is
+rejected with its line number.  Couplings and times must be finite and >= 0.
 
 CSV emitters format floats with %.10g so reruns are byte-identical.
 """

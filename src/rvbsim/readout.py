@@ -7,8 +7,8 @@ measurement.  Readout is ideal: each pair's singlet/triplet outcome is
 recorded as it is, and charge-sensor physics and assignment errors are not
 modelled.
 
-Batch readout takes states either in the full space or in one of the
-invariant sectors a sequence runs in: for each outcome it contracts the d
+Batch readout takes states in any of the four invariant sectors a sequence
+runs in, the full space among them: for each outcome it contracts the d
 sector coordinates with a factor of the outcome projector compressed to the
 sector (rank <= d, built once per direction and basis), so a noisy ensemble
 is read out without lifting it to 16 dims.  :func:`ensemble_probabilities`
@@ -69,19 +69,16 @@ def _outcome_factors(direction: ReadoutDirection, basis: Basis) -> tuple[np.ndar
 
     F stacks, per outcome k, the columns of B_k^T, where B_k^dagger B_k =
     q P_k q^dagger is the outcome projector P_k compressed by the sector
-    isometry q (rank <= d); S (R, 4) sums each outcome's columns, so the
-    probabilities of a row stack ``a`` are ``|a @ F|^2 @ S``.
+    isometry q (rank <= d; q = I for the full space); S (R, 4) sums each
+    outcome's columns, so the probabilities of a row stack ``a`` are
+    ``|a @ F|^2 @ S``.
     """
-    cols = _sector_isometries(direction)
-    if basis is Basis.FULL16:
-        factors = [c.conj() for c in cols]
-    else:
-        q = subspace_projector(basis)
-        factors = []
-        for c in cols:
-            w, v = np.linalg.eigh((q @ c) @ (q @ c).conj().T)
-            keep = w > 1e-14  # drop round-off null directions: rank <= d
-            factors.append(v[:, keep].conj() * np.sqrt(w[keep]))
+    q = subspace_projector(basis)
+    factors = []
+    for c in _sector_isometries(direction):
+        w, v = np.linalg.eigh((q @ c) @ (q @ c).conj().T)
+        keep = w > 1e-14  # drop round-off null directions: rank <= d
+        factors.append(v[:, keep].conj() * np.sqrt(w[keep]))
     f = np.concatenate(factors, axis=1)
     s = np.repeat(np.eye(len(OUTCOMES)), [g.shape[1] for g in factors], axis=0)
     f.setflags(write=False)

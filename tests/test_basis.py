@@ -53,9 +53,11 @@ def test_projectors_have_orthonormal_rows():
         assert_allclose(p @ p.conj().T, np.eye(basis.dim), atol=1e-12)
 
 
-def test_projector_full_basis_rejected():
-    with pytest.raises(ValueError):
-        subspace_projector(Basis.FULL16)
+def test_projector_full_basis_is_identity():
+    # the full space is the fourth sector: its isometry is the real identity
+    q = subspace_projector(Basis.FULL16)
+    assert q.dtype == np.float64
+    assert np.array_equal(q, np.eye(16))
 
 
 def test_triplet_minus_basis_vectors():

@@ -2,7 +2,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -256,6 +256,24 @@ def test_noise_quadrature_rule_and_node_cap():
             NoiseModel(sigma_f=1.0, n_samples=n)
 
 
+_J = ExchangeConfig.balanced(50, 50)
+
+
+@pytest.mark.parametrize("build", [
+    lambda x: NoiseModel(sigma_f=x),
+    lambda x: ExchangeConfig(j12=x, j34=25, j23=25, j14=25),
+    lambda x: hold(_J, x),
+    lambda x: linear_ramp(_J, x),
+    lambda x: PulseSequence(init=s_wave(), segments=(hold(_J, 0.0),), dwell_times=(0.0, x)),
+], ids=["sigma_f", "coupling", "hold", "ramp", "dwell"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_model_inputs_rejected(build, value):
+    # NaN or inf would otherwise run: NaN probabilities, an instant switch, or
+    # a ramp that doubles to the step cap before it fails
+    with pytest.raises(ValueError, match="finite"):
+        build(value)
+
+
 @dataclass(frozen=True)
 class MonteCarloNoise:
     """Reference ensemble: n Gaussian draws of weight 1/n, through the quadrature interface."""
@@ -336,27 +354,38 @@ def test_sector_is_smallest_invariant_span():
     generic = rng.normal(size=16) + 1j * rng.normal(size=16)
     z = zeeman_full(ZeemanConfig())
     cases = (
-        (singlet_x().amplitudes, None, 2),
-        (ST_INIT.amplitudes, None, 3),
-        (ST_INIT.amplitudes, z, 4),
-        (singlet_x().amplitudes, z, 16),
-        (generic / np.linalg.norm(generic), None, 16),
+        (singlet_x().amplitudes, None, Basis.GLOBAL_SINGLET_2),
+        (ST_INIT.amplitudes, None, Basis.TRIPLET_MINUS_3),
+        (ST_INIT.amplitudes, z, Basis.TRIPLET_MINUS_PLUS_Q_4),
+        (singlet_x().amplitudes, z, Basis.FULL16),
+        (generic / np.linalg.norm(generic), None, Basis.FULL16),
     )
-    for psi, zeeman, dim in cases:
-        assert len(_sector(psi, zeeman)[0]) == dim
+    for psi, zeeman, basis in cases:
+        sector, q, qh, stack = _sector(psi, zeeman)
+        assert sector is basis
+        assert q.shape == (basis.dim, 16) and stack.shape == (4, basis.dim, basis.dim)
 
 
 _INITS = ("singlet_x", "singlet_y", "st", "m1", "generic")
 
 
+_OWN_BASIS = {"singlet_x": Basis.GLOBAL_SINGLET_2, "singlet_y": Basis.GLOBAL_SINGLET_2,
+              "st": Basis.TRIPLET_MINUS_3, "m1": Basis.TRIPLET_MINUS_PLUS_Q_4,
+              "generic": Basis.FULL16}
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(_INITS), st.integers(0, 2**32 - 1),
        st.lists(st.floats(0.5, 60.0), min_size=8, max_size=8),
-       st.floats(0.0, 50.0), st.booleans(), st.booleans())
+       st.floats(0.0, 50.0), st.booleans(), st.booleans(), st.booleans())
+@example("singlet_y", 1, [20.0, 5.0, 30.0, 8.0, 12.0, 40.0, 3.0, 25.0], 13.0, False, True, True)
+@example("st", 2, [20.0, 5.0, 30.0, 8.0, 12.0, 40.0, 3.0, 25.0], 13.0, False, True, True)
+@example("m1", 3, [20.0, 5.0, 30.0, 8.0, 12.0, 40.0, 3.0, 25.0], 13.0, True, True, True)
 def test_run_sequence_matches_full_space_evolution(kind, seed, bonds, duration, with_zeeman,
-                                                   with_noise):
+                                                   with_noise, in_own_basis):
     # every sector choice, noise and field setting reproduces per-trajectory
-    # 16-dim evolution under s H(j) + Z, prefix segment and dwell grid alike
+    # 16-dim evolution under s H(j) + Z, prefix segment and dwell grid alike;
+    # an init given in its own 2-, 3- or 4-dim basis runs as its 16-dim lift
     rng = np.random.default_rng(seed)
     if kind in ("m1", "generic"):
         dim = 4 if kind == "m1" else 16
@@ -369,8 +398,17 @@ def test_run_sequence_matches_full_space_evolution(kind, seed, bonds, duration, 
     zeeman = ZeemanConfig() if with_zeeman else None
     noise = NoiseModel(sigma_f=2.0, n_samples=4, seed=seed) if with_noise else None
     dwell = (0.0, 7.5, 31.0)
-    seq = PulseSequence(init=init, segments=(hold(j0, duration), hold(j1, 0.0)), dwell_times=dwell)
+    segments = (hold(j0, duration), hold(j1, 0.0))
+    seq = PulseSequence(init=init, segments=segments, dwell_times=dwell)
     res = run_sequence(seq, noise, zeeman=zeeman)
+    if in_own_basis:
+        own = _OWN_BASIS[kind]
+        coords = SpinState(own, subspace_projector(own) @ init.amplitudes)
+        res_own = run_sequence(PulseSequence(init=coords, segments=segments, dwell_times=dwell),
+                               noise, zeeman=zeeman)
+        assert res_own.sector is res.sector
+        assert_allclose(res_own.states, res.states, rtol=0, atol=1e-12)
+        res = res_own
 
     hz = zeeman_full(zeeman) if zeeman is not None else 0.0
     # each node scales the couplings by 1 + offset/f_ref, clipped at 0
@@ -571,7 +609,7 @@ def test_magnus_ramps_converge_within_4096_steps(monkeypatch):
 # ---------------------------------------------------------------------------
 # properties of the Magnus ramp propagator
 
-_STACK2, _STACK16 = _SECTORS[0][2], _SECTORS[-1][2]
+_STACK2, _STACK16 = _SECTORS[0][3], _SECTORS[-1][3]
 _PROPERTY = settings(max_examples=15, deadline=None)
 _couplings = st.lists(st.floats(0.5, 60.0), min_size=4, max_size=4).map(np.array)
 
@@ -590,8 +628,8 @@ def test_ramp_singlet_block_is_projected_full_space(b0, b1, duration):
     # imbalanced endpoints make [H2, H1] nonzero inside every sector, which
     # pins the sign of the commutator term; the 4-dim m = -1 sector also
     # carries the (sector-invariant) Zeeman term as the constant part
-    for q, qh, stack in _SECTORS[:3]:
-        z = zeeman_full(ZeemanConfig()) * (len(q) == 4)
+    for basis, q, qh, stack in _SECTORS[:3]:
+        z = zeeman_full(ZeemanConfig()) * (basis is Basis.TRIPLET_MINUS_PLUS_Q_4)
         u_sector = _ramp_unitary_once(b0, b1, duration, 64, stack, q @ z @ qh)
         u16 = _ramp_unitary_once(b0, b1, duration, 64, _STACK16, z)
         assert_allclose(u_sector, q @ u16 @ qh, atol=1e-12)

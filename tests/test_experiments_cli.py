@@ -156,9 +156,9 @@ def test_cli_simulate_rejects_samples_outside_quadrature_cap(tmp_path, capsys, s
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--sigma-f", "-1", "must be finite and non-negative, got -1"),
-    ("--sigma-f", "nan", "must be finite and non-negative, got nan"),
-    ("--sigma-f", "inf", "must be finite and non-negative, got inf"),
+    ("--sigma-f", "-1", "sigma_f must be finite and non-negative, got -1.0"),
+    ("--sigma-f", "nan", "sigma_f must be finite and non-negative, got nan"),
+    ("--sigma-f", "inf", "sigma_f must be finite and non-negative, got inf"),
     ("--shots", "-5", "must be non-negative, got -5"),
 ])
 def test_cli_simulate_rejects_negative_or_non_finite_noise_and_shots(tmp_path, capsys, flag,
@@ -168,6 +168,24 @@ def test_cli_simulate_rejects_negative_or_non_finite_noise_and_shots(tmp_path, c
         main(["simulate", str(tmp_path / "missing.txt"), flag, value])
     assert exc.value.code == 2
     assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("init state sx\ninit state sy\nsegment hold j12=1 j34=1 j23=1 j14=1 dur=1\n",
+     "sequence line 2: repeated init directive"),
+    ("init state sx\nsegment hold j12=1 j34=1 j23=1 j14=1 dur=nan\n",
+     "sequence line 2: segment duration must be finite and non-negative, got nan"),
+    (None, "No such file or directory"),
+], ids=["repeated-init", "nan-duration", "missing-file"])
+def test_cli_simulate_bad_sequence_file_is_a_one_line_usage_error(tmp_path, capsys, text,
+                                                                   message):
+    path = tmp_path / "seq.txt"
+    if text is not None:
+        path.write_text(text)
+    assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"rvbsim simulate: {path}: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_calibrate(tmp_path, capsys):

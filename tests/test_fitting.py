@@ -236,7 +236,7 @@ def test_fit_result_flat_record():
 def test_frequency_minimum_exact_parabola():
     dv = np.linspace(-6, 6, 13)
     f = 25.0 + 0.4 * (dv - 1.5) ** 2
-    res = find_frequency_minimum(list(zip(dv, f)))
+    res = find_frequency_minimum(dv, f)
     assert_allclose(res.dv_star, 1.5, atol=1e-9)
     assert_allclose(res.f_min, 25.0, atol=1e-9)
     assert_allclose(res.curvature, 0.4, rtol=1e-9)
@@ -245,8 +245,8 @@ def test_frequency_minimum_exact_parabola():
 def test_frequency_minimum_offset_invariance():
     dv = np.linspace(-5, 5, 11)
     f = 30.0 + 0.2 * (dv + 2.0) ** 2
-    r1 = find_frequency_minimum(list(zip(dv, f)))
-    r2 = find_frequency_minimum(list(zip(dv, f + 7.5)))
+    r1 = find_frequency_minimum(dv, f)
+    r2 = find_frequency_minimum(dv, f + 7.5)
     assert_allclose(r1.dv_star, r2.dv_star, atol=1e-10)
     assert_allclose(r2.f_min - r1.f_min, 7.5, atol=1e-9)
 
@@ -254,21 +254,20 @@ def test_frequency_minimum_offset_invariance():
 def test_frequency_minimum_validation():
     dv = np.linspace(-5, 5, 11)
     with pytest.raises(ValueError, match="at least 5"):
-        find_frequency_minimum(list(zip(dv[:4], dv[:4] ** 2)))
-    rising = [(x, 10 + x) for x in dv]
+        find_frequency_minimum(dv[:4], dv[:4] ** 2)
     with pytest.raises(ValueError, match="bracketed"):
-        find_frequency_minimum(rising)
+        find_frequency_minimum(dv, 10 + dv)
+    with pytest.raises(ValueError, match="one shape"):
+        find_frequency_minimum(dv, dv[:-1] ** 2)
 
 
 def test_frequency_minimum_closed_loop_with_exchange_model():
     # sweep generated through the voltage model with a hidden 3 mV offset
     model = ExchangeVoltageModel(j0x=40.0, j0y=90.0)
     offset = 3.0
-    sweep = []
-    for dv in np.linspace(-1, 7, 17):
-        j = exchange_from_voltages(model, dv - offset, 0.0)
-        sweep.append((dv, f_st_perturbative(j)))
-    res = find_frequency_minimum(sweep)
+    dv = np.linspace(-1, 7, 17)
+    f = [f_st_perturbative(exchange_from_voltages(model, v - offset, 0.0)) for v in dv]
+    res = find_frequency_minimum(dv, f)
     assert abs(res.dv_star - offset) < 0.1
     assert_allclose(2 * res.f_min, model.j0y, rtol=1e-3)
     # curvature consistent with the quadratic imbalance coefficient
