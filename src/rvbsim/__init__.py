@@ -45,6 +45,7 @@ from .dynamics import (
     PulseSequence,
     SegmentKind,
     SequenceResult,
+    SequenceStack,
     dephasing_envelope,
     evolve,
     exchange_pulse,

@@ -131,16 +131,17 @@ def cmd_simulate(args) -> int:
     from .io import load_sequence, write_csv
     from .readout import OUTCOMES, ReadoutDirection, ensemble_probabilities, sample_shots
 
+    noise = None
+    if args.sigma_f > 0:
+        noise = NoiseModel(sigma_f=args.sigma_f, n_samples=args.samples)
     try:
         seq = load_sequence(args.sequence)
+        # a file can load and still not run, e.g. noise on a final segment without exchange
+        result = run_sequence(seq, noise)
     except (OSError, ValueError) as err:
         detail = getattr(err, "strerror", None) or err
         print(f"rvbsim simulate: {args.sequence}: {detail}", file=sys.stderr)
         return 2
-    noise = None
-    if args.sigma_f > 0:
-        noise = NoiseModel(sigma_f=args.sigma_f, n_samples=args.samples)
-    result = run_sequence(seq, noise)
 
     t = np.asarray(seq.dwell_times) if seq.dwell_times is not None else np.array([0.0])
     columns: dict[str, np.ndarray] = {"t_ns": t}

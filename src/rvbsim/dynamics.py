@@ -18,6 +18,13 @@ A :class:`SequenceResult` keeps the amplitudes in that sector, where
 :func:`rvbsim.readout.ensemble_probabilities` reads them out; its ``states``
 property lifts them to the full space on each access.
 
+A sweep's columns run as one :class:`SequenceStack`: they share the initial
+state, sector, segment kinds and dwell grid, and differ in segment couplings
+and durations, so every constant-coupling segment is one batched ``eigh``
+over (columns x noise nodes).  A single :class:`PulseSequence` is a stack of
+one.  Each matrix is diagonalized on its own, so a stacked column equals the
+same column run alone bit for bit.
+
 Quasi-static noise: each trajectory carries one Gaussian frequency offset
 (std ``sigma_f``) and scales every exchange coupling by the common factor
 ``1 + offset/f_ref``, which shifts any exchange-set oscillation frequency
@@ -323,7 +330,7 @@ class PulseSequence:
         if segments[0].kind is SegmentKind.LINEAR_RAMP:
             raise ValueError("a ramp cannot be the first segment (no starting couplings)")
         if self.dwell_times is not None:
-            dw = tuple(float(t) for t in self.dwell_times)
+            dw = tuple(map(float, self.dwell_times))
             if not dw:
                 raise ValueError("a dwell grid needs at least one time")
             if not (all(map(math.isfinite, dw)) and min(dw) >= 0):
@@ -336,27 +343,76 @@ class PulseSequence:
 
 
 @dataclass(frozen=True)
+class SequenceStack:
+    """The columns of one sweep, which :func:`run_sequence` runs as one solve.
+
+    The columns share the initial state, the segment kinds and the dwell grid,
+    and differ only in segment couplings and durations; ``init``, ``segments``
+    and ``dwell_times`` read the first column's.  The ramp step count is chosen
+    per column, so a stack with a ramp segment holds one column.
+    """
+
+    columns: tuple[PulseSequence, ...]
+
+    def __post_init__(self):
+        columns = tuple(self.columns)
+        object.__setattr__(self, "columns", columns)
+        if not columns:
+            raise ValueError("a sequence stack needs at least one column")
+        first = columns[0]
+        kinds = [seg.kind for seg in first.segments]
+        for col in columns[1:]:
+            same_init = col.init is first.init or (
+                col.init.basis is first.init.basis
+                and np.array_equal(col.init.amplitudes, first.init.amplitudes))
+            if not same_init:
+                raise ValueError("stacked sequences must share the initial state")
+            if col.dwell_times != first.dwell_times:
+                raise ValueError("stacked sequences must share the dwell grid")
+            if [seg.kind for seg in col.segments] != kinds:
+                raise ValueError("stacked sequences must share the segment kinds")
+        if len(columns) > 1 and SegmentKind.LINEAR_RAMP in kinds:
+            raise ValueError("a stack with a ramp segment holds one column: "
+                             "the ramp step count is chosen per column")
+
+    @property
+    def init(self) -> SpinState:
+        return self.columns[0].init
+
+    @property
+    def segments(self) -> tuple[PulseSegment, ...]:
+        return self.columns[0].segments
+
+    @property
+    def dwell_times(self) -> tuple[float, ...] | None:
+        return self.columns[0].dwell_times
+
+
+@dataclass(frozen=True)
 class SequenceResult:
     """States returned by :func:`run_sequence`.
 
     ``amplitudes`` holds the states in the invariant sector the sequence
     ran in, shape (n_nodes, n_dwell, d) with ``sector`` the basis of the
     d coordinates; a noiseless run is a one-node ensemble, and without a
-    dwell grid the n_dwell axis is 1.  ``weights`` are the quadrature
-    weights of the noise nodes (``[1.0]`` without noise).  Read a result
-    out with :func:`rvbsim.readout.ensemble_probabilities`.
+    dwell grid the n_dwell axis is 1.  The result of a
+    :class:`SequenceStack` has a leading column axis, (n_columns, n_nodes,
+    n_dwell, d).  ``weights`` are the quadrature weights of the noise nodes
+    (``[1.0]`` without noise), shared by all columns.  Read a result out
+    with :func:`rvbsim.readout.ensemble_probabilities`.
     ``clipped_weight`` is the total weight of nodes whose coupling scale
-    factor ``1 + offset/f_ref`` was negative and clipped to 0.
+    factor ``1 + offset/f_ref`` was negative and clipped to 0: a float, or
+    one per column, shape (n_columns,), for a stack.
     """
 
     amplitudes: np.ndarray
     sector: Basis
     weights: np.ndarray
-    clipped_weight: float
+    clipped_weight: float | np.ndarray
 
     @property
     def states(self) -> np.ndarray:
-        """Full-space states (n_nodes, n_dwell, 16), lifted from the amplitudes on each access."""
+        """Full-space states (..., n_nodes, n_dwell, 16), lifted from the amplitudes on each access."""
         return lift(self.amplitudes, self.sector)
 
 
@@ -383,17 +439,35 @@ def _sector(psi16: np.ndarray, zeeman16: np.ndarray | None):
             return basis, q, qh, stack
 
 
-def _exchange(config: ExchangeConfig, stack: np.ndarray) -> np.ndarray:
-    """Exchange Hamiltonian sum_b J_b stack_b of one coupling configuration."""
-    return np.einsum("b,bij->ij", config.as_array(), stack)
+def _exchange(configs, stack: np.ndarray) -> np.ndarray:
+    """Exchange Hamiltonians sum_b J_b stack_b, one per coupling configuration: (configs, d, d)."""
+    return np.einsum("cb,bij->cij", np.array([c.as_array() for c in configs]), stack)
+
+
+#: States evolved, or read out, at a time: blocks of a large stack keep its
+#: temporaries to a few MB, so peak memory grows only by the result itself.
+BLOCK_STATES = 1024
 
 
 def _evolve_ensemble(states, hj, zh, lam, times) -> np.ndarray:
-    """Evolve row s of ``states`` under lam_s hj + zh for each time: (samples, times, d)."""
-    w, v = np.linalg.eigh(lam[:, None, None] * hj + zh)
+    """Evolve row s of ``states`` under lam_s hj_c + zh for each time: (rows, times, d).
+
+    The rows come in equal blocks, one per column c of ``hj`` (columns, d, d);
+    ``times`` has shape (1 or rows, n_times).
+    """
+    n_cols, d = hj.shape[0], hj.shape[-1]
+    h = lam.reshape(n_cols, -1)[:, :, None, None] * hj[:, None] + zh
+    w, v = np.linalg.eigh(h.reshape(-1, d, d))
     coords = np.einsum("sji,sj->si", v.conj(), states)
-    phases = np.exp(-1j * W2PI * w[:, None, :] * times[None, :, None])
-    return (phases * coords[:, None, :]) @ np.swapaxes(v, 1, 2)
+    rate = -1j * W2PI * w[:, None, :]
+    times = np.broadcast_to(times, (len(states), times.shape[1]))
+    out = np.empty((len(states), times.shape[1], d), dtype=complex)
+    step = max(1, BLOCK_STATES // times.shape[1])
+    for i in range(0, len(out), step):
+        rows = slice(i, i + step)
+        phases = np.exp(rate[rows] * times[rows, :, None])
+        out[rows] = (phases * coords[rows, None, :]) @ np.swapaxes(v[rows], 1, 2)
+    return out
 
 
 def _interp_bonds(b0: np.ndarray, b1: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -467,13 +541,13 @@ def _ramp_unitary(bonds0, bonds1, duration, stack, probe_state, const=0.0):
 
 
 def run_sequence(
-    seq: PulseSequence,
+    seq: PulseSequence | SequenceStack,
     noise: NoiseModel | None = None,
     *,
     zeeman: ZeemanConfig | None = None,
-    noise_reference_mhz: float | None = None,
+    noise_reference_mhz: float | np.ndarray | None = None,
 ) -> SequenceResult:
-    """Run a pulse sequence, optionally over a quasi-static noise ensemble.
+    """Run a pulse sequence, or a stack of them, optionally over a quasi-static noise ensemble.
 
     The initial state may be given in any :class:`~rvbsim.basis.Basis`.  Its
     full-space lift evolves in the smallest invariant sector holding it: the
@@ -483,54 +557,70 @@ def run_sequence(
     for any couplings, so this is exact.  The result keeps the amplitudes in
     that sector (see :class:`SequenceResult`).
 
+    A :class:`SequenceStack` runs all its columns in one solve and returns
+    a result with a leading column axis; a single :class:`PulseSequence`
+    runs as a stack of one and returns its column.  A constant segment of
+    duration 0 leaves a column's state exactly as it was.
+
     With ``noise``, every constant-coupling segment is rescaled per
     quadrature node by ``1 + offset/f_ref``, clipped at 0 (see the module
-    docstring); ramps run at nominal couplings.
+    docstring); ramps run at nominal couplings.  ``noise_reference_mhz``
+    (f_ref) is a scalar or one value per column; by default each column takes
+    the singlet-singlet frequency of its final segment's couplings.
     """
-    psi16 = lift(seq.init.amplitudes, seq.init.basis)
+    stack = seq if isinstance(seq, SequenceStack) else SequenceStack((seq,))
+    columns = stack.columns
+    psi16 = lift(stack.init.amplitudes, stack.init.basis)
     zeeman16 = zeeman_full(zeeman) if zeeman is not None else None
-    sector, q, qh, stack = _sector(psi16, zeeman16)
+    sector, q, qh, bonds = _sector(psi16, zeeman16)
     zh = 0.0 if zeeman16 is None else q @ zeeman16 @ qh
-
-    if seq.dwell_times is not None:
-        prefix, dwell_seg = seq.segments[:-1], seq.segments[-1]
-    else:
-        prefix, dwell_seg = seq.segments, None
+    n_prefix = len(stack.segments) - (stack.dwell_times is not None)
 
     if noise is not None:
-        ref_cfg = (dwell_seg or seq.segments[-1]).target
-        f_ref = f_ss(ref_cfg.jx, ref_cfg.jy) if noise_reference_mhz is None else noise_reference_mhz
-        if f_ref <= 0:
+        if noise_reference_mhz is None:
+            refs = [col.segments[-1].target for col in columns]
+            if any(j.jx == 0 and j.jy == 0 for j in refs):
+                raise ValueError("noise needs a positive reference frequency")
+            f_ref = np.array([f_ss(j.jx, j.jy) for j in refs])
+        else:
+            f_ref = np.broadcast_to(np.asarray(noise_reference_mhz, dtype=float), (len(columns),))
+        if not np.all(f_ref > 0):
             raise ValueError("noise needs a positive reference frequency")
         offsets, weights = noise.quadrature()
-        scale = 1.0 + offsets / f_ref
+        scale = 1.0 + offsets[None, :] / f_ref[:, None]  # (columns, nodes)
         lam = np.maximum(scale, 0.0)
-        clipped_weight = float(weights[scale < 0].sum())
+        clipped_weight = np.array([weights[s < 0].sum() for s in scale])
     else:
         # a noiseless run is a one-trajectory ensemble
-        lam, weights, clipped_weight = np.ones(1), np.ones(1), 0.0
+        lam, weights = np.ones((len(columns), 1)), np.ones(1)
+        clipped_weight = np.zeros(len(columns))
+    n_nodes = lam.shape[1]
+    lam = lam.ravel()
 
-    states = np.tile(q @ psi16, (len(lam), 1))  # (samples, d) sector coordinates
-    prev_cfg = None
-    for seg in prefix:
-        if seg.kind is SegmentKind.LINEAR_RAMP:
-            if prev_cfg is None:
-                raise ValueError("ramp without a preceding configuration")
-            u = _ramp_unitary(prev_cfg.as_array(), seg.target.as_array(), seg.duration,
-                              stack, states[0], zh)
+    states = np.tile(q @ psi16, (len(lam), 1))  # (columns x nodes, d) sector coordinates
+    for k in range(n_prefix):
+        segs = [col.segments[k] for col in columns]
+        if segs[0].kind is SegmentKind.LINEAR_RAMP:  # a one-column stack
+            u = _ramp_unitary(stack.segments[k - 1].target.as_array(), segs[0].target.as_array(),
+                              segs[0].duration, bonds, states[0], zh)
             states = states @ u.T
             # a product of many step unitaries accumulates roundoff in the
             # norm; renormalize to keep the 1e-12 norm contract on states
             states /= np.linalg.norm(states, axis=-1, keepdims=True)
-        elif seg.duration > 0:
-            hj = _exchange(seg.target, stack)
-            states = _evolve_ensemble(states, hj, zh, lam, np.array([seg.duration]))[:, 0]
-        prev_cfg = seg.target
+            continue
+        dur = np.repeat([seg.duration for seg in segs], n_nodes)
+        if dur.any():
+            moved = _evolve_ensemble(states, _exchange([seg.target for seg in segs], bonds), zh,
+                                     lam, dur[:, None])[:, 0]
+            # a zero-length segment keeps its column's state exactly
+            states = np.where(dur[:, None] > 0, moved, states)
 
-    if dwell_seg is None:
+    if stack.dwell_times is None:
         out = states[:, None, :]
     else:
-        dwell = np.asarray(seq.dwell_times, dtype=float)
-        out = _evolve_ensemble(states, _exchange(dwell_seg.target, stack), zh, lam, dwell)
-    return SequenceResult(amplitudes=out, sector=sector, weights=weights,
-                          clipped_weight=clipped_weight)
+        out = _evolve_ensemble(states, _exchange([col.segments[-1].target for col in columns], bonds),
+                               zh, lam, np.asarray(stack.dwell_times)[None, :])
+    amplitudes = out.reshape(len(columns), n_nodes, *out.shape[1:])
+    if isinstance(seq, SequenceStack):
+        return SequenceResult(amplitudes, sector, weights, clipped_weight)
+    return SequenceResult(amplitudes[0], sector, weights, float(clipped_weight[0]))

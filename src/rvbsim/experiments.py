@@ -7,12 +7,15 @@ Outputs are deterministic: identical (config, seed) reruns are
 byte-identical.
 
 Every figure repeats one measurement: set a gate point, evolve, read a pair
-outcome probability against dwell time.  A figure declares its sweep values,
-a ``run(value)`` that builds and runs one column's sequence, the readout
-directions, the outcome and any fits; :func:`_scan` owns the loop and the
-ensemble readout, and given a stream ``(seed, figure, panel)`` draws column
-k of direction i from the shot key ``(seed, SHOT_STREAMS[figure], panel + i,
-k)``.  A fig3e/fig4ef column whose fit fails reads NaN, with a RuntimeWarning.
+outcome probability against dwell time.  A figure builds its sweep's columns,
+runs them, and hands the results with the readout directions, the outcome
+and any fits to :func:`_scan`, which owns the ensemble readout and, given a
+stream ``(seed, figure, panel)``, draws column k of direction i from the
+shot key ``(seed, SHOT_STREAMS[figure], panel + i, k)``.  A constant-coupling
+sweep is one :class:`~rvbsim.dynamics.SequenceStack` and one
+``run_sequence`` call; a ramp figure runs one column per call, since the
+ramp step count is chosen per column.  A fig3e/fig4ef column whose fit fails
+reads NaN, with a RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .dynamics import (
     ExchangeConfig,
     NoiseModel,
     PulseSequence,
+    SequenceStack,
     exchange_pulse,
     f_ss,
     ground_state_probabilities,
@@ -182,14 +186,16 @@ def _shot_column(mean_probs, outcome: int, n_shots: int, key: tuple) -> np.ndarr
     return sample_shots(mean_probs, n_shots, key).probabilities()[:, outcome]
 
 
-def _scan(values, run, directions, outcome, stream=None, n_shots=None):
-    """Ensemble probability of ``outcome`` over a sweep, shape (directions, values, dwell).
+def _scan(results, directions, outcome, stream=None, n_shots=None):
+    """Ensemble probability of ``outcome`` over a sweep, shape (directions, columns, dwell).
 
-    ``run(v)`` returns column v's :class:`SequenceResult`; ``outcome`` may be a
-    slice.  A ``stream`` adds ``n_shots``-shot frequencies (module docstring).
+    ``results`` yields stacked sequence results whose columns, in order, make
+    up the sweep; each is read out once, so a generator of one-column ramp
+    runs never holds more than one.  ``outcome`` may be a slice.  A
+    ``stream`` adds ``n_shots``-shot frequencies (module docstring).
     """
-    probs = np.array([[ensemble_probabilities(res, d) for d in directions]
-                      for res in map(run, values)]).swapaxes(0, 1)
+    probs = np.concatenate([[ensemble_probabilities(res, d) for d in directions]
+                            for res in results], axis=1)
     if stream is None:
         return probs[..., outcome]
     seed, figure, panel = stream
@@ -207,15 +213,20 @@ def _sequence(init: SpinState, target: ExchangeConfig, dwell, *prefix) -> PulseS
     return PulseSequence(init=init, segments=segments, dwell_times=tuple(dwell))
 
 
+def _stack(init: SpinState, targets, dwell) -> SequenceStack:
+    """One column per coupling configuration in ``targets``, each a hold swept over ``dwell``."""
+    dwell = tuple(dwell)
+    return SequenceStack(tuple(_sequence(init, j, dwell) for j in targets))
+
+
 def st_scan(config, points, direction: ReadoutDirection, dwell, outcome=IDX_ST) -> np.ndarray:
     """Noiseless singlet/T- scan: probability of ``outcome``, shape (points, dwell).
 
     Each column starts in the S/T- product read in ``direction`` and dwells at
-    the couplings ``config(*point)``.
+    the couplings ``config(*point)``; the whole scan is one stacked solve.
     """
-    init = st_product_state(direction)
-    return _scan(points, lambda p: run_sequence(_sequence(init, config(*p), dwell)),
-                 (direction,), outcome)[0]
+    stack = _stack(st_product_state(direction), [config(*p) for p in points], dwell)
+    return _scan([run_sequence(stack)], (direction,), outcome)[0]
 
 
 def _fit_rows(t, traces, f_model, figure: str, panel: str) -> np.ndarray:
@@ -302,11 +313,9 @@ def _chevron(out_dir: Path, params: dict, seed: int, figure: str, axis: str) -> 
     init = st_product_state(ReadoutDirection.HORIZONTAL)
     noise = _noise(params, "chevron.tphi_ns")
 
-    def run(dv_k):
-        j = exchange_from_voltages(model, *((dv_k, 0.0) if axis == "x" else (0.0, dv_k)))
-        return run_sequence(_sequence(init, j, t), noise, noise_reference_mhz=model.j0y / 2)
-
-    ideal, shots = _scan(dv, run, (ReadoutDirection.HORIZONTAL,), IDX_ST, (seed, figure, 0),
+    targets = [exchange_from_voltages(model, *((v, 0.0) if axis == "x" else (0.0, v))) for v in dv]
+    res = run_sequence(_stack(init, targets, t), noise, noise_reference_mhz=model.j0y / 2)
+    ideal, shots = _scan([res], (ReadoutDirection.HORIZONTAL,), IDX_ST, (seed, figure, 0),
                          params["readout.n_shots"])
     return [_write_map_csv(out_dir / f"{figure}_map.csv", f"dv{axis}_mv", dv, t, ideal[0], shots[0])]
 
@@ -325,15 +334,11 @@ def figure_fig3e(out_dir: Path, params: dict, seed: int) -> list[str]:
     files, j_fit = [], {}
     # the vertical readout oscillates at jx/2 (sums column 0), the horizontal one at jy/2
     for panel, (name, direction) in enumerate(zip(("vertical", "horizontal"), BOTH_READOUTS[::-1])):
-        init = st_product_state(direction)
-
-        def run(dvp_k, init=init, vertical=direction is ReadoutDirection.VERTICAL):
-            j = sweep.config(dvp_k)
-            return run_sequence(_sequence(init, j, t), noise,
-                                noise_reference_mhz=(j.jx if vertical else j.jy) / 2)
-
-        ideal, shots = _scan(dvp, run, (direction,), IDX_ST, (seed, "fig3e", panel),
-                             params["readout.n_shots"])
+        targets = [sweep.config(v) for v in dvp]
+        ref = [(j.jx if direction is ReadoutDirection.VERTICAL else j.jy) / 2 for j in targets]
+        stack = _stack(st_product_state(direction), targets, t)
+        ideal, shots = _scan([run_sequence(stack, noise, noise_reference_mhz=ref)], (direction,),
+                             IDX_ST, (seed, "fig3e", panel), params["readout.n_shots"])
         files.append(_write_map_csv(out_dir / f"fig3e_map_{name}.csv", "dvp_mv", dvp, t,
                                     ideal[0], shots[0]))
         j_fit[name] = 2 * _fit_rows(t, shots[0], sums[:, panel] / 2, "fig3e", name)[:, 0]
@@ -360,13 +365,13 @@ def figure_fig4b(out_dir: Path, params: dict, seed: int) -> list[str]:
     """Equal-exchange singlet-singlet oscillation traces, both readouts."""
     j = ExchangeConfig.balanced(2 * params["fig4b.j_pair_mhz"], 2 * params["fig4b.j_pair_mhz"])
     t = np.linspace(0.0, params["fig4b.t_max_ns"], params["fig4b.t_points"])
-    seq = _sequence(singlet_y(), j, t)
+    stack = _stack(singlet_y(), [j], t)
     columns: dict[str, np.ndarray] = {"t_ns": t}
     fit_payload = {}
     for panel, (label, direction) in enumerate(zip("xy", BOTH_READOUTS)):
         tphi_key = f"fig4b.tphi_{label}_ns"
-        ideal, shots = _scan([_noise(params, tphi_key)], lambda noise: run_sequence(seq, noise),
-                             (direction,), IDX_SS, (seed, "fig4b", panel), params["readout.n_shots"])
+        ideal, shots = _scan([run_sequence(stack, _noise(params, tphi_key))], (direction,), IDX_SS,
+                             (seed, "fig4b", panel), params["readout.n_shots"])
         columns[f"p_ss_{label}_ideal"] = ideal[0, 0]
         columns[f"p_ss_{label}_shot"] = shots[0, 0]
         fit = fit_damped_cosine(t, shots[0, 0])
@@ -383,8 +388,8 @@ def _fig4cd_maps(params, seed):
     dvp = _dvp(params)
     t = np.linspace(0.0, params["fig4cd.t_max_ns"], params["fig4cd.t_points"])
     noise = _noise(params, "fig4cd.tphi_ns")
-    ideal, shots = _scan(dvp, lambda v: run_sequence(_sequence(singlet_x(), sweep.config(v), t), noise),
-                         BOTH_READOUTS, IDX_SS, (seed, "fig4cd", 0), params["readout.n_shots"])
+    res = run_sequence(_stack(singlet_x(), [sweep.config(v) for v in dvp], t), noise)
+    ideal, shots = _scan([res], BOTH_READOUTS, IDX_SS, (seed, "fig4cd", 0), params["readout.n_shots"])
     return sweep, dvp, t, ideal, shots
 
 
@@ -417,9 +422,12 @@ def figure_fig4ef(out_dir: Path, params: dict, seed: int) -> list[str]:
 
 
 def _prep(init, start: ExchangeConfig, target: ExchangeConfig, t_ramp, dwell, noise):
-    """Run an adiabatic preparation: switch to ``start``, ramp to ``target``, dwell there."""
+    """Run an adiabatic preparation: switch to ``start``, ramp to ``target``, dwell there.
+
+    The result is a one-column stack: ramps run one column per call.
+    """
     seq = _sequence(init, target, dwell, set_diabatic(start), linear_ramp(target, t_ramp))
-    return run_sequence(seq, noise)
+    return run_sequence(SequenceStack((seq,)), noise)
 
 
 def _prep_along_sweep(params, sweep, dvp_k, dwell, noise):
@@ -439,12 +447,12 @@ def figure_fig5ab(out_dir: Path, params: dict, seed: int) -> list[str]:
     noise = _noise(params, "fig4cd.tphi_ns")
     ramps = np.linspace(0.0, params["fig5a.t_ramp_max_ns"], params["fig5a.t_ramp_points"])
     target = ExchangeConfig.balanced(jj, jj)
-    ideal, shots = _scan(ramps, lambda t_ramp: _prep(singlet_x(), start, target, t_ramp, t, noise),
+    ideal, shots = _scan((_prep(singlet_x(), start, target, t_ramp, t, noise) for t_ramp in ramps),
                          (ReadoutDirection.HORIZONTAL,), IDX_SS, (seed, "fig5ab", 0), n_shots)
     path_a = _write_map_csv(out_dir / "fig5a_map.csv", "t_ramp_ns", ramps, t, ideal[0], shots[0])
     sweep = sweep_model_from(params)
     dvp = _dvp(params)
-    ideal, shots = _scan(dvp, lambda v: _prep_along_sweep(params, sweep, v, t, noise),
+    ideal, shots = _scan((_prep_along_sweep(params, sweep, v, t, noise) for v in dvp),
                          (ReadoutDirection.HORIZONTAL,), IDX_SS, (seed, "fig5ab", 1), n_shots)
     return [path_a, _write_map_csv(out_dir / "fig5b_map.csv", "dvp_mv", dvp, t, ideal[0], shots[0])]
 
@@ -455,7 +463,7 @@ def figure_fig5c(out_dir: Path, params: dict, seed: int) -> list[str]:
     dvp = _dvp(params)
     t = np.linspace(0.0, params["fig5.t_max_ns"], params["fig5.t_points"])
     noise = _noise(params, "fig4cd.tphi_ns")
-    mean_x, mean_y = _scan(dvp, lambda v: _prep_along_sweep(params, sweep, v, t, noise),
+    mean_x, mean_y = _scan((_prep_along_sweep(params, sweep, v, t, noise) for v in dvp),
                            BOTH_READOUTS, IDX_SS).mean(axis=-1)
     path = out_dir / "fig5c_ground_state.csv"
     write_csv(path, {
@@ -476,10 +484,10 @@ def figure_fig5ef(out_dir: Path, params: dict, seed: int) -> list[str]:
     tj = np.linspace(0.0, params["fig5ef.tj_max_ns"], params["fig5ef.tj_points"])
     noise = _noise(params, "fig4cd.tphi_ns")
 
-    def run(tj_k):
-        return run_sequence(_sequence(singlet_x(), equal, t, exchange_pulse(pulse_cfg, tj_k)), noise)
-
-    ideal, shots = _scan(tj, run, BOTH_READOUTS, IDX_SS, (seed, "fig5ef", 0),
+    init, dwell = singlet_x(), tuple(t)
+    stack = SequenceStack(tuple(_sequence(init, equal, dwell, exchange_pulse(pulse_cfg, tj_k))
+                                for tj_k in tj))
+    ideal, shots = _scan([run_sequence(stack, noise)], BOTH_READOUTS, IDX_SS, (seed, "fig5ef", 0),
                          params["readout.n_shots"])
     return [_write_map_csv(out_dir / f"fig5{name}_map.csv", "t_j_ns", tj, t, ideal_i, shots_i)
             for name, ideal_i, shots_i in zip("ef", ideal, shots)]
@@ -528,8 +536,8 @@ def figure_figS9(out_dir: Path, params: dict, seed: int) -> list[str]:
         ("sx", singlet_x(), ExchangeConfig.balanced(jj, jy0)),
         ("sy", singlet_y(), ExchangeConfig.balanced(jy0, jj)),
     ):
-        maps = _scan(ramps, lambda t_ramp, init=init, start=start:
-                     _prep(init, start, target, t_ramp, t, noise), BOTH_READOUTS, IDX_SS)
+        maps = _scan((_prep(init, start, target, t_ramp, t, noise) for t_ramp in ramps),
+                     BOTH_READOUTS, IDX_SS)
         for ro_name, ideal in zip("xy", maps):
             path = out_dir / f"figS9_{init_name}_read{ro_name}.csv"
             files.append(_write_map_csv(path, "t_ramp_ns", ramps, t, ideal))

@@ -80,22 +80,16 @@ def load_config(path) -> dict:
 
 
 def write_csv(path, columns: dict[str, np.ndarray]) -> None:
-    """Write named columns to CSV with stable %.10g float formatting."""
+    """Write named columns to CSV: integer columns as %d, all others with stable %.10g."""
     names = list(columns)
     arrays = [np.asarray(columns[name]).ravel() for name in names]
     n = len(arrays[0])
     if any(len(a) != n for a in arrays):
         raise ValueError("all columns must have the same length")
+    row = ",".join("%d" if np.issubdtype(a.dtype, np.integer) else "%.10g" for a in arrays) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
-        for i in range(n):
-            fh.write(",".join(_fmt(a[i]) for a in arrays) + "\n")
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (np.integer, int)):
-        return str(int(x))
-    return f"{float(x):.10g}"
+        fh.writelines(row % r for r in zip(*[a.tolist() for a in arrays]))
 
 
 def read_csv(path) -> dict[str, np.ndarray]:

@@ -13,7 +13,8 @@ sector coordinates with a factor of the outcome projector compressed to the
 sector (rank <= d, built once per direction and basis), so a noisy ensemble
 is read out without lifting it to 16 dims.  :func:`ensemble_probabilities`
 is the one reader of a :class:`~rvbsim.dynamics.SequenceResult`: it reads
-the sector amplitudes in their sector and weights the quadrature nodes.
+the sector amplitudes in their sector and weights the quadrature nodes of
+each column, for a stacked sweep in blocks of columns.
 
 Shots are drawn per point as multinomial counts of the outcomes, one
 draw for a whole stack of points, from the stream :func:`rng` names
@@ -29,6 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import Basis, DIM_FULL, Pair, pair_singlet_projector, subspace_projector
+from .dynamics import BLOCK_STATES
 
 #: Joint-outcome order used everywhere: (first pair, second pair).
 OUTCOMES = ("SS", "ST", "TS", "TT")
@@ -107,13 +109,25 @@ def pair_probabilities_batch(
 
 
 def ensemble_probabilities(result, direction: ReadoutDirection) -> np.ndarray:
-    """Ensemble-averaged joint outcome probabilities (n_dwell, 4) of a sequence result.
+    """Ensemble-averaged joint outcome probabilities (..., n_dwell, 4) of a sequence result.
 
-    Reads ``result.amplitudes`` in ``result.sector`` and sums the nodes with
-    ``result.weights``; a noiseless result is a one-node ensemble.
+    Reads ``result.amplitudes``, shape (..., n_nodes, n_dwell, d), in
+    ``result.sector`` and sums each column's nodes with ``result.weights``;
+    a noiseless result is a one-node ensemble, and the result of a
+    :class:`~rvbsim.dynamics.SequenceStack` reads out to (n_columns, n_dwell, 4).
+    Columns are read out in blocks of about
+    :data:`~rvbsim.dynamics.BLOCK_STATES` states.
     """
-    probs = pair_probabilities_batch(result.amplitudes, direction, result.sector)
-    return np.tensordot(result.weights, probs, axes=1)
+    amps = result.amplitudes
+    n_nodes, n_dwell, d = amps.shape[-3:]
+    columns = amps.reshape(-1, n_nodes, n_dwell, d)
+    step = max(1, BLOCK_STATES // (n_nodes * n_dwell))
+    # one (nodes,) x (nodes, n_dwell * 4) product per column
+    mean = np.concatenate([
+        result.weights @ pair_probabilities_batch(columns[i:i + step], direction,
+                                                  result.sector).reshape(-1, n_nodes, n_dwell * 4)
+        for i in range(0, len(columns), step)])
+    return mean.reshape(amps.shape[:-3] + (n_dwell, 4))
 
 
 @dataclass(frozen=True)

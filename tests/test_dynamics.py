@@ -1,4 +1,5 @@
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hamiltonian_blocks import singlet_block
-from rvbsim import dynamics
+from rvbsim import dynamics, readout
 from rvbsim.basis import (
     Basis,
     Pair,
@@ -26,6 +27,7 @@ from rvbsim.dynamics import (
     NoiseModel,
     PulseSequence,
     RampConvergenceError,
+    SequenceStack,
     dephasing_envelope,
     evolve,
     exchange_pulse,
@@ -559,6 +561,107 @@ def test_run_sequence_noise_deterministic_and_enveloped():
     t = np.array(dwell)
     expected, _ = singlet_singlet_probabilities(50, 50, t, sigma_f=noise.sigma_f)
     assert_allclose(px, expected, rtol=0, atol=1e-6)
+
+
+_GENERIC16 = np.array([1.0, 1j]) @ np.random.default_rng(11).normal(size=(2, 16))
+#: init and Zeeman field per sector a stack can run in
+_STACK_SECTORS = {
+    "singlet_2": (singlet_x(), None, Basis.GLOBAL_SINGLET_2),
+    "triplet_3": (ST_INIT, None, Basis.TRIPLET_MINUS_3),
+    "m1_4": (ST_INIT, ZeemanConfig(), Basis.TRIPLET_MINUS_PLUS_Q_4),
+    "full": (SpinState(Basis.FULL16, _GENERIC16 / np.linalg.norm(_GENERIC16)), None, Basis.FULL16),
+    "full_zeeman": (singlet_x(), ZeemanConfig(), Basis.FULL16),
+}
+_COLUMN = st.tuples(st.lists(st.floats(0.5, 60.0), min_size=8, max_size=8),
+                    st.one_of(st.just(0.0), st.floats(0.0, 40.0)), st.floats(0.5, 30.0))
+_EXAMPLE_COLUMNS = [([20.0, 5.0, 30.0, 8.0, 12.0, 40.0, 3.0, 25.0], 0.0, 2.0),
+                    ([7.0, 33.0, 1.0, 15.0, 40.0, 2.5, 9.0, 11.0], 13.0, 25.0),
+                    ([1.0, 2.0, 3.0, 4.0, 50.0, 50.0, 50.0, 50.0], 0.0, 0.7)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(_STACK_SECTORS)), st.lists(_COLUMN, min_size=1, max_size=4),
+       st.sampled_from(("off", "default", "scalar", "per_column")), st.booleans(),
+       st.sampled_from((1, 4, dynamics.BLOCK_STATES)))
+@example("singlet_2", _EXAMPLE_COLUMNS, "per_column", True, 1)
+@example("triplet_3", _EXAMPLE_COLUMNS, "scalar", True, 4)
+@example("m1_4", _EXAMPLE_COLUMNS, "default", False, 1)
+@example("full", _EXAMPLE_COLUMNS, "per_column", True, 4)
+@example("full_zeeman", _EXAMPLE_COLUMNS, "off", True, dynamics.BLOCK_STATES)
+def test_stack_equals_its_columns_run_one_at_a_time(sector, columns, noise_mode, with_dwell, block):
+    # a stacked solve is bit for bit the per-column runs: amplitudes, clipped
+    # weights and ensemble readout, in every sector, with zero-length prefixes,
+    # also when the stack is evolved and read out in blocks of ``block`` states
+    init, zeeman, basis = _STACK_SECTORS[sector]
+    seqs = []
+    for bonds, duration, _ in columns:
+        j0, j1 = ExchangeConfig(*bonds[:4]), ExchangeConfig(*bonds[4:])
+        if with_dwell:
+            segments, dwell = (exchange_pulse(j0, duration), set_diabatic(j1), hold(j1, 0.0)), (0.0, 7.5, 31.0)
+        else:
+            segments, dwell = (exchange_pulse(j0, duration), hold(j1, 12.0)), None
+        seqs.append(PulseSequence(init=init, segments=segments, dwell_times=dwell))
+    noise = None if noise_mode == "off" else NoiseModel(sigma_f=2.0, n_samples=5)
+    refs = {"off": [None] * len(columns), "default": [None] * len(columns),
+            "scalar": [3.0] * len(columns), "per_column": [ref for *_, ref in columns]}[noise_mode]
+    stacked_ref = {"scalar": 3.0, "per_column": np.array(refs)}.get(noise_mode)
+    with mock.patch.object(dynamics, "BLOCK_STATES", block), \
+            mock.patch.object(readout, "BLOCK_STATES", block):
+        stacked = run_sequence(SequenceStack(seqs), noise, zeeman=zeeman,
+                               noise_reference_mhz=stacked_ref)
+        stacked_probs = {d: ensemble_probabilities(stacked, d) for d in ReadoutDirection}
+    assert stacked.sector is basis
+    assert stacked.amplitudes.shape[:2] == (len(columns), 1 if noise is None else 5)
+    assert stacked.clipped_weight.shape == (len(columns),)
+    for c, (seq, ref) in enumerate(zip(seqs, refs)):
+        alone = run_sequence(seq, noise, zeeman=zeeman, noise_reference_mhz=ref)
+        assert np.array_equal(stacked.amplitudes[c], alone.amplitudes)
+        assert stacked.clipped_weight[c] == alone.clipped_weight
+        for direction in ReadoutDirection:
+            assert np.array_equal(stacked_probs[direction][c],
+                                  ensemble_probabilities(alone, direction))
+        if not with_dwell and seq.segments[0].duration == 0:
+            # the zero-length pulse leaves the state as it was before the final hold
+            bare = run_sequence(PulseSequence(init, seq.segments[1:]), noise, zeeman=zeeman,
+                                noise_reference_mhz=ref)
+            assert np.array_equal(alone.amplitudes, bare.amplitudes)
+
+
+def test_stack_rejects_columns_that_cannot_share_a_solve():
+    j0, j1 = ExchangeConfig.balanced(50, 0.5), ExchangeConfig.balanced(50, 50)
+    base = PulseSequence(singlet_x(), (set_diabatic(j1), hold(j1, 0.0)), dwell_times=(0.0, 5.0))
+    others = {
+        "initial state": PulseSequence(singlet_y(), base.segments, dwell_times=(0.0, 5.0)),
+        "dwell grid": PulseSequence(singlet_x(), base.segments, dwell_times=(0.0, 6.0)),
+        "segment kinds": PulseSequence(singlet_x(), (exchange_pulse(j1, 0.0), hold(j1, 0.0)),
+                                       dwell_times=(0.0, 5.0)),
+    }
+    for what, other in others.items():
+        with pytest.raises(ValueError, match=f"must share the {what}"):
+            SequenceStack((base, other))
+    SequenceStack((base, PulseSequence(singlet_x(), (set_diabatic(j0), hold(j0, 0.0)),
+                                       dwell_times=(0.0, 5.0))))
+    ramp = PulseSequence(singlet_x(), (set_diabatic(j0), linear_ramp(j1, 10.0)))
+    SequenceStack((ramp,))
+    with pytest.raises(ValueError, match="ramp segment holds one column"):
+        SequenceStack((ramp, ramp))
+    with pytest.raises(ValueError, match="at least one column"):
+        SequenceStack(())
+
+
+def test_noise_reference_is_checked_per_column_before_the_frequency_law():
+    # a column with jx = jy = 0 has no singlet-singlet frequency to scale by
+    live, dead = ExchangeConfig.balanced(50, 50), ExchangeConfig(0.0, 0.0, 0.0, 0.0)
+    stack = SequenceStack([PulseSequence(singlet_x(), (hold(j, 0.0),), dwell_times=(0.0, 1.0))
+                           for j in (live, dead)])
+    noise = NoiseModel(sigma_f=1.0)
+    with pytest.raises(ValueError, match="noise needs a positive reference frequency"):
+        run_sequence(stack, noise)
+    with pytest.raises(ValueError, match="noise needs a positive reference frequency"):
+        run_sequence(stack, noise, noise_reference_mhz=[25.0, 0.0])
+    res = run_sequence(stack, noise, noise_reference_mhz=[25.0, 25.0])
+    assert res.clipped_weight.tolist() == [0.0, 0.0]
+    run_sequence(stack)  # without noise there is nothing to scale
 
 
 def test_ramp_requires_previous_segment():

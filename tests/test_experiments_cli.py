@@ -188,6 +188,47 @@ def test_cli_simulate_bad_sequence_file_is_a_one_line_usage_error(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_simulate_noise_without_exchange_is_a_one_line_usage_error(tmp_path, capsys):
+    # the file loads, but noise scales couplings by 1 + offset/f_ref and a final
+    # segment with jx = jy = 0 has no reference frequency
+    path = tmp_path / "zero.txt"
+    path.write_text("init state sx\nsegment hold j12=0 j34=0 j23=0 j14=0 dur=0\ndwell 0 1 2\n")
+    out = tmp_path / "out"
+    assert main(["simulate", str(path), "--sigma-f", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"rvbsim simulate: {path}: noise needs a positive reference frequency\n"
+    assert not out.exists()
+    assert main(["simulate", str(path), "--out", str(out)]) == 0  # noiseless, it runs
+
+
+def test_sweeps_run_as_one_stacked_solve(tmp_path, monkeypatch):
+    # one run_sequence call per sweep or panel, never one per column
+    from rvbsim import experiments
+    from rvbsim.readout import ReadoutDirection
+
+    calls = []
+    original = experiments.run_sequence
+
+    def counting(seq, *args, **kwargs):
+        calls.append(len(getattr(seq, "columns", (seq,))))
+        return original(seq, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_sequence", counting)
+    config = experiments.sweep_model_from(resolve_params()).config
+    experiments.st_scan(config, [(v,) for v in np.linspace(-5.0, 5.0, 7)],
+                        ReadoutDirection.HORIZONTAL, [0.0, 50.0])
+    assert calls == [7]
+
+    calls.clear()
+    report = run_calibration(tmp_path / "cal", overrides={"calibrate.grid_points": 9})
+    # per iteration one 9 x 9 map, then one 9-point line per frequency minimum
+    assert calls == [81] * report.iterations + [9, 9]
+
+    calls.clear()
+    run_figure("fig3e", tmp_path / "fig3e", overrides={"fig3e.dvp_points": 6, "fig3e.t_points": 61})
+    assert calls == [6, 6]  # one call per readout panel
+
+
 def test_cli_calibrate(tmp_path, capsys):
     # keep the loop small for test runtime
     spec = tmp_path / "cal.cfg"

@@ -150,3 +150,36 @@ def test_csv_round_trip_and_stability(tmp_path):
 def test_csv_length_mismatch(tmp_path):
     with pytest.raises(ValueError, match="length"):
         write_csv(tmp_path / "bad.csv", {"a": np.arange(3), "b": np.arange(4)})
+
+
+def _reference_csv(columns) -> bytes:
+    """The per-value CSV formatting ``write_csv`` must reproduce byte for byte."""
+
+    def fmt(x) -> str:
+        if isinstance(x, (np.integer, int)):
+            return str(int(x))
+        return f"{float(x):.10g}"
+
+    arrays = [np.asarray(a).ravel() for a in columns.values()]
+    lines = [",".join(columns)] + [",".join(fmt(a[i]) for a in arrays) for i in range(len(arrays[0]))]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def test_csv_bytes_match_reference_formatter(tmp_path):
+    rng = np.random.default_rng(3)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e300, -1e300, 1e-30, 5e-324, 1 / 3, 1e10,
+               123456789012.5, 0.1 + 0.2]
+    n = len(special) + 200
+    cols = {
+        "floats": np.concatenate([special, rng.normal(scale=1e3, size=200)]),
+        "ints": np.concatenate([[0, -1, 2**62, -(2**62)], rng.integers(-10**6, 10**6, n - 4)]),
+        "uint8": rng.integers(0, 256, n).astype(np.uint8),
+        "flags": rng.random(n) < 0.5,
+        "float32": rng.random(n).astype(np.float32),
+        "grid": np.arange(n, dtype=float).reshape(-1, 1) * 0.25,
+    }
+    path = tmp_path / "table.csv"
+    write_csv(path, cols)
+    assert path.read_bytes() == _reference_csv(cols)
+    write_csv(path, {"only": np.array([np.nan])})
+    assert path.read_bytes() == b"only\nnan\n"
