@@ -16,6 +16,7 @@ from rvbsim import (
     ExchangeConfig,
     PulseSequence,
     ReadoutDirection,
+    SequenceStack,
     d_wave,
     exchange_pulse,
     hold,
@@ -31,19 +32,25 @@ jj = 50.0  # equal-exchange sums (all couplings at 25 MHz)
 start = ExchangeConfig.balanced(jj, 0.5)
 target = ExchangeConfig.balanced(jj, jj)
 
+# One stack runs every ramp time in a single call, one column per ramp; the
+# ramp step count is still chosen per column.
 print("adiabatic ramp quality vs ramp time:")
 print("  t_ramp  |<s|psi>|^2   residual oscillation")
-for t_ramp in (40.0, 140.0, 400.0, 4000.0):
-    dwell = tuple(np.linspace(0.0, 40.0, 41))
-    seq = PulseSequence(
+t_ramps = (40.0, 140.0, 400.0, 4000.0)
+dwell = tuple(np.linspace(0.0, 40.0, 41))
+ramps = SequenceStack(tuple(
+    PulseSequence(
         init=singlet_x(),
         segments=(set_diabatic(start), linear_ramp(target, t_ramp), hold(target, 0.0)),
         dwell_times=dwell,
     )
-    res = run_sequence(seq)
-    fid = np.abs(res.states[0] @ s_wave(Basis.FULL16).amplitudes.conj()) ** 2
-    p_x = ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)[:, 0]
-    print(f"  {t_ramp:6.0f}  {fid.mean():10.6f}   {np.ptp(p_x):.2e}")
+    for t_ramp in t_ramps
+))
+res = run_sequence(ramps)  # amplitudes: (ramp, node, dwell, sector dim)
+fid = np.abs(res.states[:, 0] @ s_wave(Basis.FULL16).amplitudes.conj()) ** 2
+p_x = ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)[..., 0]
+for t_ramp, fid_k, p_k in zip(t_ramps, fid, p_x):
+    print(f"  {t_ramp:6.0f}  {fid_k.mean():10.6f}   {np.ptp(p_k):.2e}")
 
 # Half-swap pulse: evolve under a single bond for half its swap period.
 j23 = 20.0
@@ -67,13 +74,16 @@ print(f"  residual oscillation: {np.ptp(p_x):.2e}")
 # Sweep the pulse duration: the oscillation visibility vanishes
 # periodically at every odd half-period.
 print("\npulse-duration sweep (visibility of the following oscillation):")
-for scale in (0.0, 0.5, 1.0, 1.5, 2.0):
-    seq = PulseSequence(
+scales = (0.0, 0.5, 1.0, 1.5, 2.0)
+pulses = SequenceStack(tuple(
+    PulseSequence(
         init=singlet_x(),
         segments=(exchange_pulse(ExchangeConfig(0, 0, j23, 0), scale * t_j),
                   set_diabatic(target), hold(target, 0.0)),
         dwell_times=dwell,
     )
-    res = run_sequence(seq)
-    p = ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)[:, 0]
-    print(f"  t_J = {scale * t_j:5.1f} ns -> visibility {np.ptp(p):.3f}")
+    for scale in scales
+))
+p = ensemble_probabilities(run_sequence(pulses), ReadoutDirection.HORIZONTAL)[..., 0]
+for scale, p_k in zip(scales, p):
+    print(f"  t_J = {scale * t_j:5.1f} ns -> visibility {np.ptp(p_k):.3f}")

@@ -36,6 +36,7 @@ from .control import (
 from .dynamics import (
     ExchangeConfig,
     PulseSequence,
+    SequenceStack,
     W2PI,
     evolve,
     exchange_pulse,
@@ -223,19 +224,17 @@ def check_degenerate_formula(seed: int = 0) -> CheckResult:
                        f"(tol 1%)", elapsed)
 
 
-def _residual_amplitude(t_ramp: float, jx: float, jy0: float) -> float:
+def _residual_amplitudes(t_ramps, jx: float, jy0: float) -> np.ndarray:
+    """Residual oscillation amplitude after each ramp time; the ramps run as one stack."""
     target = ExchangeConfig.balanced(jx, jx)
     period = 1e3 / jx
     dwell = tuple(np.linspace(0.0, 2 * period, 41))
-    seq = PulseSequence(
-        init=singlet_x(),
-        segments=(set_diabatic(ExchangeConfig.balanced(jx, jy0)), linear_ramp(target, t_ramp),
-                  hold(target, 0.0)),
-        dwell_times=dwell,
-    )
-    res = run_sequence(seq)
-    p = ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)[:, 0]
-    return float(np.ptp(p)) / 2
+    start = set_diabatic(ExchangeConfig.balanced(jx, jy0))
+    stack = SequenceStack(tuple(
+        PulseSequence(singlet_x(), (start, linear_ramp(target, t_ramp), hold(target, 0.0)), dwell)
+        for t_ramp in t_ramps))
+    p = ensemble_probabilities(run_sequence(stack), ReadoutDirection.HORIZONTAL)[..., 0]
+    return np.ptp(p, axis=-1) / 2
 
 
 def check_s_wave_preparation(seed: int = 0) -> CheckResult:
@@ -260,8 +259,7 @@ def check_s_wave_preparation(seed: int = 0) -> CheckResult:
     p_y = pair_probabilities_batch(final.amplitudes, ReadoutDirection.VERTICAL)[0]
     plateau_ok = abs(p_x - 0.75) <= 0.005 and abs(p_y - 0.75) <= 0.005
 
-    ramps = [140.0, 180.0, 220.0, 260.0, 300.0]
-    amps = [_residual_amplitude(tr, jx, jy0) for tr in ramps]
+    amps = _residual_amplitudes([140.0, 180.0, 220.0, 260.0, 300.0], jx, jy0)
     monotone = all(a > b for a, b in zip(amps, amps[1:]))
     elapsed = time.perf_counter() - start
     passed = fidelity >= 0.999 and plateau_ok and monotone

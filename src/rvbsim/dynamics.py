@@ -18,12 +18,12 @@ A :class:`SequenceResult` keeps the amplitudes in that sector, where
 :func:`rvbsim.readout.ensemble_probabilities` reads them out; its ``states``
 property lifts them to the full space on each access.
 
-A sweep's columns run as one :class:`SequenceStack`: they share the initial
-state, sector, segment kinds and dwell grid, and differ in segment couplings
-and durations, so every constant-coupling segment is one batched ``eigh``
-over (columns x noise nodes).  A single :class:`PulseSequence` is a stack of
-one.  Each matrix is diagonalized on its own, so a stacked column equals the
-same column run alone bit for bit.
+Every sweep, ramps included, runs as one :class:`SequenceStack` of columns
+that share the initial state, sector, segment kinds and dwell grid.  A
+constant segment is one batched ``eigh`` over (columns x noise nodes); a ramp
+builds each column's propagator, with its own step count, for its own nodes.
+A single :class:`PulseSequence` is a stack of one.  Each matrix is built on
+its own, so a stacked column equals the same column run alone bit for bit.
 
 Quasi-static noise: each trajectory carries one Gaussian frequency offset
 (std ``sigma_f``) and scales every exchange coupling by the common factor
@@ -348,8 +348,8 @@ class SequenceStack:
 
     The columns share the initial state, the segment kinds and the dwell grid,
     and differ only in segment couplings and durations; ``init``, ``segments``
-    and ``dwell_times`` read the first column's.  The ramp step count is chosen
-    per column, so a stack with a ramp segment holds one column.
+    and ``dwell_times`` read the first column's.  Ramp columns stack too: the
+    ramp step count is chosen per column.
     """
 
     columns: tuple[PulseSequence, ...]
@@ -371,9 +371,6 @@ class SequenceStack:
                 raise ValueError("stacked sequences must share the dwell grid")
             if [seg.kind for seg in col.segments] != kinds:
                 raise ValueError("stacked sequences must share the segment kinds")
-        if len(columns) > 1 and SegmentKind.LINEAR_RAMP in kinds:
-            raise ValueError("a stack with a ramp segment holds one column: "
-                             "the ramp step count is chosen per column")
 
     @property
     def init(self) -> SpinState:
@@ -516,11 +513,11 @@ def _ramp_unitary_once(bonds0, bonds1, duration, n, stack, const=0.0) -> np.ndar
     return total
 
 
-def _ramp_unitary(bonds0, bonds1, duration, stack, probe_state, const=0.0):
+def _ramp_unitary(bonds0, bonds1, duration, stack, probe_state, const=0.0, where=""):
     """Adaptive Magnus ramp propagator, doubling n from 64 until converged.
 
     Converged means ``probe_state`` moves by less than RAMP_TOL between n/2 and n
-    steps; at RAMP_STEP_CAP a RampConvergenceError names the last n and residual.
+    steps; at RAMP_STEP_CAP a RampConvergenceError led by ``where`` names n and residual.
     """
     if duration == 0:
         return np.eye(stack.shape[1], dtype=complex)
@@ -535,7 +532,7 @@ def _ramp_unitary(bonds0, bonds1, duration, stack, probe_state, const=0.0):
             return u
         psi_prev = psi
     raise RampConvergenceError(
-        f"ramp discretization stopped at n={n} steps (cap {RAMP_STEP_CAP}) with residual "
+        f"{where}ramp discretization stopped at n={n} steps (cap {RAMP_STEP_CAP}) with residual "
         f"{residual:.3g}, above tol {RAMP_TOL}"
     )
 
@@ -600,10 +597,13 @@ def run_sequence(
     states = np.tile(q @ psi16, (len(lam), 1))  # (columns x nodes, d) sector coordinates
     for k in range(n_prefix):
         segs = [col.segments[k] for col in columns]
-        if segs[0].kind is SegmentKind.LINEAR_RAMP:  # a one-column stack
-            u = _ramp_unitary(stack.segments[k - 1].target.as_array(), segs[0].target.as_array(),
-                              segs[0].duration, bonds, states[0], zh)
-            states = states @ u.T
+        if segs[0].kind is SegmentKind.LINEAR_RAMP:
+            for c, col in enumerate(columns):  # own step count, probed at the column's first node
+                rows = slice(c * n_nodes, (c + 1) * n_nodes)
+                u = _ramp_unitary(col.segments[k - 1].target.as_array(), segs[c].target.as_array(),
+                                  segs[c].duration, bonds, states[rows.start], zh,
+                                  f"column {c}: " if len(columns) > 1 else "")
+                states[rows] = states[rows] @ u.T
             # a product of many step unitaries accumulates roundoff in the
             # norm; renormalize to keep the 1e-12 norm contract on states
             states /= np.linalg.norm(states, axis=-1, keepdims=True)

@@ -7,15 +7,14 @@ Outputs are deterministic: identical (config, seed) reruns are
 byte-identical.
 
 Every figure repeats one measurement: set a gate point, evolve, read a pair
-outcome probability against dwell time.  A figure builds its sweep's columns,
-runs them, and hands the results with the readout directions, the outcome
-and any fits to :func:`_scan`, which owns the ensemble readout and, given a
-stream ``(seed, figure, panel)``, draws column k of direction i from the
-shot key ``(seed, SHOT_STREAMS[figure], panel + i, k)``.  A constant-coupling
-sweep is one :class:`~rvbsim.dynamics.SequenceStack` and one
-``run_sequence`` call; a ramp figure runs one column per call, since the
-ramp step count is chosen per column.  A fig3e/fig4ef column whose fit fails
-reads NaN, with a RuntimeWarning.
+outcome probability against dwell time.  A figure builds its sweep's columns
+as one :class:`~rvbsim.dynamics.SequenceStack` with :func:`_stack`, runs it
+with one ``run_sequence`` call (a ramp sweep too: the ramp step count is
+chosen per column inside the solve), and hands the result with the readout
+directions, the outcome and any fits to :func:`_scan`, which owns the
+ensemble readout and, given a stream ``(seed, figure, panel)``, draws column
+k of direction i from the shot key ``(seed, SHOT_STREAMS[figure], panel + i,
+k)``.  A fig3e/fig4ef column whose fit fails reads NaN, with a RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -186,16 +185,14 @@ def _shot_column(mean_probs, outcome: int, n_shots: int, key: tuple) -> np.ndarr
     return sample_shots(mean_probs, n_shots, key).probabilities()[:, outcome]
 
 
-def _scan(results, directions, outcome, stream=None, n_shots=None):
+def _scan(result, directions, outcome, stream=None, n_shots=None):
     """Ensemble probability of ``outcome`` over a sweep, shape (directions, columns, dwell).
 
-    ``results`` yields stacked sequence results whose columns, in order, make
-    up the sweep; each is read out once, so a generator of one-column ramp
-    runs never holds more than one.  ``outcome`` may be a slice.  A
-    ``stream`` adds ``n_shots``-shot frequencies (module docstring).
+    ``result`` is the one stacked sequence result whose columns are the sweep.
+    ``outcome`` may be a slice.  A ``stream`` adds ``n_shots``-shot
+    frequencies (module docstring).
     """
-    probs = np.concatenate([[ensemble_probabilities(res, d) for d in directions]
-                            for res in results], axis=1)
+    probs = np.array([ensemble_probabilities(result, d) for d in directions])
     if stream is None:
         return probs[..., outcome]
     seed, figure, panel = stream
@@ -207,16 +204,12 @@ def _scan(results, directions, outcome, stream=None, n_shots=None):
     return probs[..., outcome], shots
 
 
-def _sequence(init: SpinState, target: ExchangeConfig, dwell, *prefix) -> PulseSequence:
-    """``prefix`` segments, then a hold at ``target`` swept over the dwell grid."""
-    segments = (*prefix, hold(target, 0.0))
-    return PulseSequence(init=init, segments=segments, dwell_times=tuple(dwell))
-
-
-def _stack(init: SpinState, targets, dwell) -> SequenceStack:
-    """One column per coupling configuration in ``targets``, each a hold swept over ``dwell``."""
+def _stack(init: SpinState, dwell, targets, *prefixes) -> SequenceStack:
+    """One column per coupling configuration in ``targets``, each a hold swept over ``dwell``,
+    after its segment from each of ``prefixes`` (one segment per column) in order."""
     dwell = tuple(dwell)
-    return SequenceStack(tuple(_sequence(init, j, dwell) for j in targets))
+    return SequenceStack(tuple(PulseSequence(init, (*prefix, hold(j, 0.0)), dwell)
+                               for j, *prefix in zip(targets, *prefixes, strict=True)))
 
 
 def st_scan(config, points, direction: ReadoutDirection, dwell, outcome=IDX_ST) -> np.ndarray:
@@ -225,8 +218,8 @@ def st_scan(config, points, direction: ReadoutDirection, dwell, outcome=IDX_ST) 
     Each column starts in the S/T- product read in ``direction`` and dwells at
     the couplings ``config(*point)``; the whole scan is one stacked solve.
     """
-    stack = _stack(st_product_state(direction), [config(*p) for p in points], dwell)
-    return _scan([run_sequence(stack)], (direction,), outcome)[0]
+    stack = _stack(st_product_state(direction), dwell, [config(*p) for p in points])
+    return _scan(run_sequence(stack), (direction,), outcome)[0]
 
 
 def _fit_rows(t, traces, f_model, figure: str, panel: str) -> np.ndarray:
@@ -314,8 +307,8 @@ def _chevron(out_dir: Path, params: dict, seed: int, figure: str, axis: str) -> 
     noise = _noise(params, "chevron.tphi_ns")
 
     targets = [exchange_from_voltages(model, *((v, 0.0) if axis == "x" else (0.0, v))) for v in dv]
-    res = run_sequence(_stack(init, targets, t), noise, noise_reference_mhz=model.j0y / 2)
-    ideal, shots = _scan([res], (ReadoutDirection.HORIZONTAL,), IDX_ST, (seed, figure, 0),
+    res = run_sequence(_stack(init, t, targets), noise, noise_reference_mhz=model.j0y / 2)
+    ideal, shots = _scan(res, (ReadoutDirection.HORIZONTAL,), IDX_ST, (seed, figure, 0),
                          params["readout.n_shots"])
     return [_write_map_csv(out_dir / f"{figure}_map.csv", f"dv{axis}_mv", dv, t, ideal[0], shots[0])]
 
@@ -336,8 +329,8 @@ def figure_fig3e(out_dir: Path, params: dict, seed: int) -> list[str]:
     for panel, (name, direction) in enumerate(zip(("vertical", "horizontal"), BOTH_READOUTS[::-1])):
         targets = [sweep.config(v) for v in dvp]
         ref = [(j.jx if direction is ReadoutDirection.VERTICAL else j.jy) / 2 for j in targets]
-        stack = _stack(st_product_state(direction), targets, t)
-        ideal, shots = _scan([run_sequence(stack, noise, noise_reference_mhz=ref)], (direction,),
+        stack = _stack(st_product_state(direction), t, targets)
+        ideal, shots = _scan(run_sequence(stack, noise, noise_reference_mhz=ref), (direction,),
                              IDX_ST, (seed, "fig3e", panel), params["readout.n_shots"])
         files.append(_write_map_csv(out_dir / f"fig3e_map_{name}.csv", "dvp_mv", dvp, t,
                                     ideal[0], shots[0]))
@@ -365,12 +358,12 @@ def figure_fig4b(out_dir: Path, params: dict, seed: int) -> list[str]:
     """Equal-exchange singlet-singlet oscillation traces, both readouts."""
     j = ExchangeConfig.balanced(2 * params["fig4b.j_pair_mhz"], 2 * params["fig4b.j_pair_mhz"])
     t = np.linspace(0.0, params["fig4b.t_max_ns"], params["fig4b.t_points"])
-    stack = _stack(singlet_y(), [j], t)
+    stack = _stack(singlet_y(), t, [j])
     columns: dict[str, np.ndarray] = {"t_ns": t}
     fit_payload = {}
     for panel, (label, direction) in enumerate(zip("xy", BOTH_READOUTS)):
         tphi_key = f"fig4b.tphi_{label}_ns"
-        ideal, shots = _scan([run_sequence(stack, _noise(params, tphi_key))], (direction,), IDX_SS,
+        ideal, shots = _scan(run_sequence(stack, _noise(params, tphi_key)), (direction,), IDX_SS,
                              (seed, "fig4b", panel), params["readout.n_shots"])
         columns[f"p_ss_{label}_ideal"] = ideal[0, 0]
         columns[f"p_ss_{label}_shot"] = shots[0, 0]
@@ -388,8 +381,8 @@ def _fig4cd_maps(params, seed):
     dvp = _dvp(params)
     t = np.linspace(0.0, params["fig4cd.t_max_ns"], params["fig4cd.t_points"])
     noise = _noise(params, "fig4cd.tphi_ns")
-    res = run_sequence(_stack(singlet_x(), [sweep.config(v) for v in dvp], t), noise)
-    ideal, shots = _scan([res], BOTH_READOUTS, IDX_SS, (seed, "fig4cd", 0), params["readout.n_shots"])
+    res = run_sequence(_stack(singlet_x(), t, [sweep.config(v) for v in dvp]), noise)
+    ideal, shots = _scan(res, BOTH_READOUTS, IDX_SS, (seed, "fig4cd", 0), params["readout.n_shots"])
     return sweep, dvp, t, ideal, shots
 
 
@@ -421,21 +414,19 @@ def figure_fig4ef(out_dir: Path, params: dict, seed: int) -> list[str]:
 # eigenstate preparation
 
 
-def _prep(init, start: ExchangeConfig, target: ExchangeConfig, t_ramp, dwell, noise):
-    """Run an adiabatic preparation: switch to ``start``, ramp to ``target``, dwell there.
-
-    The result is a one-column stack: ramps run one column per call.
-    """
-    seq = _sequence(init, target, dwell, set_diabatic(start), linear_ramp(target, t_ramp))
-    return run_sequence(SequenceStack((seq,)), noise)
+def _prep(init, starts, targets, t_ramps, dwell, noise):
+    """Adiabatic preparations as one stacked run: column k switches to ``starts[k]``,
+    ramps to ``targets[k]`` over ``t_ramps[k]`` ns and dwells there."""
+    ramps = [linear_ramp(j, t_ramp) for j, t_ramp in zip(targets, t_ramps, strict=True)]
+    return run_sequence(_stack(init, dwell, targets, map(set_diabatic, starts), ramps), noise)
 
 
-def _prep_along_sweep(params, sweep, dvp_k, dwell, noise):
-    """Preparation at sweep point ``dvp_k``: from (jx, fig5.jy_start) ramp to (jx, jy)."""
-    jx, jy = sweep.sums(dvp_k)
-    start = ExchangeConfig.balanced(jx, params["fig5.jy_start_mhz"])
-    return _prep(singlet_x(), start, ExchangeConfig.balanced(jx, jy), params["fig5.t_ramp_ns"],
-                 dwell, noise)
+def _prep_along_sweep(params, sweep, dvp, dwell, noise):
+    """Preparations along the sweep: at each point, from (jx, fig5.jy_start) ramp to (jx, jy)."""
+    sums = [sweep.sums(v) for v in dvp]
+    starts = [ExchangeConfig.balanced(jx, params["fig5.jy_start_mhz"]) for jx, _ in sums]
+    targets = [ExchangeConfig.balanced(jx, jy) for jx, jy in sums]
+    return _prep(singlet_x(), starts, targets, [params["fig5.t_ramp_ns"]] * len(dvp), dwell, noise)
 
 
 def figure_fig5ab(out_dir: Path, params: dict, seed: int) -> list[str]:
@@ -447,12 +438,12 @@ def figure_fig5ab(out_dir: Path, params: dict, seed: int) -> list[str]:
     noise = _noise(params, "fig4cd.tphi_ns")
     ramps = np.linspace(0.0, params["fig5a.t_ramp_max_ns"], params["fig5a.t_ramp_points"])
     target = ExchangeConfig.balanced(jj, jj)
-    ideal, shots = _scan((_prep(singlet_x(), start, target, t_ramp, t, noise) for t_ramp in ramps),
-                         (ReadoutDirection.HORIZONTAL,), IDX_SS, (seed, "fig5ab", 0), n_shots)
+    res = _prep(singlet_x(), [start] * len(ramps), [target] * len(ramps), ramps, t, noise)
+    ideal, shots = _scan(res, (ReadoutDirection.HORIZONTAL,), IDX_SS, (seed, "fig5ab", 0), n_shots)
     path_a = _write_map_csv(out_dir / "fig5a_map.csv", "t_ramp_ns", ramps, t, ideal[0], shots[0])
     sweep = sweep_model_from(params)
     dvp = _dvp(params)
-    ideal, shots = _scan((_prep_along_sweep(params, sweep, v, t, noise) for v in dvp),
+    ideal, shots = _scan(_prep_along_sweep(params, sweep, dvp, t, noise),
                          (ReadoutDirection.HORIZONTAL,), IDX_SS, (seed, "fig5ab", 1), n_shots)
     return [path_a, _write_map_csv(out_dir / "fig5b_map.csv", "dvp_mv", dvp, t, ideal[0], shots[0])]
 
@@ -463,8 +454,8 @@ def figure_fig5c(out_dir: Path, params: dict, seed: int) -> list[str]:
     dvp = _dvp(params)
     t = np.linspace(0.0, params["fig5.t_max_ns"], params["fig5.t_points"])
     noise = _noise(params, "fig4cd.tphi_ns")
-    mean_x, mean_y = _scan((_prep_along_sweep(params, sweep, v, t, noise) for v in dvp),
-                           BOTH_READOUTS, IDX_SS).mean(axis=-1)
+    mean_x, mean_y = _scan(_prep_along_sweep(params, sweep, dvp, t, noise), BOTH_READOUTS,
+                           IDX_SS).mean(axis=-1)
     path = out_dir / "fig5c_ground_state.csv"
     write_csv(path, {
         "dvp_mv": dvp,
@@ -484,10 +475,9 @@ def figure_fig5ef(out_dir: Path, params: dict, seed: int) -> list[str]:
     tj = np.linspace(0.0, params["fig5ef.tj_max_ns"], params["fig5ef.tj_points"])
     noise = _noise(params, "fig4cd.tphi_ns")
 
-    init, dwell = singlet_x(), tuple(t)
-    stack = SequenceStack(tuple(_sequence(init, equal, dwell, exchange_pulse(pulse_cfg, tj_k))
-                                for tj_k in tj))
-    ideal, shots = _scan([run_sequence(stack, noise)], BOTH_READOUTS, IDX_SS, (seed, "fig5ef", 0),
+    pulses = [exchange_pulse(pulse_cfg, tj_k) for tj_k in tj]
+    stack = _stack(singlet_x(), t, [equal] * len(tj), pulses)
+    ideal, shots = _scan(run_sequence(stack, noise), BOTH_READOUTS, IDX_SS, (seed, "fig5ef", 0),
                          params["readout.n_shots"])
     return [_write_map_csv(out_dir / f"fig5{name}_map.csv", "t_j_ns", tj, t, ideal_i, shots_i)
             for name, ideal_i, shots_i in zip("ef", ideal, shots)]
@@ -536,7 +526,7 @@ def figure_figS9(out_dir: Path, params: dict, seed: int) -> list[str]:
         ("sx", singlet_x(), ExchangeConfig.balanced(jj, jy0)),
         ("sy", singlet_y(), ExchangeConfig.balanced(jy0, jj)),
     ):
-        maps = _scan((_prep(init, start, target, t_ramp, t, noise) for t_ramp in ramps),
+        maps = _scan(_prep(init, [start] * len(ramps), [target] * len(ramps), ramps, t, noise),
                      BOTH_READOUTS, IDX_SS)
         for ro_name, ideal in zip("xy", maps):
             path = out_dir / f"figS9_{init_name}_read{ro_name}.csv"

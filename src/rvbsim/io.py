@@ -13,7 +13,7 @@ mode, may be left out, and other segments take no ``mode``)::
     segment ramp j12=25 j34=25 j23=25 j14=25 dur=160 mode=voltage
     segment hold j12=25 j34=25 j23=25 j14=25 dur=0
     dwell 0 4 8 12                   # explicit dwell times (ns)
-    dwell range 0 300 2              # inclusive arange: start <= stop, step > 0
+    dwell range 0 300 2              # start, start + step, ... up to stop, inclusive
 
 ``init amplitudes`` gives one re:im pair per coordinate of any
 :class:`~rvbsim.basis.Basis`.  A file has one ``init`` line and at most one
@@ -26,6 +26,7 @@ CSV emitters format floats with %.10g so reruns are byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,7 @@ def _parse_dwell(tokens: list[str]) -> tuple[float, ...]:
         if not (0 < step < np.inf and start <= stop):
             raise ValueError(f"dwell range {start:g} {stop:g} {step:g} makes no grid: it needs "
                              "start <= stop and a positive, finite step")
-        n = int(round((stop - start) / step)) + 1
+        # the grid ends at the last multiple of step that does not pass stop, up to round-off
+        n = math.floor((stop - start) / step + 1e-9) + 1
         return tuple(start + step * k for k in range(n))
     return tuple(float(tok) for tok in tokens)

@@ -582,24 +582,35 @@ _EXAMPLE_COLUMNS = [([20.0, 5.0, 30.0, 8.0, 12.0, 40.0, 3.0, 25.0], 0.0, 2.0),
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(sorted(_STACK_SECTORS)), st.lists(_COLUMN, min_size=1, max_size=4),
        st.sampled_from(("off", "default", "scalar", "per_column")), st.booleans(),
-       st.sampled_from((1, 4, dynamics.BLOCK_STATES)))
-@example("singlet_2", _EXAMPLE_COLUMNS, "per_column", True, 1)
-@example("triplet_3", _EXAMPLE_COLUMNS, "scalar", True, 4)
-@example("m1_4", _EXAMPLE_COLUMNS, "default", False, 1)
-@example("full", _EXAMPLE_COLUMNS, "per_column", True, 4)
-@example("full_zeeman", _EXAMPLE_COLUMNS, "off", True, dynamics.BLOCK_STATES)
-def test_stack_equals_its_columns_run_one_at_a_time(sector, columns, noise_mode, with_dwell, block):
+       st.sampled_from((1, 4, dynamics.BLOCK_STATES)), st.sampled_from(("pulse", "ramp")))
+@example("singlet_2", _EXAMPLE_COLUMNS, "per_column", True, 1, "pulse")
+@example("triplet_3", _EXAMPLE_COLUMNS, "scalar", True, 4, "pulse")
+@example("m1_4", _EXAMPLE_COLUMNS, "default", False, 1, "pulse")
+@example("full", _EXAMPLE_COLUMNS, "per_column", True, 4, "pulse")
+@example("full_zeeman", _EXAMPLE_COLUMNS, "off", True, dynamics.BLOCK_STATES, "pulse")
+@example("singlet_2", _EXAMPLE_COLUMNS, "default", True, 4, "ramp")
+@example("m1_4", _EXAMPLE_COLUMNS, "per_column", False, 1, "ramp")
+@example("full_zeeman", _EXAMPLE_COLUMNS, "scalar", True, dynamics.BLOCK_STATES, "ramp")
+def test_stack_equals_its_columns_run_one_at_a_time(sector, columns, noise_mode, with_dwell, block,
+                                                    prefix):
     # a stacked solve is bit for bit the per-column runs: amplitudes, clipped
     # weights and ensemble readout, in every sector, with zero-length prefixes,
-    # also when the stack is evolved and read out in blocks of ``block`` states
+    # with a pulse or with a ramp from each column's own start couplings, also
+    # when the stack is evolved and read out in blocks of ``block`` states
     init, zeeman, basis = _STACK_SECTORS[sector]
     seqs = []
     for bonds, duration, _ in columns:
         j0, j1 = ExchangeConfig(*bonds[:4]), ExchangeConfig(*bonds[4:])
-        if with_dwell:
-            segments, dwell = (exchange_pulse(j0, duration), set_diabatic(j1), hold(j1, 0.0)), (0.0, 7.5, 31.0)
+        if prefix == "ramp":
+            pre = (set_diabatic(j0), linear_ramp(j1, duration))
+        elif with_dwell:
+            pre = (exchange_pulse(j0, duration), set_diabatic(j1))
         else:
-            segments, dwell = (exchange_pulse(j0, duration), hold(j1, 12.0)), None
+            pre = (exchange_pulse(j0, duration),)
+        if with_dwell:
+            segments, dwell = (*pre, hold(j1, 0.0)), (0.0, 7.5, 31.0)
+        else:
+            segments, dwell = (*pre, hold(j1, 12.0)), None
         seqs.append(PulseSequence(init=init, segments=segments, dwell_times=dwell))
     noise = None if noise_mode == "off" else NoiseModel(sigma_f=2.0, n_samples=5)
     refs = {"off": [None] * len(columns), "default": [None] * len(columns),
@@ -620,7 +631,7 @@ def test_stack_equals_its_columns_run_one_at_a_time(sector, columns, noise_mode,
         for direction in ReadoutDirection:
             assert np.array_equal(stacked_probs[direction][c],
                                   ensemble_probabilities(alone, direction))
-        if not with_dwell and seq.segments[0].duration == 0:
+        if prefix == "pulse" and not with_dwell and seq.segments[0].duration == 0:
             # the zero-length pulse leaves the state as it was before the final hold
             bare = run_sequence(PulseSequence(init, seq.segments[1:]), noise, zeeman=zeeman,
                                 noise_reference_mhz=ref)
@@ -641,10 +652,10 @@ def test_stack_rejects_columns_that_cannot_share_a_solve():
             SequenceStack((base, other))
     SequenceStack((base, PulseSequence(singlet_x(), (set_diabatic(j0), hold(j0, 0.0)),
                                        dwell_times=(0.0, 5.0))))
-    ramp = PulseSequence(singlet_x(), (set_diabatic(j0), linear_ramp(j1, 10.0)))
-    SequenceStack((ramp,))
-    with pytest.raises(ValueError, match="ramp segment holds one column"):
-        SequenceStack((ramp, ramp))
+    # ramp columns stack too, each with its own start couplings and duration
+    ramps = SequenceStack((PulseSequence(singlet_x(), (set_diabatic(j0), linear_ramp(j1, 10.0))),
+                           PulseSequence(singlet_x(), (set_diabatic(j1), linear_ramp(j0, 0.0)))))
+    assert run_sequence(ramps).amplitudes.shape == (2, 1, 1, 2)
     with pytest.raises(ValueError, match="at least one column"):
         SequenceStack(())
 
@@ -691,8 +702,21 @@ def test_ramp_step_cap_raises(monkeypatch):
     seq = PulseSequence(init=singlet_x(), segments=(set_diabatic(j0), linear_ramp(j1, 300.0)))
     # the 300 ns ramp converges at n = 2048; the message names where it stopped
     monkeypatch.setattr(dynamics, "RAMP_STEP_CAP", 256)
-    with pytest.raises(RampConvergenceError, match=r"n=256 steps .* residual \d"):
+    with pytest.raises(RampConvergenceError, match=r"^ramp discretization stopped at n=256 steps "
+                                                   r".* residual \d"):
         run_sequence(seq)
+
+
+def test_ramp_step_cap_names_the_column_of_a_stack(monkeypatch):
+    j0 = ExchangeConfig.balanced(50, 0.5)
+    j1 = ExchangeConfig.balanced(50, 50)
+    stack = SequenceStack(tuple(PulseSequence(init=singlet_x(),
+                                              segments=(set_diabatic(j0), linear_ramp(j1, t_ramp)))
+                                for t_ramp in (0.0, 4000.0)))
+    # the zero-length ramp needs no steps; the 4000 ns one cannot converge in 128
+    monkeypatch.setattr(dynamics, "RAMP_STEP_CAP", 128)
+    with pytest.raises(RampConvergenceError, match=r"^column 1: ramp discretization stopped at n=128"):
+        run_sequence(stack)
 
 
 def test_magnus_ramps_converge_within_4096_steps(monkeypatch):

@@ -228,6 +228,18 @@ def test_sweeps_run_as_one_stacked_solve(tmp_path, monkeypatch):
     run_figure("fig3e", tmp_path / "fig3e", overrides={"fig3e.dvp_points": 6, "fig3e.t_points": 61})
     assert calls == [6, 6]  # one call per readout panel
 
+    # the ramp sweeps too: figS9 one call per initial product, fig5ab one per map
+    sizes = {"figS9.t_ramp_points": 3, "fig5a.t_ramp_points": 4, "fig3e.dvp_points": 5,
+             "fig5.t_points": 11}
+    for name, expected in (
+        ("figS9", [sizes["figS9.t_ramp_points"]] * 2),
+        ("fig5ab", [sizes["fig5a.t_ramp_points"], sizes["fig3e.dvp_points"]]),
+        ("fig5c", [sizes["fig3e.dvp_points"]]),
+    ):
+        calls.clear()
+        run_figure(name, tmp_path / name, overrides=sizes)
+        assert calls == expected
+
 
 def test_cli_calibrate(tmp_path, capsys):
     # keep the loop small for test runtime

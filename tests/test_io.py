@@ -103,6 +103,17 @@ def test_mode_is_rejected_off_ramp_lines(kind):
         sequence_from_text(text)
 
 
+@pytest.mark.parametrize("grid, times", [
+    ("0 10 6", (0.0, 6.0)),  # an off-grid stop is not passed
+    ("0 0.3 0.1", (0.0, 0.1, 0.2, 0.30000000000000004)),  # an on-grid stop survives round-off
+    ("0 160 2", tuple(2.0 * k for k in range(81))),
+    ("5 5 1", (5.0,)),
+])
+def test_dwell_range_stops_at_its_stop(grid, times):
+    text = f"init state sx\nsegment hold j12=1 j34=1 j23=1 j14=1 dur=0\ndwell range {grid}\n"
+    assert sequence_from_text(text).dwell_times == times
+
+
 @pytest.mark.parametrize("grid", ["0 300 0", "300 0 2", "0 300 -2", "0 300 inf"])
 def test_dwell_range_without_points_rejected(grid):
     text = f"init state sx\nsegment hold j12=1 j34=1 j23=1 j14=1 dur=0\ndwell range {grid}\n"
