@@ -16,11 +16,11 @@ from rvbsim import (
     ExchangeConfig,
     PulseSequence,
     ReadoutDirection,
+    SegmentKind,
     SequenceStack,
     d_wave,
     exchange_pulse,
     hold,
-    linear_ramp,
     run_sequence,
     s_wave,
     set_diabatic,
@@ -32,20 +32,21 @@ jj = 50.0  # equal-exchange sums (all couplings at 25 MHz)
 start = ExchangeConfig.balanced(jj, 0.5)
 target = ExchangeConfig.balanced(jj, jj)
 
-# One stack runs every ramp time in a single call, one column per ramp; the
-# ramp step count is still chosen per column.
+# One stack runs every ramp time in a single call, one column per ramp: each
+# segment has a row of couplings and a duration per column, and the ramp step
+# count is still chosen per column.
 print("adiabatic ramp quality vs ramp time:")
 print("  t_ramp  |<s|psi>|^2   residual oscillation")
 t_ramps = (40.0, 140.0, 400.0, 4000.0)
+n = len(t_ramps)
 dwell = tuple(np.linspace(0.0, 40.0, 41))
-ramps = SequenceStack(tuple(
-    PulseSequence(
-        init=singlet_x(),
-        segments=(set_diabatic(start), linear_ramp(target, t_ramp), hold(target, 0.0)),
-        dwell_times=dwell,
-    )
-    for t_ramp in t_ramps
-))
+ramps = SequenceStack(
+    init=singlet_x(),
+    kinds=(SegmentKind.SET_DIABATIC, SegmentKind.LINEAR_RAMP, SegmentKind.HOLD),
+    couplings=np.repeat([[start.as_array()], [target.as_array()], [target.as_array()]], n, axis=1),
+    durations=[np.zeros(n), t_ramps, np.zeros(n)],
+    dwell_times=dwell,
+)
 res = run_sequence(ramps)  # amplitudes: (ramp, node, dwell, sector dim)
 fid = np.abs(res.states[:, 0] @ s_wave(Basis.FULL16).amplitudes.conj()) ** 2
 p_x = ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)[..., 0]
@@ -75,15 +76,14 @@ print(f"  residual oscillation: {np.ptp(p_x):.2e}")
 # periodically at every odd half-period.
 print("\npulse-duration sweep (visibility of the following oscillation):")
 scales = (0.0, 0.5, 1.0, 1.5, 2.0)
-pulses = SequenceStack(tuple(
-    PulseSequence(
-        init=singlet_x(),
-        segments=(exchange_pulse(ExchangeConfig(0, 0, j23, 0), scale * t_j),
-                  set_diabatic(target), hold(target, 0.0)),
-        dwell_times=dwell,
-    )
-    for scale in scales
-))
+n = len(scales)
+pulses = SequenceStack(
+    init=singlet_x(),
+    kinds=(SegmentKind.EXCHANGE_PULSE, SegmentKind.SET_DIABATIC, SegmentKind.HOLD),
+    couplings=np.repeat([[[0, 0, j23, 0]], [target.as_array()], [target.as_array()]], n, axis=1),
+    durations=[np.multiply(scales, t_j), np.zeros(n), np.zeros(n)],
+    dwell_times=dwell,
+)
 p = ensemble_probabilities(run_sequence(pulses), ReadoutDirection.HORIZONTAL)[..., 0]
 for scale, p_k in zip(scales, p):
     print(f"  t_J = {scale * t_j:5.1f} ns -> visibility {np.ptp(p_k):.3f}")

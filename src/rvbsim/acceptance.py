@@ -36,6 +36,7 @@ from .control import (
 from .dynamics import (
     ExchangeConfig,
     PulseSequence,
+    SegmentKind,
     SequenceStack,
     W2PI,
     evolve,
@@ -226,13 +227,13 @@ def check_degenerate_formula(seed: int = 0) -> CheckResult:
 
 def _residual_amplitudes(t_ramps, jx: float, jy0: float) -> np.ndarray:
     """Residual oscillation amplitude after each ramp time; the ramps run as one stack."""
-    target = ExchangeConfig.balanced(jx, jx)
-    period = 1e3 / jx
-    dwell = tuple(np.linspace(0.0, 2 * period, 41))
-    start = set_diabatic(ExchangeConfig.balanced(jx, jy0))
-    stack = SequenceStack(tuple(
-        PulseSequence(singlet_x(), (start, linear_ramp(target, t_ramp), hold(target, 0.0)), dwell)
-        for t_ramp in t_ramps))
+    target = ExchangeConfig.balanced(jx, jx).as_array()
+    start = ExchangeConfig.balanced(jx, jy0).as_array()
+    dwell = tuple(np.linspace(0.0, 2e3 / jx, 41))  # two periods
+    kinds = (SegmentKind.SET_DIABATIC, SegmentKind.LINEAR_RAMP, SegmentKind.HOLD)
+    n = len(t_ramps)
+    stack = SequenceStack(singlet_x(), kinds, np.repeat([[start], [target], [target]], n, axis=1),
+                          [np.zeros(n), t_ramps, np.zeros(n)], dwell)
     p = ensemble_probabilities(run_sequence(stack), ReadoutDirection.HORIZONTAL)[..., 0]
     return np.ptp(p, axis=-1) / 2
 
@@ -337,10 +338,9 @@ def check_exchange_range(seed: int = 0) -> CheckResult:
 
     fitted = {}
     for dvp, target in ((-20.0, 108.0), (26.0, 15.0)):
-        j = sweep.config(dvp)
-        f_nom = j.jx / 2
+        f_nom = sweep.sums(dvp)[0] / 2
         t = np.linspace(0.0, 3.0e3 / f_nom, 121)
-        p = st_scan(sweep.config, [(dvp,)], ReadoutDirection.VERTICAL, t)[0]
+        p = st_scan(sweep.config([dvp]), ReadoutDirection.VERTICAL, t)[0]
         fitted[dvp] = 2 * fit_damped_cosine(t, p).f
     err_hi = abs(fitted[-20.0] - 108.0) / 108.0
     err_lo = abs(fitted[26.0] - 15.0) / 15.0

@@ -11,32 +11,25 @@ import numpy as np
 from .dynamics import MAX_QUADRATURE_NODES, NoiseModel
 
 
-def _quadrature_nodes(text: str) -> int:
-    """``--samples`` value: a node count the noise ensemble accepts."""
-    n = int(text)
-    try:
-        NoiseModel(0.0, n)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
-    return n
+def _checked(convert, check):
+    """Argument type: ``convert`` the text, then report a ValueError of ``check`` as bad usage."""
+
+    def parse(text: str):
+        value = convert(text)
+        try:
+            check(value)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid float value" names it
+    return parse
 
 
-def _noise_std(text: str) -> float:
-    """``--sigma-f`` value: a frequency noise std (MHz) the noise ensemble accepts."""
-    sigma = float(text)
-    try:
-        NoiseModel(sigma)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
-    return sigma
-
-
-def _shot_count(text: str) -> int:
-    """``--shots`` value: a non-negative shot count (0 draws no shots)."""
-    n = int(text)
+def _shot_count(n: int) -> None:
+    """``--shots``: a non-negative shot count (0 draws no shots)."""
     if n < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
-    return n
+        raise ValueError(f"must be non-negative, got {n}")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -70,22 +63,34 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sim)
     sim.add_argument("--direction", choices=["horizontal", "vertical", "both"],
                      default="both", help="readout direction(s) to tabulate")
-    sim.add_argument("--sigma-f", type=_noise_std, default=0.0,
+    sim.add_argument("--sigma-f", type=_checked(float, NoiseModel), default=0.0,
                      help="quasi-static frequency noise std (MHz)")
-    sim.add_argument("--samples", type=_quadrature_nodes, default=16,
+    sim.add_argument("--samples", type=_checked(int, lambda n: NoiseModel(0.0, n)), default=16,
                      help="noise ensemble size in Gauss-Hermite quadrature nodes "
                           f"(1..{MAX_QUADRATURE_NODES})")
-    sim.add_argument("--shots", type=_shot_count, default=0,
+    sim.add_argument("--shots", type=_checked(int, _shot_count), default=0,
                      help="also sample this many readout shots per dwell point")
     return parser
 
 
+class _UsageError(Exception):
+    """A bad input file or name: :func:`main` prints it in one line and exits 2."""
+
+
 def _load_overrides(path: Path | None) -> dict | None:
+    """The ``--spec`` file's overrides, checked against the config keys."""
     if path is None:
         return None
+    from .experiments import resolve_params
     from .io import load_config
 
-    return load_config(path)
+    try:
+        overrides = load_config(path)
+        resolve_params(overrides)
+    except (OSError, KeyError, ValueError) as err:
+        detail = err.args[0] if isinstance(err, KeyError) else getattr(err, "strerror", None) or err
+        raise _UsageError(f"{path}: {detail}") from None
+    return overrides
 
 
 def cmd_figure(args) -> int:
@@ -95,6 +100,8 @@ def cmd_figure(args) -> int:
         for name in FIGURES:
             print(name)
         return 0
+    if args.name not in FIGURES:
+        raise _UsageError(f"{args.name}: unknown figure; choose from {sorted(FIGURES)}")
     product = run_figure(args.name, args.out, seed=args.seed, overrides=_load_overrides(args.spec))
     for path in product.files:
         print(path)
@@ -139,9 +146,7 @@ def cmd_simulate(args) -> int:
         # a file can load and still not run, e.g. noise on a final segment without exchange
         result = run_sequence(seq, noise)
     except (OSError, ValueError) as err:
-        detail = getattr(err, "strerror", None) or err
-        print(f"rvbsim simulate: {args.sequence}: {detail}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"{args.sequence}: {getattr(err, 'strerror', None) or err}") from None
 
     t = np.asarray(seq.dwell_times) if seq.dwell_times is not None else np.array([0.0])
     columns: dict[str, np.ndarray] = {"t_ns": t}
@@ -176,7 +181,11 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
         "simulate": cmd_simulate,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except _UsageError as err:
+        print(f"rvbsim {args.command}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -147,20 +147,20 @@ class ExchangeVoltageModel:
 MODEL_VALIDITY_LIMIT = 3.0
 
 
+def _couplings(j0x, j0y, kappa, dvx, dvy) -> np.ndarray:
+    """Couplings (j12, j34, j23, j14) in MHz, shape (..., 4); the arguments broadcast."""
+    kx, ky = kappa * np.asarray(dvx, dtype=float), kappa * np.asarray(dvy, dtype=float)
+    worst = max(np.abs(kx).max(initial=0.0), np.abs(ky).max(initial=0.0))
+    if worst > MODEL_VALIDITY_LIMIT:
+        raise ValueError(f"kappa*|dv| = {worst:.2f} exceeds the exponential "
+                         f"model validity limit {MODEL_VALIDITY_LIMIT}")
+    return np.stack(np.broadcast_arrays(j0x / 2 * np.exp(-kx), j0x / 2 * np.exp(+kx),
+                                        j0y / 2 * np.exp(-ky), j0y / 2 * np.exp(+ky)), axis=-1)
+
+
 def exchange_from_voltages(model: ExchangeVoltageModel, dvx: float, dvy: float) -> ExchangeConfig:
     """Exchange couplings at anti-symmetric excursions (dvx, dvy) in mV."""
-    kx, ky = model.kappa * dvx, model.kappa * dvy
-    if abs(kx) > MODEL_VALIDITY_LIMIT or abs(ky) > MODEL_VALIDITY_LIMIT:
-        raise ValueError(
-            f"kappa*|dv| = {max(abs(kx), abs(ky)):.2f} exceeds the exponential "
-            f"model validity limit {MODEL_VALIDITY_LIMIT}"
-        )
-    return ExchangeConfig(
-        j12=model.j0x / 2 * np.exp(-kx),
-        j34=model.j0x / 2 * np.exp(+kx),
-        j23=model.j0y / 2 * np.exp(-ky),
-        j14=model.j0y / 2 * np.exp(+ky),
-    )
+    return ExchangeConfig(*_couplings(model.j0x, model.j0y, model.kappa, dvx, dvy))
 
 
 def apply_compensation(dvx_prime: float, factor: float = COMPENSATION_FACTOR) -> np.ndarray:
@@ -191,18 +191,17 @@ class SweepModel:
     orientation: float = -1.0
     jy_slope: float = 0.0
 
-    def sums(self, dvp: float) -> tuple[float, float]:
-        """(jx, jy) in MHz at sweep amplitude ``dvp`` (mV)."""
+    def sums(self, dvp):
+        """(jx, jy) in MHz at sweep amplitude(s) ``dvp`` (mV), each shaped like ``dvp``."""
+        dvp = np.asarray(dvp, dtype=float)
         kappa_eff = self.orientation * (1.0 - self.compensation) * self.model.kappa
         jx = self.model.j0x * np.exp(kappa_eff * dvp)
         jy = self.model.j0y * (1.0 + self.jy_slope * dvp)
-        return float(jx), float(jy)
+        return jx, jy
 
-    def config(self, dvp: float, dvx: float = 0.0, dvy: float = 0.0) -> ExchangeConfig:
-        """Exchange couplings at sweep amplitude ``dvp`` with local excursions."""
-        jx, jy = self.sums(dvp)
-        local = ExchangeVoltageModel(j0x=jx, j0y=jy, kappa=self.model.kappa)
-        return exchange_from_voltages(local, dvx, dvy)
+    def config(self, dvp, dvx=0.0, dvy=0.0) -> np.ndarray:
+        """Couplings (..., 4) at sweep amplitude ``dvp`` with local excursions, all in mV."""
+        return _couplings(*self.sums(dvp), self.model.kappa, dvx, dvy)
 
     def barrier_point(self, dvp: float) -> np.ndarray:
         """Absolute virtual barrier voltages (mV) at sweep amplitude ``dvp``."""
@@ -221,7 +220,8 @@ class SyntheticDevice:
     offset_dvx: float = 0.0
     offset_dvy: float = 0.0
 
-    def config(self, dvp: float, dvx: float = 0.0, dvy: float = 0.0) -> ExchangeConfig:
+    def config(self, dvp, dvx=0.0, dvy=0.0) -> np.ndarray:
+        """Couplings (..., 4) at nominal excursions (dvx, dvy), which the offsets shift."""
         return self.sweep.config(dvp, dvx - self.offset_dvx, dvy - self.offset_dvy)
 
 

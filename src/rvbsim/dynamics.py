@@ -18,12 +18,13 @@ A :class:`SequenceResult` keeps the amplitudes in that sector, where
 :func:`rvbsim.readout.ensemble_probabilities` reads them out; its ``states``
 property lifts them to the full space on each access.
 
-Every sweep, ramps included, runs as one :class:`SequenceStack` of columns
-that share the initial state, sector, segment kinds and dwell grid.  A
-constant segment is one batched ``eigh`` over (columns x noise nodes); a ramp
-builds each column's propagator, with its own step count, for its own nodes.
-A single :class:`PulseSequence` is a stack of one.  Each matrix is built on
-its own, so a stacked column equals the same column run alone bit for bit.
+Every sweep, ramps included, runs as one :class:`SequenceStack`: one initial
+state, segment kinds and dwell grid, and per segment a row of couplings and a
+duration for each column.  A constant segment is one batched ``eigh`` over
+(columns x noise nodes); a ramp builds each column's propagator, with its own
+step count, from that column's rows.  A :class:`PulseSequence` runs as a stack
+of one.  Each matrix is built on its own, so a stacked column equals the same
+column run alone bit for bit.
 
 Quasi-static noise: each trajectory carries one Gaussian frequency offset
 (std ``sigma_f``) and scales every exchange coupling by the common factor
@@ -313,9 +314,7 @@ def linear_ramp(target: ExchangeConfig, duration: float) -> PulseSegment:
 class PulseSequence:
     """Initial state, ordered segments, and an optional dwell-time grid.
 
-    With ``dwell_times`` set, the final segment must be a HOLD of duration
-    0, the grid taking the place of its duration; the result then holds one
-    state per dwell time.
+    A sequence is checked, and run, as a :class:`SequenceStack` of one column.
     """
 
     init: SpinState
@@ -323,11 +322,48 @@ class PulseSequence:
     dwell_times: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        segments = tuple(self.segments)
-        object.__setattr__(self, "segments", segments)
-        if not segments:
+        object.__setattr__(self, "segments", tuple(self.segments))
+        object.__setattr__(self, "dwell_times", self.as_stack().dwell_times)
+
+    def as_stack(self) -> SequenceStack:
+        """This sequence as a stack of one column."""
+        return SequenceStack(self.init, tuple(seg.kind for seg in self.segments),
+                             [[seg.target.as_array()] for seg in self.segments],
+                             [[seg.duration] for seg in self.segments], self.dwell_times)
+
+
+@dataclass(frozen=True, eq=False)
+class SequenceStack:
+    """One sweep as arrays, which :func:`run_sequence` runs as one solve.
+
+    The columns share ``init``, the segment ``kinds`` and the ``dwell_times``
+    grid; ``couplings`` (segments, columns, 4), in :meth:`ExchangeConfig.as_array`
+    order, and ``durations`` (segments, columns) hold each column's segments.
+    Every sequence rule is checked here: no ramp first, finite non-negative
+    couplings and durations, and a dwell grid only on a final HOLD of duration 0,
+    the grid taking the place of its duration.
+    """
+
+    init: SpinState
+    kinds: tuple[SegmentKind, ...]
+    couplings: np.ndarray
+    durations: np.ndarray
+    dwell_times: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        kinds = tuple(self.kinds)
+        j, dur = np.array(self.couplings, dtype=float), np.array(self.durations, dtype=float)
+        if not kinds:
             raise ValueError("sequence needs at least one segment")
-        if segments[0].kind is SegmentKind.LINEAR_RAMP:
+        if j.shape[:1] + j.shape[2:] != (len(kinds), 4) or dur.shape != j.shape[:2]:
+            raise ValueError(f"{len(kinds)} segments need couplings (segments, columns, 4) and "
+                             f"durations (segments, columns), got {j.shape} and {dur.shape}")
+        if not j.shape[1]:
+            raise ValueError("a sequence stack needs at least one column")
+        for name, values in (("exchange couplings", j), ("segment durations", dur)):
+            if not np.all((values >= 0) & (values < np.inf)):
+                raise ValueError(f"{name} must be finite and non-negative")
+        if kinds[0] is SegmentKind.LINEAR_RAMP:
             raise ValueError("a ramp cannot be the first segment (no starting couplings)")
         if self.dwell_times is not None:
             dw = tuple(map(float, self.dwell_times))
@@ -335,54 +371,22 @@ class PulseSequence:
                 raise ValueError("a dwell grid needs at least one time")
             if not (all(map(math.isfinite, dw)) and min(dw) >= 0):
                 raise ValueError("dwell times must be finite and non-negative")
-            if segments[-1].kind is not SegmentKind.HOLD:
+            if kinds[-1] is not SegmentKind.HOLD:
                 raise ValueError("a dwell grid sweeps the final segment, which must be a HOLD")
-            if segments[-1].duration != 0:
+            if dur[-1].any():
                 raise ValueError("a dwell grid sets the final HOLD's duration, which must be 0")
             object.__setattr__(self, "dwell_times", dw)
-
-
-@dataclass(frozen=True)
-class SequenceStack:
-    """The columns of one sweep, which :func:`run_sequence` runs as one solve.
-
-    The columns share the initial state, the segment kinds and the dwell grid,
-    and differ only in segment couplings and durations; ``init``, ``segments``
-    and ``dwell_times`` read the first column's.  Ramp columns stack too: the
-    ramp step count is chosen per column.
-    """
-
-    columns: tuple[PulseSequence, ...]
-
-    def __post_init__(self):
-        columns = tuple(self.columns)
-        object.__setattr__(self, "columns", columns)
-        if not columns:
-            raise ValueError("a sequence stack needs at least one column")
-        first = columns[0]
-        kinds = [seg.kind for seg in first.segments]
-        for col in columns[1:]:
-            same_init = col.init is first.init or (
-                col.init.basis is first.init.basis
-                and np.array_equal(col.init.amplitudes, first.init.amplitudes))
-            if not same_init:
-                raise ValueError("stacked sequences must share the initial state")
-            if col.dwell_times != first.dwell_times:
-                raise ValueError("stacked sequences must share the dwell grid")
-            if [seg.kind for seg in col.segments] != kinds:
-                raise ValueError("stacked sequences must share the segment kinds")
-
-    @property
-    def init(self) -> SpinState:
-        return self.columns[0].init
+        j.setflags(write=False)
+        dur.setflags(write=False)
+        object.__setattr__(self, "kinds", kinds)
+        object.__setattr__(self, "couplings", j)
+        object.__setattr__(self, "durations", dur)
 
     @property
     def segments(self) -> tuple[PulseSegment, ...]:
-        return self.columns[0].segments
-
-    @property
-    def dwell_times(self) -> tuple[float, ...] | None:
-        return self.columns[0].dwell_times
+        """Column 0's segments, which ``perfbench/spans.py`` classes a call by."""
+        return tuple(PulseSegment(kind, ExchangeConfig(*j), d)
+                     for kind, j, d in zip(self.kinds, self.couplings[:, 0], self.durations[:, 0]))
 
 
 @dataclass(frozen=True)
@@ -436,22 +440,19 @@ def _sector(psi16: np.ndarray, zeeman16: np.ndarray | None):
             return basis, q, qh, stack
 
 
-def _exchange(configs, stack: np.ndarray) -> np.ndarray:
-    """Exchange Hamiltonians sum_b J_b stack_b, one per coupling configuration: (configs, d, d)."""
-    return np.einsum("cb,bij->cij", np.array([c.as_array() for c in configs]), stack)
-
-
 #: States evolved, or read out, at a time: blocks of a large stack keep its
 #: temporaries to a few MB, so peak memory grows only by the result itself.
 BLOCK_STATES = 1024
 
 
-def _evolve_ensemble(states, hj, zh, lam, times) -> np.ndarray:
+def _evolve_ensemble(states, couplings, bonds, zh, lam, times) -> np.ndarray:
     """Evolve row s of ``states`` under lam_s hj_c + zh for each time: (rows, times, d).
 
-    The rows come in equal blocks, one per column c of ``hj`` (columns, d, d);
-    ``times`` has shape (1 or rows, n_times).
+    The rows come in equal blocks, one per column c of ``couplings`` (columns, 4),
+    whose exchange Hamiltonian is hj_c = sum_b couplings_cb bonds_b; ``times`` has
+    shape (1 or rows, n_times).
     """
+    hj = np.einsum("cb,bij->cij", couplings, bonds)
     n_cols, d = hj.shape[0], hj.shape[-1]
     h = lam.reshape(n_cols, -1)[:, :, None, None] * hj[:, None] + zh
     w, v = np.linalg.eigh(h.reshape(-1, d, d))
@@ -546,13 +547,9 @@ def run_sequence(
 ) -> SequenceResult:
     """Run a pulse sequence, or a stack of them, optionally over a quasi-static noise ensemble.
 
-    The initial state may be given in any :class:`~rvbsim.basis.Basis`.  Its
-    full-space lift evolves in the smallest invariant sector holding it: the
-    2-dim global singlet, the 3-dim S=1, m=-1 triplet, the 4-dim m=-1
-    sector, or else the full space; with ``zeeman`` the sector must also be
-    mapped into itself by the Zeeman term.  Exchange conserves S^2 and S_z
-    for any couplings, so this is exact.  The result keeps the amplitudes in
-    that sector (see :class:`SequenceResult`).
+    The initial state, in any :class:`~rvbsim.basis.Basis`, evolves in the smallest
+    invariant sector holding it (module docstring) that, with ``zeeman``, the Zeeman
+    term also maps into itself; the result keeps the amplitudes in that sector.
 
     A :class:`SequenceStack` runs all its columns in one solve and returns
     a result with a leading column axis; a single :class:`PulseSequence`
@@ -565,22 +562,21 @@ def run_sequence(
     (f_ref) is a scalar or one value per column; by default each column takes
     the singlet-singlet frequency of its final segment's couplings.
     """
-    stack = seq if isinstance(seq, SequenceStack) else SequenceStack((seq,))
-    columns = stack.columns
+    stack = seq if isinstance(seq, SequenceStack) else seq.as_stack()
+    n_cols = stack.couplings.shape[1]
     psi16 = lift(stack.init.amplitudes, stack.init.basis)
     zeeman16 = zeeman_full(zeeman) if zeeman is not None else None
     sector, q, qh, bonds = _sector(psi16, zeeman16)
     zh = 0.0 if zeeman16 is None else q @ zeeman16 @ qh
-    n_prefix = len(stack.segments) - (stack.dwell_times is not None)
+    n_prefix = len(stack.kinds) - (stack.dwell_times is not None)
 
     if noise is not None:
         if noise_reference_mhz is None:
-            refs = [col.segments[-1].target for col in columns]
-            if any(j.jx == 0 and j.jy == 0 for j in refs):
-                raise ValueError("noise needs a positive reference frequency")
-            f_ref = np.array([f_ss(j.jx, j.jy) for j in refs])
+            j = stack.couplings[-1]
+            jx, jy = j[:, 0] + j[:, 1], j[:, 3] + j[:, 2]  # as ExchangeConfig.jx, .jy
+            f_ref = np.sqrt(jx**2 + jy**2 - jx * jy)  # f_ss, 0 only at jx = jy = 0
         else:
-            f_ref = np.broadcast_to(np.asarray(noise_reference_mhz, dtype=float), (len(columns),))
+            f_ref = np.broadcast_to(np.asarray(noise_reference_mhz, dtype=float), (n_cols,))
         if not np.all(f_ref > 0):
             raise ValueError("noise needs a positive reference frequency")
         offsets, weights = noise.quadrature()
@@ -589,38 +585,36 @@ def run_sequence(
         clipped_weight = np.array([weights[s < 0].sum() for s in scale])
     else:
         # a noiseless run is a one-trajectory ensemble
-        lam, weights = np.ones((len(columns), 1)), np.ones(1)
-        clipped_weight = np.zeros(len(columns))
+        lam, weights = np.ones((n_cols, 1)), np.ones(1)
+        clipped_weight = np.zeros(n_cols)
     n_nodes = lam.shape[1]
     lam = lam.ravel()
 
     states = np.tile(q @ psi16, (len(lam), 1))  # (columns x nodes, d) sector coordinates
     for k in range(n_prefix):
-        segs = [col.segments[k] for col in columns]
-        if segs[0].kind is SegmentKind.LINEAR_RAMP:
-            for c, col in enumerate(columns):  # own step count, probed at the column's first node
+        if stack.kinds[k] is SegmentKind.LINEAR_RAMP:
+            for c in range(n_cols):  # own step count, probed at the column's first node
                 rows = slice(c * n_nodes, (c + 1) * n_nodes)
-                u = _ramp_unitary(col.segments[k - 1].target.as_array(), segs[c].target.as_array(),
-                                  segs[c].duration, bonds, states[rows.start], zh,
-                                  f"column {c}: " if len(columns) > 1 else "")
+                u = _ramp_unitary(stack.couplings[k - 1, c], stack.couplings[k, c],
+                                  stack.durations[k, c], bonds, states[rows.start], zh,
+                                  f"column {c}: " if n_cols > 1 else "")
                 states[rows] = states[rows] @ u.T
             # a product of many step unitaries accumulates roundoff in the
             # norm; renormalize to keep the 1e-12 norm contract on states
             states /= np.linalg.norm(states, axis=-1, keepdims=True)
             continue
-        dur = np.repeat([seg.duration for seg in segs], n_nodes)
+        dur = np.repeat(stack.durations[k], n_nodes)
         if dur.any():
-            moved = _evolve_ensemble(states, _exchange([seg.target for seg in segs], bonds), zh,
-                                     lam, dur[:, None])[:, 0]
+            moved = _evolve_ensemble(states, stack.couplings[k], bonds, zh, lam, dur[:, None])[:, 0]
             # a zero-length segment keeps its column's state exactly
             states = np.where(dur[:, None] > 0, moved, states)
 
     if stack.dwell_times is None:
         out = states[:, None, :]
     else:
-        out = _evolve_ensemble(states, _exchange([col.segments[-1].target for col in columns], bonds),
-                               zh, lam, np.asarray(stack.dwell_times)[None, :])
-    amplitudes = out.reshape(len(columns), n_nodes, *out.shape[1:])
+        out = _evolve_ensemble(states, stack.couplings[-1], bonds, zh, lam,
+                               np.asarray(stack.dwell_times)[None, :])
+    amplitudes = out.reshape(n_cols, n_nodes, *out.shape[1:])
     if isinstance(seq, SequenceStack):
         return SequenceResult(amplitudes, sector, weights, clipped_weight)
     return SequenceResult(amplitudes[0], sector, weights, float(clipped_weight[0]))

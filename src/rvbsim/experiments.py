@@ -7,14 +7,15 @@ Outputs are deterministic: identical (config, seed) reruns are
 byte-identical.
 
 Every figure repeats one measurement: set a gate point, evolve, read a pair
-outcome probability against dwell time.  A figure builds its sweep's columns
-as one :class:`~rvbsim.dynamics.SequenceStack` with :func:`_stack`, runs it
-with one ``run_sequence`` call (a ramp sweep too: the ramp step count is
-chosen per column inside the solve), and hands the result with the readout
-directions, the outcome and any fits to :func:`_scan`, which owns the
-ensemble readout and, given a stream ``(seed, figure, panel)``, draws column
-k of direction i from the shot key ``(seed, SHOT_STREAMS[figure], panel + i,
-k)``.  A fig3e/fig4ef column whose fit fails reads NaN, with a RuntimeWarning.
+outcome probability against dwell time.  A figure states its sweep as arrays
+(a (columns, 4) coupling row and a duration per column and segment, from the
+vectorized ``SweepModel``/``SyntheticDevice`` couplings), builds one
+:class:`~rvbsim.dynamics.SequenceStack` from them with :func:`_stack`, runs
+it with one ``run_sequence`` call, ramps included, and hands the result to
+:func:`_scan`, which owns the ensemble readout and, given a stream ``(seed,
+figure, panel)``, draws column k of direction i from the shot key ``(seed,
+SHOT_STREAMS[figure], panel + i, k)``.  A fig3e/fig4ef column whose fit
+fails reads NaN, with a RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -35,21 +36,16 @@ from .control import (
     ExchangeVoltageModel,
     SweepModel,
     SyntheticDevice,
-    exchange_from_voltages,
     propagate_calibration_error,
 )
 from .dynamics import (
     ExchangeConfig,
     NoiseModel,
-    PulseSequence,
+    SegmentKind,
     SequenceStack,
-    exchange_pulse,
     f_ss,
     ground_state_probabilities,
-    hold,
-    linear_ramp,
     run_sequence,
-    set_diabatic,
     sigma_from_tphi,
     visibilities,
 )
@@ -204,21 +200,24 @@ def _scan(result, directions, outcome, stream=None, n_shots=None):
     return probs[..., outcome], shots
 
 
-def _stack(init: SpinState, dwell, targets, *prefixes) -> SequenceStack:
-    """One column per coupling configuration in ``targets``, each a hold swept over ``dwell``,
-    after its segment from each of ``prefixes`` (one segment per column) in order."""
-    dwell = tuple(dwell)
-    return SequenceStack(tuple(PulseSequence(init, (*prefix, hold(j, 0.0)), dwell)
-                               for j, *prefix in zip(targets, *prefixes, strict=True)))
+def _stack(init: SpinState, dwell, targets, *prefix) -> SequenceStack:
+    """A hold at ``targets`` swept over ``dwell`` after the ``prefix`` segments, each (kind,
+    couplings, durations); couplings broadcast to (columns, 4) and durations to (columns,)."""
+    segments = (*prefix, (SegmentKind.HOLD, targets, 0.0))
+    cols = np.broadcast_shapes((1,), *[np.shape(j)[:-1] for _, j, _ in segments],
+                               *[np.shape(d) for _, _, d in segments])
+    return SequenceStack(init, tuple(kind for kind, _, _ in segments),
+                         [np.broadcast_to(j, (*cols, 4)) for _, j, _ in segments],
+                         [np.broadcast_to(d, cols) for _, _, d in segments], tuple(dwell))
 
 
-def st_scan(config, points, direction: ReadoutDirection, dwell, outcome=IDX_ST) -> np.ndarray:
+def st_scan(couplings, direction: ReadoutDirection, dwell, outcome=IDX_ST) -> np.ndarray:
     """Noiseless singlet/T- scan: probability of ``outcome``, shape (points, dwell).
 
     Each column starts in the S/T- product read in ``direction`` and dwells at
-    the couplings ``config(*point)``; the whole scan is one stacked solve.
+    its row of ``couplings`` (points, 4); the whole scan is one stacked solve.
     """
-    stack = _stack(st_product_state(direction), dwell, [config(*p) for p in points])
+    stack = _stack(st_product_state(direction), dwell, couplings)
     return _scan(run_sequence(stack), (direction,), outcome)[0]
 
 
@@ -306,7 +305,8 @@ def _chevron(out_dir: Path, params: dict, seed: int, figure: str, axis: str) -> 
     init = st_product_state(ReadoutDirection.HORIZONTAL)
     noise = _noise(params, "chevron.tphi_ns")
 
-    targets = [exchange_from_voltages(model, *((v, 0.0) if axis == "x" else (0.0, v))) for v in dv]
+    # no sweep pulse: the sweep model at 0 mV is the chevron's balanced operating point
+    targets = SweepModel(model).config(0.0, *((dv, 0.0) if axis == "x" else (0.0, dv)))
     res = run_sequence(_stack(init, t, targets), noise, noise_reference_mhz=model.j0y / 2)
     ideal, shots = _scan(res, (ReadoutDirection.HORIZONTAL,), IDX_ST, (seed, figure, 0),
                          params["readout.n_shots"])
@@ -323,13 +323,13 @@ def figure_fig3e(out_dir: Path, params: dict, seed: int) -> list[str]:
     dvp = _dvp(params)
     t = np.linspace(0.0, params["fig3e.t_max_ns"], params["fig3e.t_points"])
     noise = _noise(params, "fig3e.tphi_ns")
-    sums = np.array([sweep.sums(v) for v in dvp])
+    sums = np.stack(sweep.sums(dvp), axis=-1)
+    targets = sweep.config(dvp)
     files, j_fit = [], {}
     # the vertical readout oscillates at jx/2 (sums column 0), the horizontal one at jy/2
     for panel, (name, direction) in enumerate(zip(("vertical", "horizontal"), BOTH_READOUTS[::-1])):
-        targets = [sweep.config(v) for v in dvp]
-        ref = [(j.jx if direction is ReadoutDirection.VERTICAL else j.jy) / 2 for j in targets]
         stack = _stack(st_product_state(direction), t, targets)
+        ref = sums[:, panel] / 2
         ideal, shots = _scan(run_sequence(stack, noise, noise_reference_mhz=ref), (direction,),
                              IDX_ST, (seed, "fig3e", panel), params["readout.n_shots"])
         files.append(_write_map_csv(out_dir / f"fig3e_map_{name}.csv", "dvp_mv", dvp, t,
@@ -358,7 +358,7 @@ def figure_fig4b(out_dir: Path, params: dict, seed: int) -> list[str]:
     """Equal-exchange singlet-singlet oscillation traces, both readouts."""
     j = ExchangeConfig.balanced(2 * params["fig4b.j_pair_mhz"], 2 * params["fig4b.j_pair_mhz"])
     t = np.linspace(0.0, params["fig4b.t_max_ns"], params["fig4b.t_points"])
-    stack = _stack(singlet_y(), t, [j])
+    stack = _stack(singlet_y(), t, j.as_array())
     columns: dict[str, np.ndarray] = {"t_ns": t}
     fit_payload = {}
     for panel, (label, direction) in enumerate(zip("xy", BOTH_READOUTS)):
@@ -381,7 +381,7 @@ def _fig4cd_maps(params, seed):
     dvp = _dvp(params)
     t = np.linspace(0.0, params["fig4cd.t_max_ns"], params["fig4cd.t_points"])
     noise = _noise(params, "fig4cd.tphi_ns")
-    res = run_sequence(_stack(singlet_x(), t, [sweep.config(v) for v in dvp]), noise)
+    res = run_sequence(_stack(singlet_x(), t, sweep.config(dvp)), noise)
     ideal, shots = _scan(res, BOTH_READOUTS, IDX_SS, (seed, "fig4cd", 0), params["readout.n_shots"])
     return sweep, dvp, t, ideal, shots
 
@@ -415,30 +415,29 @@ def figure_fig4ef(out_dir: Path, params: dict, seed: int) -> list[str]:
 
 
 def _prep(init, starts, targets, t_ramps, dwell, noise):
-    """Adiabatic preparations as one stacked run: column k switches to ``starts[k]``,
-    ramps to ``targets[k]`` over ``t_ramps[k]`` ns and dwells there."""
-    ramps = [linear_ramp(j, t_ramp) for j, t_ramp in zip(targets, t_ramps, strict=True)]
-    return run_sequence(_stack(init, dwell, targets, map(set_diabatic, starts), ramps), noise)
+    """Adiabatic preparations as one stacked run: each column switches to ``starts``, ramps
+    to ``targets`` over ``t_ramps`` ns and dwells there (broadcast as in :func:`_stack`)."""
+    return run_sequence(_stack(init, dwell, targets, (SegmentKind.SET_DIABATIC, starts, 0.0),
+                               (SegmentKind.LINEAR_RAMP, targets, t_ramps)), noise)
 
 
 def _prep_along_sweep(params, sweep, dvp, dwell, noise):
     """Preparations along the sweep: at each point, from (jx, fig5.jy_start) ramp to (jx, jy)."""
-    sums = [sweep.sums(v) for v in dvp]
-    starts = [ExchangeConfig.balanced(jx, params["fig5.jy_start_mhz"]) for jx, _ in sums]
-    targets = [ExchangeConfig.balanced(jx, jy) for jx, jy in sums]
-    return _prep(singlet_x(), starts, targets, [params["fig5.t_ramp_ns"]] * len(dvp), dwell, noise)
+    targets = sweep.config(dvp)
+    starts = np.where([True, True, False, False], targets, params["fig5.jy_start_mhz"] / 2)
+    return _prep(singlet_x(), starts, targets, params["fig5.t_ramp_ns"], dwell, noise)
 
 
 def figure_fig5ab(out_dir: Path, params: dict, seed: int) -> list[str]:
     """Ramp-time map at equal exchange and sweep map after adiabatic prep."""
     jj = 2 * params["fig5.j_pair_mhz"]
     n_shots = params["readout.n_shots"]
-    start = ExchangeConfig.balanced(jj, params["fig5.jy_start_mhz"])
+    start = ExchangeConfig.balanced(jj, params["fig5.jy_start_mhz"]).as_array()
     t = np.linspace(0.0, params["fig5.t_max_ns"], params["fig5.t_points"])
     noise = _noise(params, "fig4cd.tphi_ns")
     ramps = np.linspace(0.0, params["fig5a.t_ramp_max_ns"], params["fig5a.t_ramp_points"])
-    target = ExchangeConfig.balanced(jj, jj)
-    res = _prep(singlet_x(), [start] * len(ramps), [target] * len(ramps), ramps, t, noise)
+    target = ExchangeConfig.balanced(jj, jj).as_array()
+    res = _prep(singlet_x(), start, target, ramps, t, noise)
     ideal, shots = _scan(res, (ReadoutDirection.HORIZONTAL,), IDX_SS, (seed, "fig5ab", 0), n_shots)
     path_a = _write_map_csv(out_dir / "fig5a_map.csv", "t_ramp_ns", ramps, t, ideal[0], shots[0])
     sweep = sweep_model_from(params)
@@ -469,14 +468,13 @@ def figure_fig5c(out_dir: Path, params: dict, seed: int) -> list[str]:
 def figure_fig5ef(out_dir: Path, params: dict, seed: int) -> list[str]:
     """Swap-pulse duration maps: oscillations vanish at the half-swap point."""
     jj = 2 * params["fig5.j_pair_mhz"]
-    pulse_cfg = ExchangeConfig(0.0, 0.0, params["fig5ef.j23_mhz"], 0.0)
-    equal = ExchangeConfig.balanced(jj, jj)
+    pulse = (SegmentKind.EXCHANGE_PULSE, [0.0, 0.0, params["fig5ef.j23_mhz"], 0.0])
+    equal = ExchangeConfig.balanced(jj, jj).as_array()
     t = np.linspace(0.0, params["fig5.t_max_ns"], params["fig5.t_points"])
     tj = np.linspace(0.0, params["fig5ef.tj_max_ns"], params["fig5ef.tj_points"])
     noise = _noise(params, "fig4cd.tphi_ns")
 
-    pulses = [exchange_pulse(pulse_cfg, tj_k) for tj_k in tj]
-    stack = _stack(singlet_x(), t, [equal] * len(tj), pulses)
+    stack = _stack(singlet_x(), t, equal, (*pulse, tj))
     ideal, shots = _scan(run_sequence(stack, noise), BOTH_READOUTS, IDX_SS, (seed, "fig5ef", 0),
                          params["readout.n_shots"])
     return [_write_map_csv(out_dir / f"fig5{name}_map.csv", "t_j_ns", tj, t, ideal_i, shots_i)
@@ -495,47 +493,40 @@ def _figs456(out_dir: Path, params: dict, seed: int, tag: str) -> list[str]:
     n = params["figs456.dv_points"]
     dv = np.linspace(-half, half, n)
     readouts = tuple(zip("xy", BOTH_READOUTS))
-    at = partial(sweep.config, dvp)
+    grid = sweep.config(dvp, dv[:, None], dv[None, :]).reshape(-1, 4)  # dvx-major, as the map
     files = []
     for name, direction in readouts:
-        values = st_scan(at, [(x, y) for x in dv for y in dv], direction, [t_map]).reshape(n, n)
+        values = st_scan(grid, direction, [t_map]).reshape(n, n)
         files.append(str(out_dir / f"{tag}_map_{name}.csv"))
         CalibrationMap(dvx=dv, dvy=dv, values=values).to_csv(files[-1])
 
     # local chevrons through the operating point
     t = np.linspace(0.0, 3.0 * t_map, 121)
-    lines = (("dvx", [(v, 0.0) for v in dv]), ("dvy", [(0.0, v) for v in dv]))
+    lines = (("dvx", sweep.config(dvp, dv, 0.0)), ("dvy", sweep.config(dvp, 0.0, dv)))
     return files + [_write_map_csv(out_dir / f"{tag}_chevron_{axis}_{name}.csv", f"{axis}_mv", dv, t,
-                                   st_scan(at, points, direction, t))
-                    for axis, points in lines for name, direction in readouts]
+                                   st_scan(line, direction, t))
+                    for axis, line in lines for name, direction in readouts]
 
 
 def figure_figS9(out_dir: Path, params: dict, seed: int) -> list[str]:
     """Adiabatic preparation maps from both initial products, both readouts."""
     jj = 2 * params["fig5.j_pair_mhz"]
-    jy0 = params["fig5.jy_start_mhz"]
-    target = ExchangeConfig.balanced(jj, jj)
+    start = ExchangeConfig.balanced(jj, params["fig5.jy_start_mhz"]).as_array()
+    target = ExchangeConfig.balanced(jj, jj).as_array()
     t = np.linspace(0.0, params["fig5.t_max_ns"], params["fig5.t_points"])
     ramps = np.linspace(0.0, params["figS9.t_ramp_max_ns"], params["figS9.t_ramp_points"])
     cut = int(np.argmin(np.abs(ramps - params["figS9.linecut_ns"])))
     noise = _noise(params, "fig4cd.tphi_ns")
-    files = []
-    linecuts: dict[str, np.ndarray] = {"t_ns": t}
-
-    for init_name, init, start in (
-        ("sx", singlet_x(), ExchangeConfig.balanced(jj, jy0)),
-        ("sy", singlet_y(), ExchangeConfig.balanced(jy0, jj)),
-    ):
-        maps = _scan(_prep(init, [start] * len(ramps), [target] * len(ramps), ramps, t, noise),
-                     BOTH_READOUTS, IDX_SS)
-        for ro_name, ideal in zip("xy", maps):
-            path = out_dir / f"figS9_{init_name}_read{ro_name}.csv"
-            files.append(_write_map_csv(path, "t_ramp_ns", ramps, t, ideal))
-            linecuts[f"{init_name}_read{ro_name}"] = ideal[cut]
-
-    cut_path = out_dir / "figS9_linecuts.csv"
-    write_csv(cut_path, linecuts)
-    return [*files, str(cut_path)]
+    read_x, read_y = _scan(_prep(singlet_x(), start, target, ramps, t, noise), BOTH_READOUTS,
+                           IDX_SS)
+    # the singlet-y start from (jy_start, jj) is the 90-degree rotation of this one: its
+    # maps are these with the readouts swapped
+    maps = {"sx_readx": read_x, "sx_ready": read_y, "sy_readx": read_y, "sy_ready": read_x}
+    files = [_write_map_csv(out_dir / f"figS9_{name}.csv", "t_ramp_ns", ramps, t, ideal)
+             for name, ideal in maps.items()]
+    files.append(str(out_dir / "figS9_linecuts.csv"))
+    write_csv(files[-1], {"t_ns": t, **{name: ideal[cut] for name, ideal in maps.items()}})
+    return files
 
 
 FIGURES = {
@@ -610,7 +601,6 @@ def run_calibration(out_dir, seed: int = 0, overrides: dict | None = None) -> Ca
         offset_dvy=params["calibrate.offset_dvy_mv"],
     )
 
-    at = partial(device.config, 0.0)
     half = params["calibrate.grid_mv"]
     n = params["calibrate.grid_points"]
     t_map = params["calibrate.map_t_ns"]
@@ -619,8 +609,8 @@ def run_calibration(out_dir, seed: int = 0, overrides: dict | None = None) -> Ca
     for iterations in range(1, params["calibrate.max_iterations"] + 1):
         dvx = center[0] + np.linspace(-half, half, n)
         dvy = center[1] + np.linspace(-half, half, n)
-        probs = st_scan(at, [(x, y) for x in dvx for y in dvy], ReadoutDirection.HORIZONTAL,
-                        [t_map], outcome=slice(None))[:, 0]
+        grid = device.config(0.0, dvx[:, None], dvy[None, :]).reshape(-1, 4)
+        probs = st_scan(grid, ReadoutDirection.HORIZONTAL, [t_map], outcome=slice(None))[:, 0]
         # the whole map is one draw under one key per iteration
         shots = _shot_column(probs, IDX_ST, params["readout.n_shots"],
                              (seed, SHOT_STREAMS["calibrate"], 0, iterations - 1))
@@ -638,8 +628,8 @@ def run_calibration(out_dir, seed: int = 0, overrides: dict | None = None) -> Ca
     minima = []
     for axis, direction in enumerate(BOTH_READOUTS):
         line = center[axis] + np.linspace(-4.0, 4.0, 9)
-        points = [(v, center[1]) if axis == 0 else (center[0], v) for v in line]
-        traces = st_scan(at, points, direction, t)
+        ends = (line, center[1]) if axis == 0 else (center[0], line)
+        traces = st_scan(device.config(0.0, *ends), direction, t)
         minima.append(find_frequency_minimum(line, [fit_damped_cosine(t, p).f for p in traces]))
     min_x, min_y = minima
     j0y = 2 * min_x.f_min

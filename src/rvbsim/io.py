@@ -18,7 +18,8 @@ mode, may be left out, and other segments take no ``mode``)::
 ``init amplitudes`` gives one re:im pair per coordinate of any
 :class:`~rvbsim.basis.Basis`.  A file has one ``init`` line and at most one
 ``dwell`` line, and a segment line names each field once; a repeat is
-rejected with its line number.  Couplings and times must be finite and >= 0.
+rejected with its line number.  Couplings and times must be finite and >= 0,
+and a ``dwell range`` makes at most :data:`MAX_DWELL_POINTS` points.
 
 CSV emitters format floats with %.10g so reruns are byte-identical.
 """
@@ -121,6 +122,9 @@ _NAMED_INITS = {
 
 _LABELS = {"S": PairLabel.S, "T0": PairLabel.T0, "T+": PairLabel.T_PLUS, "T-": PairLabel.T_MINUS}
 
+#: Most points a ``dwell range`` line may make.
+MAX_DWELL_POINTS = 100_000
+
 _SEGMENT_KINDS = {
     "diabatic": SegmentKind.SET_DIABATIC,
     "hold": SegmentKind.HOLD,
@@ -206,6 +210,9 @@ def _parse_dwell(tokens: list[str]) -> tuple[float, ...]:
             raise ValueError(f"dwell range {start:g} {stop:g} {step:g} makes no grid: it needs "
                              "start <= stop and a positive, finite step")
         # the grid ends at the last multiple of step that does not pass stop, up to round-off
-        n = math.floor((stop - start) / step + 1e-9) + 1
-        return tuple(start + step * k for k in range(n))
+        last = (stop - start) / step + 1e-9
+        if not last < MAX_DWELL_POINTS:  # also an infinite or NaN count
+            raise ValueError(f"dwell range {start:g} {stop:g} {step:g} makes more than "
+                             f"{MAX_DWELL_POINTS} points")
+        return tuple(start + step * k for k in range(math.floor(last) + 1))
     return tuple(float(tok) for tok in tokens)

@@ -17,7 +17,7 @@ from rvbsim.control import (
     propagate_calibration_error,
     virtual_to_physical,
 )
-from rvbsim.hamiltonians import triplet_block_transformed
+from rvbsim.hamiltonians import ExchangeConfig, triplet_block_transformed
 
 
 def test_gate_matrix_shapes_and_diagonal():
@@ -172,7 +172,29 @@ def test_sweep_barrier_point_uses_compensation():
 def test_synthetic_device_hides_offset():
     sweep = SweepModel(ExchangeVoltageModel(j0x=46.0, j0y=50.0))
     device = SyntheticDevice(sweep, offset_dvx=3.0, offset_dvy=-1.5)
-    j = device.config(0.0, dvx=3.0, dvy=-1.5)
+    j = ExchangeConfig(*device.config(0.0, dvx=3.0, dvy=-1.5))
     assert_allclose(j.delta_x, 0.0, atol=1e-12)
     assert_allclose(j.delta_y, 0.0, atol=1e-12)
-    assert device.config(0.0).delta_x != 0.0
+    assert ExchangeConfig(*device.config(0.0)).delta_x != 0.0
+
+
+def test_sweep_and_device_grids_equal_the_scalar_law_bit_for_bit():
+    sweep = SweepModel(ExchangeVoltageModel(j0x=46.0, j0y=50.0), jy_slope=0.00431)
+    device = SyntheticDevice(sweep, offset_dvx=1.3, offset_dvy=-2.1)
+    dvx, dvy = np.linspace(-8.0, 8.0, 7), np.linspace(-8.0, 8.0, 5) + 0.37
+    for dvp in (-20.0, 0.0, 26.0):
+        local = ExchangeVoltageModel(*sweep.sums(dvp), kappa=sweep.model.kappa)
+        grid = sweep.config(dvp, dvx[:, None], dvy[None, :])
+        shifted = device.config(dvp, dvx[:, None], dvy[None, :])
+        assert grid.shape == shifted.shape == (7, 5, 4)
+        for i, x in enumerate(dvx):
+            for k, y in enumerate(dvy):
+                assert np.array_equal(grid[i, k], exchange_from_voltages(local, x, y).as_array())
+                assert np.array_equal(shifted[i, k], exchange_from_voltages(
+                    local, x - device.offset_dvx, y - device.offset_dvy).as_array())
+    # one grid point past kappa |dv| = 3 refuses the whole grid
+    past = np.append(dvx, 3.0 / sweep.model.kappa + 0.01)
+    with pytest.raises(ValueError, match="exceeds the exponential model validity limit"):
+        sweep.config(0.0, past, 0.0)
+    with pytest.raises(ValueError, match="exceeds the exponential model validity limit"):
+        device.config(0.0, 0.0, device.offset_dvy - past)

@@ -25,8 +25,10 @@ from rvbsim.basis import (
 )
 from rvbsim.dynamics import (
     NoiseModel,
+    PulseSegment,
     PulseSequence,
     RampConvergenceError,
+    SegmentKind,
     SequenceStack,
     dephasing_envelope,
     evolve,
@@ -598,27 +600,32 @@ def test_stack_equals_its_columns_run_one_at_a_time(sector, columns, noise_mode,
     # with a pulse or with a ramp from each column's own start couplings, also
     # when the stack is evolved and read out in blocks of ``block`` states
     init, zeeman, basis = _STACK_SECTORS[sector]
-    seqs = []
-    for bonds, duration, _ in columns:
-        j0, j1 = ExchangeConfig(*bonds[:4]), ExchangeConfig(*bonds[4:])
-        if prefix == "ramp":
-            pre = (set_diabatic(j0), linear_ramp(j1, duration))
-        elif with_dwell:
-            pre = (exchange_pulse(j0, duration), set_diabatic(j1))
-        else:
-            pre = (exchange_pulse(j0, duration),)
-        if with_dwell:
-            segments, dwell = (*pre, hold(j1, 0.0)), (0.0, 7.5, 31.0)
-        else:
-            segments, dwell = (*pre, hold(j1, 12.0)), None
-        seqs.append(PulseSequence(init=init, segments=segments, dwell_times=dwell))
+    bonds = np.array([b for b, *_ in columns])
+    j0, j1 = bonds[:, :4], bonds[:, 4:]
+    duration, zero = np.array([d for _, d, _ in columns]), np.zeros(len(columns))
+    if prefix == "ramp":
+        pre = [(SegmentKind.SET_DIABATIC, j0, zero), (SegmentKind.LINEAR_RAMP, j1, duration)]
+    elif with_dwell:
+        pre = [(SegmentKind.EXCHANGE_PULSE, j0, duration), (SegmentKind.SET_DIABATIC, j1, zero)]
+    else:
+        pre = [(SegmentKind.EXCHANGE_PULSE, j0, duration)]
+    if with_dwell:
+        segments, dwell = [*pre, (SegmentKind.HOLD, j1, zero)], (0.0, 7.5, 31.0)
+    else:
+        segments, dwell = [*pre, (SegmentKind.HOLD, j1, zero + 12.0)], None
+    stack = SequenceStack(init, tuple(kind for kind, _, _ in segments),
+                          [j for _, j, _ in segments], [d for _, _, d in segments], dwell)
+    # each column alone: a sequence of the same rows
+    seqs = [PulseSequence(init, tuple(PulseSegment(kind, ExchangeConfig(*j[c]), d[c])
+                                      for kind, j, d in segments), dwell)
+            for c in range(len(columns))]
     noise = None if noise_mode == "off" else NoiseModel(sigma_f=2.0, n_samples=5)
     refs = {"off": [None] * len(columns), "default": [None] * len(columns),
             "scalar": [3.0] * len(columns), "per_column": [ref for *_, ref in columns]}[noise_mode]
     stacked_ref = {"scalar": 3.0, "per_column": np.array(refs)}.get(noise_mode)
     with mock.patch.object(dynamics, "BLOCK_STATES", block), \
             mock.patch.object(readout, "BLOCK_STATES", block):
-        stacked = run_sequence(SequenceStack(seqs), noise, zeeman=zeeman,
+        stacked = run_sequence(stack, noise, zeeman=zeeman,
                                noise_reference_mhz=stacked_ref)
         stacked_probs = {d: ensemble_probabilities(stacked, d) for d in ReadoutDirection}
     assert stacked.sector is basis
@@ -638,33 +645,57 @@ def test_stack_equals_its_columns_run_one_at_a_time(sector, columns, noise_mode,
             assert np.array_equal(alone.amplitudes, bare.amplitudes)
 
 
-def test_stack_rejects_columns_that_cannot_share_a_solve():
-    j0, j1 = ExchangeConfig.balanced(50, 0.5), ExchangeConfig.balanced(50, 50)
-    base = PulseSequence(singlet_x(), (set_diabatic(j1), hold(j1, 0.0)), dwell_times=(0.0, 5.0))
-    others = {
-        "initial state": PulseSequence(singlet_y(), base.segments, dwell_times=(0.0, 5.0)),
-        "dwell grid": PulseSequence(singlet_x(), base.segments, dwell_times=(0.0, 6.0)),
-        "segment kinds": PulseSequence(singlet_x(), (exchange_pulse(j1, 0.0), hold(j1, 0.0)),
-                                       dwell_times=(0.0, 5.0)),
-    }
-    for what, other in others.items():
-        with pytest.raises(ValueError, match=f"must share the {what}"):
-            SequenceStack((base, other))
-    SequenceStack((base, PulseSequence(singlet_x(), (set_diabatic(j0), hold(j0, 0.0)),
-                                       dwell_times=(0.0, 5.0))))
-    # ramp columns stack too, each with its own start couplings and duration
-    ramps = SequenceStack((PulseSequence(singlet_x(), (set_diabatic(j0), linear_ramp(j1, 10.0))),
-                           PulseSequence(singlet_x(), (set_diabatic(j1), linear_ramp(j0, 0.0)))))
+def _replaced(a, index, value):
+    a = np.array(a, dtype=float)
+    a[index] = value
+    return a
+
+
+_J2 = np.tile(ExchangeConfig.balanced(50, 50).as_array(), (2, 3, 1))  # 2 segments, 3 columns
+_VALID = {"kinds": (SegmentKind.SET_DIABATIC, SegmentKind.HOLD), "couplings": _J2,
+          "durations": np.zeros((2, 3)), "dwell_times": (0.0, 5.0)}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"couplings": _J2[..., :3]}, "need couplings"),
+    ({"couplings": _J2[:1]}, "need couplings"),
+    ({"couplings": _J2[:, 0]}, "need couplings"),
+    ({"durations": np.zeros((2, 2))}, "need couplings"),
+    ({"kinds": ()}, "at least one segment"),
+    ({"couplings": _J2[:, :0], "durations": np.zeros((2, 0))}, "at least one column"),
+    *(({"couplings": _replaced(_J2, (0, 1, 2), bad)}, "couplings must be finite and non-negative")
+      for bad in (-1.0, np.nan, np.inf)),
+    *(({"durations": _replaced(np.zeros((2, 3)), (0, 2), bad)},
+       "durations must be finite and non-negative") for bad in (-1.0, np.nan, np.inf)),
+    ({"kinds": (SegmentKind.LINEAR_RAMP, SegmentKind.HOLD)}, "ramp cannot be the first segment"),
+    ({"kinds": (SegmentKind.SET_DIABATIC, SegmentKind.EXCHANGE_PULSE)}, "must be a HOLD"),
+    ({"durations": _replaced(np.zeros((2, 3)), (1, 1), 4.0)}, "final HOLD's duration"),
+    ({"dwell_times": ()}, "at least one time"),
+    ({"dwell_times": (0.0, np.nan)}, "dwell times must be finite and non-negative"),
+    ({"dwell_times": (-1.0, 5.0)}, "dwell times must be finite and non-negative"),
+], ids=["three-bonds", "too-few-segments", "no-column-axis", "durations-shape", "no-segments",
+        "no-columns", "negative-coupling", "nan-coupling", "inf-coupling", "negative-duration",
+        "nan-duration", "inf-duration", "ramp-first", "grid-on-a-pulse", "grid-on-a-timed-hold",
+        "empty-grid", "nan-dwell", "negative-dwell"])
+def test_stack_rejects_arrays_no_sequence_can_run(change, message):
+    assert SequenceStack(singlet_x(), **_VALID).couplings.shape == (2, 3, 4)
+    with pytest.raises(ValueError, match=message):
+        SequenceStack(singlet_x(), **(_VALID | change))
+
+
+def test_ramp_columns_stack_with_their_own_start_and_duration():
+    j0, j1 = ExchangeConfig.balanced(50, 0.5).as_array(), ExchangeConfig.balanced(50, 50).as_array()
+    ramps = SequenceStack(singlet_x(), (SegmentKind.SET_DIABATIC, SegmentKind.LINEAR_RAMP),
+                          [[j0, j1], [j1, j0]], [[0.0, 0.0], [10.0, 0.0]])
     assert run_sequence(ramps).amplitudes.shape == (2, 1, 1, 2)
-    with pytest.raises(ValueError, match="at least one column"):
-        SequenceStack(())
+    assert [seg.kind for seg in ramps.segments] == list(ramps.kinds)  # column 0's segments
 
 
 def test_noise_reference_is_checked_per_column_before_the_frequency_law():
     # a column with jx = jy = 0 has no singlet-singlet frequency to scale by
     live, dead = ExchangeConfig.balanced(50, 50), ExchangeConfig(0.0, 0.0, 0.0, 0.0)
-    stack = SequenceStack([PulseSequence(singlet_x(), (hold(j, 0.0),), dwell_times=(0.0, 1.0))
-                           for j in (live, dead)])
+    stack = SequenceStack(singlet_x(), (SegmentKind.HOLD,), [[live.as_array(), dead.as_array()]],
+                          [[0.0, 0.0]], (0.0, 1.0))
     noise = NoiseModel(sigma_f=1.0)
     with pytest.raises(ValueError, match="noise needs a positive reference frequency"):
         run_sequence(stack, noise)
@@ -710,9 +741,8 @@ def test_ramp_step_cap_raises(monkeypatch):
 def test_ramp_step_cap_names_the_column_of_a_stack(monkeypatch):
     j0 = ExchangeConfig.balanced(50, 0.5)
     j1 = ExchangeConfig.balanced(50, 50)
-    stack = SequenceStack(tuple(PulseSequence(init=singlet_x(),
-                                              segments=(set_diabatic(j0), linear_ramp(j1, t_ramp)))
-                                for t_ramp in (0.0, 4000.0)))
+    stack = SequenceStack(singlet_x(), (SegmentKind.SET_DIABATIC, SegmentKind.LINEAR_RAMP),
+                          [[j0.as_array()] * 2, [j1.as_array()] * 2], [[0.0, 0.0], [0.0, 4000.0]])
     # the zero-length ramp needs no steps; the 4000 ns one cannot converge in 128
     monkeypatch.setattr(dynamics, "RAMP_STEP_CAP", 128)
     with pytest.raises(RampConvergenceError, match=r"^column 1: ramp discretization stopped at n=128"):

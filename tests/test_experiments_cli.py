@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rvbsim.cli import main
@@ -125,6 +127,33 @@ def test_cli_figure_with_spec(tmp_path, capsys):
     assert (tmp_path / "out" / "fig4b_traces.csv").exists()
 
 
+@pytest.mark.parametrize("argv, spec_text, message", [
+    (["figure", "fig4b"], "fig4b.no_such_key = 1\n",
+     "{spec}: unknown config keys: ['fig4b.no_such_key']"),
+    (["figure", "fig4b"], None, "{spec}: No such file or directory"),
+    (["figure", "fig4b"], "fig4b.t_points 40\n",
+     "{spec}: config line 1: expected 'key = value', got 'fig4b.t_points 40'"),
+    (["calibrate"], "calibrate.no_such_key = 1\n",
+     "{spec}: unknown config keys: ['calibrate.no_such_key']"),
+    (["calibrate"], None, "{spec}: No such file or directory"),
+    (["calibrate"], "calibrate.grid_points\n",
+     "{spec}: config line 1: expected 'key = value', got 'calibrate.grid_points'"),
+    (["figure", "nosuch"], "", f"nosuch: unknown figure; choose from {sorted(FIGURES)}"),
+], ids=["figure-unknown-key", "figure-missing-spec", "figure-line-without-equals",
+        "calibrate-unknown-key", "calibrate-missing-spec", "calibrate-line-without-equals",
+        "unknown-figure"])
+def test_cli_bad_spec_or_figure_name_is_a_one_line_usage_error(tmp_path, capsys, argv, spec_text,
+                                                               message):
+    # loading and key checks only; an error raised while a figure runs is not caught
+    spec = tmp_path / "spec.cfg"
+    if spec_text is not None:
+        spec.write_text(spec_text)
+    out = tmp_path / "out"
+    assert main([*argv, "--spec", str(spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"rvbsim {argv[0]}: {message.format(spec=spec)}\n"
+    assert not out.exists()
+
+
 def test_cli_simulate(tmp_path, capsys):
     seq = tmp_path / "swap.txt"
     seq.write_text(
@@ -210,13 +239,13 @@ def test_sweeps_run_as_one_stacked_solve(tmp_path, monkeypatch):
     original = experiments.run_sequence
 
     def counting(seq, *args, **kwargs):
-        calls.append(len(getattr(seq, "columns", (seq,))))
+        calls.append(seq.couplings.shape[1])  # the columns of the stack
         return original(seq, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "run_sequence", counting)
-    config = experiments.sweep_model_from(resolve_params()).config
-    experiments.st_scan(config, [(v,) for v in np.linspace(-5.0, 5.0, 7)],
-                        ReadoutDirection.HORIZONTAL, [0.0, 50.0])
+    sweep = experiments.sweep_model_from(resolve_params())
+    experiments.st_scan(sweep.config(np.linspace(-5.0, 5.0, 7)), ReadoutDirection.HORIZONTAL,
+                        [0.0, 50.0])
     assert calls == [7]
 
     calls.clear()
@@ -228,11 +257,11 @@ def test_sweeps_run_as_one_stacked_solve(tmp_path, monkeypatch):
     run_figure("fig3e", tmp_path / "fig3e", overrides={"fig3e.dvp_points": 6, "fig3e.t_points": 61})
     assert calls == [6, 6]  # one call per readout panel
 
-    # the ramp sweeps too: figS9 one call per initial product, fig5ab one per map
+    # the ramp sweeps too: figS9 one call (the singlet-y maps are its mirror), fig5ab one per map
     sizes = {"figS9.t_ramp_points": 3, "fig5a.t_ramp_points": 4, "fig3e.dvp_points": 5,
              "fig5.t_points": 11}
     for name, expected in (
-        ("figS9", [sizes["figS9.t_ramp_points"]] * 2),
+        ("figS9", [sizes["figS9.t_ramp_points"]]),
         ("fig5ab", [sizes["fig5a.t_ramp_points"], sizes["fig3e.dvp_points"]]),
         ("fig5c", [sizes["fig3e.dvp_points"]]),
     ):
@@ -317,6 +346,37 @@ def test_figs9_zero_ramp_rows_match_closed_form(tmp_path):
             p_return, p_swapped = singlet_singlet_probabilities(jj, jj, cols["t_ns"][zero], sigma)
             expected = p_return if (init == "sx") == (readout == "x") else p_swapped
             assert_allclose(cols["p_ideal"][zero], expected, rtol=0, atol=1e-5)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.floats(10.0, 80.0), st.floats(0.1, 8.0),
+       st.lists(st.floats(0.0, 150.0), min_size=1, max_size=3), st.booleans())
+def test_figs9_singlet_y_maps_are_the_singlet_x_maps_with_readouts_swapped(jj, jy0, t_ramps,
+                                                                           noisy):
+    # figS9 runs only the singlet-x ramps: the singlet-y start from (jy0, jj) is their
+    # 90-degree rotation, so its maps are theirs with the two readouts swapped
+    from rvbsim.basis import singlet_x, singlet_y
+    from rvbsim.dynamics import (NoiseModel, SegmentKind, SequenceStack, run_sequence,
+                                 sigma_from_tphi)
+    from rvbsim.hamiltonians import ExchangeConfig
+    from rvbsim.readout import ReadoutDirection, ensemble_probabilities
+
+    noise = NoiseModel(sigma_from_tphi(130.0), 4) if noisy else None
+    n = len(t_ramps)
+    target = ExchangeConfig.balanced(jj, jj).as_array()
+
+    def maps(init, start):
+        stack = SequenceStack(init, (SegmentKind.SET_DIABATIC, SegmentKind.LINEAR_RAMP,
+                                     SegmentKind.HOLD),
+                              np.repeat([[start], [target], [target]], n, axis=1),
+                              [np.zeros(n), t_ramps, np.zeros(n)], np.linspace(0.0, 60.0, 13))
+        result = run_sequence(stack, noise)
+        return [ensemble_probabilities(result, d)[..., 0] for d in ReadoutDirection]
+
+    read_x, read_y = maps(singlet_x(), ExchangeConfig.balanced(jj, jy0).as_array())
+    sy_read_x, sy_read_y = maps(singlet_y(), ExchangeConfig.balanced(jy0, jj).as_array())
+    assert_allclose(sy_read_x, read_y, rtol=0, atol=1e-12)
+    assert_allclose(sy_read_y, read_x, rtol=0, atol=1e-12)
 
 
 def test_fig4b_undetermined_decay_time_round_trips_as_inf(tmp_path):

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from rvbsim.basis import Basis, Pair, PairLabel, PairState, pair_product_state, singlet_x
 from rvbsim.dynamics import PulseSegment, SegmentKind
 from rvbsim.hamiltonians import ExchangeConfig
+from rvbsim import io
 from rvbsim.io import load_sequence, parse_config, read_csv, sequence_from_text, write_csv
 
 SEQ_TEXT = """
@@ -119,6 +120,26 @@ def test_dwell_range_without_points_rejected(grid):
     text = f"init state sx\nsegment hold j12=1 j34=1 j23=1 j14=1 dur=0\ndwell range {grid}\n"
     with pytest.raises(ValueError, match="sequence line 3: dwell range .* makes no grid"):
         sequence_from_text(text)
+
+
+@pytest.mark.parametrize("grid, cap", [
+    ("0 1e300 1e-300", None),  # an infinite count, which math.floor cannot take
+    ("0 1e308 1e-308", None),
+    ("0 5 1", 5),  # cap + 1 points
+    ("2 4.5 0.5", 5),
+])
+def test_dwell_range_past_the_point_cap_rejected(monkeypatch, grid, cap):
+    # the count is refused before a grid is built; a small cap keeps a wrong check cheap
+    if cap is not None:
+        monkeypatch.setattr(io, "MAX_DWELL_POINTS", cap)
+    text = f"init state sx\nsegment hold j12=1 j34=1 j23=1 j14=1 dur=0\ndwell range {grid}\n"
+    with pytest.raises(ValueError, match=f"sequence line 3: dwell range .* makes more than "
+                                         f"{io.MAX_DWELL_POINTS} points"):
+        sequence_from_text(text)
+    if cap is not None:  # one point fewer fits
+        start, stop, step = map(float, grid.split())
+        fits = text.replace(grid, f"{start} {stop - step} {step}")
+        assert len(sequence_from_text(fits).dwell_times) == cap
 
 
 _HOLD = "segment hold j12=1 j34=1 j23=1 j14=1 dur=0"
