@@ -33,8 +33,6 @@ def _shot_count(n: int) -> None:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--spec", type=Path, default=None,
-                        help="flat key-value config overriding the built-in defaults")
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
 
@@ -54,6 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     cal = sub.add_parser("calibrate", help="run the closed-loop exchange calibration")
     _add_common(cal)
+    for verb in (fig, cal):  # the verbs that read a config
+        verb.add_argument("--spec", type=Path, default=None,
+                          help="flat key-value config overriding the built-in defaults")
 
     ver = sub.add_parser("verify", help="run the acceptance and invariant suite")
     _add_common(ver)

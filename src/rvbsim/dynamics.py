@@ -6,9 +6,11 @@ Phase convention: a level at energy f (MHz) accumulates phase
 
 Linear ramps interpolate gate voltages linearly, so each exchange coupling
 moves geometrically (exponentially) between its endpoints.  Ramps are
-propagated with n fourth-order Magnus steps, each sampling the couplings
-at two Gauss-Legendre nodes; n is doubled until the final state moves by
-less than RAMP_TOL between n/2 and n steps, up to RAMP_STEP_CAP steps.
+propagated with n sixth-order Magnus steps, each sampling the couplings
+at three Gauss-Legendre nodes; n is doubled from 16 until the estimated
+error of the final state, ||psi_n - psi_{n/2}|| / 63 (Richardson, 63 = 2^6 - 1),
+is below RAMP_TOL, up to RAMP_STEP_CAP steps.  RAMP_TOL is thus the error the
+rule estimates it has reached, not a step-to-step residual.
 
 Sequences start from a state in any :class:`~rvbsim.basis.Basis` and run in
 the smallest invariant sector holding it (2-dim total singlet, 3-dim S=1 m=-1
@@ -54,7 +56,9 @@ from .basis import Basis, Pair, SpinState, lift, subspace_projector
 from .hamiltonians import ExchangeConfig, ZeemanConfig, zeeman_full, _BOND_OPS
 
 W2PI = 2 * np.pi * 1e-3  # rad per (MHz * ns)
-_SQRT3 = np.sqrt(3.0)
+_SQRT15 = np.sqrt(15.0)
+#: Gauss-Legendre nodes of one Magnus step, as fractions of the step.
+_MAGNUS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * _SQRT15 / 10
 
 RAMP_TOL = 1e-9
 RAMP_STEP_CAP = 2**20
@@ -482,32 +486,47 @@ def _interp_bonds(b0: np.ndarray, b1: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
+def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[a, b] for stacks of anti-Hermitian a and b, from one product: ba = (ab)^dagger."""
+    ab = a @ b
+    return ab - np.conj(np.swapaxes(ab, -1, -2))
+
+
 def _ramp_unitary_once(bonds0, bonds1, duration, n, stack, const=0.0) -> np.ndarray:
-    """Product of n fourth-order Magnus steps (two Gauss-Legendre nodes each).
+    """Product of n sixth-order Magnus steps (three Gauss-Legendre nodes each).
 
-    Step k exponentiates H_eff = (H1+H2)/2 - i (sqrt(3)/12) W2PI dt [H2, H1], with
-    H1, H2 = sum_b J_b(s) stack_b + const at s = (k + 1/2 -+ sqrt(3)/6)/n; a
-    sector's projected bond stack gives the exact sector block of the propagator.
-    Steps are built in blocks of 4096; n is a power of two, so each block reduces
-    to one matrix by a pairwise tree.
+    Step k samples A_i = -i W2PI dt H(s_i), H(s) = sum_b J_b(s) stack_b + const, at
+    s_i = (k + 1/2 + (-1, 0, 1)_i sqrt(15)/10)/n and exponentiates
+    Omega = alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2]/240, with
+    alpha1 = A2, alpha2 = (sqrt(15)/3)(A3 - A1), alpha3 = (10/3)(A3 - 2 A2 + A1),
+    C1 = [alpha1, alpha2] and C2 = -[alpha1, 2 alpha3 + C1]/60 (S. Blanes, F. Casas
+    & J. Ros, BIT 40, 434 (2000)), by the batched eigh of the Hermitian i Omega.
+    A sector's projected bond stack gives the exact sector block of the propagator.
+    Steps are built in blocks of about 2^12 matrix elements, and at least 64 steps
+    (1024 steps of a 2-dim block, 64 of the full space), which keeps the temporaries
+    small; n and the block are powers of two, so each block reduces to one matrix
+    by a pairwise tree.
     """
-    dt = duration / n
     dim = stack.shape[1]
-
-    def hamiltonians(s):
-        return np.einsum("kb,bij->kij", _interp_bonds(bonds0, bonds1, s), stack) + const
-
+    block = 2 ** max(6, 12 - 2 * (dim - 1).bit_length())
+    bond_ops = stack.reshape(len(stack), -1)
+    angle = -1j * W2PI * duration / n
     total = np.eye(dim, dtype=complex)
-    for start in range(0, n, 4096):
-        k = np.arange(start, min(start + 4096, n)) + 0.5
-        h1 = hamiltonians((k - _SQRT3 / 6) / n)
-        h2 = hamiltonians((k + _SQRT3 / 6) / n)
-        h = 0.5 * (h1 + h2) - (1j * _SQRT3 / 12 * W2PI * dt) * (h2 @ h1 - h1 @ h2)
+    for start in range(0, n, block):
+        k = np.arange(start, min(start + block, n))
+        j = _interp_bonds(bonds0, bonds1, ((k[:, None] + _MAGNUS_NODES) / n).ravel())
+        j1, j2, j3 = np.moveaxis(j.reshape(len(k), 3, 4), 1, 0)
+        # alpha1..3 from coupling combinations, so the constant cancels exactly
+        coef = np.stack([j2, _SQRT15 / 3 * (j3 - j1), 10 / 3 * (j3 - 2 * j2 + j1)])
+        alpha1, alpha2, alpha3 = angle * (coef @ bond_ops).reshape(3, len(k), dim, dim)
+        alpha1 = alpha1 + angle * const
+        c1 = _commutator(alpha1, alpha2)
+        c2 = _commutator(alpha1, 2 * alpha3 + c1) / -60
+        h = 1j * (alpha1 + alpha3 / 12 + _commutator(-20 * alpha1 - alpha3 + c1, alpha2 + c2) / 240)
         tr = np.trace(h, axis1=1, axis2=2).real / dim
         h -= tr[:, None, None] * np.eye(dim)
         w, v = np.linalg.eigh(h)
-        phases = np.exp(-1j * W2PI * (w + tr[:, None]) * dt)
-        m = (v * phases[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
+        m = (v * np.exp(-1j * (w + tr[:, None]))[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
         while m.shape[0] > 1:
             m = m[1::2] @ m[0::2]
         total = m[0] @ total
@@ -515,26 +534,27 @@ def _ramp_unitary_once(bonds0, bonds1, duration, n, stack, const=0.0) -> np.ndar
 
 
 def _ramp_unitary(bonds0, bonds1, duration, stack, probe_state, const=0.0, where=""):
-    """Adaptive Magnus ramp propagator, doubling n from 64 until converged.
+    """Adaptive Magnus ramp propagator, stopping once the estimated error is below RAMP_TOL.
 
-    Converged means ``probe_state`` moves by less than RAMP_TOL between n/2 and n
-    steps; at RAMP_STEP_CAP a RampConvergenceError led by ``where`` names n and residual.
+    n doubles from 16; after n order-6 steps the error of ``probe_state`` is
+    estimated as ||psi_n - psi_{n/2}|| / 63 (Richardson's estimate, 63 = 2^6 - 1).
+    At RAMP_STEP_CAP a RampConvergenceError led by ``where`` names n and that estimate.
     """
     if duration == 0:
         return np.eye(stack.shape[1], dtype=complex)
-    n, residual = 64, np.inf
+    n, error = 16, np.inf
     psi_prev = _ramp_unitary_once(bonds0, bonds1, duration, n, stack, const) @ probe_state
     while n < RAMP_STEP_CAP:
         n *= 2
         u = _ramp_unitary_once(bonds0, bonds1, duration, n, stack, const)
         psi = u @ probe_state
-        residual = np.linalg.norm(psi - psi_prev)
-        if residual < RAMP_TOL:
+        error = np.linalg.norm(psi - psi_prev) / 63
+        if error < RAMP_TOL:
             return u
         psi_prev = psi
     raise RampConvergenceError(
-        f"{where}ramp discretization stopped at n={n} steps (cap {RAMP_STEP_CAP}) with residual "
-        f"{residual:.3g}, above tol {RAMP_TOL}"
+        f"{where}ramp discretization stopped at n={n} steps (cap {RAMP_STEP_CAP}) with estimated "
+        f"error {error:.3g}, above tol {RAMP_TOL}"
     )
 
 

@@ -154,6 +154,15 @@ def test_cli_bad_spec_or_figure_name_is_a_one_line_usage_error(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["verify"], ["simulate", "seq.txt"]], ids=["verify", "simulate"])
+def test_cli_spec_is_a_usage_error_where_no_config_is_read(tmp_path, capsys, argv):
+    # verify and simulate read no config, so a --spec there would be silently ignored
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--spec", str(tmp_path / "spec.cfg")])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --spec" in capsys.readouterr().err
+
+
 def test_cli_simulate(tmp_path, capsys):
     seq = tmp_path / "swap.txt"
     seq.write_text(
