@@ -32,11 +32,6 @@ def _shot_count(n: int) -> None:
         raise ValueError(f"must be non-negative, got {n}")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rvbsim",
@@ -48,20 +43,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig = sub.add_parser("figure", help="regenerate one figure's data files")
     fig.add_argument("name", help="figure name (e.g. fig4b); use 'list' to enumerate")
-    _add_common(fig)
-
     cal = sub.add_parser("calibrate", help="run the closed-loop exchange calibration")
-    _add_common(cal)
+    ver = sub.add_parser("verify", help="run the acceptance and invariant suite")
+    sim = sub.add_parser("simulate", help="run a pulse-sequence file to CSV")
+    sim.add_argument("sequence", type=Path, help="pulse-sequence text file")
+    for verb in (fig, cal, ver, sim):
+        verb.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    for verb in (fig, cal, sim):  # the verbs that write files
+        verb.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     for verb in (fig, cal):  # the verbs that read a config
         verb.add_argument("--spec", type=Path, default=None,
                           help="flat key-value config overriding the built-in defaults")
 
-    ver = sub.add_parser("verify", help="run the acceptance and invariant suite")
-    _add_common(ver)
-
-    sim = sub.add_parser("simulate", help="run a pulse-sequence file to CSV")
-    sim.add_argument("sequence", type=Path, help="pulse-sequence text file")
-    _add_common(sim)
     sim.add_argument("--direction", choices=["horizontal", "vertical", "both"],
                      default="both", help="readout direction(s) to tabulate")
     sim.add_argument("--sigma-f", type=_checked(float, NoiseModel), default=0.0,

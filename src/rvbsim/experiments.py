@@ -20,6 +20,7 @@ fails reads NaN, with a RuntimeWarning.
 
 from __future__ import annotations
 
+import numbers
 import time
 import warnings
 from dataclasses import dataclass
@@ -137,11 +138,20 @@ DEFAULTS: dict = {
 
 
 def resolve_params(overrides: dict | None = None) -> dict:
+    """``DEFAULTS`` with ``overrides``: known keys, each value of its default's type.
+
+    A float key also takes an int; a bool sets only a bool key.
+    """
     params = dict(DEFAULTS)
     if overrides:
         unknown = [k for k in overrides if k not in params]
         if unknown:
             raise KeyError(f"unknown config keys: {unknown}")
+        for key, value in overrides.items():
+            kind = type(params[key])
+            accepted = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+            if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
+                raise ValueError(f"{key} = {value!r}: expected {kind.__name__}")
         params.update(overrides)
     return params
 

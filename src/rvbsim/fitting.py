@@ -5,7 +5,9 @@ cosine ``A cos(2 pi f t + phi) exp(-(t/T_phi)^2) + A0`` for time traces,
 and a local parabola for frequency-vs-voltage minima.  The equal-exchange
 calibration map estimator exploits the two-fold point symmetry of the
 ideal probability pattern instead of fitting conics, which stays robust
-when the stripes are tilted or distorted.
+when the stripes are tilted or distorted: it scores every center of
+reflection at once as a normalized self-correlation, from four FFT
+convolutions (J. P. Lewis, Vision Interface 1995).
 
 The damped-cosine fit takes its frequency seed from the power spectrum of
 the de-meaned trace on ``linspace(0, f_nyq, M)``.  When the time points
@@ -367,6 +369,8 @@ class CalibrationMap:
         values = np.asarray(self.values, dtype=float)
         if values.shape != (len(dvx), len(dvy)):
             raise ValueError("values must have shape (len(dvx), len(dvy))")
+        if not np.isfinite(values).all():  # one NaN would spoil every FFT-correlation score
+            raise ValueError("values must be finite")
         for g in (dvx, dvy):
             if len(g) < 3 or np.ptp(np.diff(g)) > 1e-9 * max(1.0, np.ptp(g)):
                 raise ValueError("grids must be uniform with at least 3 points")
@@ -394,46 +398,42 @@ class EllipseCenter:
     score: float
 
 
-def _reflection_score(v: np.ndarray, ci2: int, cj2: int) -> tuple[float, int]:
-    """Pearson correlation of the map with its point reflection about (ci2/2, cj2/2)."""
-    nx, ny = v.shape
-    i0, i1 = max(0, ci2 - (nx - 1)), min(nx - 1, ci2)
-    j0, j1 = max(0, cj2 - (ny - 1)), min(ny - 1, cj2)
-    if i1 < i0 or j1 < j0:
-        return -np.inf, 0
-    a = v[i0 : i1 + 1, j0 : j1 + 1]
-    b = v[ci2 - i1 : ci2 - i0 + 1, cj2 - j1 : cj2 - j0 + 1][::-1, ::-1]
-    n = a.size
-    if n < 16:
-        return -np.inf, n
-    da, db = a - a.mean(), b - b.mean()
-    denom = np.sqrt(np.sum(da**2) * np.sum(db**2))
-    if denom == 0:
-        return -np.inf, n
-    return float(np.sum(da * db) / denom), n
+def _reflection_scores(v: np.ndarray) -> np.ndarray:
+    """Pearson score of ``v`` against its point reflection about each half-step center.
+
+    Center (ci2, cj2) maps (i, j) to (ci2 - i, cj2 - j) and its overlap onto
+    itself, so sum b = sum a and sum b^2 = sum a^2; with M the all-ones mask,
+    n = M*M, sum a = v*M, sum a^2 = v^2*M and sum ab = v*v are full 2-D
+    convolutions, taken by rfft2 (Lewis 1995).  ``v`` is de-meaned first to
+    keep round-off small.  -inf marks an overlap under 16 points or a quarter
+    of the map, or a constant one (variance at most 1e-12 of the sum of squares).
+    """
+    shape = (2 * v.shape[0] - 1, 2 * v.shape[1] - 1)
+    v = v - v.mean()
+    f = np.fft.rfft2(np.stack([v, v * v, np.ones_like(v)]), shape)
+    sum_a, sum_aa, sum_ab, n = np.fft.irfft2(f[[0, 1, 0, 2]] * f[[2, 2, 0, 2]], shape)
+    n = np.rint(n)
+    square_of_sum = sum_a**2 / n
+    var = sum_aa - square_of_sum
+    ok = (n >= max(16, 0.25 * v.size)) & (var > 1e-12 * np.sum(v * v))
+    return np.where(ok, (sum_ab - square_of_sum) / np.where(ok, var, 1.0), -np.inf)
 
 
 def find_ellipse_center(cal_map: CalibrationMap) -> EllipseCenter:
     """Estimate the symmetry center of a fixed-time probability map.
 
-    Maximizes the autocorrelation under point reflection over a half-step
-    center lattice, scoring only reflection points whose overlap with the
-    map covers at least a quarter of it, then refines the peak with a local parabola.  The
-    reported uncertainty is the half-width at half the peak prominence.
+    Maximizes the Pearson correlation with the point-reflected map over a
+    half-step center lattice, all centers scored at once by FFT
+    (:func:`_reflection_scores`; J. P. Lewis, "Fast Normalized
+    Cross-Correlation", Vision Interface 1995) where the overlap covers at
+    least a quarter of the map, then refines the peak with a local parabola.
+    The reported uncertainty is the half-width at half the peak prominence.
     Raises if no reflection point correlates above 0.2.
     """
-    v = cal_map.values
-    nx, ny = v.shape
-    total = v.size
-    scores = np.full((2 * nx - 1, 2 * ny - 1), -np.inf)
-    for ci2 in range(2 * nx - 1):
-        for cj2 in range(2 * ny - 1):
-            s, n = _reflection_score(v, ci2, cj2)
-            if n >= 0.25 * total:
-                scores[ci2, cj2] = s
+    scores = _reflection_scores(cal_map.values)
     if not np.isfinite(scores).any():
         raise ValueError("map too small for a symmetric-overlap search")
-    best = np.unravel_index(np.nanargmax(np.where(np.isfinite(scores), scores, np.nan)), scores.shape)
+    best = np.unravel_index(np.argmax(scores), scores.shape)
     s_max = scores[best]
     if s_max < 0.2:
         raise ValueError("no point-symmetric structure found in the map")
@@ -442,23 +442,13 @@ def find_ellipse_center(cal_map: CalibrationMap) -> EllipseCenter:
     baseline = float(np.median(finite))
     prominence = max(s_max - baseline, 1e-6)
 
-    step_x = cal_map.dvx[1] - cal_map.dvx[0]
-    step_y = cal_map.dvy[1] - cal_map.dvy[0]
-
-    center = []
-    sigma = []
-    for axis, (idx, step, grid) in enumerate(
-        [(best[0], step_x, cal_map.dvx), (best[1], step_y, cal_map.dvy)]
-    ):
-        line = scores[:, best[1]] if axis == 0 else scores[best[0], :]
+    center, sigma = [], []
+    for line, idx, grid in ((scores[:, best[1]], best[0], cal_map.dvx),
+                            (scores[best[0], :], best[1], cal_map.dvy)):
+        step = grid[1] - grid[0]
         delta, curv = _parabolic_refine(line, idx)
-        pos = grid[0] + (idx + delta) * step / 2  # half-step lattice
-        center.append(float(pos))
-        if curv > 0:
-            half_width = np.sqrt(prominence / (2 * curv)) * step / 2
-        else:
-            half_width = step
-        sigma.append(float(half_width))
+        center.append(float(grid[0] + (idx + delta) * step / 2))  # half-step lattice
+        sigma.append(float(np.sqrt(prominence / (2 * curv)) * step / 2 if curv > 0 else step))
 
     return EllipseCenter(center=tuple(center), uncertainty=tuple(sigma), score=float(s_max))
 

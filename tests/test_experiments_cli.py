@@ -163,6 +163,38 @@ def test_cli_spec_is_a_usage_error_where_no_config_is_read(tmp_path, capsys, arg
     assert "unrecognized arguments: --spec" in capsys.readouterr().err
 
 
+def test_cli_out_is_a_usage_error_where_nothing_is_written(tmp_path, capsys):
+    # verify writes no files, so an --out there would be silently ignored
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--out", str(tmp_path / "v")])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("noise.n_samples = 2.5", "noise.n_samples = 2.5: expected int"),
+    ("fig4b.t_points = 8.5", "fig4b.t_points = 8.5: expected int"),
+    ("fig4b.j_pair_mhz = abc", "fig4b.j_pair_mhz = 'abc': expected float"),
+    ("fig3e.jy_drift = 1", "fig3e.jy_drift = 1: expected bool"),
+    ("fig4b.j_pair_mhz = 25", None),
+], ids=["float-for-int", "float-for-int-size", "text-for-float", "int-for-bool", "int-for-float"])
+def test_cli_spec_value_of_the_wrong_type_is_a_one_line_usage_error(tmp_path, capsys, line,
+                                                                     message):
+    # each value must have its default's type, except that an int sets a float key
+    spec = tmp_path / "spec.cfg"
+    spec.write_text("".join(f"{k} = {v}\n" for k, v in SMALL_4B.items()) + line + "\n")
+    out = tmp_path / "out"
+    code = main(["figure", "fig4b", "--spec", str(spec), "--out", str(out)])
+    if message is None:
+        assert code == 0
+        assert (out / "fig4b_traces.csv").exists()
+    else:
+        assert code == 2
+        assert capsys.readouterr().err == f"rvbsim figure: {spec}: {message}\n"
+        assert not out.exists()
+
+
 def test_cli_simulate(tmp_path, capsys):
     seq = tmp_path / "swap.txt"
     seq.write_text(

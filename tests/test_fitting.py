@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import least_squares
@@ -311,6 +311,47 @@ def test_ellipse_center_rejects_asymmetric_map():
         find_ellipse_center(cal)
 
 
+def _direct_reflection_scores(v):
+    """Pearson of each overlap with its point reflection, one center at a time; -inf unscored."""
+    nx, ny = v.shape
+    scores = np.full((2 * nx - 1, 2 * ny - 1), -np.inf)
+    for ci2, cj2 in np.ndindex(scores.shape):
+        i0, i1 = max(0, ci2 - nx + 1), min(nx - 1, ci2)
+        j0, j1 = max(0, cj2 - ny + 1), min(ny - 1, cj2)
+        a = v[i0 : i1 + 1, j0 : j1 + 1]
+        b = v[ci2 - i1 : ci2 - i0 + 1, cj2 - j1 : cj2 - j0 + 1][::-1, ::-1]
+        if a.size >= max(16, v.size / 4) and np.ptp(a) > 0:
+            da, db = a - a.mean(), b - b.mean()
+            scores[ci2, cj2] = np.sum(da * db) / np.sqrt(np.sum(da**2) * np.sum(db**2))
+    return scores
+
+
+_fractions = st.floats(0.0, 1.0)
+
+
+@_PROPERTY
+@given(st.integers(5, 20), st.integers(5, 20), st.booleans(),
+       st.none() | st.tuples(_fractions, _fractions, _fractions, _fractions), _seeds)
+@example(nx=10, ny=10, quantized=True, block=(0.0, 0.7, 0.0, 0.7), seed=0)  # 7x7 corner block
+def test_reflection_scores_match_direct_pearson(nx, ny, quantized, block, seed):
+    # uniform or shot-quantized (k/100) values, some with a constant block,
+    # up to the whole map, so that whole overlaps are constant and read -inf
+    rng = np.random.default_rng(seed)
+    v = rng.integers(0, 101, (nx, ny)) / 100 if quantized else rng.uniform(size=(nx, ny))
+    if block is not None:
+        (i0, i1), (j0, j1) = (sorted(int(f * (n - 1)) for f in pair)
+                              for pair, n in ((block[:2], nx), (block[2:], ny)))
+        v[i0 : i1 + 1, j0 : j1 + 1] = rng.integers(0, 101) / 100
+    direct = _direct_reflection_scores(v)
+    scores = fitting._reflection_scores(v)
+    assert scores.shape == direct.shape
+    finite = np.isfinite(direct)
+    assert np.array_equal(np.isfinite(scores), finite)
+    assert np.all(np.abs(scores[finite] - direct[finite]) <= 1e-12)
+    if finite.any():
+        assert np.argmax(scores) == np.argmax(direct)
+
+
 def test_calibration_map_validation_and_csv(tmp_path):
     with pytest.raises(ValueError, match="shape"):
         CalibrationMap(dvx=np.arange(5.0), dvy=np.arange(4.0), values=np.zeros((4, 5)))
@@ -323,6 +364,13 @@ def test_calibration_map_validation_and_csv(tmp_path):
     assert_allclose(back["probability"], cal.values, atol=1e-9)
     assert_allclose(back["dvx_mv"], np.repeat(cal.dvx[:, None], 7, axis=1), atol=1e-9)
     assert_allclose(back["dvy_mv"], np.repeat(cal.dvy[None, :], 5, axis=0), atol=1e-9)
+
+
+def test_calibration_map_rejects_non_finite_values():
+    values = _symmetric_map(nx=5, ny=7).values.copy()
+    values[0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        CalibrationMap(dvx=np.arange(5.0), dvy=np.arange(7.0), values=values)
 
 
 def test_undetermined_decay_time_has_infinite_sigma():
