@@ -16,11 +16,10 @@ from rvbsim import (
     ExchangeConfig,
     PulseSequence,
     ReadoutDirection,
-    SegmentKind,
-    SequenceStack,
     d_wave,
     exchange_pulse,
     hold,
+    linear_ramp,
     run_sequence,
     s_wave,
     set_diabatic,
@@ -32,19 +31,16 @@ jj = 50.0  # equal-exchange sums (all couplings at 25 MHz)
 start = ExchangeConfig.balanced(jj, 0.5)
 target = ExchangeConfig.balanced(jj, jj)
 
-# One stack runs every ramp time in a single call, one column per ramp: each
-# segment has a row of couplings and a duration per column, and the ramp step
-# count is still chosen per column.
+# One sweep runs every ramp time in a single call, one column per ramp: a
+# segment whose duration is an array makes the sequence a sweep, and the ramp
+# step count is still chosen per column.
 print("adiabatic ramp quality vs ramp time:")
 print("  t_ramp  |<s|psi>|^2   residual oscillation")
-t_ramps = (40.0, 140.0, 400.0, 4000.0)
-n = len(t_ramps)
+t_ramps = np.array([40.0, 140.0, 400.0, 4000.0])
 dwell = tuple(np.linspace(0.0, 40.0, 41))
-ramps = SequenceStack(
+ramps = PulseSequence(
     init=singlet_x(),
-    kinds=(SegmentKind.SET_DIABATIC, SegmentKind.LINEAR_RAMP, SegmentKind.HOLD),
-    couplings=np.repeat([[start.as_array()], [target.as_array()], [target.as_array()]], n, axis=1),
-    durations=[np.zeros(n), t_ramps, np.zeros(n)],
+    segments=(set_diabatic(start), linear_ramp(target, t_ramps), hold(target, 0.0)),
     dwell_times=dwell,
 )
 res = run_sequence(ramps)  # amplitudes: (ramp, node, dwell, sector dim)
@@ -75,13 +71,11 @@ print(f"  residual oscillation: {np.ptp(p_x):.2e}")
 # Sweep the pulse duration: the oscillation visibility vanishes
 # periodically at every odd half-period.
 print("\npulse-duration sweep (visibility of the following oscillation):")
-scales = (0.0, 0.5, 1.0, 1.5, 2.0)
-n = len(scales)
-pulses = SequenceStack(
+scales = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+pulses = PulseSequence(
     init=singlet_x(),
-    kinds=(SegmentKind.EXCHANGE_PULSE, SegmentKind.SET_DIABATIC, SegmentKind.HOLD),
-    couplings=np.repeat([[[0, 0, j23, 0]], [target.as_array()], [target.as_array()]], n, axis=1),
-    durations=[np.multiply(scales, t_j), np.zeros(n), np.zeros(n)],
+    segments=(exchange_pulse(ExchangeConfig(0, 0, j23, 0), scales * t_j),
+              set_diabatic(target), hold(target, 0.0)),
     dwell_times=dwell,
 )
 p = ensemble_probabilities(run_sequence(pulses), ReadoutDirection.HORIZONTAL)[..., 0]

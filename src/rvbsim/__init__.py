@@ -45,7 +45,6 @@ from .dynamics import (
     PulseSequence,
     SegmentKind,
     SequenceResult,
-    SequenceStack,
     dephasing_envelope,
     evolve,
     exchange_pulse,

@@ -36,8 +36,6 @@ from .control import (
 from .dynamics import (
     ExchangeConfig,
     PulseSequence,
-    SegmentKind,
-    SequenceStack,
     W2PI,
     evolve,
     exchange_pulse,
@@ -226,15 +224,13 @@ def check_degenerate_formula(seed: int = 0) -> CheckResult:
 
 
 def _residual_amplitudes(t_ramps, jx: float, jy0: float) -> np.ndarray:
-    """Residual oscillation amplitude after each ramp time; the ramps run as one stack."""
-    target = ExchangeConfig.balanced(jx, jx).as_array()
-    start = ExchangeConfig.balanced(jx, jy0).as_array()
-    dwell = tuple(np.linspace(0.0, 2e3 / jx, 41))  # two periods
-    kinds = (SegmentKind.SET_DIABATIC, SegmentKind.LINEAR_RAMP, SegmentKind.HOLD)
-    n = len(t_ramps)
-    stack = SequenceStack(singlet_x(), kinds, np.repeat([[start], [target], [target]], n, axis=1),
-                          [np.zeros(n), t_ramps, np.zeros(n)], dwell)
-    p = ensemble_probabilities(run_sequence(stack), ReadoutDirection.HORIZONTAL)[..., 0]
+    """Residual oscillation amplitude after each ramp time; the ramps run as one sweep."""
+    target = ExchangeConfig.balanced(jx, jx)
+    start = ExchangeConfig.balanced(jx, jy0)
+    dwell = np.linspace(0.0, 2e3 / jx, 41)  # two periods
+    seq = PulseSequence(singlet_x(), (set_diabatic(start), linear_ramp(target, t_ramps),
+                                      hold(target, 0.0)), dwell)
+    p = ensemble_probabilities(run_sequence(seq), ReadoutDirection.HORIZONTAL)[..., 0]
     return np.ptp(p, axis=-1) / 2
 
 

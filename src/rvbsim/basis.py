@@ -113,9 +113,6 @@ class SpinState:
             raise ValueError("overlap requires matching bases")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def probability(self, other: "SpinState") -> float:
-        return abs(self.overlap(other)) ** 2
-
 
 # two-spin amplitudes in the (spin_i, spin_j) occupation convention, 0 = up
 _PAIR_AMPLITUDES = {

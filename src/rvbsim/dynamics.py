@@ -20,13 +20,13 @@ A :class:`SequenceResult` keeps the amplitudes in that sector, where
 :func:`rvbsim.readout.ensemble_probabilities` reads them out; its ``states``
 property lifts them to the full space on each access.
 
-Every sweep, ramps included, runs as one :class:`SequenceStack`: one initial
-state, segment kinds and dwell grid, and per segment a row of couplings and a
-duration for each column.  A constant segment is one batched ``eigh`` over
-(columns x noise nodes); a ramp builds each column's propagator, with its own
-step count, from that column's rows.  A :class:`PulseSequence` runs as a stack
-of one.  Each matrix is built on its own, so a stacked column equals the same
-column run alone bit for bit.
+A sweep is a :class:`PulseSequence` whose segments hold arrays: a target of
+(columns, 4) couplings or a (columns,) duration broadcasts every segment to one
+column axis, and every sweep, ramps included, runs in one call.  A constant
+segment is one batched ``eigh`` over (columns x noise nodes); a ramp builds each
+column's propagator, with its own step count, from that column's rows.  Each
+matrix is built on its own, so a column of a sweep equals the same column run
+alone bit for bit.
 
 Quasi-static noise: each trajectory carries one Gaussian frequency offset
 (std ``sigma_f``) and scales every exchange coupling by the common factor
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -279,38 +279,44 @@ class SegmentKind(enum.Enum):
 
 @dataclass(frozen=True)
 class PulseSegment:
-    """One step of a pulse sequence.
+    """One step of a pulse sequence, or of every column of a sweep.
 
     ``SET_DIABATIC``, ``HOLD`` and ``EXCHANGE_PULSE`` evolve under the
     target couplings for ``duration`` ns (0 means an instantaneous switch).
     ``LINEAR_RAMP`` interpolates from the previous segment's couplings to
     the target over ``duration``, moving each coupling geometrically
-    (linear gate voltage).  The duration must be finite and non-negative.
+    (linear gate voltage).  ``target`` is an :class:`ExchangeConfig`, a (4,)
+    coupling row or a (columns, 4) array, in :meth:`ExchangeConfig.as_array`
+    order; ``duration`` is a number or a (columns,) array, finite and
+    non-negative.
     """
 
     kind: SegmentKind
-    target: ExchangeConfig
-    duration: float = 0.0
+    target: ExchangeConfig | np.ndarray
+    duration: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        if not 0 <= self.duration < math.inf:
+        d = np.asarray(self.duration)
+        if not ((d >= 0) & (d < math.inf)).all():
             raise ValueError("segment duration must be finite and non-negative, "
                              f"got {self.duration}")
 
 
-def set_diabatic(target: ExchangeConfig, duration: float = 0.0) -> PulseSegment:
+def set_diabatic(target: ExchangeConfig | np.ndarray,
+                 duration: float | np.ndarray = 0.0) -> PulseSegment:
     return PulseSegment(SegmentKind.SET_DIABATIC, target, duration)
 
 
-def hold(target: ExchangeConfig, duration: float) -> PulseSegment:
+def hold(target: ExchangeConfig | np.ndarray, duration: float | np.ndarray) -> PulseSegment:
     return PulseSegment(SegmentKind.HOLD, target, duration)
 
 
-def exchange_pulse(target: ExchangeConfig, duration: float) -> PulseSegment:
+def exchange_pulse(target: ExchangeConfig | np.ndarray,
+                   duration: float | np.ndarray) -> PulseSegment:
     return PulseSegment(SegmentKind.EXCHANGE_PULSE, target, duration)
 
 
-def linear_ramp(target: ExchangeConfig, duration: float) -> PulseSegment:
+def linear_ramp(target: ExchangeConfig | np.ndarray, duration: float | np.ndarray) -> PulseSegment:
     return PulseSegment(SegmentKind.LINEAR_RAMP, target, duration)
 
 
@@ -318,55 +324,50 @@ def linear_ramp(target: ExchangeConfig, duration: float) -> PulseSegment:
 class PulseSequence:
     """Initial state, ordered segments, and an optional dwell-time grid.
 
-    A sequence is checked, and run, as a :class:`SequenceStack` of one column.
+    A segment whose target or duration is an array makes the sequence a sweep:
+    all targets and durations broadcast, as in NumPy, to one column shape, ``()``
+    for a single sequence or ``(columns,)``, and :func:`run_sequence` runs every
+    column in one solve.  ``segments`` stay as stated; the read-only ``kinds``,
+    ``couplings`` (segments, [columns,] 4) and ``durations`` (segments, [columns])
+    hold them broadcast.  Every sequence rule is checked here, and each segment
+    checks its durations: no ramp first, finite non-negative couplings, and a dwell
+    grid only on a final HOLD of duration 0, the grid taking the place of its duration.
     """
 
     init: SpinState
     segments: tuple[PulseSegment, ...]
     dwell_times: tuple[float, ...] | None = None
+    kinds: tuple[SegmentKind, ...] = field(init=False, repr=False, compare=False)
+    couplings: np.ndarray = field(init=False, repr=False, compare=False)
+    durations: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
-        object.__setattr__(self, "dwell_times", self.as_stack().dwell_times)
-
-    def as_stack(self) -> SequenceStack:
-        """This sequence as a stack of one column."""
-        return SequenceStack(self.init, tuple(seg.kind for seg in self.segments),
-                             [[seg.target.as_array()] for seg in self.segments],
-                             [[seg.duration] for seg in self.segments], self.dwell_times)
-
-
-@dataclass(frozen=True, eq=False)
-class SequenceStack:
-    """One sweep as arrays, which :func:`run_sequence` runs as one solve.
-
-    The columns share ``init``, the segment ``kinds`` and the ``dwell_times``
-    grid; ``couplings`` (segments, columns, 4), in :meth:`ExchangeConfig.as_array`
-    order, and ``durations`` (segments, columns) hold each column's segments.
-    Every sequence rule is checked here: no ramp first, finite non-negative
-    couplings and durations, and a dwell grid only on a final HOLD of duration 0,
-    the grid taking the place of its duration.
-    """
-
-    init: SpinState
-    kinds: tuple[SegmentKind, ...]
-    couplings: np.ndarray
-    durations: np.ndarray
-    dwell_times: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        kinds = tuple(self.kinds)
-        j, dur = np.array(self.couplings, dtype=float), np.array(self.durations, dtype=float)
-        if not kinds:
+        segments = tuple(self.segments)
+        if not segments:
             raise ValueError("sequence needs at least one segment")
-        if j.shape[:1] + j.shape[2:] != (len(kinds), 4) or dur.shape != j.shape[:2]:
-            raise ValueError(f"{len(kinds)} segments need couplings (segments, columns, 4) and "
-                             f"durations (segments, columns), got {j.shape} and {dur.shape}")
-        if not j.shape[1]:
-            raise ValueError("a sequence stack needs at least one column")
-        for name, values in (("exchange couplings", j), ("segment durations", dur)):
-            if not np.all((values >= 0) & (values < np.inf)):
-                raise ValueError(f"{name} must be finite and non-negative")
+        kinds = tuple(seg.kind for seg in segments)
+        targets = [np.asarray(seg.target.as_array() if isinstance(seg.target, ExchangeConfig)
+                              else seg.target, dtype=float) for seg in segments]
+        durations = [np.asarray(seg.duration, dtype=float) for seg in segments]
+        for target in targets:
+            if target.shape[-1:] != (4,):
+                raise ValueError("a segment target is an ExchangeConfig or couplings "
+                                 f"(..., 4), got shape {target.shape}")
+        shapes = [target.shape[:-1] for target in targets] + [d.shape for d in durations]
+        try:
+            cols = np.broadcast_shapes(*shapes)
+        except ValueError:
+            raise ValueError("segment targets (columns, 4) and durations (columns,) do not "
+                             f"broadcast to one column shape: {shapes}") from None
+        if len(cols) > 1:
+            raise ValueError(f"a sweep has one column axis, got column shape {cols}")
+        if cols == (0,):
+            raise ValueError("a sweep needs at least one column")
+        j, dur = np.empty((len(segments), *cols, 4)), np.empty((len(segments), *cols))
+        for k, (target, d) in enumerate(zip(targets, durations)):
+            j[k], dur[k] = target, d
+        if not ((j >= 0) & (j < np.inf)).all():
+            raise ValueError("exchange couplings must be finite and non-negative")
         if kinds[0] is SegmentKind.LINEAR_RAMP:
             raise ValueError("a ramp cannot be the first segment (no starting couplings)")
         if self.dwell_times is not None:
@@ -382,15 +383,10 @@ class SequenceStack:
             object.__setattr__(self, "dwell_times", dw)
         j.setflags(write=False)
         dur.setflags(write=False)
+        object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "kinds", kinds)
         object.__setattr__(self, "couplings", j)
         object.__setattr__(self, "durations", dur)
-
-    @property
-    def segments(self) -> tuple[PulseSegment, ...]:
-        """Column 0's segments, which ``perfbench/spans.py`` classes a call by."""
-        return tuple(PulseSegment(kind, ExchangeConfig(*j), d)
-                     for kind, j, d in zip(self.kinds, self.couplings[:, 0], self.durations[:, 0]))
 
 
 @dataclass(frozen=True)
@@ -398,16 +394,16 @@ class SequenceResult:
     """States returned by :func:`run_sequence`.
 
     ``amplitudes`` holds the states in the invariant sector the sequence
-    ran in, shape (n_nodes, n_dwell, d) with ``sector`` the basis of the
-    d coordinates; a noiseless run is a one-node ensemble, and without a
-    dwell grid the n_dwell axis is 1.  The result of a
-    :class:`SequenceStack` has a leading column axis, (n_columns, n_nodes,
-    n_dwell, d).  ``weights`` are the quadrature weights of the noise nodes
-    (``[1.0]`` without noise), shared by all columns.  Read a result out
-    with :func:`rvbsim.readout.ensemble_probabilities`.
-    ``clipped_weight`` is the total weight of nodes whose coupling scale
-    factor ``1 + offset/f_ref`` was negative and clipped to 0: a float, or
-    one per column, shape (n_columns,), for a stack.
+    ran in, shape ([n_columns,] n_nodes, n_dwell, d) with ``sector`` the
+    basis of the d coordinates: the leading column axis is there exactly
+    when the sequence has one.  A noiseless run is a one-node ensemble, and
+    without a dwell grid the n_dwell axis is 1.  ``weights`` are the
+    quadrature weights of the noise nodes (``[1.0]`` without noise), shared
+    by all columns.  Read a result out with
+    :func:`rvbsim.readout.ensemble_probabilities`.  ``clipped_weight`` is
+    the total weight of nodes whose coupling scale factor ``1 + offset/f_ref``
+    was negative and clipped to 0: a float, or one per column, shape
+    (n_columns,).
     """
 
     amplitudes: np.ndarray
@@ -444,7 +440,7 @@ def _sector(psi16: np.ndarray, zeeman16: np.ndarray | None):
             return basis, q, qh, stack
 
 
-#: States evolved, or read out, at a time: blocks of a large stack keep its
+#: States evolved, or read out, at a time: blocks of a large sweep keep its
 #: temporaries to a few MB, so peak memory grows only by the result itself.
 BLOCK_STATES = 1024
 
@@ -559,21 +555,20 @@ def _ramp_unitary(bonds0, bonds1, duration, stack, probe_state, const=0.0, where
 
 
 def run_sequence(
-    seq: PulseSequence | SequenceStack,
+    seq: PulseSequence,
     noise: NoiseModel | None = None,
     *,
     zeeman: ZeemanConfig | None = None,
     noise_reference_mhz: float | np.ndarray | None = None,
 ) -> SequenceResult:
-    """Run a pulse sequence, or a stack of them, optionally over a quasi-static noise ensemble.
+    """Run a pulse sequence, every column of a sweep at once, optionally over a noise ensemble.
 
     The initial state, in any :class:`~rvbsim.basis.Basis`, evolves in the smallest
     invariant sector holding it (module docstring) that, with ``zeeman``, the Zeeman
     term also maps into itself; the result keeps the amplitudes in that sector.
 
-    A :class:`SequenceStack` runs all its columns in one solve and returns
-    a result with a leading column axis; a single :class:`PulseSequence`
-    runs as a stack of one and returns its column.  A constant segment of
+    A sweep runs all its columns in one solve, and its result has a leading
+    column axis exactly when the sequence has one.  A constant segment of
     duration 0 leaves a column's state exactly as it was.
 
     With ``noise``, every constant-coupling segment is rescaled per
@@ -582,17 +577,19 @@ def run_sequence(
     (f_ref) is a scalar or one value per column; by default each column takes
     the singlet-singlet frequency of its final segment's couplings.
     """
-    stack = seq if isinstance(seq, SequenceStack) else seq.as_stack()
-    n_cols = stack.couplings.shape[1]
-    psi16 = lift(stack.init.amplitudes, stack.init.basis)
+    cols = seq.durations.shape[1:]  # () or (columns,)
+    couplings = seq.couplings.reshape(len(seq.kinds), -1, 4)  # (segments, columns, 4)
+    durations = seq.durations.reshape(len(seq.kinds), -1)
+    n_cols = couplings.shape[1]
+    psi16 = lift(seq.init.amplitudes, seq.init.basis)
     zeeman16 = zeeman_full(zeeman) if zeeman is not None else None
     sector, q, qh, bonds = _sector(psi16, zeeman16)
     zh = 0.0 if zeeman16 is None else q @ zeeman16 @ qh
-    n_prefix = len(stack.kinds) - (stack.dwell_times is not None)
+    n_prefix = len(seq.kinds) - (seq.dwell_times is not None)
 
     if noise is not None:
         if noise_reference_mhz is None:
-            j = stack.couplings[-1]
+            j = couplings[-1]
             jx, jy = j[:, 0] + j[:, 1], j[:, 3] + j[:, 2]  # as ExchangeConfig.jx, .jy
             f_ref = np.sqrt(jx**2 + jy**2 - jx * jy)  # f_ss, 0 only at jx = jy = 0
         else:
@@ -612,29 +609,27 @@ def run_sequence(
 
     states = np.tile(q @ psi16, (len(lam), 1))  # (columns x nodes, d) sector coordinates
     for k in range(n_prefix):
-        if stack.kinds[k] is SegmentKind.LINEAR_RAMP:
+        if seq.kinds[k] is SegmentKind.LINEAR_RAMP:
             for c in range(n_cols):  # own step count, probed at the column's first node
                 rows = slice(c * n_nodes, (c + 1) * n_nodes)
-                u = _ramp_unitary(stack.couplings[k - 1, c], stack.couplings[k, c],
-                                  stack.durations[k, c], bonds, states[rows.start], zh,
-                                  f"column {c}: " if n_cols > 1 else "")
+                u = _ramp_unitary(couplings[k - 1, c], couplings[k, c], durations[k, c], bonds,
+                                  states[rows.start], zh, f"column {c}: " if n_cols > 1 else "")
                 states[rows] = states[rows] @ u.T
             # a product of many step unitaries accumulates roundoff in the
             # norm; renormalize to keep the 1e-12 norm contract on states
             states /= np.linalg.norm(states, axis=-1, keepdims=True)
             continue
-        dur = np.repeat(stack.durations[k], n_nodes)
+        dur = np.repeat(durations[k], n_nodes)
         if dur.any():
-            moved = _evolve_ensemble(states, stack.couplings[k], bonds, zh, lam, dur[:, None])[:, 0]
+            moved = _evolve_ensemble(states, couplings[k], bonds, zh, lam, dur[:, None])[:, 0]
             # a zero-length segment keeps its column's state exactly
             states = np.where(dur[:, None] > 0, moved, states)
 
-    if stack.dwell_times is None:
+    if seq.dwell_times is None:
         out = states[:, None, :]
     else:
-        out = _evolve_ensemble(states, stack.couplings[-1], bonds, zh, lam,
-                               np.asarray(stack.dwell_times)[None, :])
-    amplitudes = out.reshape(n_cols, n_nodes, *out.shape[1:])
-    if isinstance(seq, SequenceStack):
-        return SequenceResult(amplitudes, sector, weights, clipped_weight)
-    return SequenceResult(amplitudes[0], sector, weights, float(clipped_weight[0]))
+        out = _evolve_ensemble(states, couplings[-1], bonds, zh, lam,
+                               np.asarray(seq.dwell_times)[None, :])
+    amplitudes = out.reshape(*cols, n_nodes, *out.shape[1:])
+    # indexing by () makes a column-free weight a float and leaves (columns,) as it is
+    return SequenceResult(amplitudes, sector, weights, clipped_weight.reshape(cols)[()])

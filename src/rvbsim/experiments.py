@@ -7,19 +7,19 @@ Outputs are deterministic: identical (config, seed) reruns are
 byte-identical.
 
 Every figure repeats one measurement: set a gate point, evolve, read a pair
-outcome probability against dwell time.  A figure states its sweep as arrays
-(a (columns, 4) coupling row and a duration per column and segment, from the
-vectorized ``SweepModel``/``SyntheticDevice`` couplings), builds one
-:class:`~rvbsim.dynamics.SequenceStack` from them with :func:`_stack`, runs
-it with one ``run_sequence`` call, ramps included, and hands the result to
-:func:`_scan`, which owns the ensemble readout and, given a stream ``(seed,
-figure, panel)``, draws column k of direction i from the shot key ``(seed,
-SHOT_STREAMS[figure], panel + i, k)``.  A fig3e/fig4ef column whose fit
-fails reads NaN, with a RuntimeWarning.
+outcome probability against dwell time.  A figure states its sweep as one
+:class:`~rvbsim.dynamics.PulseSequence` whose segment targets are (columns, 4)
+couplings from the vectorized ``SweepModel``/``SyntheticDevice`` laws and whose
+durations may be (columns,) arrays, runs it with one ``run_sequence`` call,
+ramps included, and hands the result to :func:`_scan`, which owns the ensemble
+readout and, given a stream ``(seed, figure, panel)``, draws column k of
+direction i from the shot key ``(seed, SHOT_STREAMS[figure], panel + i, k)``.
+A fig3e/fig4ef column whose fit fails reads NaN, with a RuntimeWarning.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 import warnings
@@ -40,13 +40,17 @@ from .control import (
     propagate_calibration_error,
 )
 from .dynamics import (
+    MAX_QUADRATURE_NODES,
     ExchangeConfig,
     NoiseModel,
-    SegmentKind,
-    SequenceStack,
+    PulseSequence,
+    exchange_pulse,
     f_ss,
     ground_state_probabilities,
+    hold,
+    linear_ramp,
     run_sequence,
+    set_diabatic,
     sigma_from_tphi,
     visibilities,
 )
@@ -138,9 +142,11 @@ DEFAULTS: dict = {
 
 
 def resolve_params(overrides: dict | None = None) -> dict:
-    """``DEFAULTS`` with ``overrides``: known keys, each value of its default's type.
+    """``DEFAULTS`` with ``overrides``: known keys, each value of its default's type and range.
 
-    A float key also takes an int; a bool sets only a bool key.
+    A float key also takes an int; a bool sets only a bool key.  Every int key
+    counts something and must be at least 1 (``noise.n_samples`` at most
+    ``MAX_QUADRATURE_NODES``); every float must be finite.
     """
     params = dict(DEFAULTS)
     if overrides:
@@ -152,6 +158,12 @@ def resolve_params(overrides: dict | None = None) -> dict:
             accepted = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
             if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
                 raise ValueError(f"{key} = {value!r}: expected {kind.__name__}")
+            if kind is int and value < 1:
+                raise ValueError(f"{key} must be at least 1, got {value}")
+            if key == "noise.n_samples" and value > MAX_QUADRATURE_NODES:
+                raise ValueError(f"{key} must be at most {MAX_QUADRATURE_NODES}, got {value}")
+            if kind is float and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
         params.update(overrides)
     return params
 
@@ -194,7 +206,7 @@ def _shot_column(mean_probs, outcome: int, n_shots: int, key: tuple) -> np.ndarr
 def _scan(result, directions, outcome, stream=None, n_shots=None):
     """Ensemble probability of ``outcome`` over a sweep, shape (directions, columns, dwell).
 
-    ``result`` is the one stacked sequence result whose columns are the sweep.
+    ``result`` is the run of one sweep, whose leading column axis is the sweep.
     ``outcome`` may be a slice.  A ``stream`` adds ``n_shots``-shot
     frequencies (module docstring).
     """
@@ -210,35 +222,25 @@ def _scan(result, directions, outcome, stream=None, n_shots=None):
     return probs[..., outcome], shots
 
 
-def _stack(init: SpinState, dwell, targets, *prefix) -> SequenceStack:
-    """A hold at ``targets`` swept over ``dwell`` after the ``prefix`` segments, each (kind,
-    couplings, durations); couplings broadcast to (columns, 4) and durations to (columns,)."""
-    segments = (*prefix, (SegmentKind.HOLD, targets, 0.0))
-    cols = np.broadcast_shapes((1,), *[np.shape(j)[:-1] for _, j, _ in segments],
-                               *[np.shape(d) for _, _, d in segments])
-    return SequenceStack(init, tuple(kind for kind, _, _ in segments),
-                         [np.broadcast_to(j, (*cols, 4)) for _, j, _ in segments],
-                         [np.broadcast_to(d, cols) for _, _, d in segments], tuple(dwell))
-
-
 def st_scan(couplings, direction: ReadoutDirection, dwell, outcome=IDX_ST) -> np.ndarray:
     """Noiseless singlet/T- scan: probability of ``outcome``, shape (points, dwell).
 
     Each column starts in the S/T- product read in ``direction`` and dwells at
-    its row of ``couplings`` (points, 4); the whole scan is one stacked solve.
+    its row of ``couplings`` (points, 4); the whole scan is one solve.
     """
-    stack = _stack(st_product_state(direction), dwell, couplings)
-    return _scan(run_sequence(stack), (direction,), outcome)[0]
+    seq = PulseSequence(st_product_state(direction), (hold(couplings, 0.0),), dwell)
+    return _scan(run_sequence(seq), (direction,), outcome)[0]
 
 
 def _fit_rows(t, traces, f_model, figure: str, panel: str) -> np.ndarray:
     """Fitted (frequency, visibility) per row of ``traces``, shape (rows, 2).
 
     A row whose model frequency ``f_model[k]`` (MHz) reaches the Nyquist frequency
-    of ``t`` would alias, and one the damped-cosine fit rejects with a ``ValueError``:
+    of ``t`` would alias, and one the damped-cosine fit rejects with a ``ValueError``
+    (a grid of one point has no Nyquist frequency, and the fit rejects it):
     each reads NaN and raises a ``RuntimeWarning`` naming figure, panel, column and reason.
     """
-    f_nyq = 0.5e3 / (t[1] - t[0])
+    f_nyq = 0.5e3 / (t[1] - t[0]) if len(t) > 1 else np.inf
     rows = np.full((len(traces), 2), np.nan)
     for k, (trace, f_k) in enumerate(zip(traces, f_model)):
         try:
@@ -317,7 +319,8 @@ def _chevron(out_dir: Path, params: dict, seed: int, figure: str, axis: str) -> 
 
     # no sweep pulse: the sweep model at 0 mV is the chevron's balanced operating point
     targets = SweepModel(model).config(0.0, *((dv, 0.0) if axis == "x" else (0.0, dv)))
-    res = run_sequence(_stack(init, t, targets), noise, noise_reference_mhz=model.j0y / 2)
+    seq = PulseSequence(init, (hold(targets, 0.0),), t)
+    res = run_sequence(seq, noise, noise_reference_mhz=model.j0y / 2)
     ideal, shots = _scan(res, (ReadoutDirection.HORIZONTAL,), IDX_ST, (seed, figure, 0),
                          params["readout.n_shots"])
     return [_write_map_csv(out_dir / f"{figure}_map.csv", f"dv{axis}_mv", dv, t, ideal[0], shots[0])]
@@ -338,9 +341,9 @@ def figure_fig3e(out_dir: Path, params: dict, seed: int) -> list[str]:
     files, j_fit = [], {}
     # the vertical readout oscillates at jx/2 (sums column 0), the horizontal one at jy/2
     for panel, (name, direction) in enumerate(zip(("vertical", "horizontal"), BOTH_READOUTS[::-1])):
-        stack = _stack(st_product_state(direction), t, targets)
+        seq = PulseSequence(st_product_state(direction), (hold(targets, 0.0),), t)
         ref = sums[:, panel] / 2
-        ideal, shots = _scan(run_sequence(stack, noise, noise_reference_mhz=ref), (direction,),
+        ideal, shots = _scan(run_sequence(seq, noise, noise_reference_mhz=ref), (direction,),
                              IDX_ST, (seed, "fig3e", panel), params["readout.n_shots"])
         files.append(_write_map_csv(out_dir / f"fig3e_map_{name}.csv", "dvp_mv", dvp, t,
                                     ideal[0], shots[0]))
@@ -368,12 +371,12 @@ def figure_fig4b(out_dir: Path, params: dict, seed: int) -> list[str]:
     """Equal-exchange singlet-singlet oscillation traces, both readouts."""
     j = ExchangeConfig.balanced(2 * params["fig4b.j_pair_mhz"], 2 * params["fig4b.j_pair_mhz"])
     t = np.linspace(0.0, params["fig4b.t_max_ns"], params["fig4b.t_points"])
-    stack = _stack(singlet_y(), t, j.as_array())
+    seq = PulseSequence(singlet_y(), (hold(j.as_array()[None], 0.0),), t)  # a column for _scan
     columns: dict[str, np.ndarray] = {"t_ns": t}
     fit_payload = {}
     for panel, (label, direction) in enumerate(zip("xy", BOTH_READOUTS)):
         tphi_key = f"fig4b.tphi_{label}_ns"
-        ideal, shots = _scan(run_sequence(stack, _noise(params, tphi_key)), (direction,), IDX_SS,
+        ideal, shots = _scan(run_sequence(seq, _noise(params, tphi_key)), (direction,), IDX_SS,
                              (seed, "fig4b", panel), params["readout.n_shots"])
         columns[f"p_ss_{label}_ideal"] = ideal[0, 0]
         columns[f"p_ss_{label}_shot"] = shots[0, 0]
@@ -391,7 +394,7 @@ def _fig4cd_maps(params, seed):
     dvp = _dvp(params)
     t = np.linspace(0.0, params["fig4cd.t_max_ns"], params["fig4cd.t_points"])
     noise = _noise(params, "fig4cd.tphi_ns")
-    res = run_sequence(_stack(singlet_x(), t, sweep.config(dvp)), noise)
+    res = run_sequence(PulseSequence(singlet_x(), (hold(sweep.config(dvp), 0.0),), t), noise)
     ideal, shots = _scan(res, BOTH_READOUTS, IDX_SS, (seed, "fig4cd", 0), params["readout.n_shots"])
     return sweep, dvp, t, ideal, shots
 
@@ -425,10 +428,10 @@ def figure_fig4ef(out_dir: Path, params: dict, seed: int) -> list[str]:
 
 
 def _prep(init, starts, targets, t_ramps, dwell, noise):
-    """Adiabatic preparations as one stacked run: each column switches to ``starts``, ramps
-    to ``targets`` over ``t_ramps`` ns and dwells there (broadcast as in :func:`_stack`)."""
-    return run_sequence(_stack(init, dwell, targets, (SegmentKind.SET_DIABATIC, starts, 0.0),
-                               (SegmentKind.LINEAR_RAMP, targets, t_ramps)), noise)
+    """Adiabatic preparations as one sweep: each column switches to ``starts``, ramps to
+    ``targets`` over ``t_ramps`` ns and dwells there, the three broadcast to one column axis."""
+    segments = (set_diabatic(starts), linear_ramp(targets, t_ramps), hold(targets, 0.0))
+    return run_sequence(PulseSequence(init, segments, dwell), noise)
 
 
 def _prep_along_sweep(params, sweep, dvp, dwell, noise):
@@ -478,14 +481,14 @@ def figure_fig5c(out_dir: Path, params: dict, seed: int) -> list[str]:
 def figure_fig5ef(out_dir: Path, params: dict, seed: int) -> list[str]:
     """Swap-pulse duration maps: oscillations vanish at the half-swap point."""
     jj = 2 * params["fig5.j_pair_mhz"]
-    pulse = (SegmentKind.EXCHANGE_PULSE, [0.0, 0.0, params["fig5ef.j23_mhz"], 0.0])
     equal = ExchangeConfig.balanced(jj, jj).as_array()
     t = np.linspace(0.0, params["fig5.t_max_ns"], params["fig5.t_points"])
     tj = np.linspace(0.0, params["fig5ef.tj_max_ns"], params["fig5ef.tj_points"])
     noise = _noise(params, "fig4cd.tphi_ns")
 
-    stack = _stack(singlet_x(), t, equal, (*pulse, tj))
-    ideal, shots = _scan(run_sequence(stack, noise), BOTH_READOUTS, IDX_SS, (seed, "fig5ef", 0),
+    pulse = exchange_pulse([0.0, 0.0, params["fig5ef.j23_mhz"], 0.0], tj)
+    seq = PulseSequence(singlet_x(), (pulse, hold(equal, 0.0)), t)
+    ideal, shots = _scan(run_sequence(seq, noise), BOTH_READOUTS, IDX_SS, (seed, "fig5ef", 0),
                          params["readout.n_shots"])
     return [_write_map_csv(out_dir / f"fig5{name}_map.csv", "t_j_ns", tj, t, ideal_i, shots_i)
             for name, ideal_i, shots_i in zip("ef", ideal, shots)]
@@ -598,9 +601,6 @@ def run_calibration(out_dir, seed: int = 0, overrides: dict | None = None) -> Ca
     the worst-case exchange uncertainty for the stated center precision.
     """
     params = resolve_params(overrides)
-    if params["calibrate.max_iterations"] < 1:
-        raise ValueError("calibrate.max_iterations must be at least 1, got "
-                         f"{params['calibrate.max_iterations']}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

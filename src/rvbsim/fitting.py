@@ -398,6 +398,10 @@ class EllipseCenter:
     score: float
 
 
+#: Fewest points an overlap needs to be scored (it also needs a quarter of the map).
+_MIN_OVERLAP = 16
+
+
 def _reflection_scores(v: np.ndarray) -> np.ndarray:
     """Pearson score of ``v`` against its point reflection about each half-step center.
 
@@ -415,7 +419,7 @@ def _reflection_scores(v: np.ndarray) -> np.ndarray:
     n = np.rint(n)
     square_of_sum = sum_a**2 / n
     var = sum_aa - square_of_sum
-    ok = (n >= max(16, 0.25 * v.size)) & (var > 1e-12 * np.sum(v * v))
+    ok = (n >= max(_MIN_OVERLAP, 0.25 * v.size)) & (var > 1e-12 * np.sum(v * v))
     return np.where(ok, (sum_ab - square_of_sum) / np.where(ok, var, 1.0), -np.inf)
 
 
@@ -428,11 +432,15 @@ def find_ellipse_center(cal_map: CalibrationMap) -> EllipseCenter:
     Cross-Correlation", Vision Interface 1995) where the overlap covers at
     least a quarter of the map, then refines the peak with a local parabola.
     The reported uncertainty is the half-width at half the peak prominence.
-    Raises if no reflection point correlates above 0.2.
+    Raises if the map is too small to score any overlap, if every overlap it
+    can score is constant, or if no reflection point correlates above 0.2.
     """
+    if cal_map.values.size < _MIN_OVERLAP:  # the whole map is the largest overlap
+        raise ValueError("map too small for a symmetric-overlap search: "
+                         f"{cal_map.values.size} points, need at least {_MIN_OVERLAP}")
     scores = _reflection_scores(cal_map.values)
     if not np.isfinite(scores).any():
-        raise ValueError("map too small for a symmetric-overlap search")
+        raise ValueError("map has no structure: every overlap large enough to score is constant")
     best = np.unravel_index(np.argmax(scores), scores.shape)
     s_max = scores[best]
     if s_max < 0.2:

@@ -113,8 +113,8 @@ def ensemble_probabilities(result, direction: ReadoutDirection) -> np.ndarray:
 
     Reads ``result.amplitudes``, shape (..., n_nodes, n_dwell, d), in
     ``result.sector`` and sums each column's nodes with ``result.weights``;
-    a noiseless result is a one-node ensemble, and the result of a
-    :class:`~rvbsim.dynamics.SequenceStack` reads out to (n_columns, n_dwell, 4).
+    a noiseless result is a one-node ensemble, and the result of a sweep,
+    which has a leading column axis, reads out to (n_columns, n_dwell, 4).
     Columns are read out in blocks of about
     :data:`~rvbsim.dynamics.BLOCK_STATES` states.
     """
@@ -145,9 +145,6 @@ class ShotRecord:
             raise ValueError("recorded counts must sum to n_shots at every point")
         arr.setflags(write=False)
         object.__setattr__(self, "recorded", arr)
-
-    def counts(self) -> np.ndarray:
-        return self.recorded
 
     def probabilities(self) -> np.ndarray:
         """Empirical (P_SS, P_ST, P_TS, P_TT) per point; each row sums to 1."""

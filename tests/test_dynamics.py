@@ -29,7 +29,6 @@ from rvbsim.dynamics import (
     PulseSequence,
     RampConvergenceError,
     SegmentKind,
-    SequenceStack,
     dephasing_envelope,
     evolve,
     exchange_pulse,
@@ -613,8 +612,7 @@ def test_stack_equals_its_columns_run_one_at_a_time(sector, columns, noise_mode,
         segments, dwell = [*pre, (SegmentKind.HOLD, j1, zero)], (0.0, 7.5, 31.0)
     else:
         segments, dwell = [*pre, (SegmentKind.HOLD, j1, zero + 12.0)], None
-    stack = SequenceStack(init, tuple(kind for kind, _, _ in segments),
-                          [j for _, j, _ in segments], [d for _, _, d in segments], dwell)
+    sweep = PulseSequence(init, tuple(PulseSegment(kind, j, d) for kind, j, d in segments), dwell)
     # each column alone: a sequence of the same rows
     seqs = [PulseSequence(init, tuple(PulseSegment(kind, ExchangeConfig(*j[c]), d[c])
                                       for kind, j, d in segments), dwell)
@@ -625,7 +623,7 @@ def test_stack_equals_its_columns_run_one_at_a_time(sector, columns, noise_mode,
     stacked_ref = {"scalar": 3.0, "per_column": np.array(refs)}.get(noise_mode)
     with mock.patch.object(dynamics, "BLOCK_STATES", block), \
             mock.patch.object(readout, "BLOCK_STATES", block):
-        stacked = run_sequence(stack, noise, zeeman=zeeman,
+        stacked = run_sequence(sweep, noise, zeeman=zeeman,
                                noise_reference_mhz=stacked_ref)
         stacked_probs = {d: ensemble_probabilities(stacked, d) for d in ReadoutDirection}
     assert stacked.sector is basis
@@ -645,57 +643,83 @@ def test_stack_equals_its_columns_run_one_at_a_time(sector, columns, noise_mode,
             assert np.array_equal(alone.amplitudes, bare.amplitudes)
 
 
+_ROWS = np.tile(ExchangeConfig.balanced(50, 50).as_array(), (3, 1))  # 3 columns
+
+
+def _sweep(kinds=(SegmentKind.SET_DIABATIC, SegmentKind.HOLD), targets=(_ROWS, _ROWS),
+           durations=(0.0, np.zeros(3)), dwell_times=(0.0, 5.0)) -> PulseSequence:
+    return PulseSequence(singlet_x(), tuple(map(PulseSegment, kinds, targets, durations)),
+                         dwell_times)
+
+
 def _replaced(a, index, value):
     a = np.array(a, dtype=float)
     a[index] = value
     return a
 
 
-_J2 = np.tile(ExchangeConfig.balanced(50, 50).as_array(), (2, 3, 1))  # 2 segments, 3 columns
-_VALID = {"kinds": (SegmentKind.SET_DIABATIC, SegmentKind.HOLD), "couplings": _J2,
-          "durations": np.zeros((2, 3)), "dwell_times": (0.0, 5.0)}
-
-
 @pytest.mark.parametrize("change, message", [
-    ({"couplings": _J2[..., :3]}, "need couplings"),
-    ({"couplings": _J2[:1]}, "need couplings"),
-    ({"couplings": _J2[:, 0]}, "need couplings"),
-    ({"durations": np.zeros((2, 2))}, "need couplings"),
+    ({"targets": (_ROWS[:, :3], _ROWS)}, r"couplings \(\.\.\., 4\), got shape \(3, 3\)"),
     ({"kinds": ()}, "at least one segment"),
-    ({"couplings": _J2[:, :0], "durations": np.zeros((2, 0))}, "at least one column"),
-    *(({"couplings": _replaced(_J2, (0, 1, 2), bad)}, "couplings must be finite and non-negative")
-      for bad in (-1.0, np.nan, np.inf)),
-    *(({"durations": _replaced(np.zeros((2, 3)), (0, 2), bad)},
-       "durations must be finite and non-negative") for bad in (-1.0, np.nan, np.inf)),
+    ({"targets": (_ROWS[:0], _ROWS[:0]), "durations": (0.0, 0.0)}, "at least one column"),
+    ({"durations": (0.0, np.zeros(2))}, "do not broadcast to one column shape"),
+    ({"targets": (_ROWS[:, None], _ROWS)}, r"one column axis, got column shape \(3, 3\)"),
+    *(({"targets": (_ROWS, _replaced(_ROWS, (1, 2), bad))},
+       "couplings must be finite and non-negative") for bad in (-1.0, np.nan, np.inf)),
+    *(({"durations": (_replaced(np.zeros(3), 2, bad), 0.0)},
+       "segment duration must be finite and non-negative") for bad in (-1.0, np.nan, np.inf)),
     ({"kinds": (SegmentKind.LINEAR_RAMP, SegmentKind.HOLD)}, "ramp cannot be the first segment"),
     ({"kinds": (SegmentKind.SET_DIABATIC, SegmentKind.EXCHANGE_PULSE)}, "must be a HOLD"),
-    ({"durations": _replaced(np.zeros((2, 3)), (1, 1), 4.0)}, "final HOLD's duration"),
+    ({"durations": (0.0, _replaced(np.zeros(3), 1, 4.0))}, "final HOLD's duration"),
     ({"dwell_times": ()}, "at least one time"),
     ({"dwell_times": (0.0, np.nan)}, "dwell times must be finite and non-negative"),
     ({"dwell_times": (-1.0, 5.0)}, "dwell times must be finite and non-negative"),
-], ids=["three-bonds", "too-few-segments", "no-column-axis", "durations-shape", "no-segments",
-        "no-columns", "negative-coupling", "nan-coupling", "inf-coupling", "negative-duration",
-        "nan-duration", "inf-duration", "ramp-first", "grid-on-a-pulse", "grid-on-a-timed-hold",
-        "empty-grid", "nan-dwell", "negative-dwell"])
-def test_stack_rejects_arrays_no_sequence_can_run(change, message):
-    assert SequenceStack(singlet_x(), **_VALID).couplings.shape == (2, 3, 4)
+], ids=["three-bonds", "no-segments", "no-columns", "shapes-do-not-broadcast", "two-column-axes",
+        "negative-coupling", "nan-coupling", "inf-coupling", "negative-duration", "nan-duration",
+        "inf-duration", "ramp-first", "grid-on-a-pulse", "grid-on-a-timed-hold", "empty-grid",
+        "nan-dwell", "negative-dwell"])
+def test_sweep_rejects_arrays_no_sequence_can_run(change, message):
+    assert _sweep().couplings.shape == (2, 3, 4)
     with pytest.raises(ValueError, match=message):
-        SequenceStack(singlet_x(), **(_VALID | change))
+        _sweep(**change)
+
+
+def test_column_axis_follows_the_targets_and_durations():
+    # a bare ExchangeConfig or (4,) row and scalar durations give no column axis; a
+    # (1, 4) row gives a column axis of 1, and any array broadcasts the others
+    j = ExchangeConfig.balanced(50, 50)
+    noise = NoiseModel(sigma_f=1.0, n_samples=3)
+    for target, cols in ((j, ()), (j.as_array(), ()), (j.as_array()[None], (1,)),
+                         (np.tile(j.as_array(), (2, 1)), (2,))):
+        seq = PulseSequence(singlet_x(), (set_diabatic(j), hold(target, 0.0)), (0.0, 5.0))
+        assert seq.couplings.shape == (2, *cols, 4) and seq.durations.shape == (2, *cols)
+        res = run_sequence(seq, noise)
+        assert res.amplitudes.shape == (*cols, 3, 2, 2)
+        assert np.shape(res.clipped_weight) == cols
+        assert ensemble_probabilities(res, ReadoutDirection.HORIZONTAL).shape == (*cols, 2, 4)
+    assert isinstance(res.clipped_weight, np.ndarray)
+    assert isinstance(run_sequence(PulseSequence(singlet_x(), (hold(j, 1.0),))).clipped_weight,
+                      float)
+    seq = PulseSequence(singlet_x(), (exchange_pulse(j, [0.0, 2.0, 4.0]), hold(j, 0.0)))
+    assert seq.couplings.shape == (2, 3, 4) and seq.durations.tolist() == [[0, 2, 4], [0, 0, 0]]
+    assert seq.segments[0].duration == [0.0, 2.0, 4.0]  # as stated
+    with pytest.raises(ValueError, match="read-only"):
+        seq.couplings[0, 0, 0] = 1.0
 
 
 def test_ramp_columns_stack_with_their_own_start_and_duration():
     j0, j1 = ExchangeConfig.balanced(50, 0.5).as_array(), ExchangeConfig.balanced(50, 50).as_array()
-    ramps = SequenceStack(singlet_x(), (SegmentKind.SET_DIABATIC, SegmentKind.LINEAR_RAMP),
-                          [[j0, j1], [j1, j0]], [[0.0, 0.0], [10.0, 0.0]])
+    ramps = PulseSequence(singlet_x(), (set_diabatic(np.stack([j0, j1])),
+                                        linear_ramp(np.stack([j1, j0]), [10.0, 0.0])))
+    assert ramps.kinds == (SegmentKind.SET_DIABATIC, SegmentKind.LINEAR_RAMP)
     assert run_sequence(ramps).amplitudes.shape == (2, 1, 1, 2)
-    assert [seg.kind for seg in ramps.segments] == list(ramps.kinds)  # column 0's segments
 
 
 def test_noise_reference_is_checked_per_column_before_the_frequency_law():
     # a column with jx = jy = 0 has no singlet-singlet frequency to scale by
     live, dead = ExchangeConfig.balanced(50, 50), ExchangeConfig(0.0, 0.0, 0.0, 0.0)
-    stack = SequenceStack(singlet_x(), (SegmentKind.HOLD,), [[live.as_array(), dead.as_array()]],
-                          [[0.0, 0.0]], (0.0, 1.0))
+    stack = PulseSequence(singlet_x(), (hold(np.stack([live.as_array(), dead.as_array()]), 0.0),),
+                          (0.0, 1.0))
     noise = NoiseModel(sigma_f=1.0)
     with pytest.raises(ValueError, match="noise needs a positive reference frequency"):
         run_sequence(stack, noise)
@@ -741,8 +765,7 @@ def test_ramp_step_cap_raises(monkeypatch):
 def test_ramp_step_cap_names_the_column_of_a_stack(monkeypatch):
     j0 = ExchangeConfig.balanced(50, 0.5)
     j1 = ExchangeConfig.balanced(50, 50)
-    stack = SequenceStack(singlet_x(), (SegmentKind.SET_DIABATIC, SegmentKind.LINEAR_RAMP),
-                          [[j0.as_array()] * 2, [j1.as_array()] * 2], [[0.0, 0.0], [0.0, 4000.0]])
+    stack = PulseSequence(singlet_x(), (set_diabatic(j0), linear_ramp(j1, [0.0, 4000.0])))
     # the zero-length ramp needs no steps; the 4000 ns one cannot converge in 128
     monkeypatch.setattr(dynamics, "RAMP_STEP_CAP", 128)
     with pytest.raises(RampConvergenceError,

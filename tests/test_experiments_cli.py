@@ -178,10 +178,20 @@ def test_cli_out_is_a_usage_error_where_nothing_is_written(tmp_path, capsys):
     ("fig4b.j_pair_mhz = abc", "fig4b.j_pair_mhz = 'abc': expected float"),
     ("fig3e.jy_drift = 1", "fig3e.jy_drift = 1: expected bool"),
     ("fig4b.j_pair_mhz = 25", None),
-], ids=["float-for-int", "float-for-int-size", "text-for-float", "int-for-bool", "int-for-float"])
+    ("noise.n_samples = 0", "noise.n_samples must be at least 1, got 0"),
+    ("noise.n_samples = 129", "noise.n_samples must be at most 128, got 129"),
+    ("fig4b.t_points = -3", "fig4b.t_points must be at least 1, got -3"),
+    ("readout.n_shots = 0", "readout.n_shots must be at least 1, got 0"),
+    ("calibrate.max_iterations = 0", "calibrate.max_iterations must be at least 1, got 0"),
+    ("fig4b.tphi_x_ns = nan", "fig4b.tphi_x_ns must be finite, got nan"),
+    ("fig4b.j_pair_mhz = -inf", "fig4b.j_pair_mhz must be finite, got -inf"),
+], ids=["float-for-int", "float-for-int-size", "text-for-float", "int-for-bool", "int-for-float",
+        "no-nodes", "too-many-nodes", "negative-size", "no-shots", "no-iterations", "nan-float",
+        "infinite-float"])
 def test_cli_spec_value_of_the_wrong_type_is_a_one_line_usage_error(tmp_path, capsys, line,
                                                                      message):
-    # each value must have its default's type, except that an int sets a float key
+    # each value must have its default's type, except that an int sets a float key, and
+    # its range: an int counts something (at least 1) and a float is finite
     spec = tmp_path / "spec.cfg"
     spec.write_text("".join(f"{k} = {v}\n" for k, v in SMALL_4B.items()) + line + "\n")
     out = tmp_path / "out"
@@ -397,25 +407,22 @@ def test_figs9_singlet_y_maps_are_the_singlet_x_maps_with_readouts_swapped(jj, j
     # figS9 runs only the singlet-x ramps: the singlet-y start from (jy0, jj) is their
     # 90-degree rotation, so its maps are theirs with the two readouts swapped
     from rvbsim.basis import singlet_x, singlet_y
-    from rvbsim.dynamics import (NoiseModel, SegmentKind, SequenceStack, run_sequence,
-                                 sigma_from_tphi)
+    from rvbsim.dynamics import (NoiseModel, PulseSequence, hold, linear_ramp, run_sequence,
+                                 set_diabatic, sigma_from_tphi)
     from rvbsim.hamiltonians import ExchangeConfig
     from rvbsim.readout import ReadoutDirection, ensemble_probabilities
 
     noise = NoiseModel(sigma_from_tphi(130.0), 4) if noisy else None
-    n = len(t_ramps)
-    target = ExchangeConfig.balanced(jj, jj).as_array()
+    target = ExchangeConfig.balanced(jj, jj)
 
     def maps(init, start):
-        stack = SequenceStack(init, (SegmentKind.SET_DIABATIC, SegmentKind.LINEAR_RAMP,
-                                     SegmentKind.HOLD),
-                              np.repeat([[start], [target], [target]], n, axis=1),
-                              [np.zeros(n), t_ramps, np.zeros(n)], np.linspace(0.0, 60.0, 13))
-        result = run_sequence(stack, noise)
+        sweep = PulseSequence(init, (set_diabatic(start), linear_ramp(target, t_ramps),
+                                     hold(target, 0.0)), np.linspace(0.0, 60.0, 13))
+        result = run_sequence(sweep, noise)
         return [ensemble_probabilities(result, d)[..., 0] for d in ReadoutDirection]
 
-    read_x, read_y = maps(singlet_x(), ExchangeConfig.balanced(jj, jy0).as_array())
-    sy_read_x, sy_read_y = maps(singlet_y(), ExchangeConfig.balanced(jy0, jj).as_array())
+    read_x, read_y = maps(singlet_x(), ExchangeConfig.balanced(jj, jy0))
+    sy_read_x, sy_read_y = maps(singlet_y(), ExchangeConfig.balanced(jy0, jj))
     assert_allclose(sy_read_x, read_y, rtol=0, atol=1e-12)
     assert_allclose(sy_read_y, read_x, rtol=0, atol=1e-12)
 
@@ -455,6 +462,25 @@ def test_fig3e_failed_column_fits_read_nan(tmp_path):
     for name, column in data.items():
         if name != "jx_fit_mhz":
             assert np.all(np.isfinite(column)), name
+
+
+@pytest.mark.parametrize("name, grid, csv, fitted", [
+    ("fig3e", "fig3e", "fig3e_exchange.csv", ("jx_fit_mhz", "jy_fit_mhz")),
+    ("fig4ef", "fig4cd", "fig4ef_extraction.csv",
+     ("f_fit_x_mhz", "f_fit_y_mhz", "vis_fit_x", "vis_fit_y")),
+])
+def test_one_point_dwell_grid_reads_nan_rows_with_warnings(tmp_path, name, grid, csv, fitted):
+    # a grid of one time has no Nyquist frequency to test, and the fitter names each row
+    overrides = {f"{grid}.t_points": 1, "fig3e.dvp_points": 3, "noise.n_samples": 4}
+    with pytest.warns(RuntimeWarning) as record:
+        run_figure(name, tmp_path, seed=0, overrides=overrides)
+    messages = sorted(str(w.message) for w in record)
+    panels = {"fig3e": ("horizontal", "vertical"), "fig4ef": ("x", "y")}[name]
+    assert messages == [f"{name} panel {panel} column {k}: need at least 10 points to fit"
+                        for panel in panels for k in range(3)]
+    data = read_csv(tmp_path / csv)
+    for column in data:
+        assert np.all(np.isnan(data[column]) == (column in fitted)), column
 
 
 @pytest.mark.filterwarnings("ignore:fig4ef panel:RuntimeWarning")

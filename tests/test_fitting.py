@@ -311,6 +311,19 @@ def test_ellipse_center_rejects_asymmetric_map():
         find_ellipse_center(cal)
 
 
+@pytest.mark.parametrize("values, message", [
+    (np.full((17, 17), 0.3), "map has no structure: every overlap large enough to score is "
+                             "constant"),
+    (np.arange(15.0).reshape(3, 5) % 4, "map too small for a symmetric-overlap search: 15 points, "
+                                        "need at least 16"),
+], ids=["uniform-17x17", "3x5"])
+def test_ellipse_center_tells_a_flat_map_from_a_small_one(values, message):
+    nx, ny = values.shape
+    cal = CalibrationMap(dvx=np.linspace(-8, 8, nx), dvy=np.linspace(-8, 8, ny), values=values)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        find_ellipse_center(cal)
+
+
 def _direct_reflection_scores(v):
     """Pearson of each overlap with its point reflection, one center at a time; -inf unscored."""
     nx, ny = v.shape

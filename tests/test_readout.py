@@ -150,14 +150,14 @@ def test_sample_shots_uniform_law_of_large_numbers():
     rec = sample_shots([0.25, 0.25, 0.25, 0.25], 40000, 2)
     sigma = np.sqrt(0.25 * 0.75 / rec.n_shots)
     assert np.all(np.abs(rec.probabilities() - 0.25) < 3 * sigma)
-    assert rec.counts().sum() == 40000
+    assert rec.recorded.sum() == 40000
 
 
 def test_sample_shots_deterministic_given_seed():
     probs = np.tile([0.4, 0.1, 0.3, 0.2], (50, 1))
 
     def counts(seed):
-        return sample_shots(probs, 500, seed).counts()
+        return sample_shots(probs, 500, seed).recorded
 
     for seed in (7, (7, 3, 1, 4)):
         assert np.array_equal(counts(seed), counts(seed))
@@ -181,8 +181,8 @@ def test_sample_shots_stack_is_multinomial_in_recorded_probabilities():
     # whose mean frequencies follow its probabilities
     p = np.random.default_rng(4).dirichlet(np.ones(4), size=(3, 40))
     rec = sample_shots(p, 20000, (1, 2))
-    assert rec.counts().shape == (3, 40, 4) and rec.n_shots == 20000
-    assert np.all(rec.counts().sum(axis=-1) == 20000)
+    assert rec.recorded.shape == (3, 40, 4) and rec.n_shots == 20000
+    assert np.all(rec.recorded.sum(axis=-1) == 20000)
     expected = p
     z = (rec.probabilities() - expected) / np.sqrt(expected * (1 - expected) / rec.n_shots)
     assert np.abs(z).max() < 5 and abs(z.mean()) < 0.2 and 0.8 < z.std() < 1.2
