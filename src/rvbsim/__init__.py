@@ -32,7 +32,6 @@ from .control import (
     GateMatrixKind,
     SweepModel,
     SyntheticDevice,
-    VirtualGateMatrix,
     apply_compensation,
     exchange_from_voltages,
     load_matrix_table,

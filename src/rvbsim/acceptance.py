@@ -2,9 +2,9 @@
 
 Each check runs the relevant slice of the stack end to end (simulation,
 readout, fitting) against an independent oracle or closed form and returns
-a pass/fail verdict with a one-line detail.  ``run_all`` executes every
-criterion; the CLI ``verify`` command prints one line per criterion and
-exits nonzero on any failure.
+a pass/fail verdict with a one-line detail.  ``CHECKS`` lists the checks
+in criterion order; the CLI ``verify`` command runs each, prints its
+:func:`format_line` and exits nonzero on any failure.
 """
 
 from __future__ import annotations
@@ -159,42 +159,9 @@ def check_perturbative_frequency(seed: int = 0) -> CheckResult:
                        elapsed)
 
 
-def _fit_beat_frequency(t: np.ndarray, p: np.ndarray, carrier_guess: float) -> float:
-    """Two close tones plus their difference tone: returns half the splitting (MHz).
-
-    With the constant and amplitudes projected out, (nu1, nu2) start at the best of a
-    120-point splitting grid and take Gauss-Newton steps on a central-difference
-    Jacobian (h = 1e-7 MHz) until a step is below 1e-12 MHz, for at most 20 steps.
-    A best start on the first or last grid point raises ValueError: the splitting
-    may lie outside the grid.
-    """
-
-    def residual(x):  # columns: constant, nu1, nu2 and nu2 - nu1
-        design = np.cos(np.outer(t, W2PI * np.array([0.0, *x, x[1] - x[0]])))
-        coef, *_ = np.linalg.lstsq(design, p, rcond=None)
-        return design @ coef - p
-
-    starts = [np.array([carrier_guess - delta / 2, carrier_guess + delta / 2])
-              for delta in np.linspace(0.005, 0.12, 120)]
-    best = int(np.argmin([np.sum(residual(x) ** 2) for x in starts]))
-    if best in (0, len(starts) - 1):
-        raise ValueError("best beat-fit start lies on the edge of its splitting grid "
-                         "[0.005, 0.12] MHz")
-    x = starts[best]
-    for _ in range(20):
-        jac = np.column_stack([(residual(x + dx) - residual(x - dx)) / 2e-7
-                               for dx in np.eye(2) * 1e-7])
-        step, *_ = np.linalg.lstsq(jac, -residual(x), rcond=None)
-        x = x + step
-        if np.abs(step).max() < 1e-12:
-            break
-    nu1, nu2 = sorted(x)
-    return (nu2 - nu1) / 2
-
-
 def check_degenerate_formula(seed: int = 0) -> CheckResult:
-    """Closed form matches exact 3-level evolution; beat frequency fits
-    (dx^2+dy^2)/(4J) to 1%."""
+    """Closed form matches exact 3-level evolution; the beat frequency of the exact
+    spectrum matches (dx^2+dy^2)/(4J) to 1%."""
     start = time.perf_counter()
     rng = stream(seed, 4)
     init = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
@@ -210,12 +177,12 @@ def check_degenerate_formula(seed: int = 0) -> CheckResult:
         amp = np.sum(coeff**2 * np.exp(-1j * W2PI * w * t))
         worst = max(worst, abs(p_st_degenerate(j, dx, dy, t) - abs(amp) ** 2))
 
+    # the beat of the two close tones is half the splitting of the two upper levels
     j, dx, dy = 25.0, 1.2, 0.9
-    t = np.arange(0.0, 60000.0, 8.0)
-    trace = p_st_degenerate(j, dx, dy, t)
-    beat_fit = _fit_beat_frequency(t, trace, carrier_guess=j / 2 + (dx**2 + dy**2) * 0.75 / j)
+    w = np.linalg.eigvalsh(triplet_block_transformed(ExchangeConfig.from_directional(j, j, dx, dy)))
+    beat = (w[2] - w[1]) / 2
     beat_law = (dx**2 + dy**2) / (4 * j)
-    beat_err = abs(beat_fit - beat_law) / beat_law
+    beat_err = abs(beat - beat_law) / beat_law
     elapsed = time.perf_counter() - start
     passed = worst <= 1e-8 and beat_err <= 0.01
     return CheckResult(4, "degenerate-formula", passed,
@@ -457,12 +424,3 @@ def format_line(result: CheckResult) -> str:
     return (f"[{verdict}] criterion {result.criterion:2d} {result.name} "
             f"({result.elapsed_s:.1f}s): {result.detail}")
 
-
-def run_all(seed: int = 0, echo: bool = False) -> list[CheckResult]:
-    results = []
-    for check in CHECKS:
-        result = check(seed)
-        results.append(result)
-        if echo:
-            print(format_line(result), flush=True)
-    return results

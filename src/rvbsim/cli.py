@@ -118,11 +118,14 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .acceptance import run_all
+    from .acceptance import CHECKS, format_line
 
-    results = run_all(seed=args.seed, echo=True)
-    failed = [r for r in results if not r.passed]
-    print(f"# {len(results) - len(failed)}/{len(results)} criteria passed")
+    failed = 0
+    for check in CHECKS:
+        result = check(args.seed)
+        print(format_line(result), flush=True)
+        failed += not result.passed
+    print(f"# {len(CHECKS) - failed}/{len(CHECKS)} criteria passed")
     return 1 if failed else 0
 
 

@@ -19,8 +19,9 @@ import numpy as np
 
 from .hamiltonians import ExchangeConfig
 
-#: Crosstalk matrix mapping virtual plunger voltages (vP1..vP4, vP_SHT1,
-#: vP_SHT2) to physical plunger voltages (same order), dimensionless.
+#: Crosstalk matrix mapping virtual plunger voltages to physical plunger
+#: voltages, dimensionless.  Columns are vP1..vP4, vP_SHT1, vP_SHT2; rows are
+#: P1..P4, P_SHT1, P_SHT2.
 PLUNGER_MATRIX = np.array(
     [
         [1.00, -0.28, 0.03, -0.20, -0.14, 0.00],
@@ -32,8 +33,9 @@ PLUNGER_MATRIX = np.array(
     ]
 )
 
-#: Crosstalk matrix mapping virtual barrier voltages (vB12, vB34, vB23,
-#: vB14) to physical gate voltages (P1..P4, B12, B34, B23, B14, B_SHT1).
+#: Crosstalk matrix mapping virtual barrier voltages to physical gate
+#: voltages, dimensionless.  Columns are vB12, vB34, vB23, vB14; rows are
+#: P1..P4, B12, B34, B23, B14, B_SHT1.
 BARRIER_MATRIX = np.array(
     [
         [-0.564, 0.042, 0.076, -0.181],
@@ -51,11 +53,6 @@ BARRIER_MATRIX = np.array(
 PLUNGER_MATRIX.setflags(write=False)
 BARRIER_MATRIX.setflags(write=False)
 
-PLUNGER_INPUTS = ("vP1", "vP2", "vP3", "vP4", "vP_SHT1", "vP_SHT2")
-PLUNGER_OUTPUTS = ("P1", "P2", "P3", "P4", "P_SHT1", "P_SHT2")
-BARRIER_INPUTS = ("vB12", "vB34", "vB23", "vB14")
-BARRIER_OUTPUTS = ("P1", "P2", "P3", "P4", "B12", "B34", "B23", "B14", "B_SHT1")
-
 #: Barrier-voltage operating point (vB12, vB34, vB23, vB14) in mV where the
 #: four couplings are approximately equal; used as the sweep reference.
 DEFAULT_REFERENCE_POINT = (16.0, -10.5, 0.0, 9.5)
@@ -66,25 +63,9 @@ class GateMatrixKind(enum.Enum):
     BARRIER = "barrier"
 
 
-@dataclass(frozen=True)
-class VirtualGateMatrix:
-    kind: GateMatrixKind
-    matrix: np.ndarray
-    input_labels: tuple[str, ...]
-    output_labels: tuple[str, ...]
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (len(self.output_labels), len(self.input_labels)):
-            raise ValueError("matrix shape does not match gate labels")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-def default_gate_matrix(kind: GateMatrixKind) -> VirtualGateMatrix:
-    if kind is GateMatrixKind.PLUNGER:
-        return VirtualGateMatrix(kind, PLUNGER_MATRIX, PLUNGER_INPUTS, PLUNGER_OUTPUTS)
-    return VirtualGateMatrix(kind, BARRIER_MATRIX, BARRIER_INPUTS, BARRIER_OUTPUTS)
+def default_gate_matrix(kind: GateMatrixKind) -> np.ndarray:
+    """The read-only :data:`PLUNGER_MATRIX` or :data:`BARRIER_MATRIX`, by ``kind``."""
+    return PLUNGER_MATRIX if kind is GateMatrixKind.PLUNGER else BARRIER_MATRIX
 
 
 def load_matrix_table(path, n_columns: int | None = None) -> np.ndarray:
@@ -98,16 +79,13 @@ def load_matrix_table(path, n_columns: int | None = None) -> np.ndarray:
     return m
 
 
-def virtual_to_physical(gates: VirtualGateMatrix | GateMatrixKind, v_virtual) -> np.ndarray:
-    """Physical gate voltages (mV) produced by the virtual voltages (mV)."""
-    if isinstance(gates, GateMatrixKind):
-        gates = default_gate_matrix(gates)
+def virtual_to_physical(kind: GateMatrixKind, v_virtual) -> np.ndarray:
+    """Physical gate voltages (mV) that ``kind``'s matrix makes of the virtual ones (mV)."""
+    matrix = default_gate_matrix(kind)
     v = np.asarray(v_virtual, dtype=float)
-    if v.shape != (gates.matrix.shape[1],):
-        raise ValueError(
-            f"expected {gates.matrix.shape[1]} virtual voltages, got {v.shape}"
-        )
-    return gates.matrix @ v
+    if v.shape != (matrix.shape[1],):
+        raise ValueError(f"expected {matrix.shape[1]} virtual voltages, got {v.shape}")
+    return matrix @ v
 
 
 #: Exchange sensitivity to a virtual barrier voltage, 1/mV.
@@ -182,8 +160,8 @@ class SweepModel:
 
         jx(dvp) = j0x * exp(orientation * (1 - compensation) * kappa * dvp)
 
-    ``jy_slope`` is an optional per-sweep linear drift hook (1/mV) for the
-    residual jy variation seen in hardware; the ideal model keeps jy flat.
+    ``jy_slope`` is a linear jy drift (1/mV) for the residual jy variation
+    seen in hardware, about 0.00431 /mV; the ideal model keeps jy flat.
     """
 
     model: ExchangeVoltageModel

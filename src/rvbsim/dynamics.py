@@ -417,9 +417,7 @@ class SequenceResult:
         return lift(self.amplitudes, self.sector)
 
 
-_BOND_STACK = np.stack(
-    [_BOND_OPS[Pair.Q12], _BOND_OPS[Pair.Q34], _BOND_OPS[Pair.Q23], _BOND_OPS[Pair.Q14]]
-)
+_BOND_STACK = np.stack([_BOND_OPS[p] for p in Pair])  # Pair order is the coupling order
 
 #: Invariant sectors, smallest first: (basis, isometry q, q^dagger, bond stack
 #: q B q^dagger).  Every bond conserves S^2 and S_z, so each span is closed

@@ -99,7 +99,6 @@ DEFAULTS: dict = {
     "fig3e.t_max_ns": 300.0,
     "fig3e.t_points": 151,
     "fig3e.tphi_ns": 130.0,
-    "fig3e.jy_drift": False,
     "fig4b.j_pair_mhz": 25.0,
     "fig4b.t_max_ns": 348.0,
     "fig4b.t_points": 88,
@@ -136,17 +135,17 @@ DEFAULTS: dict = {
     "calibrate.map_t_ns": 105.0,
     "calibrate.max_iterations": 5,
     "calibrate.tolerance_mv": 0.25,
-    "calibrate.drift_hook": False,
-    "calibrate.jy_slope_per_mv": 0.00431,
 }
 
 
 def resolve_params(overrides: dict | None = None) -> dict:
     """``DEFAULTS`` with ``overrides``: known keys, each value of its default's type and range.
 
-    A float key also takes an int; a bool sets only a bool key.  Every int key
-    counts something and must be at least 1 (``noise.n_samples`` at most
-    ``MAX_QUADRATURE_NODES``); every float must be finite.
+    A float key also takes an int; no key takes a bool.  Every int key counts
+    something and must be at least 1, the two ellipse-map grids
+    (``calibrate.grid_points``, ``figs456.dv_points``) at least 3 and
+    ``noise.n_samples`` at most ``MAX_QUADRATURE_NODES``.  Every float must be
+    finite, and every dephasing time (a key containing ``tphi``) positive.
     """
     params = dict(DEFAULTS)
     if overrides:
@@ -155,20 +154,23 @@ def resolve_params(overrides: dict | None = None) -> dict:
             raise KeyError(f"unknown config keys: {unknown}")
         for key, value in overrides.items():
             kind = type(params[key])
-            accepted = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
-            if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
+            accepted = {int: numbers.Integral, float: numbers.Real}[kind]
+            if isinstance(value, bool) or not isinstance(value, accepted):
                 raise ValueError(f"{key} = {value!r}: expected {kind.__name__}")
-            if kind is int and value < 1:
-                raise ValueError(f"{key} must be at least 1, got {value}")
+            least = 3 if key in ("calibrate.grid_points", "figs456.dv_points") else 1
+            if kind is int and value < least:
+                raise ValueError(f"{key} must be at least {least}, got {value}")
             if key == "noise.n_samples" and value > MAX_QUADRATURE_NODES:
                 raise ValueError(f"{key} must be at most {MAX_QUADRATURE_NODES}, got {value}")
             if kind is float and not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value}")
+            if "tphi" in key and value <= 0:
+                raise ValueError(f"{key} must be positive, got {value}")
         params.update(overrides)
     return params
 
 
-def sweep_model_from(params: dict, drift: bool = False) -> SweepModel:
+def sweep_model_from(params: dict) -> SweepModel:
     return SweepModel(
         ExchangeVoltageModel(
             j0x=params["device.j0x_mhz"],
@@ -177,7 +179,7 @@ def sweep_model_from(params: dict, drift: bool = False) -> SweepModel:
         ),
         compensation=params["device.compensation"],
         orientation=params["device.orientation"],
-        jy_slope=params["calibrate.jy_slope_per_mv"] if drift else params["device.jy_slope_per_mv"],
+        jy_slope=params["device.jy_slope_per_mv"],
     )
 
 
@@ -332,7 +334,7 @@ def _chevron(out_dir: Path, params: dict, seed: int, figure: str, axis: str) -> 
 
 def figure_fig3e(out_dir: Path, params: dict, seed: int) -> list[str]:
     """ST oscillation maps along the compensated sweep plus extracted couplings."""
-    sweep = sweep_model_from(params, drift=params["fig3e.jy_drift"])
+    sweep = sweep_model_from(params)
     dvp = _dvp(params)
     t = np.linspace(0.0, params["fig3e.t_max_ns"], params["fig3e.t_points"])
     noise = _noise(params, "fig3e.tphi_ns")
@@ -604,7 +606,7 @@ def run_calibration(out_dir, seed: int = 0, overrides: dict | None = None) -> Ca
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    sweep = sweep_model_from(params, drift=params["calibrate.drift_hook"])
+    sweep = sweep_model_from(params)
     device = SyntheticDevice(
         sweep,
         offset_dvx=params["calibrate.offset_dvx_mv"],

@@ -20,15 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (
-    Basis,
-    Pair,
-    PairLabel,
-    PairState,
-    pair_product_vector,
-    spin_vector_operators,
-    subspace_projector,
-)
+from .basis import Basis, Pair, _product, spin_vector_operators, subspace_projector
 
 #: Bohr magneton over Planck constant, MHz per mT.
 MU_B_OVER_H = 13.996
@@ -110,9 +102,6 @@ class ZeemanConfig:
         return (self.g1, self.g2, self.g3, self.g4)
 
 
-_BONDS = {Pair.Q12: (1, 2), Pair.Q34: (3, 4), Pair.Q23: (2, 3), Pair.Q14: (1, 4)}
-
-
 def _bond_operator(i: int, j: int) -> np.ndarray:
     si = spin_vector_operators(i)
     sj = spin_vector_operators(j)
@@ -120,7 +109,7 @@ def _bond_operator(i: int, j: int) -> np.ndarray:
     return np.ascontiguousarray(op.real)
 
 
-_BOND_OPS = {pair: _bond_operator(*dots) for pair, dots in _BONDS.items()}
+_BOND_OPS = {pair: _bond_operator(*pair.dots) for pair in Pair}
 for _op in _BOND_OPS.values():
     _op.setflags(write=False)
 
@@ -178,14 +167,11 @@ def zeeman_full(z: ZeemanConfig) -> np.ndarray:
 
 def _unpolarized_triplet_kets() -> dict[str, np.ndarray]:
     # m = 0 triplet sector reached from the global singlets via g-factor differences
-    def prod(l1, p1, l2, p2):
-        return pair_product_vector(PairState(p1, PairLabel(l1)), PairState(p2, PairLabel(l2)))
-
     return {
-        "0_T0": prod("S", Pair.Q12, "T0", Pair.Q34),
-        "1_T0": prod("T0", Pair.Q12, "S", Pair.Q34),
-        "2_T0": (prod("T+", Pair.Q12, "T-", Pair.Q34) - prod("T-", Pair.Q12, "T+", Pair.Q34))
-        / np.sqrt(2.0),
+        "0_T0": _product("S", Pair.Q12, "T0", Pair.Q34),
+        "1_T0": _product("T0", Pair.Q12, "S", Pair.Q34),
+        "2_T0": (_product("T+", Pair.Q12, "T-", Pair.Q34)
+                 - _product("T-", Pair.Q12, "T+", Pair.Q34)) / np.sqrt(2.0),
     }
 
 

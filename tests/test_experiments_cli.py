@@ -84,7 +84,7 @@ def test_figs5_map_structure(tmp_path):
 
 def test_calibration_with_drift_hook(tmp_path):
     report = run_calibration(tmp_path, seed=1, overrides={
-        "calibrate.drift_hook": True,
+        "device.jy_slope_per_mv": 0.00431,
         "calibrate.offset_dvx_mv": 1.0,
         "calibrate.offset_dvy_mv": -1.0,
         "calibrate.grid_points": 13,
@@ -176,7 +176,7 @@ def test_cli_out_is_a_usage_error_where_nothing_is_written(tmp_path, capsys):
     ("noise.n_samples = 2.5", "noise.n_samples = 2.5: expected int"),
     ("fig4b.t_points = 8.5", "fig4b.t_points = 8.5: expected int"),
     ("fig4b.j_pair_mhz = abc", "fig4b.j_pair_mhz = 'abc': expected float"),
-    ("fig3e.jy_drift = 1", "fig3e.jy_drift = 1: expected bool"),
+    ("fig3e.jy_drift = true", "unknown config keys: ['fig3e.jy_drift']"),
     ("fig4b.j_pair_mhz = 25", None),
     ("noise.n_samples = 0", "noise.n_samples must be at least 1, got 0"),
     ("noise.n_samples = 129", "noise.n_samples must be at most 128, got 129"),
@@ -185,13 +185,19 @@ def test_cli_out_is_a_usage_error_where_nothing_is_written(tmp_path, capsys):
     ("calibrate.max_iterations = 0", "calibrate.max_iterations must be at least 1, got 0"),
     ("fig4b.tphi_x_ns = nan", "fig4b.tphi_x_ns must be finite, got nan"),
     ("fig4b.j_pair_mhz = -inf", "fig4b.j_pair_mhz must be finite, got -inf"),
-], ids=["float-for-int", "float-for-int-size", "text-for-float", "int-for-bool", "int-for-float",
-        "no-nodes", "too-many-nodes", "negative-size", "no-shots", "no-iterations", "nan-float",
-        "infinite-float"])
+    ("fig4b.tphi_x_ns = -5", "fig4b.tphi_x_ns must be positive, got -5"),
+    ("chevron.tphi_ns = 0", "chevron.tphi_ns must be positive, got 0"),
+    ("calibrate.grid_points = 2", "calibrate.grid_points must be at least 3, got 2"),
+    ("figs456.dv_points = 2", "figs456.dv_points must be at least 3, got 2"),
+], ids=["float-for-int", "float-for-int-size", "text-for-float", "removed-bool-key",
+        "int-for-float", "no-nodes", "too-many-nodes", "negative-size", "no-shots",
+        "no-iterations", "nan-float", "infinite-float", "negative-tphi", "zero-tphi",
+        "two-point-calibration-grid", "two-point-ellipse-map"])
 def test_cli_spec_value_of_the_wrong_type_is_a_one_line_usage_error(tmp_path, capsys, line,
                                                                      message):
-    # each value must have its default's type, except that an int sets a float key, and
-    # its range: an int counts something (at least 1) and a float is finite
+    # each key must be known and each value must have its default's type, except that an
+    # int sets a float key, and its range: an int counts something (at least 1, an
+    # ellipse-map grid at least 3), a float is finite and a dephasing time positive
     spec = tmp_path / "spec.cfg"
     spec.write_text("".join(f"{k} = {v}\n" for k, v in SMALL_4B.items()) + line + "\n")
     out = tmp_path / "out"
