@@ -138,14 +138,21 @@ DEFAULTS: dict = {
 }
 
 
+#: Least value of the int keys that must count more than one thing; every other int key: 1.
+_LEAST = {"calibrate.grid_points": 3, "figs456.dv_points": 3, "fig4b.t_points": 10}
+
+
 def resolve_params(overrides: dict | None = None) -> dict:
     """``DEFAULTS`` with ``overrides``: known keys, each value of its default's type and range.
 
     A float key also takes an int; no key takes a bool.  Every int key counts
     something and must be at least 1, the two ellipse-map grids
-    (``calibrate.grid_points``, ``figs456.dv_points``) at least 3 and
+    (``calibrate.grid_points``, ``figs456.dv_points``) at least 3, fig4b's
+    dwell grid (``fig4b.t_points``, fitted as one trace) at least 10 and
     ``noise.n_samples`` at most ``MAX_QUADRATURE_NODES``.  Every float must be
-    finite, and every dephasing time (a key containing ``tphi``) positive.
+    finite, every dephasing time (a key containing ``tphi``) and
+    ``device.kappa_per_mv`` positive, and the balanced sums
+    ``device.j0x_mhz`` and ``device.j0y_mhz`` non-negative.
     """
     params = dict(DEFAULTS)
     if overrides:
@@ -157,15 +164,17 @@ def resolve_params(overrides: dict | None = None) -> dict:
             accepted = {int: numbers.Integral, float: numbers.Real}[kind]
             if isinstance(value, bool) or not isinstance(value, accepted):
                 raise ValueError(f"{key} = {value!r}: expected {kind.__name__}")
-            least = 3 if key in ("calibrate.grid_points", "figs456.dv_points") else 1
+            least = _LEAST.get(key, 1)
             if kind is int and value < least:
                 raise ValueError(f"{key} must be at least {least}, got {value}")
             if key == "noise.n_samples" and value > MAX_QUADRATURE_NODES:
                 raise ValueError(f"{key} must be at most {MAX_QUADRATURE_NODES}, got {value}")
             if kind is float and not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value}")
-            if "tphi" in key and value <= 0:
+            if ("tphi" in key or key == "device.kappa_per_mv") and value <= 0:
                 raise ValueError(f"{key} must be positive, got {value}")
+            if key in ("device.j0x_mhz", "device.j0y_mhz") and value < 0:
+                raise ValueError(f"{key} must be non-negative, got {value}")
         params.update(overrides)
     return params
 
@@ -238,22 +247,29 @@ def _fit_rows(t, traces, f_model, figure: str, panel: str) -> np.ndarray:
     """Fitted (frequency, visibility) per row of ``traces``, shape (rows, 2).
 
     A row whose model frequency ``f_model[k]`` (MHz) reaches the Nyquist frequency
-    of ``t`` would alias, and one the damped-cosine fit rejects with a ``ValueError``
-    (a grid of one point has no Nyquist frequency, and the fit rejects it):
-    each reads NaN and raises a ``RuntimeWarning`` naming figure, panel, column and reason.
+    of ``t`` would alias and is not fitted; the other rows are fitted in one
+    stacked call.  A row the fit rejects (a grid under 10 points rejects every
+    row, and a grid of one point has no Nyquist frequency) and an aliased row
+    read NaN and raise a ``RuntimeWarning`` naming figure, panel, column and
+    reason, in column order.
     """
     f_nyq = 0.5e3 / (t[1] - t[0]) if len(t) > 1 else np.inf
+    aliased = np.asarray(f_model) >= f_nyq
     rows = np.full((len(traces), 2), np.nan)
-    for k, (trace, f_k) in enumerate(zip(traces, f_model)):
-        try:
-            if f_k >= f_nyq:
-                raise ValueError(f"model frequency {f_k:.1f} MHz is at or above the dwell "
-                                 f"grid's Nyquist frequency {f_nyq:.1f} MHz")
-            fit = fit_damped_cosine(t, trace)
-        except ValueError as err:
-            warnings.warn(f"{figure} panel {panel} column {k}: {err}", RuntimeWarning, stacklevel=2)
-            continue
-        rows[k] = fit.f, fit.visibility
+    reasons = np.full(len(traces), "", dtype=object)
+    try:
+        fit = fit_damped_cosine(t, traces[~aliased])
+        rows[~aliased] = np.column_stack([fit.f, fit.visibility])
+        reasons[~aliased] = fit.reason
+    except ValueError as err:
+        reasons[~aliased] = str(err)
+    for k, reason in enumerate(reasons):
+        if aliased[k]:
+            reason = (f"model frequency {f_model[k]:.1f} MHz is at or above the dwell grid's "
+                      f"Nyquist frequency {f_nyq:.1f} MHz")
+        if reason:
+            warnings.warn(f"{figure} panel {panel} column {k}: {reason}", RuntimeWarning,
+                          stacklevel=2)
     return rows
 
 
@@ -635,15 +651,21 @@ def run_calibration(out_dir, seed: int = 0, overrides: dict | None = None) -> Ca
             break
 
     # frequency minima through the recovered center: the horizontal readout
-    # oscillates at jy/2 along dvx, the vertical one at jx/2 along dvy
+    # oscillates at jy/2 along dvx, the vertical one at jx/2 along dvy; both
+    # lines are fitted as one (2, 9) stack, and a point whose fit fails stops
+    # the calibration, named, before its NaN reaches the parabola
     t = np.linspace(0.0, 240.0, 121)
-    minima = []
-    for axis, direction in enumerate(BOTH_READOUTS):
-        line = center[axis] + np.linspace(-4.0, 4.0, 9)
-        ends = (line, center[1]) if axis == 0 else (center[0], line)
-        traces = st_scan(device.config(0.0, *ends), direction, t)
-        minima.append(find_frequency_minimum(line, [fit_damped_cosine(t, p).f for p in traces]))
-    min_x, min_y = minima
+    lines = center[:, None] + np.linspace(-4.0, 4.0, 9)
+    fit = fit_damped_cosine(t, np.array([
+        st_scan(device.config(0.0, *((line, center[1]) if axis == 0 else (center[0], line))),
+                direction, t)
+        for axis, (line, direction) in enumerate(zip(lines, BOTH_READOUTS))
+    ]))
+    for (axis, k), reason in np.ndenumerate(fit.reason):
+        if reason:
+            raise ValueError(f"calibration line along dv{'xy'[axis]} at {lines[axis, k]:+.3f} mV: "
+                             f"fit failed: {reason}")
+    min_x, min_y = (find_frequency_minimum(line, f) for line, f in zip(lines, fit.f))
     j0y = 2 * min_x.f_min
     j0x = 2 * min_y.f_min
 

@@ -9,11 +9,18 @@ when the stripes are tilted or distorted: it scores every center of
 reflection at once as a normalized self-correlation, from four FFT
 convolutions (J. P. Lewis, Vision Interface 1995).
 
-The damped-cosine fit takes its frequency seed from the power spectrum of
-the de-meaned trace on ``linspace(0, f_nyq, M)``.  When the time points
-are increasing and uniform (to 1e-9 of a step), that power is one
-zero-padded FFT of length 2(M - 1), whose bins fall exactly on the grid;
-any other time grid (unsorted, jittered or with gaps) takes a dense DFT.
+The damped-cosine fit takes one trace or a stack of traces, on one time
+grid or on a grid per trace, and runs each stage for all traces together
+(the seed in blocks of rows); one trace is a stack of one.  A trace of a stack that cannot be
+fitted reads NaN and keeps the reason in ``FitResult.reason``, and the
+other traces are unaffected; a single trace raises that reason instead.
+
+The frequency seed is the peak of the power spectrum of the de-meaned trace
+on ``linspace(0, f_nyq, M)``.  When the time points are increasing and
+uniform (to 1e-9 of a step), that power is a zero-padded FFT of length
+2(M - 1), whose bins fall exactly on the grid, taken for all such traces
+in one batched transform; any other time grid (unsorted, jittered or with
+gaps) takes a dense DFT.
 
 The polish is a small bounded Levenberg-Marquardt loop in
 kappa = T_phi^-2 rather than T_phi: the model is smooth through kappa = 0,
@@ -45,26 +52,35 @@ class FitResult:
     ``a`` is the oscillation amplitude (non-negative), ``f`` the frequency
     in MHz, ``phi`` the phase in (-pi, pi], ``tphi`` the Gaussian decay
     time in ns, ``a0`` the offset.
+
+    A fit of one trace holds floats.  A fit of a stack of traces holds one
+    entry per trace: the parameters, ``residual_rms`` and ``reason`` take the
+    stack's shape and ``covariance`` that shape plus (5, 5).  ``reason`` is ""
+    for a fitted trace and the error message for one that could not be
+    fitted, which reads NaN in every other field.
     """
 
-    a: float
-    f: float
-    phi: float
-    tphi: float
-    a0: float
+    a: float | np.ndarray
+    f: float | np.ndarray
+    phi: float | np.ndarray
+    tphi: float | np.ndarray
+    a0: float | np.ndarray
     covariance: np.ndarray
-    residual_rms: float
+    residual_rms: float | np.ndarray
+    reason: str | np.ndarray = ""
 
     @property
     def sigmas(self) -> np.ndarray:
-        return np.sqrt(np.clip(np.diag(self.covariance), 0, None))
+        """1-sigma uncertainties in parameter order, on the last axis."""
+        return np.sqrt(np.clip(np.diagonal(self.covariance, axis1=-2, axis2=-1), 0, None))
 
     @property
-    def visibility(self) -> float:
+    def visibility(self) -> float | np.ndarray:
         """Peak-to-peak amplitude 2A of the undamped oscillation."""
         return 2 * self.a
 
     def to_flat_record(self) -> dict:
+        """The fit of one trace as flat ``fit.*`` keys."""
         sig = self.sigmas
         rec = {}
         for k, name in enumerate(("a", "f_mhz", "phi_rad", "tphi_ns", "a0")):
@@ -86,25 +102,35 @@ _FTOL = 1e-14
 _XTOL = 1e-13
 _MAX_EVAL = 200
 
+#: The seed stages (:func:`_seed`) take a stack in blocks of about this many
+#: values of their largest arrays, 36 n per row of n points (the twelve
+#: n x 3 trial designs), so their temporaries stay near 0.5 MB each.
+_SEED_VALUES = 2**16
+
 
 def _kappa_model(t, t2, x):
-    """The damped cosine in kappa = tphi^-2 and its Jacobian, columns (a, f, phi, kappa, a0)."""
-    a, f, phi, kappa, a0 = x
+    """The damped cosine in kappa = tphi^-2 and its Jacobian, columns (a, f, phi, kappa, a0).
+
+    ``x`` holds (a, f, phi, kappa, a0) on its last axis: shape (5,) for one
+    trace ``t``, (rows, 5) for a stack ``t`` of shape (rows, n).  The
+    Jacobian has the model's shape plus 5.
+    """
+    a, f, phi, kappa, a0 = np.asarray(x).T[..., None]
     theta = _W * f * t + phi
     env = np.exp(-kappa * t2)
     c = np.cos(theta) * env
     s = -a * np.sin(theta) * env
-    jac = np.empty((len(t), 5))
-    jac[:, 0] = c
-    jac[:, 1] = _W * t * s
-    jac[:, 2] = s
-    jac[:, 3] = -a * t2 * c
-    jac[:, 4] = 1.0
+    jac = np.empty(theta.shape + (5,))
+    jac[..., 0] = c
+    jac[..., 1] = _W * t * s
+    jac[..., 2] = s
+    jac[..., 3] = -a * t2 * c
+    jac[..., 4] = 1.0
     return a * c + a0, jac
 
 
 def _model(t, a, f, phi, tphi, a0):
-    return _kappa_model(t, t * t, (a, f, phi, tphi**-2, a0))[0]
+    return _kappa_model(t, t * t, np.stack([a, f, phi, tphi**-2, a0], axis=-1))[0]
 
 
 def _model_jacobian(t, a, f, phi, tphi, a0):
@@ -113,8 +139,8 @@ def _model_jacobian(t, a, f, phi, tphi, a0):
     The kappa Jacobian of :func:`_kappa_model` with column 3 times
     dkappa/dtphi = -2 tphi^-3.
     """
-    jac = _kappa_model(t, t * t, (a, f, phi, tphi**-2, a0))[1]
-    jac[:, 3] *= -2 / tphi**3
+    jac = _kappa_model(t, t * t, np.stack([a, f, phi, tphi**-2, a0], axis=-1))[1]
+    jac[..., 3] *= (-2 / np.asarray(tphi) ** 3)[..., None]
     return jac
 
 
@@ -124,7 +150,7 @@ def _dft_power(t: np.ndarray, x: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 def _fft_power(x: np.ndarray, m: int) -> np.ndarray:
-    """:func:`_dft_power` on ``linspace(0, f_nyq, m)`` for ``x`` sampled on a uniform grid.
+    """:func:`_dft_power` on ``linspace(0, f_nyq, m)`` for each uniformly sampled trace of ``x``.
 
     Bin k of a length-2(m-1) transform is frequency k f_nyq / (m-1), so the
     zero-padded FFT lands exactly on the dense grid; the grid origin only
@@ -133,66 +159,83 @@ def _fft_power(x: np.ndarray, m: int) -> np.ndarray:
     return np.abs(np.fft.rfft(x, n=2 * (m - 1)))
 
 
-def _is_uniform(t: np.ndarray, dt: float) -> bool:
-    """True when ``t`` increases in steps of ``dt``, to 1e-9 of a step at every point."""
-    return bool(np.abs(t - t[0] - dt * np.arange(len(t))).max() <= 1e-9 * dt)
+def _is_uniform(t: np.ndarray, dt) -> np.ndarray:
+    """True for each trace of ``t`` that increases in steps of ``dt``, to 1e-9 of a step."""
+    dt = np.asarray(dt)
+    steps = dt[..., None] * np.arange(t.shape[-1])
+    return np.abs(t - t[..., :1] - steps).max(axis=-1) <= 1e-9 * dt
 
 
-def _spectral_seed(t: np.ndarray, p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Dominant frequency (MHz) of the de-meaned trace, its frequency grid and power.
+def _spectral_seed(t: np.ndarray, p: np.ndarray):
+    """Dominant frequency (MHz) of each de-meaned trace, its frequency grid, power and error.
 
-    The grid runs from 0 to the Nyquist frequency of the median time step;
-    a peak in its top 1% raises :class:`NoOscillationError`.  A uniform,
-    increasing ``t`` takes the power from one zero-padded FFT; any other
-    ``t`` from the dense DFT.
+    ``t`` and ``p`` are stacks (rows, n).  Row k's grid runs from 0 to the
+    Nyquist frequency of its median time step.  A row whose peak is in the
+    top 1% of its grid, or not above its noise floor, gets a
+    :class:`NoOscillationError` in ``errors`` (None elsewhere) and a NaN
+    frequency.  Uniform, increasing rows take their power from one batched
+    zero-padded FFT; any other row from the dense DFT.
     """
-    dt = np.median(np.diff(np.sort(t)))
+    rows, n = p.shape
+    dt = np.median(np.diff(np.sort(t), axis=-1), axis=-1)
     f_nyq = 0.5 / dt * 1e3  # MHz
-    grid = np.linspace(0.0, f_nyq, max(512, 8 * len(t)))
-    demeaned = p - p.mean()
-    if _is_uniform(t, dt):
-        power = _fft_power(demeaned, len(grid))
-    else:
-        power = _dft_power(t, demeaned, grid)
-    lo = max(2, int(0.01 * len(grid)))  # skip the DC shoulder
-    peak = lo + int(np.argmax(power[lo:]))
-    floor = 4.0 * np.median(power[lo:]) + 1e-12 * (abs(p).max() + 1.0) * len(t)
-    if power[peak] <= floor:
-        raise NoOscillationError("no spectral peak above the noise floor")
-    if peak >= len(grid) - lo:  # the sine column vanishes there: only a cos(phi) is determined
-        raise NoOscillationError(f"spectral peak at the Nyquist frequency {f_nyq:.1f} MHz")
-    return float(grid[peak]), grid, power
+    grid = np.linspace(0.0, f_nyq, max(512, 8 * n), axis=-1)
+    demeaned = p - p.mean(axis=-1, keepdims=True)
+    uniform = _is_uniform(t, dt)
+    power = np.empty_like(grid)
+    power[uniform] = _fft_power(demeaned[uniform], grid.shape[-1])
+    for k in np.flatnonzero(~uniform):
+        power[k] = _dft_power(t[k], demeaned[k], grid[k])
+    lo = max(2, int(0.01 * grid.shape[-1]))  # skip the DC shoulder
+    peak = lo + np.argmax(power[:, lo:], axis=-1)
+    floor = 4.0 * np.median(power[:, lo:], axis=-1) + 1e-12 * (np.abs(p).max(axis=-1) + 1.0) * n
+    errors = np.full(rows, None, dtype=object)
+    for k in np.flatnonzero(power[np.arange(rows), peak] <= floor):
+        errors[k] = NoOscillationError("no spectral peak above the noise floor")
+    for k in np.flatnonzero(np.equal(errors, None) & (peak >= grid.shape[-1] - lo)):
+        # the sine column vanishes there: only a cos(phi) is determined
+        errors[k] = NoOscillationError(
+            f"spectral peak at the Nyquist frequency {f_nyq[k]:.1f} MHz")
+    f0 = np.where(np.equal(errors, None), grid[np.arange(rows), peak], np.nan)
+    return f0, grid, power, errors
 
 
-def _seed_grid(t, p, f0, span) -> tuple[float, float, np.ndarray]:
-    """Best (f, tphi, [a cos phi, a sin phi, a0]) of a 3 x 4 variable-projection grid.
+def _seed_grid(t, p, f0, span):
+    """Best f, tphi and (a cos phi, a sin phi, a0) of a 3 x 4 variable-projection grid per row.
 
-    For each trial (f, tphi) the model is linear in the remaining
-    parameters; all twelve linear least-squares problems are solved from
-    one stacked SVD and the smallest residual wins.  Singular values below
-    ``np.linalg.lstsq``'s default cutoff are dropped, as it does: a trial
-    frequency at the Nyquist limit samples its sine column as zero.
+    ``t`` and ``p`` are stacks (rows, n), ``f0`` and ``span`` have one entry
+    per row; f and tphi come back with one entry per row, the linear
+    coefficients as a (3, rows) array.  For each trial (f, tphi) the model
+    is linear in the remaining parameters; the twelve linear least-squares
+    problems of every row are solved from one stacked SVD and each row's
+    smallest residual wins.  Singular values below ``np.linalg.lstsq``'s
+    default cutoff are dropped, as it does: a trial frequency at the Nyquist
+    limit samples its sine column as zero.
     """
-    f_try = f0 * np.array([0.97, 1.0, 1.03])
-    tphi_try = np.array([8 * span, 2 * span, span, span / 3])
-    theta = _W * f_try[:, None] * t
-    env = np.exp(-((t / tphi_try[:, None]) ** 2))
-    design = np.empty((len(f_try), len(tphi_try), len(t), 3))
-    design[..., 0] = np.cos(theta)[:, None] * env
-    design[..., 1] = -np.sin(theta)[:, None] * env
+    rows, n = p.shape
+    f_try = f0[:, None] * np.array([0.97, 1.0, 1.03])
+    tphi_try = np.stack([8 * span, 2 * span, span, span / 3], axis=-1)
+    theta = _W * f_try[..., None] * t[:, None]
+    env = np.exp(-((t[:, None] / tphi_try[..., None]) ** 2))
+    design = np.empty((rows, 3, 4, n, 3))
+    design[..., 0] = np.cos(theta)[:, :, None] * env[:, None]
+    design[..., 1] = -np.sin(theta)[:, :, None] * env[:, None]
     design[..., 2] = 1.0
-    design = design.reshape(-1, len(t), 3)
+    design = design.reshape(rows, 12, n, 3)
     u, sv, vt = np.linalg.svd(design, full_matrices=False)
-    inv = np.where(sv > np.finfo(float).eps * len(t) * sv[:, :1], 1 / sv, 0.0)
-    coef = (vt.transpose(0, 2, 1) * inv[:, None, :]) @ (u.transpose(0, 2, 1) @ p)[..., None]
-    rss = np.sum(((design @ coef)[..., 0] - p) ** 2, axis=1)
-    k = int(np.argmin(rss))
-    return float(f_try[k // len(tphi_try)]), float(tphi_try[k % len(tphi_try)]), coef[k, :, 0]
+    inv = np.where(sv > np.finfo(float).eps * n * sv[..., :1], 1 / sv, 0.0)
+    coef = (vt.swapaxes(-1, -2) * inv[..., None, :]) @ (u.swapaxes(-1, -2) @ p[:, None, :, None])
+    rss = np.sum(((design @ coef)[..., 0] - p[:, None]) ** 2, axis=-1)
+    k = np.argmin(rss, axis=-1)
+    at = np.arange(rows)
+    return f_try[at, k // 4], tphi_try[at, k % 4], coef[at, k, :, 0].T
 
 
 def fit_damped_cosine(t_ns, p) -> FitResult:
-    """Least-squares fit of a Gaussian-damped cosine to a probability trace.
+    """Least-squares fit of a Gaussian-damped cosine to a probability trace or a stack of them.
 
+    ``p`` is one trace (n,) or a stack (..., n); ``t_ns`` is its time grid
+    (n,), shared by every trace, or one grid per trace (``p``'s shape).
     Seeds the frequency from the dominant spectral peak (one zero-padded
     FFT when ``t_ns`` is uniform and increasing, a dense DFT otherwise) and
     the remaining parameters from variable projection over a small
@@ -205,48 +248,103 @@ def fit_damped_cosine(t_ns, p) -> FitResult:
     data, so a trace whose decay the data cannot tell from none returns
     tphi = TPHI_MAX_NS (1e12 ns) with an inf sigma.  The covariance and
     residual come from the closed-form Jacobian in tphi at the result.
-    Requires at least 10 finite points at distinct times, spanning 1.5
-    periods of the dominant frequency.
+    Each stage runs on the stack at once: the seed in blocks of rows that
+    bound its temporaries (``_SEED_VALUES``), the polish and the covariance
+    on every row that has a seed.
+
+    Requires at least 10 points per trace, and of each trace finite points
+    at distinct times, spanning 1.5 periods of the dominant frequency.  One
+    trace that fails this raises; a trace of a stack reads NaN with its
+    reason in ``FitResult.reason``, and the others are fitted as alone.
     """
-    t = np.asarray(t_ns, dtype=float).ravel()
-    p = np.asarray(p, dtype=float).ravel()
-    if t.shape != p.shape:
-        raise ValueError("t and p must have matching length")
-    if len(t) < 10:
+    t = np.asarray(t_ns, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if p.ndim == 0 or t.shape not in (p.shape, p.shape[-1:]):
+        raise ValueError(f"t of shape {t.shape} does not fit p of shape {p.shape}: "
+                         "need one time per point, shared or per trace")
+    n = p.shape[-1]
+    if n < 10:
         raise ValueError("need at least 10 points to fit")
-    if not (np.isfinite(t).all() and np.isfinite(p).all()):
-        raise ValueError("t and p must be finite")
-    if np.unique(t).size < t.size:
-        raise ValueError("time points must be distinct")
-    f0, grid, _ = _spectral_seed(t, p)
-    span = t.max() - t.min()
-    if span * f0 * 1e-3 < 1.5:
-        raise ValueError(
-            f"trace spans {span * f0 * 1e-3:.2f} periods of the dominant "
-            "frequency; need at least 1.5"
-        )
+    shape = p.shape[:-1]
+    p = p.reshape(-1, n)
+    t = np.broadcast_to(t, shape + (n,)).reshape(-1, n)
 
+    errors = np.full(len(p), None, dtype=object)
+    finite = np.isfinite(t).all(axis=-1) & np.isfinite(p).all(axis=-1)
+    errors[~finite] = ValueError("t and p must be finite")
+    repeated = (np.diff(np.sort(t), axis=-1) == 0).any(axis=-1)
+    errors[repeated & np.equal(errors, None)] = ValueError("time points must be distinct")
+    live = np.flatnonzero(np.equal(errors, None))
+    start = np.full((3, len(p), 5), np.nan)
+    block = max(1, _SEED_VALUES // (36 * n))
+    for rows in (live[i:i + block] for i in range(0, live.size, block)):
+        start[:, rows], errors[rows] = _seed(t[rows], p[rows])
+    good = np.flatnonzero(np.equal(errors, None))
+    fits = np.full((len(p), 6), np.nan)
+    cov = np.full((len(p), 5, 5), np.nan)
+    if good.size:
+        fits[good], cov[good] = _polish(t[good], p[good], *start[:, good])
+
+    if not shape:
+        if errors[0] is not None:
+            raise errors[0]
+        return FitResult(*(float(v) for v in fits[0, :5]), cov[0], float(fits[0, 5]))
+    reason = np.array([str(e) if e is not None else "" for e in errors]).reshape(shape)
+    a, f, phi, tphi, a0, rms = fits.T.reshape((6,) + shape)
+    return FitResult(a, f, phi, tphi, a0, cov.reshape(shape + (5, 5)), rms, reason)
+
+
+def _seed(t, p) -> tuple[np.ndarray, np.ndarray]:
+    """Start, lower and upper bound (3, rows, 5) of the polish of each row, and its errors.
+
+    A row that has no usable spectral peak or spans under 1.5 periods of it
+    gets its error (None elsewhere) and NaN bounds.
+    """
+    f0, grid, _, errors = _spectral_seed(t, p)
+    span = np.ptp(t, axis=-1)
+    periods = span * f0 * 1e-3
+    for k in np.flatnonzero(periods < 1.5):
+        errors[k] = ValueError(f"trace spans {periods[k]:.2f} periods of the dominant "
+                               "frequency; need at least 1.5")
+    ok = np.equal(errors, None)
+    t, p, f0, f_nyq, span = t[ok], p[ok], f0[ok], grid[ok, -1], span[ok]
     f_seed, tphi_seed, (c1, c2, a0_seed) = _seed_grid(t, p, f0, span)
-    a_seed = float(np.hypot(c1, c2))
-    phi_seed = float(np.arctan2(c2, c1))
+    rows = len(p)
+    scale = np.maximum(p.max(axis=-1) - p.min(axis=-1), 1e-6)
+    lower = np.tile([0.0, 0.0, -2 * np.pi, TPHI_MAX_NS**-2, -np.inf], (rows, 1))
+    upper = np.column_stack([10 * scale, 2 * f0 + f_nyq, np.full(rows, 2 * np.pi),
+                             (1e-3 * span) ** -2, np.full(rows, np.inf)])
+    x0 = np.column_stack([np.maximum(np.hypot(c1, c2), 1e-4 * scale), f_seed, np.arctan2(c2, c1),
+                          tphi_seed**-2, a0_seed])
+    start = np.full((3, len(ok), 5), np.nan)
+    start[:, ok] = np.clip(x0, lower, upper), lower, upper
+    return start, errors
 
-    scale = max(p.max() - p.min(), 1e-6)
-    lower = np.array([0.0, 0.0, -2 * np.pi, TPHI_MAX_NS**-2, -np.inf])
-    upper = np.array([10 * scale, 2 * f0 + grid[-1], 2 * np.pi, (1e-3 * span) ** -2, np.inf])
-    x0 = np.array([max(a_seed, 1e-4 * scale), f_seed, phi_seed, tphi_seed**-2, a0_seed])
-    a, f, phi, kappa, a0 = _bounded_lm(t, p, np.clip(x0, lower, upper), lower, upper)
-    tphi = float(kappa**-0.5)
-    phi = float((phi + np.pi) % (2 * np.pi) - np.pi)
+
+def _polish(t, p, x0, lower, upper) -> tuple[np.ndarray, np.ndarray]:
+    """(a, f, phi, tphi, a0, residual rms) per row of the stack, and the covariances.
+
+    The Levenberg-Marquardt polish from ``x0`` inside [lower, upper], then
+    the covariance and residual in tphi, for the rows :func:`_seed` passed.
+    """
+    a, f, phi, kappa, a0 = _bounded_lm(t, p, x0, lower, upper).T
+    tphi = kappa**-0.5
+    phi = (phi + np.pi) % (2 * np.pi) - np.pi
 
     resid = _model(t, a, f, phi, tphi, a0) - p
     jac = _model_jacobian(t, a, f, phi, tphi, a0)
-    cov = _covariance(jac.T @ jac, (resid @ resid) / max(len(t) - 5, 1))
-    rms = float(np.sqrt(np.mean(resid**2)))
-    return FitResult(float(a), float(f), phi, tphi, float(a0), cov, rms)
+    cov = _covariance(_gram(jac), np.sum(resid**2, axis=-1) / max(p.shape[-1] - 5, 1))
+    rms = np.sqrt(np.mean(resid**2, axis=-1))
+    return np.column_stack([a, f, phi, tphi, a0, rms]), cov
 
 
 def _bounded_lm(t, p, x, lower, upper) -> np.ndarray:
-    """Levenberg-Marquardt on (a, f, phi, kappa, a0) inside the box [lower, upper].
+    """Levenberg-Marquardt on (a, f, phi, kappa, a0) inside the box [lower, upper], row by row.
+
+    ``t`` and ``p`` are stacks (rows, n); ``x``, ``lower`` and ``upper`` hold
+    one parameter vector per row (rows, 5).  Every row runs its own loop,
+    all rows in one batch: it keeps its own damping, scaling, active set
+    and stop, and a row that stops leaves the batch.
 
     Marquardt damping mu D^2 with Moré's scaling D^2, the running maximum of
     diag(J^T J) (Moré, LNM 630, 1978), floored at 1e-15 of its largest entry
@@ -262,61 +360,88 @@ def _bounded_lm(t, p, x, lower, upper) -> np.ndarray:
     _MAX_EVAL model evaluations.  A kappa that the same floor cannot tell
     from its lower bound is then put on it.
     """
+    out = np.empty_like(x)
+    rows = np.arange(len(x))
     t2 = t * t
-    floor = (_XTOL * np.linalg.norm(p)) ** 2
+    floor = (_XTOL * np.linalg.norm(p, axis=-1)) ** 2
     model, jac = _kappa_model(t, t2, x)
     r = model - p
-    cost, g, jtj = r @ r, r @ jac, jac.T @ jac
-    d2 = np.zeros(5)
-    mu, nu = 1e-6, 2.0
+    cost, g, jtj = np.einsum("kn,kn->k", r, r), (r[:, None] @ jac)[:, 0], _gram(jac)
+    d2 = np.zeros_like(x)
+    mu, nu = np.full(len(x), 1e-6), np.full(len(x), 2.0)
+    diag = np.arange(5)
     for _ in range(_MAX_EVAL - 1):
-        d2 = np.maximum(d2, jtj.diagonal())
-        d2 = np.maximum(d2, 1e-15 * d2.max())
+        d2 = np.maximum(d2, jtj[:, diag, diag])
+        d2 = np.maximum(d2, 1e-15 * d2.max(axis=-1, keepdims=True))
         held = ((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0))
-        m = jtj + np.diag(mu * d2)
-        m[held] = 0.0  # identity rows and columns pin the held steps to 0
-        m[:, held] = 0.0
-        m[held, held] = 1.0
-        trial = x + np.linalg.solve(m, np.where(held, 0.0, -g))
+        m = jtj.copy()
+        m[:, diag, diag] += mu[:, None] * d2
+        # identity rows and columns pin the held steps to 0
+        m[held[:, :, None] | held[:, None, :]] = 0.0
+        m[:, diag, diag] = np.where(held, 1.0, m[:, diag, diag])
+        trial = x + np.linalg.solve(m, np.where(held, 0.0, -g)[..., None])[..., 0]
         x_new = np.minimum(np.maximum(trial, lower), upper)
         step = x_new - x
-        predicted = -(2 * g @ step + step @ jtj @ step)
-        if predicted <= _FTOL * cost + floor and (x_new == trial).all():
-            break
+        predicted = -(2 * np.einsum("ki,ki->k", g, step)
+                      + np.einsum("ki,kij,kj->k", step, jtj, step))
+        stop = (predicted <= _FTOL * cost + floor) & (x_new == trial).all(axis=-1)
+        if stop.any():
+            out[rows[stop]] = _snap_to_undamped(x[stop], jac[stop], lower[stop], floor[stop])
+            keep = ~stop
+            (rows, t, t2, p, x, x_new, lower, upper, floor, predicted, r, jac, cost, g, jtj, d2,
+             mu, nu) = (v[keep] for v in (rows, t, t2, p, x, x_new, lower, upper, floor,
+                                          predicted, r, jac, cost, g, jtj, d2, mu, nu))
+            if not len(rows):
+                return out
         model, jac_new = _kappa_model(t, t2, x_new)
         r_new = model - p
-        gain = cost - r_new @ r_new
-        if gain > 0:
-            x, r, jac, cost = x_new, r_new, jac_new, cost - gain
-            g, jtj = r @ jac, jac.T @ jac
-            # gain ratio, read as 1 for a projected step the quadratic model misjudged
-            rho = gain / max(predicted, gain)
-            mu *= max(1 / 3, 1 - (2 * rho - 1) ** 3)
-            nu = 2.0
-        else:
-            mu *= nu
-            nu *= 2
-    # a decay the floor cannot tell from none lands on the bound, tphi = TPHI_MAX_NS
-    if np.linalg.norm(jac[:, 3]) * (x[3] - lower[3]) <= np.sqrt(floor):
-        x[3] = lower[3]
+        gain = cost - np.einsum("kn,kn->k", r_new, r_new)
+        up = gain > 0
+        x = np.where(up[:, None], x_new, x)
+        r = np.where(up[:, None], r_new, r)
+        jac = np.where(up[:, None, None], jac_new, jac)
+        cost = np.where(up, cost - gain, cost)
+        g, jtj = (r[:, None] @ jac)[:, 0], _gram(jac)
+        # gain ratio, read as 1 for a projected step the quadratic model misjudged
+        rho = gain[up] / np.maximum(predicted[up], gain[up])
+        mu[up] *= np.maximum(1 / 3, 1 - (2 * rho - 1) ** 3)
+        mu[~up] *= nu[~up]
+        nu = np.where(up, 2.0, 2 * nu)
+    out[rows] = _snap_to_undamped(x, jac, lower, floor)
+    return out
+
+
+def _gram(jac: np.ndarray) -> np.ndarray:
+    """J^T J for each Jacobian of a stack (rows, n, 5)."""
+    return jac.swapaxes(-1, -2) @ jac
+
+
+def _snap_to_undamped(x, jac, lower, floor) -> np.ndarray:
+    """``x`` with kappa put on its lower bound in every row whose floor cannot tell them apart.
+
+    A decay the floor cannot tell from none lands on the bound, tphi = TPHI_MAX_NS.
+    """
+    x = x.copy()
+    undamped = np.linalg.norm(jac[..., 3], axis=-1) * (x[:, 3] - lower[:, 3]) <= np.sqrt(floor)
+    x[undamped, 3] = lower[undamped, 3]
     return x
 
 
-def _covariance(jtj: np.ndarray, sigma2: float) -> np.ndarray:
+def _covariance(jtj: np.ndarray, sigma2) -> np.ndarray:
     """sigma2 (J^T J)^-1 over the directions the data fix, inf for parameters they do not.
 
-    A direction is unfixed when its eigenvalue is at most 1e-15 of the largest
-    (the cutoff ``pinv`` would drop it at); a parameter with more than 1e-6 of
-    its squared weight on unfixed directions gets an inf row and column, so
-    its sigma reads inf instead of the truncated ~1e-17.
+    ``jtj`` is one matrix (5, 5) or a stack (..., 5, 5) with one ``sigma2``
+    each.  A direction is unfixed when its eigenvalue is at most 1e-15 of
+    the largest (the cutoff ``pinv`` would drop it at); a parameter with
+    more than 1e-6 of its squared weight on unfixed directions gets an inf
+    row and column, so its sigma reads inf instead of the truncated ~1e-17.
     """
     w, v = np.linalg.eigh(jtj)
-    fixed = w > 1e-15 * w.max()
-    cov = sigma2 * (v[:, fixed] / w[fixed]) @ v[:, fixed].T
-    loose = (v[:, ~fixed] ** 2).sum(axis=1) > 1e-6
-    cov[loose, :] = np.inf
-    cov[:, loose] = np.inf
-    return cov
+    fixed = w > 1e-15 * w.max(axis=-1, keepdims=True)
+    inv = np.where(fixed, 1 / np.where(fixed, w, 1.0), 0.0)
+    cov = np.asarray(sigma2)[..., None, None] * (v * inv[..., None, :]) @ v.swapaxes(-1, -2)
+    loose = np.sum(np.where(fixed[..., None, :], 0.0, v**2), axis=-1) > 1e-6
+    return np.where(loose[..., :, None] | loose[..., None, :], np.inf, cov)
 
 
 @dataclass(frozen=True)
@@ -329,12 +454,17 @@ class FrequencyMinimum:
 def find_frequency_minimum(dv, f) -> FrequencyMinimum:
     """Vertex of a local parabola through the sweep points (dv[k] mV, f[k] MHz).
 
-    Needs at least 5 points bracketing an interior minimum.
+    Needs at least 5 finite points bracketing an interior minimum; a
+    non-finite point (say a failed fit's NaN) is named in the error.
     """
     dv = np.asarray(dv, dtype=float)
     f = np.asarray(f, dtype=float)
     if dv.shape != f.shape:
         raise ValueError(f"dv and f must have one shape, got {dv.shape} and {f.shape}")
+    bad = np.flatnonzero(~(np.isfinite(dv) & np.isfinite(f)))
+    if bad.size:
+        raise ValueError("dv and f must be finite, got " + ", ".join(
+            f"dv[{k}] = {dv[k]:g} mV, f[{k}] = {f[k]:g} MHz" for k in bad))
     order = np.argsort(dv)
     dv, f = dv[order], f[order]
     if len(dv) < 5:

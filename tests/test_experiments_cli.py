@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from rvbsim.cli import main
 from rvbsim.dynamics import MAX_QUADRATURE_NODES
 from rvbsim.experiments import FIGURES, resolve_params, run_calibration, run_figure
+from rvbsim.fitting import fit_damped_cosine
 from rvbsim.io import read_csv
 
 
@@ -110,6 +111,33 @@ def test_calibration_rejects_max_iterations_below_one(tmp_path, monkeypatch, ite
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("axis, failed", [(0, [2]), (1, [4, 6])])
+def test_calibration_names_a_line_point_whose_fit_fails(tmp_path, monkeypatch, axis, failed):
+    # a failed row of the stacked line fits stops the calibration with its axis, point and
+    # reason, instead of a NaN that the parabola misreads
+    from rvbsim import experiments
+
+    stacks = []
+
+    def flatten_rows(t, p):
+        stacks.append(p.shape)
+        p = p.copy()
+        p[axis, failed] = 0.5
+        return fit_damped_cosine(t, p)
+
+    monkeypatch.setattr(experiments, "fit_damped_cosine", flatten_rows)
+    overrides = {"calibrate.grid_points": 9, "calibrate.offset_dvx_mv": 0.0,
+                 "calibrate.offset_dvy_mv": 0.0}
+    with pytest.raises(ValueError, match=rf"^calibration line along dv{'xy'[axis]} at "
+                                         r"([+-]\d+\.\d{3}) mV: fit failed: no spectral peak "
+                                         r"above the noise floor$") as err:
+        run_calibration(tmp_path, overrides=overrides)
+    # the first failed point of the line through the recovered center, near the true 0 mV
+    dv = float(re.search(r"at (\S+) mV", str(err.value)).group(1))
+    assert abs(dv - np.linspace(-4.0, 4.0, 9)[failed[0]]) < 0.5
+    assert stacks == [(2, 9, 121)]  # both lines in one stacked fit
+
+
 def test_cli_figure_list(capsys):
     assert main(["figure", "list"]) == 0
     out = capsys.readouterr().out
@@ -180,7 +208,7 @@ def test_cli_out_is_a_usage_error_where_nothing_is_written(tmp_path, capsys):
     ("fig4b.j_pair_mhz = 25", None),
     ("noise.n_samples = 0", "noise.n_samples must be at least 1, got 0"),
     ("noise.n_samples = 129", "noise.n_samples must be at most 128, got 129"),
-    ("fig4b.t_points = -3", "fig4b.t_points must be at least 1, got -3"),
+    ("fig3e.t_points = -3", "fig3e.t_points must be at least 1, got -3"),
     ("readout.n_shots = 0", "readout.n_shots must be at least 1, got 0"),
     ("calibrate.max_iterations = 0", "calibrate.max_iterations must be at least 1, got 0"),
     ("fig4b.tphi_x_ns = nan", "fig4b.tphi_x_ns must be finite, got nan"),
@@ -189,15 +217,22 @@ def test_cli_out_is_a_usage_error_where_nothing_is_written(tmp_path, capsys):
     ("chevron.tphi_ns = 0", "chevron.tphi_ns must be positive, got 0"),
     ("calibrate.grid_points = 2", "calibrate.grid_points must be at least 3, got 2"),
     ("figs456.dv_points = 2", "figs456.dv_points must be at least 3, got 2"),
+    ("fig4b.t_points = 5", "fig4b.t_points must be at least 10, got 5"),
+    ("device.kappa_per_mv = -1", "device.kappa_per_mv must be positive, got -1"),
+    ("device.kappa_per_mv = 0", "device.kappa_per_mv must be positive, got 0"),
+    ("device.j0x_mhz = -5", "device.j0x_mhz must be non-negative, got -5"),
+    ("device.j0y_mhz = -0.5", "device.j0y_mhz must be non-negative, got -0.5"),
 ], ids=["float-for-int", "float-for-int-size", "text-for-float", "removed-bool-key",
         "int-for-float", "no-nodes", "too-many-nodes", "negative-size", "no-shots",
         "no-iterations", "nan-float", "infinite-float", "negative-tphi", "zero-tphi",
-        "two-point-calibration-grid", "two-point-ellipse-map"])
+        "two-point-calibration-grid", "two-point-ellipse-map", "five-point-fit-grid",
+        "negative-kappa", "zero-kappa", "negative-j0x", "negative-j0y"])
 def test_cli_spec_value_of_the_wrong_type_is_a_one_line_usage_error(tmp_path, capsys, line,
                                                                      message):
     # each key must be known and each value must have its default's type, except that an
     # int sets a float key, and its range: an int counts something (at least 1, an
-    # ellipse-map grid at least 3), a float is finite and a dephasing time positive
+    # ellipse-map grid at least 3, fig4b's fitted dwell grid at least 10), a float is
+    # finite, a dephasing time and the voltage scale positive, a balanced sum non-negative
     spec = tmp_path / "spec.cfg"
     spec.write_text("".join(f"{k} = {v}\n" for k, v in SMALL_4B.items()) + line + "\n")
     out = tmp_path / "out"

@@ -122,9 +122,9 @@ def test_seed_grid_survives_trial_at_nyquist_frequency():
     # as zero; that rank-deficient solve must not wreck the seed
     t = np.linspace(0, 300, 61)
     p = 0.5 + 0.3 * np.cos(np.pi * np.arange(61))
-    f, _, (c1, c2, a0) = _seed_grid(t, p, 100.0, 300.0)
-    assert f == 100.0
-    assert_allclose([c1, c2, a0], [0.3, 0.0, 0.5], rtol=1e-2, atol=1e-9)
+    f, _, coef = _seed_grid(t[None], p[None], np.array([100.0]), np.array([300.0]))
+    assert f[0] == 100.0
+    assert_allclose(coef[:, 0], [0.3, 0.0, 0.5], rtol=1e-2, atol=1e-9)
 
 
 def _nyquist_shot_trace():
@@ -190,13 +190,12 @@ def test_fft_seed_power_matches_dense_dft(t0, dt, n, f_frac, seed):
     dense = _dft_power(t, p - p.mean(), grid)
     fft = _fft_power(p - p.mean(), len(grid))
     assert np.abs(fft - dense).max() <= 1e-9 * dense.max()
-    try:
-        f0, seed_grid, power = _spectral_seed(t, p)
-    except NoOscillationError:
+    (f0,), (seed_grid,), (power,), (error,) = _spectral_seed(t[None], p[None])
+    if error is not None:
         # a short noisy trace can miss the 4x-median floor or peak at the
         # Nyquist edge; the dense DFT (the jittered grid) must then fail too
-        with pytest.raises(NoOscillationError):
-            _spectral_seed(t_off, p)
+        assert isinstance(error, NoOscillationError)
+        assert isinstance(_spectral_seed(t_off[None], p[None])[3][0], NoOscillationError)
         return
     assert_allclose(seed_grid, grid, rtol=1e-12)
     assert np.array_equal(power, fft)
@@ -409,9 +408,10 @@ def trf_reference_fit(t, p) -> FitResult:
     """
     t = np.asarray(t, dtype=float)
     p = np.asarray(p, dtype=float)
-    f0, _, _ = _spectral_seed(t, p)
+    (f0,), _, _, _ = _spectral_seed(t[None], p[None])
     span = t.max() - t.min()
-    f_seed, tphi_seed, (c1, c2, a0_seed) = _seed_grid(t, p, f0, span)
+    (f_seed,), (tphi_seed,), ((c1,), (c2,), (a0_seed,)) = _seed_grid(
+        t[None], p[None], np.array([f0]), np.array([span]))
     scale = max(p.max() - p.min(), 1e-6)
     x0 = [max(np.hypot(c1, c2), 1e-4 * scale), f_seed, np.arctan2(c2, c1), tphi_seed, a0_seed]
     lower = [0.0, 0.0, -2 * np.pi, span * 1e-3, -np.inf]
@@ -474,7 +474,7 @@ def test_fit_stays_in_box_and_matches_trf_on_any_envelope(n, span, periods, grow
     assume(4 * periods <= n - 1)
     t, p = _shot_trace(n, span, periods, a, phi, growth, shots, seed)
     fit, ref = fit_damped_cosine(t, p), trf_reference_fit(t, p)
-    f0, grid, _ = _spectral_seed(t, p)
+    (f0,), (grid,), _, _ = _spectral_seed(t[None], p[None])
     assert 0.0 <= fit.a <= 10 * (p.max() - p.min())
     assert 0.0 <= fit.f <= 2 * f0 + grid[-1]
     assert -np.pi <= fit.phi <= np.pi
@@ -518,3 +518,103 @@ def test_growing_envelope_stays_in_box():
     assert 0.0 <= fit.a <= 10 * np.ptp(p)
     assert_allclose(fit.f, 30.0, rtol=1e-2)
     assert fit.residual_rms <= ref.residual_rms * (1 + 1e-9)
+
+
+def _fields(fit):
+    return np.array([fit.a, fit.f, fit.phi, fit.tphi, fit.a0, fit.residual_rms])
+
+
+@_PROPERTY
+@given(st.integers(1, 6), st.integers(40, 121), st.booleans(), st.booleans(),
+       st.sampled_from((50, 500, 5000)), _seeds)
+def test_stack_fit_equals_fits_of_its_rows(rows, n, per_row_t, jittered_row, shots, seed):
+    # shot-noise traces with their own frequency, phase and decay; per_row_t gives
+    # each its own span, and jittered_row moves one row off its uniform grid so
+    # that row takes the dense DFT while the others share one batched FFT; the rows
+    # stop after different numbers of steps, some rejected, and leave the batch
+    rng = np.random.default_rng(seed)
+    spans = rng.uniform(150.0, 400.0, rows) if per_row_t else np.full(rows, 300.0)
+    t = np.linspace(0.0, spans, n, axis=-1)
+    if jittered_row:
+        t[0] += rng.uniform(-0.3, 0.3, n) * spans[0] / (n - 1)
+    f = rng.uniform(4.0, 0.2 * (n - 1), rows) / spans * 1e3
+    truth = damped_cosine(t, 0.3, f[:, None], rng.uniform(-np.pi, np.pi, (rows, 1)),
+                          rng.uniform(0.5, 3.0, (rows, 1)) * spans[:, None], 0.5)
+    p = rng.binomial(shots, np.clip(truth, 0.0, 1.0)) / shots
+    if jittered_row:
+        assert not _is_uniform(t[0], np.median(np.diff(t[0])))
+    stack = fit_damped_cosine(t if per_row_t or jittered_row else t[0], p)
+    assert stack.f.shape == stack.reason.shape == (rows,)
+    assert stack.covariance.shape == (rows, 5, 5)
+    for k in range(rows):
+        try:
+            fit = fit_damped_cosine(t[k], p[k])
+        except ValueError as err:  # 50 shots can bury a fast decay in the noise
+            assert stack.reason[k] == str(err) and np.isnan(stack.f[k])
+            continue
+        assert stack.reason[k] == ""
+        assert_allclose(stack.f[k], fit.f, rtol=1e-12)
+        assert_allclose(stack.tphi[k], fit.tphi, rtol=1e-12)
+        assert np.array_equal(np.isinf(stack.sigmas[k]), np.isinf(fit.sigmas))
+        finite = np.isfinite(fit.sigmas)
+        assert_allclose(stack.sigmas[k][finite], fit.sigmas[finite], rtol=1e-12)
+
+
+def test_stack_fit_rows_that_fail_read_nan_with_their_reason():
+    # a flat row, a row peaked at the Nyquist frequency and a row under 1.5
+    # periods fail alone: the other rows keep every bit of a stack without them
+    t = np.linspace(0.0, 300.0, 61)
+    rng = np.random.default_rng(8)
+    good = np.array([rng.binomial(500, damped_cosine(t, 0.3, f, 0.4, 200.0, 0.5)) / 500
+                     for f in (20.0, 35.0, 50.0)])
+    bad = {
+        1: (np.full_like(t, 0.5), "no spectral peak above the noise floor"),
+        2: (0.5 + 0.3 * np.cos(np.pi * np.arange(61)), "spectral peak at the Nyquist frequency"),
+        4: (damped_cosine(t, 0.3, 3.0, 0.0, 1e9, 0.5), "trace spans 1.06 periods"),
+    }
+    p = list(good)
+    for k in sorted(bad):
+        p.insert(k, bad[k][0])
+    mixed, clean = fit_damped_cosine(t, np.array(p)), fit_damped_cosine(t, good)
+    ok = [k for k in range(len(p)) if k not in bad]
+    for k, (_, reason) in bad.items():
+        assert mixed.reason[k].startswith(reason)
+        assert np.all(np.isnan(_fields(mixed)[:, k])) and np.all(np.isnan(mixed.covariance[k]))
+    assert list(mixed.reason[ok]) == [""] * len(ok)
+    assert np.array_equal(_fields(mixed)[:, ok], _fields(clean))
+    assert np.array_equal(mixed.covariance[ok], clean.covariance)
+    # the seed stages in blocks of one row give the same bits as in one block
+    with mock.patch.object(fitting, "_SEED_VALUES", 1):
+        blocked = fit_damped_cosine(t, np.array(p))
+    assert np.array_equal(_fields(blocked), _fields(mixed), equal_nan=True)
+    assert np.array_equal(blocked.reason, mixed.reason)
+    # the same trace alone raises that reason
+    with pytest.raises(NoOscillationError, match="Nyquist frequency 100.0 MHz"):
+        fit_damped_cosine(t, bad[2][0])
+
+
+def test_stack_fit_keeps_the_stack_shape():
+    t = np.linspace(0.0, 300.0, 61)
+    p = damped_cosine(t, 0.3, np.array([[20.0], [30.0], [40.0], [50.0]]), 0.0, 200.0, 0.5)
+    fit = fit_damped_cosine(t, p.reshape(2, 2, 61))
+    assert fit.f.shape == fit.residual_rms.shape == fit.reason.shape == (2, 2)
+    assert fit.covariance.shape == (2, 2, 5, 5) and fit.sigmas.shape == (2, 2, 5)
+    assert_allclose(fit.f.ravel(), [20.0, 30.0, 40.0, 50.0], rtol=1e-9)
+    empty = fit_damped_cosine(t, np.empty((0, 61)))
+    assert empty.f.shape == empty.reason.shape == (0,)
+    with pytest.raises(ValueError, match="at least 10 points"):
+        fit_damped_cosine(t[:9], p[:, :9])
+    with pytest.raises(ValueError, match="does not fit p"):
+        fit_damped_cosine(np.stack([t, t]), p)
+
+
+def test_frequency_minimum_names_non_finite_points():
+    # a failed fit's NaN used to read "parabola vertex falls outside the sweep range"
+    dv = np.linspace(-4.0, 4.0, 9)
+    f = 25.0 + 0.4 * dv**2
+    f[[2, 4]] = np.nan
+    with pytest.raises(ValueError, match=r"must be finite, got dv\[2\] = -2 mV, f\[2\] = nan MHz, "
+                                         r"dv\[4\] = 0 mV, f\[4\] = nan MHz$"):
+        find_frequency_minimum(dv, f)
+    with pytest.raises(ValueError, match=r"dv\[0\] = inf mV"):
+        find_frequency_minimum(np.r_[np.inf, dv[1:]], 25.0 + 0.4 * dv**2)
