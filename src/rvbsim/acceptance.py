@@ -359,8 +359,8 @@ def check_conservation_suite(seed: int = 0) -> CheckResult:
         out = evolve(state, h, float(rng.uniform(0, 500)))
         norm_drift = max(norm_drift, abs(np.linalg.norm(out.amplitudes) - 1.0))
 
-    # sector runs (2-dim singlet, 3-dim triplet, 4-dim m = -1 under a field)
-    # against full-space evolution
+    # sector runs (2-dim singlet, 3-dim triplet, 4-dim m = -1 under a field,
+    # 6-dim S_z = 0 for the singlet under a field) against full-space evolution
     st_init = pair_product_state(PairState(Pair.Q12, PairLabel.S),
                                  PairState(Pair.Q34, PairLabel.T_MINUS))
     dwell = tuple(np.linspace(0.0, 60.0, 13))
@@ -368,7 +368,8 @@ def check_conservation_suite(seed: int = 0) -> CheckResult:
     for _ in range(5):
         jx, jy = rng.uniform(5.0, 120.0, size=2)
         j = ExchangeConfig.balanced(jx, jy)
-        for init, zeeman in ((singlet_x(), None), (st_init, None), (st_init, ZeemanConfig())):
+        for init, zeeman in ((singlet_x(), None), (st_init, None), (st_init, ZeemanConfig()),
+                             (singlet_x(), ZeemanConfig())):
             seq = PulseSequence(init=init, segments=(set_diabatic(j), hold(j, 0.0)),
                                 dwell_times=dwell)
             h = heisenberg_full(j) + (0.0 if zeeman is None else zeeman_full(zeeman))

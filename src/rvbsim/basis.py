@@ -29,6 +29,9 @@ Conventions (fixed so every vector in the package is reproducible):
 
 * ``TRIPLET_MINUS_PLUS_Q_4`` appends the quintuplet member
   ``|Q-> = (|T0_12 T-_34> + |T-_12 T0_34>) / sqrt(2)``.
+* ``SZ_ZERO_6`` (total S_z = 0): the six product kets with exactly two
+  spins down, in index order ``n = 3, 5, 6, 9, 10, 12``; it holds every
+  m = 0 state, the global singlets among them.
 
 All states and operators are plain numpy arrays; instances are immutable
 after construction and safe to share across parallel workers.
@@ -54,6 +57,7 @@ class Basis(enum.Enum):
     GLOBAL_SINGLET_2 = 2
     TRIPLET_MINUS_3 = 3
     TRIPLET_MINUS_PLUS_Q_4 = 4
+    SZ_ZERO_6 = 6
 
     @property
     def dim(self) -> int:
@@ -174,6 +178,7 @@ _BASIS_KETS = {
     Basis.GLOBAL_SINGLET_2: _global_singlet_kets(),
     Basis.TRIPLET_MINUS_3: _triplet_minus_kets(False),
     Basis.TRIPLET_MINUS_PLUS_Q_4: _triplet_minus_kets(True),
+    Basis.SZ_ZERO_6: np.eye(DIM_FULL)[[n for n in range(DIM_FULL) if n.bit_count() == 2]],
 }
 for _m in _BASIS_KETS.values():
     _m.setflags(write=False)

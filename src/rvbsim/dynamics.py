@@ -14,8 +14,10 @@ rule estimates it has reached, not a step-to-step residual.
 
 Sequences start from a state in any :class:`~rvbsim.basis.Basis` and run in
 the smallest invariant sector holding it (2-dim total singlet, 3-dim S=1 m=-1
-triplet, 4-dim m=-1 sector, or the full space, whose isometry is the identity);
-exchange conserves S^2 and S_z for any couplings, so this is exact.
+triplet, 4-dim m=-1 sector, 6-dim S_z = 0 block, or the full space, whose
+isometry is the identity); exchange conserves S^2 and S_z for any couplings, so
+this is exact.  A Zeeman field conserves S_z only, so under a field a singlet
+start runs in the S_z = 0 block and an m = -1 start in the 4-dim sector.
 A :class:`SequenceResult` keeps the amplitudes in that sector, where
 :func:`rvbsim.readout.ensemble_probabilities` reads them out; its ``states``
 property lifts them to the full space on each access.

@@ -14,7 +14,7 @@ durations may be (columns,) arrays, runs it with one ``run_sequence`` call,
 ramps included, and hands the result to :func:`_scan`, which owns the ensemble
 readout and, given a stream ``(seed, figure, panel)``, draws column k of
 direction i from the shot key ``(seed, SHOT_STREAMS[figure], panel + i, k)``.
-A fig3e/fig4ef column whose fit fails reads NaN, with a RuntimeWarning.
+A fig3e/fig4ef column or fig4b panel whose fit fails reads NaN, with a RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -140,6 +140,8 @@ DEFAULTS: dict = {
 
 #: Least value of the int keys that must count more than one thing; every other int key: 1.
 _LEAST = {"calibrate.grid_points": 3, "figs456.dv_points": 3, "fig4b.t_points": 10}
+#: Float keys that must be positive, besides the dephasing times.
+_POSITIVE = ("device.kappa_per_mv", "device.j0x_mhz", "device.j0y_mhz")
 
 
 def resolve_params(overrides: dict | None = None) -> dict:
@@ -148,11 +150,11 @@ def resolve_params(overrides: dict | None = None) -> dict:
     A float key also takes an int; no key takes a bool.  Every int key counts
     something and must be at least 1, the two ellipse-map grids
     (``calibrate.grid_points``, ``figs456.dv_points``) at least 3, fig4b's
-    dwell grid (``fig4b.t_points``, fitted as one trace) at least 10 and
+    dwell grid (``fig4b.t_points``, which the fit needs) at least 10 and
     ``noise.n_samples`` at most ``MAX_QUADRATURE_NODES``.  Every float must be
-    finite, every dephasing time (a key containing ``tphi``) and
-    ``device.kappa_per_mv`` positive, and the balanced sums
-    ``device.j0x_mhz`` and ``device.j0y_mhz`` non-negative.
+    finite, and every dephasing time (a key containing ``tphi``),
+    ``device.kappa_per_mv`` and the balanced sums ``device.j0x_mhz`` and
+    ``device.j0y_mhz`` positive.
     """
     params = dict(DEFAULTS)
     if overrides:
@@ -171,10 +173,8 @@ def resolve_params(overrides: dict | None = None) -> dict:
                 raise ValueError(f"{key} must be at most {MAX_QUADRATURE_NODES}, got {value}")
             if kind is float and not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value}")
-            if ("tphi" in key or key == "device.kappa_per_mv") and value <= 0:
+            if ("tphi" in key or key in _POSITIVE) and value <= 0:
                 raise ValueError(f"{key} must be positive, got {value}")
-            if key in ("device.j0x_mhz", "device.j0y_mhz") and value < 0:
-                raise ValueError(f"{key} must be non-negative, got {value}")
         params.update(overrides)
     return params
 
@@ -391,15 +391,21 @@ def figure_fig4b(out_dir: Path, params: dict, seed: int) -> list[str]:
     t = np.linspace(0.0, params["fig4b.t_max_ns"], params["fig4b.t_points"])
     seq = PulseSequence(singlet_y(), (hold(j.as_array()[None], 0.0),), t)  # a column for _scan
     columns: dict[str, np.ndarray] = {"t_ns": t}
-    fit_payload = {}
     for panel, (label, direction) in enumerate(zip("xy", BOTH_READOUTS)):
-        tphi_key = f"fig4b.tphi_{label}_ns"
-        ideal, shots = _scan(run_sequence(seq, _noise(params, tphi_key)), (direction,), IDX_SS,
-                             (seed, "fig4b", panel), params["readout.n_shots"])
+        ideal, shots = _scan(run_sequence(seq, _noise(params, f"fig4b.tphi_{label}_ns")),
+                             (direction,), IDX_SS, (seed, "fig4b", panel),
+                             params["readout.n_shots"])
         columns[f"p_ss_{label}_ideal"] = ideal[0, 0]
         columns[f"p_ss_{label}_shot"] = shots[0, 0]
-        fit = fit_damped_cosine(t, shots[0, 0])
-        fit_payload[label] = fit.to_flat_record() | {"target_tphi_ns": params[tphi_key]}
+    # both panels in one stacked fit: a panel the fit rejects reads NaN and warns
+    fit = fit_damped_cosine(t, np.stack([columns["p_ss_x_shot"], columns["p_ss_y_shot"]]))
+    fit_payload = {}
+    for panel, label in enumerate("xy"):
+        if fit.reason[panel]:
+            warnings.warn(f"fig4b panel {label}: {fit.reason[panel]}", RuntimeWarning,
+                          stacklevel=2)
+        fit_payload[label] = (fit.to_flat_record(panel)
+                              | {"target_tphi_ns": params[f"fig4b.tphi_{label}_ns"]})
 
     files = [str(out_dir / "fig4b_traces.csv"), str(out_dir / "fig4b_fits.json")]
     write_csv(files[0], columns)

@@ -79,14 +79,15 @@ class FitResult:
         """Peak-to-peak amplitude 2A of the undamped oscillation."""
         return 2 * self.a
 
-    def to_flat_record(self) -> dict:
-        """The fit of one trace as flat ``fit.*`` keys."""
-        sig = self.sigmas
+    def to_flat_record(self, row=()) -> dict:
+        """The fit of one trace, or of trace ``row`` of a stack, as flat ``fit.*`` keys."""
+        sig = self.sigmas[row]
+        values = (self.a, self.f, self.phi, self.tphi, self.a0)
         rec = {}
         for k, name in enumerate(("a", "f_mhz", "phi_rad", "tphi_ns", "a0")):
-            rec[f"fit.{name}"] = float((self.a, self.f, self.phi, self.tphi, self.a0)[k])
+            rec[f"fit.{name}"] = float(np.asarray(values[k])[row])
             rec[f"fit.sigma_{name}"] = float(sig[k])
-        rec["fit.residual_rms"] = float(self.residual_rms)
+        rec["fit.residual_rms"] = float(np.asarray(self.residual_rms)[row])
         return rec
 
 

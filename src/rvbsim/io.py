@@ -8,7 +8,7 @@ mode, may be left out, and other segments take no ``mode``)::
 
     init product S Q12 T- Q34        # pair states on two disjoint pairs
     init state swave                 # or: sx, sy, dwave
-    init amplitudes triplet_minus_3 re:im re:im re:im   # or full16, global_singlet_2, ...
+    init amplitudes triplet_minus_3 re:im re:im re:im   # or full16, sz_zero_6, ...
     segment diabatic j12=25 j34=25 j23=0 j14=0
     segment ramp j12=25 j34=25 j23=25 j14=25 dur=160 mode=voltage
     segment hold j12=25 j34=25 j23=25 j14=25 dur=0
@@ -16,7 +16,9 @@ mode, may be left out, and other segments take no ``mode``)::
     dwell range 0 300 2              # start, start + step, ... up to stop, inclusive
 
 ``init amplitudes`` gives one re:im pair per coordinate of any
-:class:`~rvbsim.basis.Basis`.  A file has one ``init`` line and at most one
+:class:`~rvbsim.basis.Basis` (``full16``, ``global_singlet_2``,
+``triplet_minus_3``, ``triplet_minus_plus_q_4`` or ``sz_zero_6``, with 16, 2, 3,
+4 or 6 coordinates).  A file has one ``init`` line and at most one
 ``dwell`` line, and a segment line names each field once; a repeat is
 rejected with its line number.  Couplings and times must be finite and >= 0,
 and a ``dwell range`` makes at most :data:`MAX_DWELL_POINTS` points.

@@ -7,7 +7,7 @@ measurement.  Readout is ideal: each pair's singlet/triplet outcome is
 recorded as it is, and charge-sensor physics and assignment errors are not
 modelled.
 
-Batch readout takes states in any of the four invariant sectors a sequence
+Batch readout takes states in any of the five invariant sectors a sequence
 runs in, the full space among them: for each outcome it contracts the d
 sector coordinates with a factor of the outcome projector compressed to the
 sector (rank <= d, built once per direction and basis), so a noisy ensemble

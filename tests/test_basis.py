@@ -47,7 +47,8 @@ def test_overlapping_pairs_rejected():
 
 
 def test_projectors_have_orthonormal_rows():
-    for basis in (Basis.GLOBAL_SINGLET_2, Basis.TRIPLET_MINUS_3, Basis.TRIPLET_MINUS_PLUS_Q_4):
+    for basis in (Basis.GLOBAL_SINGLET_2, Basis.TRIPLET_MINUS_3, Basis.TRIPLET_MINUS_PLUS_Q_4,
+                  Basis.SZ_ZERO_6):
         p = subspace_projector(basis)
         assert p.shape == (basis.dim, 16)
         assert_allclose(p @ p.conj().T, np.eye(basis.dim), atol=1e-12)
@@ -58,6 +59,19 @@ def test_projector_full_basis_is_identity():
     q = subspace_projector(Basis.FULL16)
     assert q.dtype == np.float64
     assert np.array_equal(q, np.eye(16))
+
+
+def test_sz_zero_block_is_the_two_down_products():
+    # the S_z = 0 block: product kets with two spins down, in index order; it
+    # holds the global singlets and the T+ T- product
+    q = subspace_projector(Basis.SZ_ZERO_6)
+    assert np.array_equal(q, np.eye(16)[[3, 5, 6, 9, 10, 12]])
+    _, sz = total_spin_operators()
+    assert np.array_equal(q @ sz @ q.T, np.zeros((6, 6)))
+    tptm = pair_product_state(PairState(Pair.Q12, PairLabel.T_PLUS),
+                              PairState(Pair.Q34, PairLabel.T_MINUS))
+    for psi in (singlet_x(), singlet_y(), tptm):
+        assert_allclose(q.T @ (q @ psi.amplitudes), psi.amplitudes, rtol=0, atol=0)
 
 
 def test_triplet_minus_basis_vectors():

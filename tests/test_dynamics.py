@@ -61,6 +61,12 @@ from rvbsim.readout import ReadoutDirection, ensemble_probabilities, pair_probab
 ST_INIT = pair_product_state(
     PairState(Pair.Q12, PairLabel.S), PairState(Pair.Q34, PairLabel.T_MINUS)
 )
+#: T+_12 T-_34: S_z = 0, outside the 2-, 3- and 4-dim sectors
+TPTM_INIT = pair_product_state(
+    PairState(Pair.Q12, PairLabel.T_PLUS), PairState(Pair.Q34, PairLabel.T_MINUS)
+)
+#: the singlet plus the S_z = -1 product: it spans two S_z blocks, so only 16 dims hold it
+MIXED_SZ_INIT = SpinState(Basis.FULL16, (singlet_x().amplitudes + ST_INIT.amplitudes) / np.sqrt(2))
 
 
 def test_evolve_identity_at_zero_time():
@@ -360,7 +366,11 @@ def test_sector_is_smallest_invariant_span():
         (singlet_x().amplitudes, None, Basis.GLOBAL_SINGLET_2),
         (ST_INIT.amplitudes, None, Basis.TRIPLET_MINUS_3),
         (ST_INIT.amplitudes, z, Basis.TRIPLET_MINUS_PLUS_Q_4),
-        (singlet_x().amplitudes, z, Basis.FULL16),
+        (singlet_x().amplitudes, z, Basis.SZ_ZERO_6),
+        (TPTM_INIT.amplitudes, None, Basis.SZ_ZERO_6),
+        (TPTM_INIT.amplitudes, z, Basis.SZ_ZERO_6),
+        (MIXED_SZ_INIT.amplitudes, None, Basis.FULL16),
+        (MIXED_SZ_INIT.amplitudes, z, Basis.FULL16),
         (generic / np.linalg.norm(generic), None, Basis.FULL16),
     )
     for psi, zeeman, basis in cases:
@@ -369,12 +379,12 @@ def test_sector_is_smallest_invariant_span():
         assert q.shape == (basis.dim, 16) and stack.shape == (4, basis.dim, basis.dim)
 
 
-_INITS = ("singlet_x", "singlet_y", "st", "m1", "generic")
+_INITS = ("singlet_x", "singlet_y", "st", "m1", "tptm", "generic")
 
 
 _OWN_BASIS = {"singlet_x": Basis.GLOBAL_SINGLET_2, "singlet_y": Basis.GLOBAL_SINGLET_2,
               "st": Basis.TRIPLET_MINUS_3, "m1": Basis.TRIPLET_MINUS_PLUS_Q_4,
-              "generic": Basis.FULL16}
+              "tptm": Basis.SZ_ZERO_6, "generic": Basis.FULL16}
 
 
 @settings(max_examples=40, deadline=None)
@@ -384,11 +394,13 @@ _OWN_BASIS = {"singlet_x": Basis.GLOBAL_SINGLET_2, "singlet_y": Basis.GLOBAL_SIN
 @example("singlet_y", 1, [20.0, 5.0, 30.0, 8.0, 12.0, 40.0, 3.0, 25.0], 13.0, False, True, True)
 @example("st", 2, [20.0, 5.0, 30.0, 8.0, 12.0, 40.0, 3.0, 25.0], 13.0, False, True, True)
 @example("m1", 3, [20.0, 5.0, 30.0, 8.0, 12.0, 40.0, 3.0, 25.0], 13.0, True, True, True)
+@example("tptm", 4, [20.0, 5.0, 30.0, 8.0, 12.0, 40.0, 3.0, 25.0], 13.0, True, True, True)
+@example("singlet_x", 5, [20.0, 5.0, 30.0, 8.0, 12.0, 40.0, 3.0, 25.0], 13.0, True, True, True)
 def test_run_sequence_matches_full_space_evolution(kind, seed, bonds, duration, with_zeeman,
                                                    with_noise, in_own_basis):
     # every sector choice, noise and field setting reproduces per-trajectory
     # 16-dim evolution under s H(j) + Z, prefix segment and dwell grid alike;
-    # an init given in its own 2-, 3- or 4-dim basis runs as its 16-dim lift
+    # an init given in its own 2-, 3-, 4- or 6-dim basis runs as its 16-dim lift
     rng = np.random.default_rng(seed)
     if kind in ("m1", "generic"):
         dim = 4 if kind == "m1" else 16
@@ -396,7 +408,8 @@ def test_run_sequence_matches_full_space_evolution(kind, seed, bonds, duration, 
         amp /= np.linalg.norm(amp)
         init = SpinState(Basis.FULL16, lift(amp, Basis.TRIPLET_MINUS_PLUS_Q_4) if dim == 4 else amp)
     else:
-        init = {"singlet_x": singlet_x(), "singlet_y": singlet_y(), "st": ST_INIT}[kind]
+        init = {"singlet_x": singlet_x(), "singlet_y": singlet_y(), "st": ST_INIT,
+                "tptm": TPTM_INIT}[kind]
     j0, j1 = ExchangeConfig(*bonds[:4]), ExchangeConfig(*bonds[4:])
     zeeman = ZeemanConfig() if with_zeeman else None
     noise = NoiseModel(sigma_f=2.0, n_samples=4, seed=seed) if with_noise else None
@@ -498,16 +511,22 @@ def test_run_sequence_with_zeeman_term():
 
 
 def test_singlet_block_start_leaving_block_under_zeeman_returns_full_space():
-    # a 2-dim start under unequal g-factors leaks out of the singlet block;
-    # the run moves to FULL16 and keeps the leaked amplitude
+    # a 2-dim start under unequal g-factors leaks out of the singlet block but keeps
+    # S_z = 0: the run moves to the 6-dim S_z = 0 block and keeps the leaked amplitude;
+    # a start spanning two S_z blocks runs in FULL16
     j = ExchangeConfig.balanced(40, 40)
-    seq = PulseSequence(init=s_wave(), segments=(set_diabatic(j), hold(j, 173.0)))
-    res = run_sequence(seq, zeeman=ZeemanConfig())
-    assert res.sector is Basis.FULL16
-    assert_allclose(np.linalg.norm(res.states[0, 0]), 1.0, rtol=0, atol=1e-12)
-    direct = evolve(s_wave(Basis.FULL16), heisenberg_full(j) + zeeman_full(ZeemanConfig()), 173.0)
-    assert_allclose(res.states[0, 0], direct.amplitudes, rtol=0, atol=1e-10)
-    SpinState(Basis.FULL16, res.states[0, 0])  # within the norm contract
+    h = heisenberg_full(j) + zeeman_full(ZeemanConfig())
+    singlets = subspace_projector(Basis.GLOBAL_SINGLET_2)
+    for init, sector in ((s_wave(), Basis.SZ_ZERO_6), (MIXED_SZ_INIT, Basis.FULL16)):
+        seq = PulseSequence(init=init, segments=(set_diabatic(j), hold(j, 173.0)))
+        res = run_sequence(seq, zeeman=ZeemanConfig())
+        assert res.sector is sector
+        psi = res.states[0, 0]
+        assert_allclose(np.linalg.norm(psi), 1.0, rtol=0, atol=1e-12)
+        direct = evolve(SpinState(Basis.FULL16, lift(init.amplitudes, init.basis)), h, 173.0)
+        assert_allclose(psi, direct.amplitudes, rtol=0, atol=1e-12)
+        assert np.linalg.norm(psi - singlets.conj().T @ (singlets @ psi)) > 1e-2  # leaked
+        SpinState(Basis.FULL16, psi)  # within the norm contract
 
 
 def test_sequence_result_keeps_sector_amplitudes_and_lifts_on_access():
@@ -570,8 +589,9 @@ _STACK_SECTORS = {
     "singlet_2": (singlet_x(), None, Basis.GLOBAL_SINGLET_2),
     "triplet_3": (ST_INIT, None, Basis.TRIPLET_MINUS_3),
     "m1_4": (ST_INIT, ZeemanConfig(), Basis.TRIPLET_MINUS_PLUS_Q_4),
+    "sz0_6": (singlet_x(), ZeemanConfig(), Basis.SZ_ZERO_6),
     "full": (SpinState(Basis.FULL16, _GENERIC16 / np.linalg.norm(_GENERIC16)), None, Basis.FULL16),
-    "full_zeeman": (singlet_x(), ZeemanConfig(), Basis.FULL16),
+    "full_zeeman": (MIXED_SZ_INIT, ZeemanConfig(), Basis.FULL16),
 }
 _COLUMN = st.tuples(st.lists(st.floats(0.5, 60.0), min_size=8, max_size=8),
                     st.one_of(st.just(0.0), st.floats(0.0, 40.0)), st.floats(0.5, 30.0))
@@ -588,9 +608,11 @@ _EXAMPLE_COLUMNS = [([20.0, 5.0, 30.0, 8.0, 12.0, 40.0, 3.0, 25.0], 0.0, 2.0),
 @example("triplet_3", _EXAMPLE_COLUMNS, "scalar", True, 4, "pulse")
 @example("m1_4", _EXAMPLE_COLUMNS, "default", False, 1, "pulse")
 @example("full", _EXAMPLE_COLUMNS, "per_column", True, 4, "pulse")
+@example("sz0_6", _EXAMPLE_COLUMNS, "per_column", True, 4, "pulse")
 @example("full_zeeman", _EXAMPLE_COLUMNS, "off", True, dynamics.BLOCK_STATES, "pulse")
 @example("singlet_2", _EXAMPLE_COLUMNS, "default", True, 4, "ramp")
 @example("m1_4", _EXAMPLE_COLUMNS, "per_column", False, 1, "ramp")
+@example("sz0_6", _EXAMPLE_COLUMNS, "default", False, 1, "ramp")
 @example("full_zeeman", _EXAMPLE_COLUMNS, "scalar", True, dynamics.BLOCK_STATES, "ramp")
 def test_stack_equals_its_columns_run_one_at_a_time(sector, columns, noise_mode, with_dwell, block,
                                                     prefix):
@@ -807,10 +829,12 @@ def test_ramp_step_product_is_unitary(b0, b1, duration, n, stack):
 @given(_couplings, _couplings, st.floats(1.0, 80.0))
 def test_ramp_singlet_block_is_projected_full_space(b0, b1, duration):
     # imbalanced endpoints make [H2, H1] nonzero inside every sector, which
-    # pins the sign of the commutator term; the 4-dim m = -1 sector also
-    # carries the (sector-invariant) Zeeman term as the constant part
-    for basis, q, qh, stack in _SECTORS[:3]:
-        z = zeeman_full(ZeemanConfig()) * (basis is Basis.TRIPLET_MINUS_PLUS_Q_4)
+    # pins the sign of the commutator term; the 4-dim m = -1 sector and the
+    # 6-dim S_z = 0 block also carry the (sector-invariant) Zeeman term as the
+    # constant part
+    for basis, q, qh, stack in _SECTORS[:-1]:
+        z = zeeman_full(ZeemanConfig()) * (basis in (Basis.TRIPLET_MINUS_PLUS_Q_4,
+                                                    Basis.SZ_ZERO_6))
         u_sector = _ramp_unitary_once(b0, b1, duration, 64, stack, q @ z @ qh)
         u16 = _ramp_unitary_once(b0, b1, duration, 64, _STACK16, z)
         assert_allclose(u_sector, q @ u16 @ qh, atol=1e-12)

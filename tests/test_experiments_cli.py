@@ -220,19 +220,21 @@ def test_cli_out_is_a_usage_error_where_nothing_is_written(tmp_path, capsys):
     ("fig4b.t_points = 5", "fig4b.t_points must be at least 10, got 5"),
     ("device.kappa_per_mv = -1", "device.kappa_per_mv must be positive, got -1"),
     ("device.kappa_per_mv = 0", "device.kappa_per_mv must be positive, got 0"),
-    ("device.j0x_mhz = -5", "device.j0x_mhz must be non-negative, got -5"),
-    ("device.j0y_mhz = -0.5", "device.j0y_mhz must be non-negative, got -0.5"),
+    ("device.j0x_mhz = -5", "device.j0x_mhz must be positive, got -5"),
+    ("device.j0y_mhz = -0.5", "device.j0y_mhz must be positive, got -0.5"),
+    ("device.j0x_mhz = 0", "device.j0x_mhz must be positive, got 0"),
+    ("device.j0y_mhz = 0.0", "device.j0y_mhz must be positive, got 0.0"),
 ], ids=["float-for-int", "float-for-int-size", "text-for-float", "removed-bool-key",
         "int-for-float", "no-nodes", "too-many-nodes", "negative-size", "no-shots",
         "no-iterations", "nan-float", "infinite-float", "negative-tphi", "zero-tphi",
         "two-point-calibration-grid", "two-point-ellipse-map", "five-point-fit-grid",
-        "negative-kappa", "zero-kappa", "negative-j0x", "negative-j0y"])
+        "negative-kappa", "zero-kappa", "negative-j0x", "negative-j0y", "zero-j0x", "zero-j0y"])
 def test_cli_spec_value_of_the_wrong_type_is_a_one_line_usage_error(tmp_path, capsys, line,
                                                                      message):
     # each key must be known and each value must have its default's type, except that an
     # int sets a float key, and its range: an int counts something (at least 1, an
     # ellipse-map grid at least 3, fig4b's fitted dwell grid at least 10), a float is
-    # finite, a dephasing time and the voltage scale positive, a balanced sum non-negative
+    # finite, a dephasing time, the voltage scale and a balanced sum positive
     spec = tmp_path / "spec.cfg"
     spec.write_text("".join(f"{k} = {v}\n" for k, v in SMALL_4B.items()) + line + "\n")
     out = tmp_path / "out"
@@ -476,6 +478,23 @@ def test_fig4b_undetermined_decay_time_round_trips_as_inf(tmp_path):
     fit = json.loads((tmp_path / "fig4b_fits.json").read_text())["x"]
     assert fit["fit.sigma_tphi_ns"] == np.inf
     assert all(np.isfinite(fit[f"fit.sigma_{k}"]) for k in ("a", "f_mhz", "phi_rad", "a0"))
+
+
+@pytest.mark.parametrize("t_points, reason", [
+    (12, "no spectral peak above the noise floor"),
+    (18, r"trace spans 0\.\d+ periods"),
+])
+def test_fig4b_failed_panel_fits_read_nan_with_a_warning(tmp_path, t_points, reason):
+    # an in-range dwell grid the fit rejects: each panel reads NaN and warns, and the
+    # figure still writes its traces
+    with pytest.warns(RuntimeWarning) as record:
+        run_figure("fig4b", tmp_path, seed=0, overrides={"fig4b.t_points": t_points})
+    assert [re.match(rf"fig4b panel ([xy]): {reason}", str(w.message)).group(1)
+            for w in record] == ["x", "y"]
+    fits = json.loads((tmp_path / "fig4b_fits.json").read_text())
+    for panel in "xy":
+        assert all(np.isnan(v) for k, v in fits[panel].items() if k.startswith("fit."))
+    assert len(read_csv(tmp_path / "fig4b_traces.csv")["t_ns"]) == t_points
 
 
 # a sweep to 60 mV: jx falls from 121 to 2.5 MHz while sigma_jx grows past jx near 33 mV

@@ -114,13 +114,16 @@ def test_state_in_subspace_rejected():
 
 _ST_PRODUCT = pair_product_state(PairState(Pair.Q12, PairLabel.S),
                                  PairState(Pair.Q34, PairLabel.T_MINUS))
+#: spans the S_z = 0 and -1 blocks, so it runs in 16 dims also under a field
+_MIXED_SZ = SpinState(Basis.FULL16, (singlet_x().amplitudes + _ST_PRODUCT.amplitudes) / np.sqrt(2))
 
 
 @pytest.mark.parametrize("init, zeeman, sector", [
     (singlet_x(), None, Basis.GLOBAL_SINGLET_2),
     (_ST_PRODUCT, None, Basis.TRIPLET_MINUS_3),
     (_ST_PRODUCT, ZeemanConfig(), Basis.TRIPLET_MINUS_PLUS_Q_4),
-    (singlet_x(), ZeemanConfig(), Basis.FULL16),
+    (_MIXED_SZ, ZeemanConfig(), Basis.FULL16),
+    (singlet_x(), ZeemanConfig(), Basis.SZ_ZERO_6),
 ])
 def test_ensemble_probabilities_is_weighted_projector_readout_of_full_states(init, zeeman, sector):
     # oracle: weights @ |P_k psi|^2 on the full-space lift, P_k the joint outcome projectors
