@@ -2,7 +2,9 @@
 
 Phase convention: a level at energy f (MHz) accumulates phase
 ``2*pi * f * t * 1e-3`` over a time t (ns); propagators are
-``U = exp(-i * 2*pi*1e-3 * H * t)`` evaluated by exact eigendecomposition.
+``U = exp(-i * 2*pi*1e-3 * H * t)``.  Constant segments evaluate them by exact
+eigendecomposition; a ramp step in the 2-dim singlet sector evaluates its
+exponential in closed form (su(2) vectors), in a larger sector by ``eigh``.
 
 Linear ramps interpolate gate voltages linearly, so each exchange coupling
 moves geometrically (exponentially) between its endpoints.  Ramps are
@@ -25,9 +27,11 @@ property lifts them to the full space on each access.
 A sweep is a :class:`PulseSequence` whose segments hold arrays: a target of
 (columns, 4) couplings or a (columns,) duration broadcasts every segment to one
 column axis, and every sweep, ramps included, runs in one call.  A constant
-segment is one batched ``eigh`` over (columns x noise nodes); a ramp builds each
-column's propagator, with its own step count, from that column's rows.  Each
-matrix is built on its own, so a column of a sweep equals the same column run
+segment is one batched ``eigh`` over (columns x noise nodes).  A ramp takes
+all its columns through one doubling loop: each level is one batched kernel
+call over the columns still above RAMP_TOL, and a column leaves with its own
+step count.  Each matrix is built on its own, and a ramp's step blocks depend
+only on n and the sector, so a column of a sweep equals the same column run
 alone bit for bit.
 
 Quasi-static noise: each trajectory carries one Gaussian frequency offset
@@ -469,17 +473,16 @@ def _evolve_ensemble(states, couplings, bonds, zh, lam, times) -> np.ndarray:
 
 
 def _interp_bonds(b0: np.ndarray, b1: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Per-bond coupling schedule along the ramp, shape (n, 4)."""
-    out = np.empty((len(s), 4))
-    floor = 1e-12
-    for b in range(4):
-        if b0[b] > floor and b1[b] > floor:
-            out[:, b] = b0[b] * (b1[b] / b0[b]) ** s
-        else:
-            # a coupling pinned at zero has no finite-voltage representation;
-            # fall back to a linear move for that bond
-            out[:, b] = b0[b] + s * (b1[b] - b0[b])
-    return out
+    """Coupling schedule of each row's ramp: b0, b1 (rows, 4), s (rows, nodes) -> (rows, 4, nodes).
+
+    A coupling moves geometrically (linear gate voltage), b0 (b1/b0)^s; one pinned
+    at zero has no finite-voltage representation and moves linearly instead,
+    b0 + s (b1 - b0).  Each bond takes one term, the other being b0 1^s or s 0.
+    """
+    geo = (b0 > 1e-12) & (b1 > 1e-12)
+    ratio = np.where(geo, b1, 1.0) / np.where(geo, b0, 1.0)
+    slope = np.where(geo, 0.0, b1 - b0)
+    return b0[..., None] * ratio[..., None] ** s[:, None] + slope[..., None] * s[:, None]
 
 
 def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -488,69 +491,150 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ab - np.conj(np.swapaxes(ab, -1, -2))
 
 
-def _ramp_unitary_once(bonds0, bonds1, duration, n, stack, const=0.0) -> np.ndarray:
-    """Product of n sixth-order Magnus steps (three Gauss-Legendre nodes each).
+def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """2 u x v over axis -2: the commutator of -i u.sigma and -i v.sigma is -i (2 u x v).sigma."""
+    i, j = [1, 2, 0], [2, 0, 1]
+    return 2 * (u.take(i, -2) * v.take(j, -2) - u.take(j, -2) * v.take(i, -2))
 
+
+def _ramp_generators(stack: np.ndarray, const) -> np.ndarray:
+    """The bond stack and the constant term, rows 0-3 and row 4, as the step kernel takes them.
+
+    A 2-dim sector gives their real Pauli coefficients (identity, x, y, z),
+    shape (5, 4); any other the matrices themselves, (5, d, d).
+    """
+    ops = np.concatenate([stack, np.broadcast_to(const, stack.shape[1:])[None]])
+    if len(ops[0]) != 2:
+        return ops
+    return np.stack([(ops[:, 0, 0] + ops[:, 1, 1]).real / 2, ops[:, 1, 0].real,
+                     ops[:, 1, 0].imag, (ops[:, 0, 0] - ops[:, 1, 1]).real / 2], axis=-1)
+
+
+def _su2_steps(coef: np.ndarray, theta: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Product of each row's Magnus steps in a 2-dim sector, in closed form: (rows, 2, 2).
+
+    Each alpha_k = -i (a_0 + a.sigma) is a real 4-vector, each commutator 2 u x v,
+    and exp(Omega) = exp(-i w_0) (cos|w| - i sin|w| w.sigma/|w|).  The SU(2) parts
+    multiply as unit quaternions, held as Cayley-Klein pairs (a, b) of
+    [[a, -b*], [b, a*]]; the step phases w_0 are summed.
+    """
+    alpha = theta[:, None, None] * (gens[:4].T @ coef)  # (3, rows, 4 components, steps)
+    alpha[0] += theta[:, None, None] * gens[4][:, None]
+    u1, u2, u3 = alpha[:, :, 1:]
+    c1 = _cross2(u1, u2)
+    c2 = _cross2(u1, 2 * u3 + c1) / -60
+    w = u1 + u3 / 12 + _cross2(-20 * u1 - u3 + c1, u2 + c2) / 240
+    norm = np.sqrt(np.square(w).sum(-2))
+    rot = np.exp(1j * norm)  # cos + i sin of each step's rotation angle
+    sinc = rot.imag / np.where(norm > 0, norm, 1.0)
+    ab = np.empty((2, *norm.shape), dtype=complex)
+    ab[0].real, ab[0].imag = rot.real, -sinc * w[:, 2]
+    ab[1].real, ab[1].imag = sinc * w[:, 1], -sinc * w[:, 0]
+    sign = np.array([-1.0, 1.0])[:, None, None]
+    while ab.shape[-1] > 1:  # later steps on the left
+        p, q = ab[..., 1::2], ab[..., 0::2]
+        ab = p * q[0] + np.conj(p[::-1]) * (q[1] * sign)
+    a, b = ab[..., 0]
+    m = np.stack([a, -np.conj(b), b, np.conj(a)], axis=-1).reshape(-1, 2, 2)
+    return m * np.exp(-1j * (alpha[0, :, 0] + alpha[2, :, 0] / 12).sum(-1))[:, None, None]
+
+
+def _eigh_steps(coef: np.ndarray, theta: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Product of each row's Magnus steps by the batched eigh of i Omega: (rows, d, d)."""
+    d = gens.shape[-1]
+    angle = -1j * theta[:, None, None]
+    alpha1, alpha2, alpha3 = (angle * (np.swapaxes(coef, -1, -2) @ gens[:4].reshape(4, -1))
+                              ).reshape(*coef.shape[:2], -1, d, d)
+    alpha1 = alpha1 + angle[..., None] * gens[4]
+    c1 = _commutator(alpha1, alpha2)
+    c2 = _commutator(alpha1, 2 * alpha3 + c1) / -60
+    h = 1j * (alpha1 + alpha3 / 12 + _commutator(-20 * alpha1 - alpha3 + c1, alpha2 + c2) / 240)
+    tr = np.trace(h, axis1=-2, axis2=-1).real / d
+    h -= tr[..., None, None] * np.eye(d)
+    w, v = np.linalg.eigh(h)
+    m = (v * np.exp(-1j * (w + tr[..., None]))[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+    while m.shape[1] > 1:  # later steps on the left
+        m = m[:, 1::2] @ m[:, 0::2]
+    return m[:, 0]
+
+
+def _ramp_products(b0, b1, durations, n, gens) -> np.ndarray:
+    """Product of n sixth-order Magnus steps for each column, shape (columns, d, d).
+
+    Column c ramps from couplings b0[c] to b1[c] (columns, 4) over durations[c] ns.
     Step k samples A_i = -i W2PI dt H(s_i), H(s) = sum_b J_b(s) stack_b + const, at
     s_i = (k + 1/2 + (-1, 0, 1)_i sqrt(15)/10)/n and exponentiates
     Omega = alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2]/240, with
     alpha1 = A2, alpha2 = (sqrt(15)/3)(A3 - A1), alpha3 = (10/3)(A3 - 2 A2 + A1),
     C1 = [alpha1, alpha2] and C2 = -[alpha1, 2 alpha3 + C1]/60 (S. Blanes, F. Casas
-    & J. Ros, BIT 40, 434 (2000)), by the batched eigh of the Hermitian i Omega.
-    A sector's projected bond stack gives the exact sector block of the propagator.
-    Steps are built in blocks of about 2^12 matrix elements, and at least 64 steps
-    (1024 steps of a 2-dim block, 64 of the full space), which keeps the temporaries
-    small; n and the block are powers of two, so each block reduces to one matrix
-    by a pairwise tree.
+    & J. Ros, BIT 40, 434 (2000)): in closed form in a 2-dim sector, by the batched
+    eigh of the Hermitian i Omega in a larger one.  ``gens`` is
+    :func:`_ramp_generators` of the sector's projected bond stack, which gives the
+    exact sector block of the propagator.
+
+    The steps come in blocks of 1024 steps of a 2-dim sector, 256 of a 3- or
+    4-dim one and 64 of a larger one; each block reduces to one matrix by a
+    pairwise tree (n and the block are powers of two), and the blocks multiply in
+    order.  The blocks depend on n and d only, so a column's product does not
+    depend on the others.  The (block, column) rows are taken in chunks whose
+    largest temporary holds about 2^15 values: chunks of 2^16 raised the peak
+    memory of a long ramp.
     """
-    dim = stack.shape[1]
-    block = 2 ** max(6, 12 - 2 * (dim - 1).bit_length())
-    bond_ops = stack.reshape(len(stack), -1)
-    angle = -1j * W2PI * duration / n
-    total = np.eye(dim, dtype=complex)
-    for start in range(0, n, block):
-        k = np.arange(start, min(start + block, n))
-        j = _interp_bonds(bonds0, bonds1, ((k[:, None] + _MAGNUS_NODES) / n).ravel())
-        j1, j2, j3 = np.moveaxis(j.reshape(len(k), 3, 4), 1, 0)
+    pauli = gens.ndim == 2
+    d = 2 if pauli else gens.shape[-1]
+    steps = _su2_steps if pauli else _eigh_steps
+    block = min(n, 2 ** max(6, 12 - 2 * (d - 1).bit_length()))
+    n_cols, n_rows = len(durations), len(durations) * (n // block)
+    chunk = max(1, 2**15 // (block * 3 * (4 if pauli else d * d)))
+    theta = W2PI * durations / n
+    total = np.empty((n_cols, d, d), dtype=complex)
+    for start in range(0, n_rows, chunk):
+        blk, col = divmod(np.arange(start, min(start + chunk, n_rows)), n_cols)
+        k = blk[:, None] * block + np.arange(block)
+        s = ((k[:, None] + _MAGNUS_NODES[:, None]) / n).reshape(len(blk), -1)
+        j1, j2, j3 = np.moveaxis(_interp_bonds(b0[col], b1[col], s).reshape(
+            len(blk), 4, 3, block), 2, 0)  # (rows, bonds, steps) at each node
         # alpha1..3 from coupling combinations, so the constant cancels exactly
-        coef = np.stack([j2, _SQRT15 / 3 * (j3 - j1), 10 / 3 * (j3 - 2 * j2 + j1)])
-        alpha1, alpha2, alpha3 = angle * (coef @ bond_ops).reshape(3, len(k), dim, dim)
-        alpha1 = alpha1 + angle * const
-        c1 = _commutator(alpha1, alpha2)
-        c2 = _commutator(alpha1, 2 * alpha3 + c1) / -60
-        h = 1j * (alpha1 + alpha3 / 12 + _commutator(-20 * alpha1 - alpha3 + c1, alpha2 + c2) / 240)
-        tr = np.trace(h, axis1=1, axis2=2).real / dim
-        h -= tr[:, None, None] * np.eye(dim)
-        w, v = np.linalg.eigh(h)
-        m = (v * np.exp(-1j * (w + tr[:, None]))[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
-        while m.shape[0] > 1:
-            m = m[1::2] @ m[0::2]
-        total = m[0] @ total
+        m = steps(np.stack([j2, _SQRT15 / 3 * (j3 - j1), 10 / 3 * (j3 - 2 * j2 + j1)]),
+                  theta[col], gens)
+        for b in range(blk[0], blk[-1] + 1):  # the blocks in order, later ones on the left
+            rows = blk == b
+            total[col[rows]] = m[rows] if b == 0 else m[rows] @ total[col[rows]]
     return total
 
 
-def _ramp_unitary(bonds0, bonds1, duration, stack, probe_state, const=0.0, where=""):
-    """Adaptive Magnus ramp propagator, stopping once the estimated error is below RAMP_TOL.
+def _ramp_unitaries(b0, b1, durations, stack, probes, const=0.0) -> np.ndarray:
+    """Adaptive Magnus propagators of a ramp's columns, shape (columns, d, d).
 
-    n doubles from 16; after n order-6 steps the error of ``probe_state`` is
-    estimated as ||psi_n - psi_{n/2}|| / 63 (Richardson's estimate, 63 = 2^6 - 1).
-    At RAMP_STEP_CAP a RampConvergenceError led by ``where`` names n and that estimate.
+    Column c ramps from couplings b0[c] to b1[c] (columns, 4) over durations[c] ns
+    under the sector's bond ``stack`` and Hermitian ``const``; a column of duration
+    0 is the identity.  n doubles from 16 for all live columns together; after n
+    order-6 steps the error of probes[c] is estimated as ||psi_n - psi_{n/2}|| / 63
+    (Richardson's estimate, 63 = 2^6 - 1), and a column whose estimate is below
+    RAMP_TOL leaves the batch with its own n.  At RAMP_STEP_CAP a
+    RampConvergenceError names n and every column still above it with its
+    estimate, by index when there is more than one column.
     """
-    if duration == 0:
-        return np.eye(stack.shape[1], dtype=complex)
-    n, error = 16, np.inf
-    psi_prev = _ramp_unitary_once(bonds0, bonds1, duration, n, stack, const) @ probe_state
-    while n < RAMP_STEP_CAP:
+    gens = _ramp_generators(stack, const)
+    out = np.tile(np.eye(stack.shape[1], dtype=complex), (len(durations), 1, 1))
+    live, n = np.flatnonzero(durations), 16
+    u = _ramp_products(b0[live], b1[live], durations[live], n, gens)
+    psi_prev, error = (u @ probes[live, :, None])[..., 0], np.full(len(live), np.inf)
+    while len(live) and n < RAMP_STEP_CAP:
         n *= 2
-        u = _ramp_unitary_once(bonds0, bonds1, duration, n, stack, const)
-        psi = u @ probe_state
-        error = np.linalg.norm(psi - psi_prev) / 63
-        if error < RAMP_TOL:
-            return u
-        psi_prev = psi
+        u = _ramp_products(b0[live], b1[live], durations[live], n, gens)
+        psi = (u @ probes[live, :, None])[..., 0]
+        error = np.linalg.norm(psi - psi_prev, axis=-1) / 63
+        done = error < RAMP_TOL
+        out[live[done]] = u[done]
+        live, psi_prev, error = live[~done], psi[~done], error[~done]
+    if not len(live):
+        return out
+    plural = "s" * (len(live) > 1)
+    where = f"column{plural} {', '.join(map(str, live))}: " if len(durations) > 1 else ""
     raise RampConvergenceError(
         f"{where}ramp discretization stopped at n={n} steps (cap {RAMP_STEP_CAP}) with estimated "
-        f"error {error:.3g}, above tol {RAMP_TOL}"
+        f"error{plural} {', '.join(f'{e:.3g}' for e in error)}, above tol {RAMP_TOL}"
     )
 
 
@@ -610,11 +694,11 @@ def run_sequence(
     states = np.tile(q @ psi16, (len(lam), 1))  # (columns x nodes, d) sector coordinates
     for k in range(n_prefix):
         if seq.kinds[k] is SegmentKind.LINEAR_RAMP:
-            for c in range(n_cols):  # own step count, probed at the column's first node
-                rows = slice(c * n_nodes, (c + 1) * n_nodes)
-                u = _ramp_unitary(couplings[k - 1, c], couplings[k, c], durations[k, c], bonds,
-                                  states[rows.start], zh, f"column {c}: " if n_cols > 1 else "")
-                states[rows] = states[rows] @ u.T
+            # every column with its own step count, probed at its first node
+            nodes = states.reshape(n_cols, n_nodes, -1)
+            u = _ramp_unitaries(couplings[k - 1], couplings[k], durations[k], bonds, nodes[:, 0],
+                                zh)
+            states = (nodes @ np.swapaxes(u, 1, 2)).reshape(states.shape)
             # a product of many step unitaries accumulates roundoff in the
             # norm; renormalize to keep the 1e-12 norm contract on states
             states /= np.linalg.norm(states, axis=-1, keepdims=True)

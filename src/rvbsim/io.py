@@ -23,7 +23,8 @@ mode, may be left out, and other segments take no ``mode``)::
 rejected with its line number.  Couplings and times must be finite and >= 0,
 and a ``dwell range`` makes at most :data:`MAX_DWELL_POINTS` points.
 
-CSV emitters format floats with %.10g so reruns are byte-identical.
+CSV emitters format floats with %.10g so reruns are byte-identical; JSON
+files are strict JSON, with a NaN or infinite float written as ``null``.
 """
 
 from __future__ import annotations
@@ -106,9 +107,21 @@ def read_csv(path) -> dict[str, np.ndarray]:
     return {name: data[:, k] for k, name in enumerate(header)}
 
 
+def _finite_or_none(value):
+    """``value`` with every NaN or infinite float in it, at any depth, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(v) for v in value]
+    return value
+
+
 def write_json(path, payload: dict) -> None:
+    """Write ``payload`` as strict JSON: a non-finite float becomes ``null``."""
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_none(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

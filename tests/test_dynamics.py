@@ -46,7 +46,9 @@ from rvbsim.dynamics import (
     visibilities,
     W2PI,
     _SECTORS,
-    _ramp_unitary_once,
+    _ramp_generators,
+    _ramp_products,
+    _ramp_unitaries,
     _sector,
 )
 from rvbsim.hamiltonians import (
@@ -598,6 +600,11 @@ _COLUMN = st.tuples(st.lists(st.floats(0.5, 60.0), min_size=8, max_size=8),
 _EXAMPLE_COLUMNS = [([20.0, 5.0, 30.0, 8.0, 12.0, 40.0, 3.0, 25.0], 0.0, 2.0),
                     ([7.0, 33.0, 1.0, 15.0, 40.0, 2.5, 9.0, 11.0], 13.0, 25.0),
                     ([1.0, 2.0, 3.0, 4.0, 50.0, 50.0, 50.0, 50.0], 0.0, 0.7)]
+#: ramps of 0, 300 and 4000 ns: the live columns leave the doubling loop at
+#: different n, and the longest runs past one step block of the 2-, 3- and 4-dim sectors
+_RAMP_COLUMNS = [([50.0, 50.0, 0.5, 0.5, 50.0, 50.0, 50.0, 50.0], 0.0, 2.0),
+                 ([50.0, 50.0, 0.5, 0.5, 50.0, 50.0, 50.0, 50.0], 300.0, 25.0),
+                 ([40.0, 45.0, 0.5, 2.0, 50.0, 45.0, 55.0, 60.0], 4000.0, 0.7)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -614,6 +621,8 @@ _EXAMPLE_COLUMNS = [([20.0, 5.0, 30.0, 8.0, 12.0, 40.0, 3.0, 25.0], 0.0, 2.0),
 @example("m1_4", _EXAMPLE_COLUMNS, "per_column", False, 1, "ramp")
 @example("sz0_6", _EXAMPLE_COLUMNS, "default", False, 1, "ramp")
 @example("full_zeeman", _EXAMPLE_COLUMNS, "scalar", True, dynamics.BLOCK_STATES, "ramp")
+@example("singlet_2", _RAMP_COLUMNS, "default", True, 4, "ramp")
+@example("m1_4", _RAMP_COLUMNS, "per_column", False, 1, "ramp")
 def test_stack_equals_its_columns_run_one_at_a_time(sector, columns, noise_mode, with_dwell, block,
                                                     prefix):
     # a stacked solve is bit for bit the per-column runs: amplitudes, clipped
@@ -795,6 +804,19 @@ def test_ramp_step_cap_names_the_column_of_a_stack(monkeypatch):
         run_sequence(stack)
 
 
+def test_ramp_step_cap_names_every_column_still_above_tol(monkeypatch):
+    j0 = ExchangeConfig.balanced(50, 0.5)
+    j1 = ExchangeConfig.balanced(50, 50)
+    stack = PulseSequence(singlet_x(), (set_diabatic(j0),
+                                        linear_ramp(j1, [4000.0, 0.0, 2.0, 3000.0])))
+    # the 2 ns ramp converges within 128 steps, the 4000 and 3000 ns ones cannot
+    monkeypatch.setattr(dynamics, "RAMP_STEP_CAP", 128)
+    with pytest.raises(RampConvergenceError,
+                       match=r"^columns 0, 3: ramp discretization stopped at n=128 steps \(cap 128\) "
+                             r"with estimated errors \d[^,]*, \d[^,]*, above tol 1e-09$"):
+        run_sequence(stack)
+
+
 def test_magnus_ramps_converge_within_4096_steps(monkeypatch):
     # sixth-order steps converge both ramps within 256 steps; a second-order
     # (midpoint) rule needs 2^18 (singlet block) and 2^16 (16-dim) steps here
@@ -815,13 +837,28 @@ def test_magnus_ramps_converge_within_4096_steps(monkeypatch):
 _STACK2, _STACK16 = _SECTORS[0][3], _SECTORS[-1][3]
 _PROPERTY = settings(max_examples=15, deadline=None)
 _couplings = st.lists(st.floats(0.5, 60.0), min_size=4, max_size=4).map(np.array)
+#: a Hermitian 2x2 constant term with every Pauli component
+_CONST2 = np.array([[3.0, 1.5 - 2.0j], [1.5 + 2.0j, -1.0]])
+
+
+def _product(b0, b1, duration, n, stack, const=0.0):
+    """One column's product of n Magnus steps."""
+    return _ramp_products(np.array([b0]), np.array([b1]), np.array([float(duration)]), n,
+                          _ramp_generators(stack, const))[0]
 
 
 @_PROPERTY
-@given(_couplings, _couplings, st.floats(1.0, 80.0), st.sampled_from([64, 128, 256]),
-       st.sampled_from([_STACK2, _STACK16]))
-def test_ramp_step_product_is_unitary(b0, b1, duration, n, stack):
-    u = _ramp_unitary_once(b0, b1, duration, n, stack)
+@given(_couplings, _couplings, st.floats(1.0, 4000.0),
+       st.sampled_from([(64, _STACK2), (4096, _STACK2), (64, _STACK16), (256, _STACK16)]),
+       st.booleans())
+def test_ramp_step_product_is_unitary(b0, b1, duration, steps, with_const):
+    # the 2-dim sector's closed-form steps within one step block and past it,
+    # and the 16-dim eigh steps, with and without a constant term
+    n, stack = steps
+    const = 0.0
+    if with_const:
+        const = _CONST2 if len(stack[0]) == 2 else zeeman_full(ZeemanConfig())
+    u = _product(b0, b1, duration, n, stack, const)
     assert_allclose(u @ u.conj().T, np.eye(len(u)), atol=1e-12)
 
 
@@ -835,8 +872,8 @@ def test_ramp_singlet_block_is_projected_full_space(b0, b1, duration):
     for basis, q, qh, stack in _SECTORS[:-1]:
         z = zeeman_full(ZeemanConfig()) * (basis in (Basis.TRIPLET_MINUS_PLUS_Q_4,
                                                     Basis.SZ_ZERO_6))
-        u_sector = _ramp_unitary_once(b0, b1, duration, 64, stack, q @ z @ qh)
-        u16 = _ramp_unitary_once(b0, b1, duration, 64, _STACK16, z)
+        u_sector = _product(b0, b1, duration, 64, stack, q @ z @ qh)
+        u16 = _product(b0, b1, duration, 64, _STACK16, z)
         assert_allclose(u_sector, q @ u16 @ qh, atol=1e-12)
 
 
@@ -850,9 +887,8 @@ def test_ramp_error_is_sixth_order(b0, rise, downward, duration):
     b1 = b0 + np.array(rise)
     if downward:
         b0, b1 = b1, b0
-    ref = _ramp_unitary_once(b0, b1, duration, 2**11, _STACK2)
-    err = [np.abs(_ramp_unitary_once(b0, b1, duration, n, _STACK2) - ref).max()
-           for n in (32, 64)]
+    ref = _product(b0, b1, duration, 2**11, _STACK2)
+    err = [np.abs(_product(b0, b1, duration, n, _STACK2) - ref).max() for n in (32, 64)]
     assume(err[1] > 1e-11)  # well above the roundoff of the comparison
     assert 48.0 <= err[0] / err[1] <= 80.0
 
@@ -873,13 +909,12 @@ def test_ramp_stops_within_tol_of_a_fine_reference(b0, b1, duration, space, seed
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi /= np.linalg.norm(psi)
-    u = dynamics._ramp_unitary(b0, b1, duration, stack, psi, const)
+    u = _ramp_unitaries(b0[None], b1[None], np.array([duration]), stack, psi[None], const)[0]
     blocks = [np.arange(2)] if space == "singlet" else _SZ_BLOCKS
     ref = np.zeros_like(psi)
     for idx in blocks:
         sub = np.ix_(idx, idx)
-        ref[idx] = _ramp_unitary_once(b0, b1, duration, 2**14, stack[:, sub[0], sub[1]],
-                                      const[sub]) @ psi[idx]
+        ref[idx] = _product(b0, b1, duration, 2**14, stack[:, sub[0], sub[1]], const[sub]) @ psi[idx]
     assert np.linalg.norm(u @ psi - ref) < dynamics.RAMP_TOL
 
 

@@ -470,13 +470,20 @@ def test_figs9_singlet_y_maps_are_the_singlet_x_maps_with_readouts_swapped(jj, j
     assert_allclose(sy_read_y, read_x, rtol=0, atol=1e-12)
 
 
-def test_fig4b_undetermined_decay_time_round_trips_as_inf(tmp_path):
-    # an effectively undamped trace leaves tphi unfixed: its sigma is written as
-    # JSON Infinity and read back as inf, the others stay finite
+def _strict_json(path):
+    """Parse a file as strict JSON: NaN and Infinity tokens raise."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_fig4b_undetermined_decay_time_is_written_as_null(tmp_path):
+    # an effectively undamped trace leaves tphi unfixed: its infinite sigma is
+    # written as JSON null, the others stay finite
     run_figure("fig4b", tmp_path, seed=0,
                overrides={"fig4b.tphi_x_ns": 1e12, "readout.n_shots": 10**6})
-    fit = json.loads((tmp_path / "fig4b_fits.json").read_text())["x"]
-    assert fit["fit.sigma_tphi_ns"] == np.inf
+    fit = _strict_json(tmp_path / "fig4b_fits.json")["x"]
+    assert fit["fit.sigma_tphi_ns"] is None
     assert all(np.isfinite(fit[f"fit.sigma_{k}"]) for k in ("a", "f_mhz", "phi_rad", "a0"))
 
 
@@ -491,9 +498,9 @@ def test_fig4b_failed_panel_fits_read_nan_with_a_warning(tmp_path, t_points, rea
         run_figure("fig4b", tmp_path, seed=0, overrides={"fig4b.t_points": t_points})
     assert [re.match(rf"fig4b panel ([xy]): {reason}", str(w.message)).group(1)
             for w in record] == ["x", "y"]
-    fits = json.loads((tmp_path / "fig4b_fits.json").read_text())
+    fits = _strict_json(tmp_path / "fig4b_fits.json")  # the NaN fit values are written as null
     for panel in "xy":
-        assert all(np.isnan(v) for k, v in fits[panel].items() if k.startswith("fit."))
+        assert all(v is None for k, v in fits[panel].items() if k.startswith("fit."))
     assert len(read_csv(tmp_path / "fig4b_traces.csv")["t_ns"]) == t_points
 
 

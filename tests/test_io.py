@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,7 +8,8 @@ from rvbsim.basis import Basis, Pair, PairLabel, PairState, pair_product_state, 
 from rvbsim.dynamics import PulseSegment, SegmentKind
 from rvbsim.hamiltonians import ExchangeConfig
 from rvbsim import io
-from rvbsim.io import load_sequence, parse_config, read_csv, sequence_from_text, write_csv
+from rvbsim.io import (load_sequence, parse_config, read_csv, sequence_from_text, write_csv,
+                       write_json)
 
 SEQ_TEXT = """
 # half-swap then equal-exchange dwell
@@ -215,3 +218,14 @@ def test_csv_bytes_match_reference_formatter(tmp_path):
     assert path.read_bytes() == _reference_csv(cols)
     write_csv(path, {"only": np.array([np.nan])})
     assert path.read_bytes() == b"only\nnan\n"
+
+
+def test_json_writes_non_finite_floats_as_null(tmp_path):
+    path = tmp_path / "payload.json"
+    write_json(path, {"a": np.nan, "b": [1.5, np.float64(np.inf), (-np.inf, 2)],
+                      "c": {"d": float("nan"), "e": "nan", "f": 0, "g": None}})
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    assert json.loads(path.read_text(), parse_constant=reject) == {
+        "a": None, "b": [1.5, None, [None, 2]], "c": {"d": None, "e": "nan", "f": 0, "g": None}}
