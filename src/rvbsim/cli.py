@@ -147,12 +147,10 @@ def cmd_simulate(args) -> int:
 
     t = np.asarray(seq.dwell_times) if seq.dwell_times is not None else np.array([0.0])
     columns: dict[str, np.ndarray] = {"t_ns": t}
-    directions = {
-        "horizontal": [ReadoutDirection.HORIZONTAL],
-        "vertical": [ReadoutDirection.VERTICAL],
-        "both": [ReadoutDirection.HORIZONTAL, ReadoutDirection.VERTICAL],
-    }[args.direction]
-    for panel, direction in enumerate(directions):
+    # each direction keys its shots by its place here, whichever are tabulated
+    for panel, direction in enumerate((ReadoutDirection.HORIZONTAL, ReadoutDirection.VERTICAL)):
+        if args.direction not in ("both", direction.name.lower()):
+            continue
         tag = direction.name.lower()[0]
         probs = ensemble_probabilities(result, direction)
         for k, outcome in enumerate(OUTCOMES):

@@ -20,7 +20,10 @@ on ``linspace(0, f_nyq, M)``.  When the time points are increasing and
 uniform (to 1e-9 of a step), that power is a zero-padded FFT of length
 2(M - 1), whose bins fall exactly on the grid, taken for all such traces
 in one batched transform; any other time grid (unsorted, jittered or with
-gaps) takes a dense DFT.
+gaps) takes a dense DFT.  With f held at that peak and T_phi at twice the
+span the model is linear in (A cos phi, A sin phi, A0), and one linear
+least-squares solve per trace seeds them.  From this one start the polish
+below reaches the minimum that a grid of trial (f, T_phi) starts would.
 
 The polish is a small bounded Levenberg-Marquardt loop in
 kappa = T_phi^-2 rather than T_phi: the model is smooth through kappa = 0,
@@ -104,8 +107,9 @@ _XTOL = 1e-13
 _MAX_EVAL = 200
 
 #: The seed stages (:func:`_seed`) take a stack in blocks of about this many
-#: values of their largest arrays, 36 n per row of n points (the twelve
-#: n x 3 trial designs), so their temporaries stay near 0.5 MB each.
+#: values of their largest arrays, 2 max(512, 8 n) per row of n points (the
+#: spectral seed's zero-padded FFT input and complex power spectrum over its
+#: max(512, 8 n) frequencies), so their temporaries stay near 0.5 MB each.
 _SEED_VALUES = 2**16
 
 
@@ -201,49 +205,18 @@ def _spectral_seed(t: np.ndarray, p: np.ndarray):
     return f0, grid, power, errors
 
 
-def _seed_grid(t, p, f0, span):
-    """Best f, tphi and (a cos phi, a sin phi, a0) of a 3 x 4 variable-projection grid per row.
-
-    ``t`` and ``p`` are stacks (rows, n), ``f0`` and ``span`` have one entry
-    per row; f and tphi come back with one entry per row, the linear
-    coefficients as a (3, rows) array.  For each trial (f, tphi) the model
-    is linear in the remaining parameters; the twelve linear least-squares
-    problems of every row are solved from one stacked SVD and each row's
-    smallest residual wins.  Singular values below ``np.linalg.lstsq``'s
-    default cutoff are dropped, as it does: a trial frequency at the Nyquist
-    limit samples its sine column as zero.
-    """
-    rows, n = p.shape
-    f_try = f0[:, None] * np.array([0.97, 1.0, 1.03])
-    tphi_try = np.stack([8 * span, 2 * span, span, span / 3], axis=-1)
-    theta = _W * f_try[..., None] * t[:, None]
-    env = np.exp(-((t[:, None] / tphi_try[..., None]) ** 2))
-    design = np.empty((rows, 3, 4, n, 3))
-    design[..., 0] = np.cos(theta)[:, :, None] * env[:, None]
-    design[..., 1] = -np.sin(theta)[:, :, None] * env[:, None]
-    design[..., 2] = 1.0
-    design = design.reshape(rows, 12, n, 3)
-    u, sv, vt = np.linalg.svd(design, full_matrices=False)
-    inv = np.where(sv > np.finfo(float).eps * n * sv[..., :1], 1 / sv, 0.0)
-    coef = (vt.swapaxes(-1, -2) * inv[..., None, :]) @ (u.swapaxes(-1, -2) @ p[:, None, :, None])
-    rss = np.sum(((design @ coef)[..., 0] - p[:, None]) ** 2, axis=-1)
-    k = np.argmin(rss, axis=-1)
-    at = np.arange(rows)
-    return f_try[at, k // 4], tphi_try[at, k % 4], coef[at, k, :, 0].T
-
-
 def fit_damped_cosine(t_ns, p) -> FitResult:
     """Least-squares fit of a Gaussian-damped cosine to a probability trace or a stack of them.
 
     ``p`` is one trace (n,) or a stack (..., n); ``t_ns`` is its time grid
     (n,), shared by every trace, or one grid per trace (``p``'s shape).
-    Seeds the frequency from the dominant spectral peak (one zero-padded
-    FFT when ``t_ns`` is uniform and increasing, a dense DFT otherwise) and
-    the remaining parameters from variable projection over a small
-    frequency and decay-time grid, then polishes (a, f, phi, kappa, a0),
-    kappa = tphi^-2, with a bounded Levenberg-Marquardt loop
-    (:func:`_bounded_lm`) inside the box a in [0, 10 ptp(p)],
-    f in [0, 2 f0 + f_nyq], phi in [-2 pi, 2 pi],
+    Seeds the frequency f0 from the dominant spectral peak (one zero-padded
+    FFT when ``t_ns`` is uniform and increasing, a dense DFT otherwise), the
+    decay time at twice the span, and amplitude, phase and offset from one
+    linear least-squares solve at that f0 and decay time, then polishes
+    (a, f, phi, kappa, a0), kappa = tphi^-2, with a bounded
+    Levenberg-Marquardt loop (:func:`_bounded_lm`) inside the box
+    a in [0, 10 ptp(p)], f in [0, 2 f0 + f_nyq], phi in [-2 pi, 2 pi],
     tphi in [1e-3 span, TPHI_MAX_NS].  The loop stops at the first step
     whose predicted gain is below 1e-14 of the cost or the round-off of the
     data, so a trace whose decay the data cannot tell from none returns
@@ -277,7 +250,7 @@ def fit_damped_cosine(t_ns, p) -> FitResult:
     errors[repeated & np.equal(errors, None)] = ValueError("time points must be distinct")
     live = np.flatnonzero(np.equal(errors, None))
     start = np.full((3, len(p), 5), np.nan)
-    block = max(1, _SEED_VALUES // (36 * n))
+    block = max(1, _SEED_VALUES // (2 * max(512, 8 * n)))
     for rows in (live[i:i + block] for i in range(0, live.size, block)):
         start[:, rows], errors[rows] = _seed(t[rows], p[rows])
     good = np.flatnonzero(np.equal(errors, None))
@@ -309,14 +282,19 @@ def _seed(t, p) -> tuple[np.ndarray, np.ndarray]:
                                "frequency; need at least 1.5")
     ok = np.equal(errors, None)
     t, p, f0, f_nyq, span = t[ok], p[ok], f0[ok], grid[ok, -1], span[ok]
-    f_seed, tphi_seed, (c1, c2, a0_seed) = _seed_grid(t, p, f0, span)
+    # (a cos phi, a sin phi, a0) from one linear least-squares solve at (f0, tphi0)
+    tphi0 = 2 * span
+    theta = _W * f0[:, None] * t
+    env = np.exp(-((t / tphi0[:, None]) ** 2))
+    design = np.stack([np.cos(theta) * env, -np.sin(theta) * env, np.ones_like(t)], axis=-1)
+    c1, c2, a0_seed = (np.linalg.pinv(design) @ p[..., None])[..., 0].T
     rows = len(p)
     scale = np.maximum(p.max(axis=-1) - p.min(axis=-1), 1e-6)
     lower = np.tile([0.0, 0.0, -2 * np.pi, TPHI_MAX_NS**-2, -np.inf], (rows, 1))
     upper = np.column_stack([10 * scale, 2 * f0 + f_nyq, np.full(rows, 2 * np.pi),
                              (1e-3 * span) ** -2, np.full(rows, np.inf)])
-    x0 = np.column_stack([np.maximum(np.hypot(c1, c2), 1e-4 * scale), f_seed, np.arctan2(c2, c1),
-                          tphi_seed**-2, a0_seed])
+    x0 = np.column_stack([np.maximum(np.hypot(c1, c2), 1e-4 * scale), f0, np.arctan2(c2, c1),
+                          tphi0**-2, a0_seed])
     start = np.full((3, len(ok), 5), np.nan)
     start[:, ok] = np.clip(x0, lower, upper), lower, upper
     return start, errors

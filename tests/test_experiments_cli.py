@@ -269,6 +269,26 @@ def test_cli_simulate(tmp_path, capsys):
     assert abs(data["shots_ss_h"].mean() - 0.25) < 0.02
 
 
+def test_cli_simulate_one_direction_draws_that_directions_shots(tmp_path):
+    # a single-direction run keeps the columns, shots included, of the "both" run
+    seq = tmp_path / "hold.txt"
+    seq.write_text("init state sx\nsegment hold j12=25 j34=25 j23=25 j14=25 dur=0\n"
+                   "dwell range 0 80 4\n")
+    runs = {}
+    for direction in ("both", "horizontal", "vertical"):
+        out = tmp_path / direction
+        assert main(["simulate", str(seq), "--out", str(out), "--shots", "50", "--seed", "3",
+                     "--direction", direction]) == 0
+        runs[direction] = read_csv(out / "hold_result.csv")
+    for direction in ("horizontal", "vertical"):
+        tag = f"_{direction[0]}"
+        assert {k for k in runs[direction] if k != "t_ns"} == {
+            k for k in runs["both"] if k.endswith(tag)}
+        for name, column in runs[direction].items():
+            assert np.array_equal(column, runs["both"][name]), name
+    assert not np.array_equal(runs["both"]["shots_ss_h"], runs["both"]["shots_ss_v"])
+
+
 @pytest.mark.parametrize("samples", ["0", "129", "200"])
 def test_cli_simulate_rejects_samples_outside_quadrature_cap(tmp_path, capsys, samples):
     # a usage error naming the cap, before the sequence file is read
