@@ -5,6 +5,12 @@ readout, fitting) against an independent oracle or closed form and returns
 a pass/fail verdict with a one-line detail.  ``CHECKS`` lists the checks
 in criterion order; the CLI ``verify`` command runs each, prints its
 :func:`format_line` and exits nonzero on any failure.
+
+A check solves its cases as one stack: one sweep of per-column dwell grids,
+one batched ``eigh``, one stacked fit.  Loops are left where they draw the
+cases, so each seed draws the same cases in the same order as one loop per
+case did, and where a check calls a scalar function under test (``evolve``,
+``f_st_perturbative``, ``p_st_degenerate``) on each case.
 """
 
 from __future__ import annotations
@@ -70,26 +76,29 @@ class CheckResult:
     elapsed_s: float
 
 
+def _frequency_law_traces(seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Criterion 1's cases: law frequencies (100,), dwell grids and singlet traces (100, 64).
+
+    Each case starts in the horizontal singlet product at its own (jx, jy) and
+    dwells 3.2 periods on its own grid; all 100 run as one sweep.
+    """
+    rng = stream(seed, 1)
+    jx, jy = np.array([rng.uniform(5.0, 120.0, size=2) for _ in range(100)]).T
+    f_law = np.sqrt(jx**2 + jy**2 - jx * jy)  # f_ss of each case
+    grids = np.linspace(0.0, 3.2e3 / f_law, 64, axis=-1)
+    j = np.column_stack([jx / 2, jx / 2, jy / 2, jy / 2])  # ExchangeConfig.balanced rows
+    seq = PulseSequence(SpinState(Basis.GLOBAL_SINGLET_2, np.array([1.0, 0.0], dtype=complex)),
+                        (set_diabatic(j), hold(j, 0.0)), grids)
+    return f_law, grids, ensemble_probabilities(run_sequence(seq),
+                                                ReadoutDirection.HORIZONTAL)[..., 0]
+
+
 def check_frequency_law(seed: int = 0) -> CheckResult:
     """Fitted singlet-singlet frequency equals sqrt(jx^2+jy^2-jx*jy) to 0.5%."""
     start = time.perf_counter()
-    rng = stream(seed, 1)
-    f_law, grids, traces = [], [], []
-    for _ in range(100):
-        jx, jy = rng.uniform(5.0, 120.0, size=2)
-        f_law.append(f_ss(jx, jy))
-        t = np.linspace(0.0, 3.2e3 / f_law[-1], 64)
-        j = ExchangeConfig.balanced(jx, jy)
-        seq = PulseSequence(
-            init=SpinState(Basis.GLOBAL_SINGLET_2, np.array([1.0, 0.0], dtype=complex)),
-            segments=(set_diabatic(j), hold(j, 0.0)),
-            dwell_times=tuple(t),
-        )
-        res = run_sequence(seq)
-        grids.append(t)
-        traces.append(ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)[:, 0])
+    f_law, grids, traces = _frequency_law_traces(seed)
     # one stacked fit on per-trace grids; a trace that cannot be fitted reads NaN and fails
-    fit = fit_damped_cosine(np.array(grids), np.array(traces))
+    fit = fit_damped_cosine(grids, traces)
     worst = float(np.max(np.abs(fit.f - f_law) / f_law))
     elapsed = time.perf_counter() - start
     passed = worst <= 5e-3 and elapsed < 10.0
@@ -126,32 +135,35 @@ def check_visibility_law(seed: int = 0) -> CheckResult:
                        f"equal-exchange 3/4 {equal_ok}", elapsed)
 
 
-def _exact_fst(j: ExchangeConfig) -> float:
-    w, v = np.linalg.eigh(triplet_block_transformed(j))
-    i0 = int(np.argmax(np.abs(v[0, :])))
-    i1 = int(np.argmax(np.abs(v[1, :])))
-    return float(w[i0] - w[i1])
+def _exact_fst(couplings: np.ndarray) -> np.ndarray:
+    """Exact singlet/T- swap frequency of each row of ``couplings`` (k, 4), shape (k,).
+
+    The gap between the triplet-block levels that hold most of its first and of
+    its second basis state, from one batched ``eigh``.
+    """
+    w, v = np.linalg.eigh(triplet_block_transformed(couplings))
+    levels = np.take_along_axis(w, np.argmax(np.abs(v[:, :2, :]), axis=-1), axis=-1)
+    return levels[:, 0] - levels[:, 1]
 
 
 def check_perturbative_frequency(seed: int = 0) -> CheckResult:
     """Perturbative swap frequency error shrinks ~16x when imbalances halve."""
     start = time.perf_counter()
     rng = stream(seed, 3)
-    ratios = []
-    exact_at_zero = True
+    cases = []
     for _ in range(20):
         jx = rng.uniform(30.0, 120.0)
         jy = float(np.clip(jx + rng.choice([-1, 1]) * rng.uniform(0.35, 0.8) * jx, 15.0, 200.0))
-        model = ExchangeVoltageModel(j0x=jx, j0y=jy)
         dvx, dvy = rng.uniform(0.5, 2.0, size=2)  # kappa * 2 mV = 0.118 <= 0.12
-        errs = []
-        for scale in (1.0, 0.5):
-            j = exchange_from_voltages(model, scale * dvx, scale * dvy)
-            errs.append(abs(f_st_perturbative(j) - _exact_fst(j)))
-        if errs[1] > 1e-11:
-            ratios.append(errs[0] / errs[1])
-        if f_st_perturbative(ExchangeConfig.balanced(jx, jy)) != jy / 2:
-            exact_at_zero = False
+        cases.append((jx, jy, dvx, dvy))
+    # each case at full and at half imbalance
+    configs = [exchange_from_voltages(ExchangeVoltageModel(j0x=jx, j0y=jy), s * dvx, s * dvy)
+               for jx, jy, dvx, dvy in cases for s in (1.0, 0.5)]
+    exact = _exact_fst(np.array([j.as_array() for j in configs]))
+    errs = np.abs(np.array([f_st_perturbative(j) for j in configs]) - exact).reshape(-1, 2)
+    ratios = [full / half for full, half in errs if half > 1e-11]
+    exact_at_zero = all(f_st_perturbative(ExchangeConfig.balanced(jx, jy)) == jy / 2
+                        for jx, jy, _, _ in cases)
     quartic = bool(ratios) and all(10.0 < r < 24.0 for r in ratios)
     elapsed = time.perf_counter() - start
     passed = quartic and exact_at_zero
@@ -167,17 +179,20 @@ def check_degenerate_formula(seed: int = 0) -> CheckResult:
     start = time.perf_counter()
     rng = stream(seed, 4)
     init = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
-    worst = 0.0
+    cases = []
     for _ in range(40):
         j = rng.uniform(15.0, 80.0)
         dx = rng.uniform(-0.3, 0.3) * j
         dy = rng.uniform(-0.3, 0.3) * j
-        t = rng.uniform(0.0, 2000.0)
-        h = triplet_block_transformed(ExchangeConfig.from_directional(j, j, dx, dy))
-        w, v = np.linalg.eigh(h)
-        coeff = v.T @ init
-        amp = np.sum(coeff**2 * np.exp(-1j * W2PI * w * t))
-        worst = max(worst, abs(p_st_degenerate(j, dx, dy, t) - abs(amp) ** 2))
+        cases.append((j, dx, dy, rng.uniform(0.0, 2000.0)))
+    j, dx, dy, t = np.array(cases).T
+    # ExchangeConfig.from_directional(j, j, dx, dy) of each case
+    couplings = np.column_stack([(j + dx) / 2, (j - dx) / 2, (j + dy) / 2, (j - dy) / 2])
+    w, v = np.linalg.eigh(triplet_block_transformed(couplings))
+    coeff = np.swapaxes(v, 1, 2) @ init
+    amp = np.sum(coeff**2 * np.exp(-1j * W2PI * w * t[:, None]), axis=-1)
+    closed = np.array([p_st_degenerate(*case) for case in cases])
+    worst = float(np.max(np.abs(closed - np.abs(amp) ** 2)))
 
     # the beat of the two close tones is half the splitting of the two upper levels
     j, dx, dy = 25.0, 1.2, 0.9
@@ -301,12 +316,10 @@ def check_exchange_range(seed: int = 0) -> CheckResult:
         })
     sweep = SweepModel(ExchangeVoltageModel(j0x=report.j0x_mhz, j0y=report.j0y_mhz))
 
-    grids, traces = [], []
-    for dvp in (-20.0, 26.0):
-        f_nom = sweep.sums(dvp)[0] / 2
-        grids.append(np.linspace(0.0, 3.0e3 / f_nom, 121))
-        traces.append(st_scan(sweep.config([dvp]), ReadoutDirection.VERTICAL, grids[-1])[0])
-    fitted = dict(zip((-20.0, 26.0), 2 * fit_damped_cosine(np.array(grids), np.array(traces)).f))
+    ends = np.array([-20.0, 26.0])
+    grids = np.linspace(0.0, 3.0e3 / (sweep.sums(ends)[0] / 2), 121, axis=-1)  # 3 nominal periods
+    traces = st_scan(sweep.config(ends), ReadoutDirection.VERTICAL, grids)
+    fitted = dict(zip(ends.tolist(), 2 * fit_damped_cosine(grids, traces).f))
     err_hi = abs(fitted[-20.0] - 108.0) / 108.0
     err_lo = abs(fitted[26.0] - 15.0) / 15.0
 
@@ -363,31 +376,32 @@ def check_conservation_suite(seed: int = 0) -> CheckResult:
     # 6-dim S_z = 0 for the singlet under a field) against full-space evolution
     st_init = pair_product_state(PairState(Pair.Q12, PairLabel.S),
                                  PairState(Pair.Q34, PairLabel.T_MINUS))
-    dwell = tuple(np.linspace(0.0, 60.0, 13))
+    dwell = np.linspace(0.0, 60.0, 13)
+    jx, jy = np.array([rng.uniform(5.0, 120.0, size=2) for _ in range(5)]).T
+    j = np.column_stack([jx / 2, jx / 2, jy / 2, jy / 2])  # ExchangeConfig.balanced rows
+    h = heisenberg_full(j)
     sub_worst = 0.0
-    for _ in range(5):
-        jx, jy = rng.uniform(5.0, 120.0, size=2)
-        j = ExchangeConfig.balanced(jx, jy)
-        for init, zeeman in ((singlet_x(), None), (st_init, None), (st_init, ZeemanConfig()),
-                             (singlet_x(), ZeemanConfig())):
-            seq = PulseSequence(init=init, segments=(set_diabatic(j), hold(j, 0.0)),
-                                dwell_times=dwell)
-            # one eigendecomposition serves every dwell time
-            w, v = np.linalg.eigh(heisenberg_full(j)
-                                  + (0.0 if zeeman is None else zeeman_full(zeeman)))
-            coords = v.conj().T @ init.amplitudes
-            full = (np.exp(-1j * W2PI * np.outer(dwell, w)) * coords) @ v.T
-            fast = run_sequence(seq, zeeman=zeeman).states[0]
-            sub_worst = max(sub_worst, float(np.abs(full - fast).max()))
+    for init, zeeman in ((singlet_x(), None), (st_init, None), (st_init, ZeemanConfig()),
+                         (singlet_x(), ZeemanConfig())):
+        seq = PulseSequence(init, (set_diabatic(j), hold(j, 0.0)), dwell)
+        # one eigendecomposition per column serves every dwell time
+        w, v = np.linalg.eigh(h + (0.0 if zeeman is None else zeeman_full(zeeman)))
+        coords = np.conj(np.swapaxes(v, 1, 2)) @ init.amplitudes
+        full = (np.exp(-1j * W2PI * (dwell[:, None] * w[:, None, :])) * coords[:, None, :]
+                ) @ np.swapaxes(v, 1, 2)
+        fast = run_sequence(seq, zeeman=zeeman).states[:, 0]
+        sub_worst = max(sub_worst, float(np.abs(full - fast).max()))
 
+    # the largest 2 f_ST - jy over a 9 x 9 grid of balance offsets within +-2 mV
+    # around each model; at 0 mV a sweep model is its model's balance point
+    offsets = np.linspace(-2.0, 2.0, 9)
+    models = [ExchangeVoltageModel(j0x=j0x, j0y=j0y)
+              for j0x, j0y in ((50.0, 50.0), (80.0, 40.0), (30.0, 60.0))]
+    jc = np.array([SweepModel(m).config(0.0, -offsets[:, None], -offsets[None, :]).reshape(-1, 4)
+                   for m in models])
+    dev = 2 * _exact_fst(jc.reshape(-1, 4)).reshape(len(models), -1) - (jc[..., 3] + jc[..., 2])
     oracle_worst = 0.0
-    for j0x, j0y in ((50.0, 50.0), (80.0, 40.0), (30.0, 60.0)):
-        model = ExchangeVoltageModel(j0x=j0x, j0y=j0y)
-        worst_dev = 0.0
-        for ox in np.linspace(-2.0, 2.0, 9):
-            for oy in np.linspace(-2.0, 2.0, 9):
-                jc = exchange_from_voltages(model, -ox, -oy)
-                worst_dev = max(worst_dev, 2 * _exact_fst(jc) - jc.jy)
+    for model, worst_dev in zip(models, dev.max(axis=1)):
         _, sigma_jy = propagate_calibration_error(model, CalibrationUncertainty(dvx0=2.0, dvy0=2.0))
         oracle_worst = max(oracle_worst, abs(sigma_jy - worst_dev) / worst_dev)
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -240,15 +241,19 @@ def spin_vector_operators(dot: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     )
 
 
+@lru_cache(maxsize=None)
 def total_spin_operators() -> tuple[np.ndarray, np.ndarray]:
     """(S_tot^2, S_z) on the full space.
 
     Eigenvalues of S_z are {-2,...,2}; eigenvalues of S_tot^2 are {0, 2, 6}
-    with multiplicities 2, 9, 5.
+    with multiplicities 2, 9, 5.  Built on the first call; every call returns
+    the same read-only arrays.
     """
     comps = [sum(spin_vector_operators(d)[c] for d in range(1, 5)) for c in range(3)]
-    s2 = sum(c @ c for c in comps)
-    return np.real_if_close(s2), np.real_if_close(comps[2])
+    s2, sz = np.real_if_close(sum(c @ c for c in comps)), np.real_if_close(comps[2])
+    s2.setflags(write=False)
+    sz.setflags(write=False)
+    return s2, sz
 
 
 def pair_singlet_projector(pair: Pair) -> np.ndarray:

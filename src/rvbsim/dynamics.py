@@ -27,7 +27,9 @@ property lifts them to the full space on each access.
 A sweep is a :class:`PulseSequence` whose segments hold arrays: a target of
 (columns, 4) couplings or a (columns,) duration broadcasts every segment to one
 column axis, and every sweep, ramps included, runs in one call.  A constant
-segment is one batched ``eigh`` over (columns x noise nodes).  A ramp takes
+segment is one batched ``eigh`` over (columns x noise nodes).  The dwell grid
+is one (n_dwell,) grid for every column or a (columns, n_dwell) array, one grid
+per column; its leading shape joins the same broadcast.  A ramp takes
 all its columns through one doubling loop: each level is one batched kernel
 call over the columns still above RAMP_TOL, and a column leaves with its own
 step count.  Each matrix is built on its own, and a ramp's step blocks depend
@@ -335,14 +337,18 @@ class PulseSequence:
     for a single sequence or ``(columns,)``, and :func:`run_sequence` runs every
     column in one solve.  ``segments`` stay as stated; the read-only ``kinds``,
     ``couplings`` (segments, [columns,] 4) and ``durations`` (segments, [columns])
-    hold them broadcast.  Every sequence rule is checked here, and each segment
-    checks its durations: no ramp first, finite non-negative couplings, and a dwell
-    grid only on a final HOLD of duration 0, the grid taking the place of its duration.
+    hold them broadcast.  ``dwell_times`` is one (n_dwell,) grid, kept as a tuple
+    of floats, or a (columns, n_dwell) array that gives each column its own grid:
+    its leading shape joins the column broadcast, and it is kept broadcast to
+    (columns, n_dwell), read-only.  Every sequence rule is checked here, and each
+    segment checks its durations: no ramp first, finite non-negative couplings,
+    and a dwell grid of finite non-negative times only on a final HOLD of
+    duration 0, the grid taking the place of its duration.
     """
 
     init: SpinState
     segments: tuple[PulseSegment, ...]
-    dwell_times: tuple[float, ...] | None = None
+    dwell_times: tuple[float, ...] | np.ndarray | None = None
     kinds: tuple[SegmentKind, ...] = field(init=False, repr=False, compare=False)
     couplings: np.ndarray = field(init=False, repr=False, compare=False)
     durations: np.ndarray = field(init=False, repr=False, compare=False)
@@ -360,11 +366,23 @@ class PulseSequence:
                 raise ValueError("a segment target is an ExchangeConfig or couplings "
                                  f"(..., 4), got shape {target.shape}")
         shapes = [target.shape[:-1] for target in targets] + [d.shape for d in durations]
+        dwell = None if self.dwell_times is None else np.asarray(self.dwell_times, dtype=float)
+        if dwell is not None:
+            if dwell.ndim not in (1, 2):
+                raise ValueError("a dwell grid is (n_dwell,) or (columns, n_dwell), "
+                                 f"got shape {dwell.shape}")
+            if not dwell.size:
+                raise ValueError(f"a dwell grid needs at least one time, got shape {dwell.shape}")
+            bad = dwell[~((dwell >= 0) & (dwell < math.inf))]
+            if bad.size:
+                raise ValueError(f"dwell times must be finite and non-negative, got {bad[0]}")
+            shapes.append(dwell.shape[:-1])
         try:
             cols = np.broadcast_shapes(*shapes)
         except ValueError:
-            raise ValueError("segment targets (columns, 4) and durations (columns,) do not "
-                             f"broadcast to one column shape: {shapes}") from None
+            raise ValueError("segment targets (columns, 4), durations (columns,) and a dwell "
+                             "grid (columns, n_dwell) do not broadcast to one column shape: "
+                             f"{shapes}") from None
         if len(cols) > 1:
             raise ValueError(f"a sweep has one column axis, got column shape {cols}")
         if cols == (0,):
@@ -376,17 +394,17 @@ class PulseSequence:
             raise ValueError("exchange couplings must be finite and non-negative")
         if kinds[0] is SegmentKind.LINEAR_RAMP:
             raise ValueError("a ramp cannot be the first segment (no starting couplings)")
-        if self.dwell_times is not None:
-            dw = tuple(map(float, self.dwell_times))
-            if not dw:
-                raise ValueError("a dwell grid needs at least one time")
-            if not (all(map(math.isfinite, dw)) and min(dw) >= 0):
-                raise ValueError("dwell times must be finite and non-negative")
+        if dwell is not None:
             if kinds[-1] is not SegmentKind.HOLD:
                 raise ValueError("a dwell grid sweeps the final segment, which must be a HOLD")
             if dur[-1].any():
                 raise ValueError("a dwell grid sets the final HOLD's duration, which must be 0")
-            object.__setattr__(self, "dwell_times", dw)
+            if dwell.ndim == 1:
+                dwell = tuple(dwell.tolist())
+            else:
+                dwell = np.array(np.broadcast_to(dwell, (*cols, dwell.shape[-1])))
+                dwell.setflags(write=False)
+            object.__setattr__(self, "dwell_times", dwell)
         j.setflags(write=False)
         dur.setflags(write=False)
         object.__setattr__(self, "segments", segments)
@@ -652,8 +670,10 @@ def run_sequence(
     term also maps into itself; the result keeps the amplitudes in that sector.
 
     A sweep runs all its columns in one solve, and its result has a leading
-    column axis exactly when the sequence has one.  A constant segment of
-    duration 0 leaves a column's state exactly as it was.
+    column axis exactly when the sequence has one.  A (columns, n_dwell) dwell
+    grid gives each column, at every noise node, its own row of times; a 1-D
+    grid serves every column.  A constant segment of duration 0 leaves a
+    column's state exactly as it was.
 
     With ``noise``, every constant-coupling segment is rescaled per
     quadrature node by ``1 + offset/f_ref``, clipped at 0 (see the module
@@ -712,8 +732,9 @@ def run_sequence(
     if seq.dwell_times is None:
         out = states[:, None, :]
     else:
-        out = _evolve_ensemble(states, couplings[-1], bonds, zh, lam,
-                               np.asarray(seq.dwell_times)[None, :])
+        grid = np.asarray(seq.dwell_times)
+        times = grid[None, :] if grid.ndim == 1 else np.repeat(grid, n_nodes, axis=0)
+        out = _evolve_ensemble(states, couplings[-1], bonds, zh, lam, times)
     amplitudes = out.reshape(*cols, n_nodes, *out.shape[1:])
     # indexing by () makes a column-free weight a float and leaves (columns,) as it is
     return SequenceResult(amplitudes, sector, weights, clipped_weight.reshape(cols)[()])

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import shutil
 import time
 import warnings
 from dataclasses import dataclass
@@ -237,7 +238,8 @@ def st_scan(couplings, direction: ReadoutDirection, dwell, outcome=IDX_ST) -> np
     """Noiseless singlet/T- scan: probability of ``outcome``, shape (points, dwell).
 
     Each column starts in the S/T- product read in ``direction`` and dwells at
-    its row of ``couplings`` (points, 4); the whole scan is one solve.
+    its row of ``couplings`` (points, 4), on the (n_dwell,) grid ``dwell`` or on
+    its own row of a (points, n_dwell) one; the whole scan is one solve.
     """
     seq = PulseSequence(st_product_state(direction), (hold(couplings, 0.0),), dwell)
     return _scan(run_sequence(seq), (direction,), outcome)[0]
@@ -537,12 +539,13 @@ def _figs456(out_dir: Path, params: dict, seed: int, tag: str) -> list[str]:
         files.append(str(out_dir / f"{tag}_map_{name}.csv"))
         CalibrationMap(dvx=dv, dvy=dv, values=values).to_csv(files[-1])
 
-    # local chevrons through the operating point
+    # local chevrons through the operating point: both lines of a readout in one scan
     t = np.linspace(0.0, 3.0 * t_map, 121)
-    lines = (("dvx", sweep.config(dvp, dv, 0.0)), ("dvy", sweep.config(dvp, 0.0, dv)))
+    lines = np.concatenate([sweep.config(dvp, dv, 0.0), sweep.config(dvp, 0.0, dv)])
+    chevrons = {name: np.split(st_scan(lines, direction, t), 2) for name, direction in readouts}
     return files + [_write_map_csv(out_dir / f"{tag}_chevron_{axis}_{name}.csv", f"{axis}_mv", dv, t,
-                                   st_scan(line, direction, t))
-                    for axis, line in lines for name, direction in readouts]
+                                   chevrons[name][k])
+                    for k, axis in enumerate(("dvx", "dvy")) for name, _ in readouts]
 
 
 def figure_figS9(out_dir: Path, params: dict, seed: int) -> list[str]:
@@ -557,10 +560,12 @@ def figure_figS9(out_dir: Path, params: dict, seed: int) -> list[str]:
     read_x, read_y = _scan(_prep(singlet_x(), start, target, ramps, t, noise), BOTH_READOUTS,
                            IDX_SS)
     # the singlet-y start from (jy_start, jj) is the 90-degree rotation of this one: its
-    # maps are these with the readouts swapped
+    # maps are these with the readouts swapped, so their files are copies
     maps = {"sx_readx": read_x, "sx_ready": read_y, "sy_readx": read_y, "sy_ready": read_x}
-    files = [_write_map_csv(out_dir / f"figS9_{name}.csv", "t_ramp_ns", ramps, t, ideal)
-             for name, ideal in maps.items()]
+    files = [_write_map_csv(out_dir / f"figS9_{name}.csv", "t_ramp_ns", ramps, t, maps[name])
+             for name in ("sx_readx", "sx_ready")]
+    files += [str(shutil.copyfile(src, out_dir / f"figS9_{name}.csv"))
+              for src, name in ((files[1], "sy_readx"), (files[0], "sy_ready"))]
     files.append(str(out_dir / "figS9_linecuts.csv"))
     write_csv(files[-1], {"t_ns": t, **{name: ideal[cut] for name, ideal in maps.items()}})
     return files

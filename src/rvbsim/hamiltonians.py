@@ -83,6 +83,12 @@ class ExchangeConfig:
         return np.array([self.j12, self.j34, self.j23, self.j14])
 
 
+def _bonds(j: ExchangeConfig | np.ndarray) -> np.ndarray:
+    """Couplings (j12, j34, j23, j14) on axis 0, of a config or of each row of a (..., 4) array."""
+    return np.moveaxis(np.asarray(j.as_array() if isinstance(j, ExchangeConfig) else j,
+                                  dtype=float), -1, 0)
+
+
 @dataclass(frozen=True)
 class ZeemanConfig:
     """In-plane field (mT) and per-dot g-factors.
@@ -114,21 +120,24 @@ for _op in _BOND_OPS.values():
     _op.setflags(write=False)
 
 
-def heisenberg_full(j: ExchangeConfig) -> np.ndarray:
+def heisenberg_full(j: ExchangeConfig | np.ndarray) -> np.ndarray:
     """Full 16x16 Heisenberg Hamiltonian (MHz).
 
     Hermitian, commutes with S_tot^2 and S_z; only the four
-    nearest-neighbour bonds appear (no diagonal bonds).
+    nearest-neighbour bonds appear (no diagonal bonds).  ``j`` is an
+    :class:`ExchangeConfig` or couplings (..., 4) in
+    :meth:`ExchangeConfig.as_array` order, one Hamiltonian per row, (..., 16, 16).
     """
+    j12, j34, j23, j14 = _bonds(j)[..., None, None]
     return (
-        j.j12 * _BOND_OPS[Pair.Q12]
-        + j.j34 * _BOND_OPS[Pair.Q34]
-        + j.j23 * _BOND_OPS[Pair.Q23]
-        + j.j14 * _BOND_OPS[Pair.Q14]
+        j12 * _BOND_OPS[Pair.Q12]
+        + j34 * _BOND_OPS[Pair.Q34]
+        + j23 * _BOND_OPS[Pair.Q23]
+        + j14 * _BOND_OPS[Pair.Q14]
     )
 
 
-def triplet_block_transformed(j: ExchangeConfig) -> np.ndarray:
+def triplet_block_transformed(j: ExchangeConfig | np.ndarray) -> np.ndarray:
     """Triplet-subspace Hamiltonian in the sum/difference basis.
 
     Basis {(|0>-|1>)/sqrt(2), (|0>+|1>)/sqrt(2), |2>} of the m = -1 triplet
@@ -136,22 +145,22 @@ def triplet_block_transformed(j: ExchangeConfig) -> np.ndarray:
     |2> = (|T0_12 T-_34> - |T-_12 T0_34>)/sqrt(2).
     Splits as a diagonal part carrying jx, jy and an off-diagonal part
     carrying only delta_x, delta_y; see :func:`triplet_block_split`.
+    ``j`` is an :class:`ExchangeConfig`, shape (3, 3), or couplings (..., 4) in
+    :meth:`ExchangeConfig.as_array` order, one block per row, (..., 3, 3).
     """
     h0, v = triplet_block_split(j)
     return h0 + v
 
 
-def triplet_block_split(j: ExchangeConfig) -> tuple[np.ndarray, np.ndarray]:
+def triplet_block_split(j: ExchangeConfig | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(diagonal part, imbalance part) of :func:`triplet_block_transformed`."""
-    jx, jy, dx, dy = j.jx, j.jy, j.delta_x, j.delta_y
-    h0 = np.diag([-jx / 2, -(jx + jy) / 2, -jy / 2])
-    v = np.array(
-        [
-            [0.0, -dx / 2, 0.0],
-            [-dx / 2, 0.0, dy / 2],
-            [0.0, dy / 2, 0.0],
-        ]
-    )
+    j12, j34, j23, j14 = _bonds(j)
+    # as ExchangeConfig.jx, .jy, .delta_x, .delta_y
+    jx, jy, dx, dy = j12 + j34, j14 + j23, j12 - j34, j23 - j14
+    h0, v = np.zeros((2, *jx.shape, 3, 3))
+    h0[..., 0, 0], h0[..., 1, 1], h0[..., 2, 2] = -jx / 2, -(jx + jy) / 2, -jy / 2
+    v[..., 0, 1] = v[..., 1, 0] = -dx / 2
+    v[..., 1, 2] = v[..., 2, 1] = dy / 2
     return h0, v
 
 

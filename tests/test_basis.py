@@ -117,6 +117,14 @@ def test_change_basis_consistent_with_full_space_overlaps():
         assert_allclose(coords_y.amplitudes[0], overlap_full, atol=1e-12)
 
 
+def test_total_spin_operators_are_the_same_read_only_arrays_on_every_call():
+    first, again = total_spin_operators(), total_spin_operators()
+    for op, same in zip(first, again):
+        assert op is same
+        with pytest.raises(ValueError, match="read-only"):
+            op[0, 0] = 1.0
+
+
 def test_total_spin_operators_spectra():
     s2, sz = total_spin_operators()
     assert_allclose(s2, s2.conj().T, atol=1e-12)

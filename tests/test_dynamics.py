@@ -702,13 +702,21 @@ def _replaced(a, index, value):
     ({"kinds": (SegmentKind.LINEAR_RAMP, SegmentKind.HOLD)}, "ramp cannot be the first segment"),
     ({"kinds": (SegmentKind.SET_DIABATIC, SegmentKind.EXCHANGE_PULSE)}, "must be a HOLD"),
     ({"durations": (0.0, _replaced(np.zeros(3), 1, 4.0))}, "final HOLD's duration"),
-    ({"dwell_times": ()}, "at least one time"),
-    ({"dwell_times": (0.0, np.nan)}, "dwell times must be finite and non-negative"),
-    ({"dwell_times": (-1.0, 5.0)}, "dwell times must be finite and non-negative"),
+    ({"dwell_times": ()}, r"at least one time, got shape \(0,\)"),
+    ({"dwell_times": (0.0, np.nan)}, "dwell times must be finite and non-negative, got nan"),
+    ({"dwell_times": (-1.0, 5.0)}, r"dwell times must be finite and non-negative, got -1\.0"),
+    ({"dwell_times": np.zeros((2, 5))}, r"do not broadcast to one column shape: .*\(2,\)\]"),
+    ({"dwell_times": np.zeros((3, 2, 5))}, r"\(columns, n_dwell\), got shape \(3, 2, 5\)"),
+    ({"dwell_times": np.zeros((3, 0))}, r"at least one time, got shape \(3, 0\)"),
+    ({"dwell_times": _replaced(np.zeros((3, 2)), (1, 1), np.nan)},
+     "dwell times must be finite and non-negative, got nan"),
+    ({"dwell_times": _replaced(np.zeros((3, 2)), (2, 0), -4.0)},
+     r"dwell times must be finite and non-negative, got -4\.0"),
 ], ids=["three-bonds", "no-segments", "no-columns", "shapes-do-not-broadcast", "two-column-axes",
         "negative-coupling", "nan-coupling", "inf-coupling", "negative-duration", "nan-duration",
         "inf-duration", "ramp-first", "grid-on-a-pulse", "grid-on-a-timed-hold", "empty-grid",
-        "nan-dwell", "negative-dwell"])
+        "nan-dwell", "negative-dwell", "grids-do-not-broadcast", "3d-grid", "empty-column-grids",
+        "nan-column-grid", "negative-column-grid"])
 def test_sweep_rejects_arrays_no_sequence_can_run(change, message):
     assert _sweep().couplings.shape == (2, 3, 4)
     with pytest.raises(ValueError, match=message):
@@ -736,6 +744,55 @@ def test_column_axis_follows_the_targets_and_durations():
     assert seq.segments[0].duration == [0.0, 2.0, 4.0]  # as stated
     with pytest.raises(ValueError, match="read-only"):
         seq.couplings[0, 0, 0] = 1.0
+
+
+_GRID_COLUMN = st.tuples(st.lists(st.floats(0.5, 60.0), min_size=8, max_size=8), st.floats(0.0, 40.0),
+                        st.lists(st.floats(0.0, 300.0), min_size=4, max_size=4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(_STACK_SECTORS)), st.lists(_GRID_COLUMN, min_size=1, max_size=4),
+       st.booleans())
+@example("singlet_2", [(_EXAMPLE_COLUMNS[0][0], 0.0, [0.0, 7.5, 31.0, 90.0]),
+                       (_EXAMPLE_COLUMNS[1][0], 13.0, [5.0, 5.0, 0.0, 250.0])], True)
+@example("full_zeeman", [([1.0, 2.0, 3.0, 4.0, 50.0, 50.0, 50.0, 50.0], 2.0, [0.0, 1.0, 2.0, 3.0])],
+         False)
+def test_per_column_dwell_grids_equal_each_column_run_alone_on_its_grid(sector, columns, noisy):
+    # row c of a (columns, n_dwell) grid is column c's own 1-D grid, at every noise node
+    init, zeeman, _ = _STACK_SECTORS[sector]
+    bonds = np.array([b for b, *_ in columns])
+    j0, j1 = bonds[:, :4], bonds[:, 4:]
+    pulse = np.array([d for _, d, _ in columns])
+    grids = np.array([g for *_, g in columns])
+    noise = NoiseModel(sigma_f=2.0, n_samples=5) if noisy else None
+    sweep = PulseSequence(init, (exchange_pulse(j0, pulse), set_diabatic(j1), hold(j1, 0.0)), grids)
+    assert sweep.dwell_times.shape == grids.shape
+    stacked = run_sequence(sweep, noise, zeeman=zeeman)
+    assert stacked.amplitudes.shape[:3] == (len(columns), 1 if noise is None else 5, 4)
+    for c in range(len(columns)):
+        first, second = ExchangeConfig(*j0[c]), ExchangeConfig(*j1[c])
+        seq = PulseSequence(init, (exchange_pulse(first, pulse[c]), set_diabatic(second),
+                                   hold(second, 0.0)), tuple(grids[c]))
+        alone = run_sequence(seq, noise, zeeman=zeeman)
+        assert np.array_equal(stacked.amplitudes[c], alone.amplitudes)
+        assert stacked.clipped_weight[c] == alone.clipped_weight
+
+
+def test_per_column_grid_joins_the_column_broadcast():
+    # a (columns, n_dwell) grid alone makes a sweep; a (1, n_dwell) grid serves every
+    # column as the same 1-D grid does; the grid is kept broadcast and read-only
+    j = ExchangeConfig.balanced(50, 50)
+    grids = np.array([[0.0, 5.0], [1.0, 7.0]])
+    seq = PulseSequence(singlet_x(), (hold(j, 0.0),), grids)
+    assert seq.couplings.shape == (1, 2, 4)
+    assert run_sequence(seq).amplitudes.shape == (2, 1, 2, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        seq.dwell_times[0, 0] = 3.0
+    one = PulseSequence(singlet_x(), (hold(_ROWS, 0.0),), grids[:1])
+    assert one.dwell_times.shape == (3, 2)
+    shared = PulseSequence(singlet_x(), (hold(_ROWS, 0.0),), np.array([0.0, 5.0]))
+    assert shared.dwell_times == (0.0, 5.0)  # a 1-D grid stays a tuple of floats
+    assert np.array_equal(run_sequence(one).amplitudes, run_sequence(shared).amplitudes)
 
 
 def test_ramp_columns_stack_with_their_own_start_and_duration():

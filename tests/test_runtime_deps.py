@@ -14,3 +14,13 @@ def test_runtime_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_builds_no_spin_operators():
+    # total_spin_operators is filled on its first call, so importing stays cheap
+    code = ("import rvbsim, rvbsim.cli, rvbsim.experiments, rvbsim.acceptance, rvbsim.io; "
+            "print(rvbsim.basis.total_spin_operators.cache_info().currsize)")
+    env = os.environ | {"PYTHONPATH": str(Path(rvbsim.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "0"
