@@ -285,8 +285,30 @@ class SegmentKind(enum.Enum):
     EXCHANGE_PULSE = "pulse"
 
 
-@dataclass(frozen=True)
-class PulseSegment:
+def _value_key(value) -> tuple:
+    """Shape and values of a number, an array or an :class:`ExchangeConfig`, hashable."""
+    a = np.asarray(value)
+    return a.shape, tuple(a.ravel().tolist())
+
+
+class _ValueEquality:
+    """``==`` and ``hash()`` over the values of ``_key()``, arrays included.
+
+    A dataclass's own ``__eq__`` compares array fields with ``==`` and
+    raises on their ambiguous truth value; its ``__hash__`` cannot hash them.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class PulseSegment(_ValueEquality):
     """One step of a pulse sequence, or of every column of a sweep.
 
     ``SET_DIABATIC``, ``HOLD`` and ``EXCHANGE_PULSE`` evolve under the
@@ -296,7 +318,8 @@ class PulseSegment:
     (linear gate voltage).  ``target`` is an :class:`ExchangeConfig`, a (4,)
     coupling row or a (columns, 4) array, in :meth:`ExchangeConfig.as_array`
     order; ``duration`` is a number or a (columns,) array, finite and
-    non-negative.
+    non-negative.  Segments compare and hash by kind, target and duration
+    values.
     """
 
     kind: SegmentKind
@@ -308,6 +331,9 @@ class PulseSegment:
         if not ((d >= 0) & (d < math.inf)).all():
             raise ValueError("segment duration must be finite and non-negative, "
                              f"got {self.duration}")
+
+    def _key(self) -> tuple:
+        return self.kind, _value_key(self.target), _value_key(self.duration)
 
 
 def set_diabatic(target: ExchangeConfig | np.ndarray,
@@ -328,8 +354,8 @@ def linear_ramp(target: ExchangeConfig | np.ndarray, duration: float | np.ndarra
     return PulseSegment(SegmentKind.LINEAR_RAMP, target, duration)
 
 
-@dataclass(frozen=True)
-class PulseSequence:
+@dataclass(frozen=True, eq=False)
+class PulseSequence(_ValueEquality):
     """Initial state, ordered segments, and an optional dwell-time grid.
 
     A segment whose target or duration is an array makes the sequence a sweep:
@@ -343,15 +369,16 @@ class PulseSequence:
     (columns, n_dwell), read-only.  Every sequence rule is checked here, and each
     segment checks its durations: no ramp first, finite non-negative couplings,
     and a dwell grid of finite non-negative times only on a final HOLD of
-    duration 0, the grid taking the place of its duration.
+    duration 0, the grid taking the place of its duration.  Sequences compare
+    and hash by the values of their init state, segments and dwell grid.
     """
 
     init: SpinState
     segments: tuple[PulseSegment, ...]
     dwell_times: tuple[float, ...] | np.ndarray | None = None
-    kinds: tuple[SegmentKind, ...] = field(init=False, repr=False, compare=False)
-    couplings: np.ndarray = field(init=False, repr=False, compare=False)
-    durations: np.ndarray = field(init=False, repr=False, compare=False)
+    kinds: tuple[SegmentKind, ...] = field(init=False, repr=False)
+    couplings: np.ndarray = field(init=False, repr=False)
+    durations: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         segments = tuple(self.segments)
@@ -411,6 +438,10 @@ class PulseSequence:
         object.__setattr__(self, "kinds", kinds)
         object.__setattr__(self, "couplings", j)
         object.__setattr__(self, "durations", dur)
+
+    def _key(self) -> tuple:
+        dwell = None if self.dwell_times is None else _value_key(self.dwell_times)
+        return self.init.basis, _value_key(self.init.amplitudes), self.segments, dwell
 
 
 @dataclass(frozen=True)

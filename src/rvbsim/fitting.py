@@ -16,14 +16,20 @@ fitted reads NaN and keeps the reason in ``FitResult.reason``, and the
 other traces are unaffected; a single trace raises that reason instead.
 
 The frequency seed is the peak of the power spectrum of the de-meaned trace
-on ``linspace(0, f_nyq, M)``.  When the time points are increasing and
-uniform (to 1e-9 of a step), that power is a zero-padded FFT of length
-2(M - 1), whose bins fall exactly on the grid, taken for all such traces
-in one batched transform; any other time grid (unsorted, jittered or with
-gaps) takes a dense DFT.  With f held at that peak and T_phi at twice the
-span the model is linear in (A cos phi, A sin phi, A0), and one linear
-least-squares solve per trace seeds them.  From this one start the polish
-below reaches the minimum that a grid of trial (f, T_phi) starts would.
+on ``linspace(0, f_nyq, M)``, where M is the fewest points, at least
+max(512, 8 n) for n time points, whose transform length 2(M - 1) is
+5-smooth (:func:`_spectral_points`): a length with a large prime factor
+would send the FFT to Bluestein's chirp-z algorithm, several times slower.
+When the time points are increasing and uniform (to 1e-9 of a step), that
+power is a zero-padded FFT of length 2(M - 1), whose bins fall exactly on
+the grid, taken for all such traces in one batched transform; any other
+time grid (unsorted, jittered or with gaps) takes a dense DFT.  With f held
+at that peak and T_phi at twice the span the model is linear in
+(A cos phi, A sin phi, A0), and one batched 3x3 normal-equation solve seeds
+them (a trace whose Gram matrix is near singular, say one whose envelope
+underflows on a late time grid, takes the pseudo-inverse instead).  From
+this one start the polish below reaches the minimum that a grid of trial
+(f, T_phi) starts would.
 
 The polish is a small bounded Levenberg-Marquardt loop in
 kappa = T_phi^-2 rather than T_phi: the model is smooth through kappa = 0,
@@ -38,6 +44,7 @@ Jacobian of the model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,10 +114,34 @@ _XTOL = 1e-13
 _MAX_EVAL = 200
 
 #: The seed stages (:func:`_seed`) take a stack in blocks of about this many
-#: values of their largest arrays, 2 max(512, 8 n) per row of n points (the
-#: spectral seed's zero-padded FFT input and complex power spectrum over its
-#: max(512, 8 n) frequencies), so their temporaries stay near 0.5 MB each.
+#: values of their largest arrays, 2 M per row of n points (the spectral
+#: seed's zero-padded FFT input and complex power spectrum over its M
+#: frequencies, M = :func:`_spectral_points` (n), the fewest points at least
+#: max(512, 8 n) with a 5-smooth transform length 2(M - 1)), so their
+#: temporaries stay near 0.5 MB each.
 _SEED_VALUES = 2**16
+
+
+@lru_cache(maxsize=None)
+def _spectral_points(n: int) -> int:
+    """Points M >= max(512, 8 n) of the seed's frequency grid, fewest with 2(M - 1) 5-smooth.
+
+    2(M - 1) is 5-smooth when M - 1 is, so M - 1 is the smallest number
+    2^i 3^j 5^k that is at least max(512, 8 n) - 1.
+    """
+    need = max(512, 8 * n) - 1
+    best = 2 * need
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            m = odd
+            while m < need:
+                m *= 2
+            best = min(best, m)
+            odd *= 3
+        odd5 *= 5
+    return best + 1
 
 
 def _kappa_model(t, t2, x):
@@ -132,21 +163,6 @@ def _kappa_model(t, t2, x):
     jac[..., 3] = -a * t2 * c
     jac[..., 4] = 1.0
     return a * c + a0, jac
-
-
-def _model(t, a, f, phi, tphi, a0):
-    return _kappa_model(t, t * t, np.stack([a, f, phi, tphi**-2, a0], axis=-1))[0]
-
-
-def _model_jacobian(t, a, f, phi, tphi, a0):
-    """Closed-form derivatives of :func:`_model`, columns (a, f, phi, tphi, a0).
-
-    The kappa Jacobian of :func:`_kappa_model` with column 3 times
-    dkappa/dtphi = -2 tphi^-3.
-    """
-    jac = _kappa_model(t, t * t, np.stack([a, f, phi, tphi**-2, a0], axis=-1))[1]
-    jac[..., 3] *= (-2 / np.asarray(tphi) ** 3)[..., None]
-    return jac
 
 
 def _dft_power(t: np.ndarray, x: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -184,7 +200,7 @@ def _spectral_seed(t: np.ndarray, p: np.ndarray):
     rows, n = p.shape
     dt = np.median(np.diff(np.sort(t), axis=-1), axis=-1)
     f_nyq = 0.5 / dt * 1e3  # MHz
-    grid = np.linspace(0.0, f_nyq, max(512, 8 * n), axis=-1)
+    grid = np.linspace(0.0, f_nyq, _spectral_points(n), axis=-1)
     demeaned = p - p.mean(axis=-1, keepdims=True)
     uniform = _is_uniform(t, dt)
     power = np.empty_like(grid)
@@ -250,7 +266,7 @@ def fit_damped_cosine(t_ns, p) -> FitResult:
     errors[repeated & np.equal(errors, None)] = ValueError("time points must be distinct")
     live = np.flatnonzero(np.equal(errors, None))
     start = np.full((3, len(p), 5), np.nan)
-    block = max(1, _SEED_VALUES // (2 * max(512, 8 * n)))
+    block = max(1, _SEED_VALUES // (2 * _spectral_points(n)))
     for rows in (live[i:i + block] for i in range(0, live.size, block)):
         start[:, rows], errors[rows] = _seed(t[rows], p[rows])
     good = np.flatnonzero(np.equal(errors, None))
@@ -286,8 +302,8 @@ def _seed(t, p) -> tuple[np.ndarray, np.ndarray]:
     tphi0 = 2 * span
     theta = _W * f0[:, None] * t
     env = np.exp(-((t / tphi0[:, None]) ** 2))
-    design = np.stack([np.cos(theta) * env, -np.sin(theta) * env, np.ones_like(t)], axis=-1)
-    c1, c2, a0_seed = (np.linalg.pinv(design) @ p[..., None])[..., 0].T
+    c1, c2, a0_seed = _linear_seed(
+        np.stack([np.cos(theta) * env, -np.sin(theta) * env, np.ones_like(t)], axis=-2), p).T
     rows = len(p)
     scale = np.maximum(p.max(axis=-1) - p.min(axis=-1), 1e-6)
     lower = np.tile([0.0, 0.0, -2 * np.pi, TPHI_MAX_NS**-2, -np.inf], (rows, 1))
@@ -300,6 +316,27 @@ def _seed(t, p) -> tuple[np.ndarray, np.ndarray]:
     return start, errors
 
 
+def _linear_seed(design_t: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients (rows, 3) of each row's design (rows, 3, n) for ``p`` (rows, n).
+
+    One batched solve of the normal equations G c = D^T p, G = D^T D.  A row
+    whose G, scaled to a unit diagonal C, may have a condition number above
+    1e12 takes ``pinv`` of its design instead: the eigenvalues of C are at
+    most 3 and sum to 3, so cond(C) <= 27 / det(C), and a row passes when
+    det(G) > 2.7e-11 prod(diag(G)).  An exactly singular G (say a decay
+    envelope that underflows on a late time grid) has det(G) = 0.
+    """
+    gram = design_t @ design_t.swapaxes(-1, -2)
+    rhs = design_t @ p[..., None]
+    ok = np.linalg.det(gram) > 2.7e-11 * np.prod(np.diagonal(gram, axis1=-2, axis2=-1), axis=-1)
+    if ok.all():
+        return np.linalg.solve(gram, rhs)[..., 0]
+    coef = np.empty(rhs.shape[:-1])
+    coef[ok] = np.linalg.solve(gram[ok], rhs[ok])[..., 0]
+    coef[~ok] = (np.linalg.pinv(design_t[~ok].swapaxes(-1, -2)) @ p[~ok, :, None])[..., 0]
+    return coef
+
+
 def _polish(t, p, x0, lower, upper) -> tuple[np.ndarray, np.ndarray]:
     """(a, f, phi, tphi, a0, residual rms) per row of the stack, and the covariances.
 
@@ -310,8 +347,10 @@ def _polish(t, p, x0, lower, upper) -> tuple[np.ndarray, np.ndarray]:
     tphi = kappa**-0.5
     phi = (phi + np.pi) % (2 * np.pi) - np.pi
 
-    resid = _model(t, a, f, phi, tphi, a0) - p
-    jac = _model_jacobian(t, a, f, phi, tphi, a0)
+    # model and Jacobian in tphi: the kappa columns times dkappa/dtphi = -2 tphi^-3
+    model, jac = _kappa_model(t, t * t, np.column_stack([a, f, phi, tphi**-2, a0]))
+    jac[..., 3] *= (-2 / tphi**3)[:, None]
+    resid = model - p
     cov = _covariance(_gram(jac), np.sum(resid**2, axis=-1) / max(p.shape[-1] - 5, 1))
     rms = np.sqrt(np.mean(resid**2, axis=-1))
     return np.column_stack([a, f, phi, tphi, a0, rms]), cov

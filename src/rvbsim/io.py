@@ -23,8 +23,10 @@ mode, may be left out, and other segments take no ``mode``)::
 rejected with its line number.  Couplings and times must be finite and >= 0,
 and a ``dwell range`` makes at most :data:`MAX_DWELL_POINTS` points.
 
-CSV emitters format floats with %.10g so reruns are byte-identical; JSON
-files are strict JSON, with a NaN or infinite float written as ``null``.
+CSV emitters format floats with %.10g so reruns are byte-identical, a block
+of rows (``_CSV_BLOCK_ROWS``) in one ``%`` operation, so a long table
+never holds more than one block as Python values and text; JSON files are
+strict JSON, with a NaN or infinite float written as ``null``.
 """
 
 from __future__ import annotations
@@ -84,17 +86,31 @@ def load_config(path) -> dict:
 # CSV tables
 
 
+#: Rows :func:`write_csv` formats in one ``%`` operation.
+_CSV_BLOCK_ROWS = 4096
+
+
 def write_csv(path, columns: dict[str, np.ndarray]) -> None:
-    """Write named columns to CSV: integer columns as %d, all others with stable %.10g."""
+    """Write named columns to CSV: integer columns as %d, all others with stable %.10g.
+
+    Rows are formatted in blocks of ``_CSV_BLOCK_ROWS``: the block's
+    values, interleaved row by row, fill the row format repeated once per row.
+    """
     names = list(columns)
     arrays = [np.asarray(columns[name]).ravel() for name in names]
     n = len(arrays[0])
     if any(len(a) != n for a in arrays):
         raise ValueError("all columns must have the same length")
     row = ",".join("%d" if np.issubdtype(a.dtype, np.integer) else "%.10g" for a in arrays) + "\n"
+    width = len(arrays)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
-        fh.writelines(row % r for r in zip(*[a.tolist() for a in arrays]))
+        for lo in range(0, n, _CSV_BLOCK_ROWS):
+            block = [a[lo:lo + _CSV_BLOCK_ROWS].tolist() for a in arrays]
+            values = [None] * (width * len(block[0]))
+            for k, column in enumerate(block):
+                values[k::width] = column
+            fh.write(row * len(block[0]) % tuple(values))
 
 
 def read_csv(path) -> dict[str, np.ndarray]:

@@ -746,6 +746,29 @@ def test_column_axis_follows_the_targets_and_durations():
         seq.couplings[0, 0, 0] = 1.0
 
 
+def test_segments_and_sequences_holding_arrays_compare_and_hash_by_value():
+    # a dataclass's generated == raised on the ambiguous truth value of an array
+    # field, and its hash() could not hash one
+    rows = np.tile(ExchangeConfig.balanced(50, 50).as_array(), (2, 1))
+    grids = np.array([[0.0, 5.0], [1.0, 6.0]])
+
+    def sweep(rows, durations, grids):
+        return PulseSequence(singlet_x(), (exchange_pulse(rows, durations), hold(rows, 0.0)),
+                             grids)
+
+    a, b = sweep(rows, np.array([1.0, 2.0]), grids), sweep(rows.copy(), [1.0, 2.0], grids.copy())
+    assert a.segments[0] == b.segments[0] and hash(a.segments[0]) == hash(b.segments[0])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != sweep(rows, [1.0, 3.0], grids)
+    assert a != sweep(rows, [1.0, 2.0], grids + 1.0)
+    assert a != sweep(rows + 1.0, [1.0, 2.0], grids)
+    assert a.segments[0] != a.segments[1] and a.segments[0] != "pulse"
+    seg = hold(ExchangeConfig.balanced(50, 50), 3.0)
+    assert seg == hold(ExchangeConfig.balanced(50, 50), np.float64(3.0))
+    assert hash(seg) == hash(hold(ExchangeConfig.balanced(50, 50), np.float64(3.0)))
+    assert seg != hold(ExchangeConfig.balanced(50, 50).as_array(), 3.0)
+
+
 _GRID_COLUMN = st.tuples(st.lists(st.floats(0.5, 60.0), min_size=8, max_size=8), st.floats(0.0, 40.0),
                         st.lists(st.floats(0.0, 300.0), min_size=4, max_size=4))
 

@@ -19,8 +19,8 @@ from rvbsim.fitting import (
     _dft_power,
     _fft_power,
     _is_uniform,
-    _model,
-    _model_jacobian,
+    _kappa_model,
+    _spectral_points,
     _spectral_seed,
     find_ellipse_center,
     find_frequency_minimum,
@@ -31,6 +31,21 @@ from rvbsim.io import read_csv
 
 def damped_cosine(t, a, f, phi, tphi, a0):
     return a * np.cos(2 * np.pi * 1e-3 * f * t + phi) * np.exp(-((t / tphi) ** 2)) + a0
+
+
+def _model(t, a, f, phi, tphi, a0):
+    """The fit's damped cosine in tphi, through :func:`fitting._kappa_model`."""
+    return _kappa_model(t, t * t, np.stack([a, f, phi, tphi**-2, a0], axis=-1))[0]
+
+
+def _model_jacobian(t, a, f, phi, tphi, a0):
+    """Derivatives of :func:`_model`, columns (a, f, phi, tphi, a0).
+
+    The kappa Jacobian with column 3 times dkappa/dtphi = -2 tphi^-3.
+    """
+    jac = _kappa_model(t, t * t, np.stack([a, f, phi, tphi**-2, a0], axis=-1))[1]
+    jac[..., 3] *= (-2 / np.asarray(tphi) ** 3)[..., None]
+    return jac
 
 
 def test_noiseless_recovery():
@@ -161,6 +176,24 @@ def test_model_jacobian_matches_central_differences(a, f, phi, tphi, a0, n, seed
     assert np.all(np.abs(jac - fd) <= 1e-6 * np.abs(fd).max(axis=0))
 
 
+def _is_5_smooth(m: int) -> bool:
+    for q in (2, 3, 5):
+        while m % q == 0:
+            m //= q
+    return m == 1
+
+
+def test_spectral_points_give_5_smooth_transform_lengths():
+    # the fewest points from max(512, 8 n) up whose transform length 2(M - 1)
+    # has no prime factor above 5, at most 7 % more (6.6 % is the worst up to
+    # n = 20000)
+    for n in range(10, 5001):
+        least, m = max(512, 8 * n), _spectral_points(n)
+        assert least <= m <= 1.07 * least and _is_5_smooth(2 * (m - 1))
+        assert not any(_is_5_smooth(2 * (k - 1)) for k in range(least, m))
+    assert _spectral_points(121) == 973  # length 1944 = 2^3 3^5, not 1934 = 2 x 967
+
+
 @_PROPERTY
 @given(st.floats(-500.0, 500.0), st.floats(0.1, 20.0), st.integers(10, 200),
        st.floats(0.05, 0.9), _seeds)
@@ -175,7 +208,7 @@ def test_fft_seed_power_matches_dense_dft(t0, dt, n, f_frac, seed):
     t_off = t.copy()
     t_off[n // 2] += 1e-6 * dt
     assert not _is_uniform(t_off, np.median(np.diff(t_off)))
-    grid = np.linspace(0.0, f_nyq, max(512, 8 * n))
+    grid = np.linspace(0.0, f_nyq, _spectral_points(n))
     dense = _dft_power(t, p - p.mean(), grid)
     fft = _fft_power(p - p.mean(), len(grid))
     assert np.abs(fft - dense).max() <= 1e-9 * dense.max()
@@ -599,7 +632,7 @@ def test_stack_fit_rows_that_fail_read_nan_with_their_reason():
     bad = {
         1: (np.full_like(t, 0.5), "no spectral peak above the noise floor"),
         2: (0.5 + 0.3 * np.cos(np.pi * np.arange(61)), "spectral peak at the Nyquist frequency"),
-        4: (damped_cosine(t, 0.3, 3.0, 0.0, 1e9, 0.5), "trace spans 1.06 periods"),
+        4: (damped_cosine(t, 0.3, 3.0, 0.0, 1e9, 0.5), "trace spans 1.05 periods"),
     }
     p = list(good)
     for k in sorted(bad):
@@ -620,6 +653,41 @@ def test_stack_fit_rows_that_fail_read_nan_with_their_reason():
     # the same trace alone raises that reason
     with pytest.raises(NoOscillationError, match="Nyquist frequency 100.0 MHz"):
         fit_damped_cosine(t, bad[2][0])
+
+
+def test_late_start_row_keeps_the_pinv_seed():
+    # on a grid starting at 3e4 ns the seed envelope exp(-(t / 2 span)^2)
+    # underflows to 0, so that row's Gram matrix is singular: it takes the
+    # pseudo-inverse and the stack fits without raising, each row as if alone
+    t = np.linspace(0.0, 300.0, 61) + np.array([[0.0], [3e4], [0.0]])
+    p = damped_cosine(t - t[:, :1], 0.3, np.array([[20.0], [30.0], [45.0]]), 0.4, 200.0, 0.5)
+    fit = fit_damped_cosine(t, p)
+    assert list(fit.reason) == ["", "", ""]
+    late = fit_damped_cosine(t[1], p[1])
+    assert np.array_equal(_fields(fit)[:, 1], _fields(late))
+    (f0,), _, _, _ = _spectral_seed(t[1:2], p[1:2])
+    theta = 2 * np.pi * 1e-3 * f0 * t[1]
+    env = np.exp(-((t[1] / (2 * np.ptp(t[1]))) ** 2))
+    assert not env.any()
+    design = np.column_stack([np.cos(theta) * env, -np.sin(theta) * env, np.ones_like(t[1])])
+    c1, c2, a0 = np.linalg.pinv(design) @ p[1]
+    start, _ = fitting._seed(t, p)
+    x0, lower, upper = start[:, 1]
+    scale = np.ptp(p[1])
+    expected = [max(np.hypot(c1, c2), 1e-4 * scale), f0, np.arctan2(c2, c1), x0[3], a0]
+    assert_allclose(x0, np.clip(expected, lower, upper), rtol=1e-12)
+
+
+def test_linear_seed_matches_pinv_on_well_and_ill_conditioned_rows():
+    rng = np.random.default_rng(4)
+    design = rng.normal(size=(4, 3, 50))
+    design[1, 1] = design[1, 0] * (1 + 1e-9)  # nearly collinear columns: cond(G) ~ 1e19
+    design[2, :2] = 0.0  # two columns gone: G singular
+    p = rng.normal(size=(4, 50))
+    expected = (np.linalg.pinv(design.swapaxes(-1, -2)) @ p[..., None])[..., 0]
+    coef = fitting._linear_seed(design, p)
+    assert_allclose(coef[[0, 3]], expected[[0, 3]], rtol=1e-10)
+    assert np.array_equal(coef[[1, 2]], expected[[1, 2]])
 
 
 def test_stack_fit_keeps_the_stack_shape():

@@ -1,7 +1,10 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rvbsim.basis import Basis, Pair, PairLabel, PairState, pair_product_state, singlet_x
@@ -218,6 +221,54 @@ def test_csv_bytes_match_reference_formatter(tmp_path):
     assert path.read_bytes() == _reference_csv(cols)
     write_csv(path, {"only": np.array([np.nan])})
     assert path.read_bytes() == b"only\nnan\n"
+
+
+def _row_by_row_csv(path, columns) -> None:
+    """``write_csv`` as it formatted one row per ``%``: the oracle of its block writer."""
+    names = list(columns)
+    arrays = [np.asarray(columns[name]).ravel() for name in names]
+    row = ",".join("%d" if np.issubdtype(a.dtype, np.integer) else "%.10g" for a in arrays) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(names) + "\n")
+        fh.writelines(row % r for r in zip(*[a.tolist() for a in arrays]))
+
+
+_SPECIAL_FLOATS = (np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-15, 1 / 3)
+#: cell values of each column kind, and the dtype they are stored in
+_CSV_COLUMNS = {
+    "int": (st.integers(-(2**63), 2**63 - 1), np.int64),
+    "float": (st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS)), float),
+    # round-off below 1e-15 written as 0, as the maps' ``p_ideal`` column is
+    "snapped": (st.one_of(st.floats(-1e-14, 1e-14), st.floats(0.0, 1.0))
+                .map(lambda x: 0.0 if abs(x) < 1e-15 else x), float),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(sorted(_CSV_COLUMNS)), min_size=1, max_size=5),
+       st.integers(0, 30), st.integers(1, 8), st.data())
+def test_block_csv_bytes_match_the_row_formatter(tmp_path_factory, kinds, rows, block, data):
+    # zero, one or many rows of mixed int and float columns, over one or several
+    # row blocks (the block shrunk so that a short table spans many)
+    cols = {f"{kind}{k}": np.array(data.draw(st.lists(_CSV_COLUMNS[kind][0], min_size=rows,
+                                                      max_size=rows)), dtype=_CSV_COLUMNS[kind][1])
+            for k, kind in enumerate(kinds)}
+    tmp = tmp_path_factory.mktemp("csv")
+    _row_by_row_csv(tmp / "rows.csv", cols)
+    with mock.patch.object(io, "_CSV_BLOCK_ROWS", block):
+        write_csv(tmp / "blocks.csv", cols)
+    assert (tmp / "blocks.csv").read_bytes() == (tmp / "rows.csv").read_bytes()
+
+
+def test_csv_longer_than_one_block_matches_the_row_formatter(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 2 * io._CSV_BLOCK_ROWS + 3
+    p = rng.normal(scale=1e-14, size=n)
+    cols = {"k": np.arange(n), "p": np.where(np.abs(p) < 1e-15, 0.0, p),
+            "x": rng.normal(scale=1e5, size=n), "count": rng.integers(0, 500, n)}
+    _row_by_row_csv(tmp_path / "rows.csv", cols)
+    write_csv(tmp_path / "blocks.csv", cols)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_json_writes_non_finite_floats_as_null(tmp_path):
