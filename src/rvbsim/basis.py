@@ -93,9 +93,34 @@ class PairState:
     label: PairLabel
 
 
-@dataclass(frozen=True)
-class SpinState:
-    """Complex amplitude vector over a declared basis, normalized to 1e-12."""
+def _value_key(value) -> tuple:
+    """Shape and values of a number, an array or a hashable object, as one hashable key."""
+    a = np.asarray(value)
+    return a.shape, tuple(a.ravel().tolist())
+
+
+class _ValueEquality:
+    """``==`` and ``hash()`` over the values of ``_key()``, arrays included.
+
+    A dataclass's own ``__eq__`` compares array fields with ``==`` and
+    raises on their ambiguous truth value; its ``__hash__`` cannot hash them.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class SpinState(_ValueEquality):
+    """Complex amplitude vector over a declared basis, normalized to 1e-12.
+
+    Two states are equal when they have the same basis and amplitude values.
+    """
 
     basis: Basis
     amplitudes: np.ndarray
@@ -117,6 +142,9 @@ class SpinState:
         if other.basis is not self.basis:
             raise ValueError("overlap requires matching bases")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
+
+    def _key(self) -> tuple:
+        return self.basis, _value_key(self.amplitudes)
 
 
 # two-spin amplitudes in the (spin_i, spin_j) occupation convention, 0 = up

@@ -60,7 +60,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .basis import Basis, Pair, SpinState, lift, subspace_projector
+from .basis import Basis, Pair, SpinState, _ValueEquality, _value_key, lift, subspace_projector
 from .hamiltonians import ExchangeConfig, ZeemanConfig, zeeman_full, _BOND_OPS
 
 W2PI = 2 * np.pi * 1e-3  # rad per (MHz * ns)
@@ -285,28 +285,6 @@ class SegmentKind(enum.Enum):
     EXCHANGE_PULSE = "pulse"
 
 
-def _value_key(value) -> tuple:
-    """Shape and values of a number, an array or an :class:`ExchangeConfig`, hashable."""
-    a = np.asarray(value)
-    return a.shape, tuple(a.ravel().tolist())
-
-
-class _ValueEquality:
-    """``==`` and ``hash()`` over the values of ``_key()``, arrays included.
-
-    A dataclass's own ``__eq__`` compares array fields with ``==`` and
-    raises on their ambiguous truth value; its ``__hash__`` cannot hash them.
-    """
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-
 @dataclass(frozen=True, eq=False)
 class PulseSegment(_ValueEquality):
     """One step of a pulse sequence, or of every column of a sweep.
@@ -441,7 +419,7 @@ class PulseSequence(_ValueEquality):
 
     def _key(self) -> tuple:
         dwell = None if self.dwell_times is None else _value_key(self.dwell_times)
-        return self.init.basis, _value_key(self.init.amplitudes), self.segments, dwell
+        return self.init, self.segments, dwell
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ convolutions (J. P. Lewis, Vision Interface 1995).
 
 The damped-cosine fit takes one trace or a stack of traces, on one time
 grid or on a grid per trace, and runs each stage for all traces together
-(the seed in blocks of rows); one trace is a stack of one.  A trace of a stack that cannot be
-fitted reads NaN and keeps the reason in ``FitResult.reason``, and the
+(the seed in blocks of rows); one trace is a stack of one.  Each grid must
+increase in equal steps (to 1e-9 of a step).  A trace of a stack that cannot
+be fitted reads NaN and keeps the reason in ``FitResult.reason``, and the
 other traces are unaffected; a single trace raises that reason instead.
 
 The frequency seed is the peak of the power spectrum of the de-meaned trace
@@ -20,16 +21,14 @@ on ``linspace(0, f_nyq, M)``, where M is the fewest points, at least
 max(512, 8 n) for n time points, whose transform length 2(M - 1) is
 5-smooth (:func:`_spectral_points`): a length with a large prime factor
 would send the FFT to Bluestein's chirp-z algorithm, several times slower.
-When the time points are increasing and uniform (to 1e-9 of a step), that
-power is a zero-padded FFT of length 2(M - 1), whose bins fall exactly on
-the grid, taken for all such traces in one batched transform; any other
-time grid (unsorted, jittered or with gaps) takes a dense DFT.  With f held
-at that peak and T_phi at twice the span the model is linear in
-(A cos phi, A sin phi, A0), and one batched 3x3 normal-equation solve seeds
-them (a trace whose Gram matrix is near singular, say one whose envelope
-underflows on a late time grid, takes the pseudo-inverse instead).  From
-this one start the polish below reaches the minimum that a grid of trial
-(f, T_phi) starts would.
+On an equal-step grid that power is a zero-padded FFT of length 2(M - 1),
+whose bins fall exactly on the frequencies k f_nyq / (M - 1), taken for all
+traces of a block in one batched transform.  With f held at that peak and
+T_phi at twice the span the model is linear in (A cos phi, A sin phi, A0),
+and one batched 3x3 normal-equation solve seeds them (a trace whose Gram
+matrix is near singular, say one whose envelope underflows on a late time
+grid, takes the pseudo-inverse instead).  From this one start the polish
+below reaches the minimum that a grid of trial (f, T_phi) starts would.
 
 The polish is a small bounded Levenberg-Marquardt loop in
 kappa = T_phi^-2 rather than T_phi: the model is smooth through kappa = 0,
@@ -114,8 +113,8 @@ _XTOL = 1e-13
 _MAX_EVAL = 200
 
 #: The seed stages (:func:`_seed`) take a stack in blocks of about this many
-#: values of their largest arrays, 2 M per row of n points (the spectral
-#: seed's zero-padded FFT input and complex power spectrum over its M
+#: values of their largest arrays, 2 M per row of n points (the input and
+#: complex output of the spectral seed's one batched zero-padded FFT over M
 #: frequencies, M = :func:`_spectral_points` (n), the fewest points at least
 #: max(512, 8 n) with a 5-smooth transform length 2(M - 1)), so their
 #: temporaries stay near 0.5 MB each.
@@ -165,60 +164,40 @@ def _kappa_model(t, t2, x):
     return a * c + a0, jac
 
 
-def _dft_power(t: np.ndarray, x: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """|sum_j x_j exp(-2 pi i f t_j)| for every frequency f (MHz) of ``grid``, by a dense DFT."""
-    return np.abs(np.exp(-1j * _W * np.outer(grid, t)) @ x)
-
-
-def _fft_power(x: np.ndarray, m: int) -> np.ndarray:
-    """:func:`_dft_power` on ``linspace(0, f_nyq, m)`` for each uniformly sampled trace of ``x``.
-
-    Bin k of a length-2(m-1) transform is frequency k f_nyq / (m-1), so the
-    zero-padded FFT lands exactly on the dense grid; the grid origin only
-    adds a phase.
-    """
-    return np.abs(np.fft.rfft(x, n=2 * (m - 1)))
-
-
 def _is_uniform(t: np.ndarray, dt) -> np.ndarray:
-    """True for each trace of ``t`` that increases in steps of ``dt``, to 1e-9 of a step."""
+    """True for each trace of ``t`` that increases in steps of ``dt`` > 0, to 1e-9 of a step."""
     dt = np.asarray(dt)
     steps = dt[..., None] * np.arange(t.shape[-1])
-    return np.abs(t - t[..., :1] - steps).max(axis=-1) <= 1e-9 * dt
+    return (dt > 0) & (np.abs(t - t[..., :1] - steps).max(axis=-1) <= 1e-9 * dt)
 
 
-def _spectral_seed(t: np.ndarray, p: np.ndarray):
-    """Dominant frequency (MHz) of each de-meaned trace, its frequency grid, power and error.
+def _spectral_seed(p: np.ndarray, f_nyq: np.ndarray):
+    """Dominant frequency (MHz) of each de-meaned trace of a stack, and its error.
 
-    ``t`` and ``p`` are stacks (rows, n).  Row k's grid runs from 0 to the
-    Nyquist frequency of its median time step.  A row whose peak is in the
-    top 1% of its grid, or not above its noise floor, gets a
-    :class:`NoOscillationError` in ``errors`` (None elsewhere) and a NaN
-    frequency.  Uniform, increasing rows take their power from one batched
-    zero-padded FFT; any other row from the dense DFT.
+    ``p`` is a stack (rows, n) sampled in equal steps and ``f_nyq`` (rows,)
+    each row's Nyquist frequency.  The power on ``linspace(0, f_nyq, M)``,
+    M = :func:`_spectral_points` (n), is one batched zero-padded FFT of
+    length 2(M - 1): its bin k is frequency k f_nyq / (M - 1), the value
+    ``linspace`` puts there, and the grid origin only adds a phase.  A row
+    whose peak is in the top 1% of its grid, or not above its noise floor,
+    gets a :class:`NoOscillationError` in ``errors`` (None elsewhere) and a
+    NaN frequency.
     """
     rows, n = p.shape
-    dt = np.median(np.diff(np.sort(t), axis=-1), axis=-1)
-    f_nyq = 0.5 / dt * 1e3  # MHz
-    grid = np.linspace(0.0, f_nyq, _spectral_points(n), axis=-1)
-    demeaned = p - p.mean(axis=-1, keepdims=True)
-    uniform = _is_uniform(t, dt)
-    power = np.empty_like(grid)
-    power[uniform] = _fft_power(demeaned[uniform], grid.shape[-1])
-    for k in np.flatnonzero(~uniform):
-        power[k] = _dft_power(t[k], demeaned[k], grid[k])
-    lo = max(2, int(0.01 * grid.shape[-1]))  # skip the DC shoulder
+    m = _spectral_points(n)
+    power = np.abs(np.fft.rfft(p - p.mean(axis=-1, keepdims=True), n=2 * (m - 1)))
+    lo = max(2, int(0.01 * m))  # skip the DC shoulder
     peak = lo + np.argmax(power[:, lo:], axis=-1)
     floor = 4.0 * np.median(power[:, lo:], axis=-1) + 1e-12 * (np.abs(p).max(axis=-1) + 1.0) * n
     errors = np.full(rows, None, dtype=object)
     for k in np.flatnonzero(power[np.arange(rows), peak] <= floor):
         errors[k] = NoOscillationError("no spectral peak above the noise floor")
-    for k in np.flatnonzero(np.equal(errors, None) & (peak >= grid.shape[-1] - lo)):
+    for k in np.flatnonzero(np.equal(errors, None) & (peak >= m - lo)):
         # the sine column vanishes there: only a cos(phi) is determined
         errors[k] = NoOscillationError(
             f"spectral peak at the Nyquist frequency {f_nyq[k]:.1f} MHz")
-    f0 = np.where(np.equal(errors, None), grid[np.arange(rows), peak], np.nan)
-    return f0, grid, power, errors
+    f0 = np.where(np.equal(errors, None), peak * (f_nyq / (m - 1)), np.nan)
+    return f0, errors
 
 
 def fit_damped_cosine(t_ns, p) -> FitResult:
@@ -227,10 +206,9 @@ def fit_damped_cosine(t_ns, p) -> FitResult:
     ``p`` is one trace (n,) or a stack (..., n); ``t_ns`` is its time grid
     (n,), shared by every trace, or one grid per trace (``p``'s shape).
     Seeds the frequency f0 from the dominant spectral peak (one zero-padded
-    FFT when ``t_ns`` is uniform and increasing, a dense DFT otherwise), the
-    decay time at twice the span, and amplitude, phase and offset from one
-    linear least-squares solve at that f0 and decay time, then polishes
-    (a, f, phi, kappa, a0), kappa = tphi^-2, with a bounded
+    FFT), the decay time at twice the span, and amplitude, phase and offset
+    from one linear least-squares solve at that f0 and decay time, then
+    polishes (a, f, phi, kappa, a0), kappa = tphi^-2, with a bounded
     Levenberg-Marquardt loop (:func:`_bounded_lm`) inside the box
     a in [0, 10 ptp(p)], f in [0, 2 f0 + f_nyq], phi in [-2 pi, 2 pi],
     tphi in [1e-3 span, TPHI_MAX_NS].  The loop stops at the first step
@@ -243,9 +221,10 @@ def fit_damped_cosine(t_ns, p) -> FitResult:
     on every row that has a seed.
 
     Requires at least 10 points per trace, and of each trace finite points
-    at distinct times, spanning 1.5 periods of the dominant frequency.  One
-    trace that fails this raises; a trace of a stack reads NaN with its
-    reason in ``FitResult.reason``, and the others are fitted as alone.
+    on a grid that increases in equal steps (to 1e-9 of a step), spanning
+    1.5 periods of the dominant frequency.  One trace that fails this
+    raises; a trace of a stack reads NaN with its reason in
+    ``FitResult.reason``, and the others are fitted as alone.
     """
     t = np.asarray(t_ns, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -262,13 +241,16 @@ def fit_damped_cosine(t_ns, p) -> FitResult:
     errors = np.full(len(p), None, dtype=object)
     finite = np.isfinite(t).all(axis=-1) & np.isfinite(p).all(axis=-1)
     errors[~finite] = ValueError("t and p must be finite")
-    repeated = (np.diff(np.sort(t), axis=-1) == 0).any(axis=-1)
-    errors[repeated & np.equal(errors, None)] = ValueError("time points must be distinct")
-    live = np.flatnonzero(np.equal(errors, None))
+    live = np.flatnonzero(finite)
+    dt = np.median(np.diff(t[live], axis=-1), axis=-1)
+    uniform = _is_uniform(t[live], dt)
+    errors[live[~uniform]] = ValueError("time points must increase in equal steps")
+    live, f_nyq = live[uniform], 0.5 / dt[uniform] * 1e3  # MHz
     start = np.full((3, len(p), 5), np.nan)
     block = max(1, _SEED_VALUES // (2 * _spectral_points(n)))
-    for rows in (live[i:i + block] for i in range(0, live.size, block)):
-        start[:, rows], errors[rows] = _seed(t[rows], p[rows])
+    for i in range(0, live.size, block):
+        rows = live[i:i + block]
+        start[:, rows], errors[rows] = _seed(t[rows], p[rows], f_nyq[i:i + block])
     good = np.flatnonzero(np.equal(errors, None))
     fits = np.full((len(p), 6), np.nan)
     cov = np.full((len(p), 5, 5), np.nan)
@@ -284,20 +266,21 @@ def fit_damped_cosine(t_ns, p) -> FitResult:
     return FitResult(a, f, phi, tphi, a0, cov.reshape(shape + (5, 5)), rms, reason)
 
 
-def _seed(t, p) -> tuple[np.ndarray, np.ndarray]:
+def _seed(t, p, f_nyq) -> tuple[np.ndarray, np.ndarray]:
     """Start, lower and upper bound (3, rows, 5) of the polish of each row, and its errors.
 
-    A row that has no usable spectral peak or spans under 1.5 periods of it
-    gets its error (None elsewhere) and NaN bounds.
+    ``f_nyq`` (rows,) is each row's Nyquist frequency in MHz.  A row that
+    has no usable spectral peak or spans under 1.5 periods of it gets its
+    error (None elsewhere) and NaN bounds.
     """
-    f0, grid, _, errors = _spectral_seed(t, p)
+    f0, errors = _spectral_seed(p, f_nyq)
     span = np.ptp(t, axis=-1)
     periods = span * f0 * 1e-3
     for k in np.flatnonzero(periods < 1.5):
         errors[k] = ValueError(f"trace spans {periods[k]:.2f} periods of the dominant "
                                "frequency; need at least 1.5")
     ok = np.equal(errors, None)
-    t, p, f0, f_nyq, span = t[ok], p[ok], f0[ok], grid[ok, -1], span[ok]
+    t, p, f0, f_nyq, span = t[ok], p[ok], f0[ok], f_nyq[ok], span[ok]
     # (a cos phi, a sin phi, a0) from one linear least-squares solve at (f0, tphi0)
     tphi0 = 2 * span
     theta = _W * f0[:, None] * t

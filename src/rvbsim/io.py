@@ -208,6 +208,9 @@ def _parse_init(tokens: list[str]) -> SpinState:
         )
     if tokens[0] == "amplitudes":
         basis = Basis[tokens[1].upper()]
+        for tok in tokens[2:]:
+            if tok.count(":") > 1:
+                raise ValueError(f"amplitude {tok!r} is neither re:im nor re")
         amps = np.array([complex(*map(float, tok.split(":"))) for tok in tokens[2:]])
         return SpinState(basis, amps)
     raise ValueError(f"unknown init form {tokens[0]!r}")

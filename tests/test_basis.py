@@ -172,3 +172,16 @@ def test_spin_state_validation():
         SpinState(Basis.GLOBAL_SINGLET_2, np.array([1.0, 1.0], dtype=complex))
     with pytest.raises(ValueError, match="shape"):
         SpinState(Basis.GLOBAL_SINGLET_2, np.zeros(3, dtype=complex))
+
+
+def test_states_compare_and_hash_by_basis_and_amplitude_values():
+    # a dataclass's generated == raised on the ambiguous truth value of the
+    # amplitude array, and its hash() could not hash it
+    a, b = singlet_x(), singlet_x()
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert singlet_x() != singlet_y()
+    assert a == SpinState(Basis.FULL16, a.amplitudes.copy())
+    global_singlet = SpinState(Basis.GLOBAL_SINGLET_2, [1.0, 0.0])
+    assert global_singlet != SpinState(Basis.TRIPLET_MINUS_3, [1.0, 0.0, 0.0])
+    assert global_singlet != SpinState(Basis.GLOBAL_SINGLET_2, [0.0, 1.0])
+    assert a != a.amplitudes.tolist()

@@ -16,8 +16,6 @@ from rvbsim.fitting import (
     FitResult,
     NoOscillationError,
     _covariance,
-    _dft_power,
-    _fft_power,
     _is_uniform,
     _kappa_model,
     _spectral_points,
@@ -31,6 +29,11 @@ from rvbsim.io import read_csv
 
 def damped_cosine(t, a, f, phi, tphi, a0):
     return a * np.cos(2 * np.pi * 1e-3 * f * t + phi) * np.exp(-((t / tphi) ** 2)) + a0
+
+
+def _nyquist(t):
+    """Nyquist frequency (MHz) of each equal-step grid of ``t``, as the fit takes it."""
+    return 0.5 / np.median(np.diff(t, axis=-1), axis=-1) * 1e3
 
 
 def _model(t, a, f, phi, tphi, a0):
@@ -109,7 +112,7 @@ def test_fit_rejects_flat_and_short_traces():
         fit_damped_cosine(t_short, damped_cosine(t_short, 0.3, 50.0, 0.0, 1e9, 0.5))
     # repeated time points and non-finite samples fail before the spectral seed
     t_rep = np.repeat(np.linspace(0, 300, 20), 3)
-    with pytest.raises(ValueError, match="distinct"):
+    with pytest.raises(ValueError, match="equal steps"):
         fit_damped_cosine(t_rep, damped_cosine(t_rep, 0.3, 50.0, 0.0, 130.0, 0.5))
     p_nan = damped_cosine(t, 0.3, 50.0, 0.0, 130.0, 0.5)
     p_nan[17] = np.nan
@@ -194,6 +197,11 @@ def test_spectral_points_give_5_smooth_transform_lengths():
     assert _spectral_points(121) == 973  # length 1944 = 2^3 3^5, not 1934 = 2 x 967
 
 
+def _dense_power(t, x, grid):
+    """|sum_j x_j exp(-2 pi i f t_j)| for every frequency f (MHz) of ``grid``, by a dense DFT."""
+    return np.abs(np.exp(-1j * (2 * np.pi * 1e-3) * np.outer(grid, t)) @ x)
+
+
 @_PROPERTY
 @given(st.floats(-500.0, 500.0), st.floats(0.1, 20.0), st.integers(10, 200),
        st.floats(0.05, 0.9), _seeds)
@@ -204,38 +212,52 @@ def test_fft_seed_power_matches_dense_dft(t0, dt, n, f_frac, seed):
     rng = np.random.default_rng(seed)
     p = 0.5 + 0.3 * np.cos(2 * np.pi * 1e-3 * f_frac * f_nyq * t + rng.uniform(-np.pi, np.pi))
     p += 0.02 * rng.normal(size=n)
-    assert _is_uniform(t, np.median(np.diff(t)))  # takes the FFT path
+    assert _is_uniform(t, np.median(np.diff(t)))
     t_off = t.copy()
     t_off[n // 2] += 1e-6 * dt
     assert not _is_uniform(t_off, np.median(np.diff(t_off)))
-    grid = np.linspace(0.0, f_nyq, _spectral_points(n))
-    dense = _dft_power(t, p - p.mean(), grid)
-    fft = _fft_power(p - p.mean(), len(grid))
+    m = _spectral_points(n)
+    grid = np.linspace(0.0, f_nyq, m)
+    dense = _dense_power(t, p - p.mean(), grid)
+    fft = np.abs(np.fft.rfft(p - p.mean(), n=2 * (m - 1)))
     assert np.abs(fft - dense).max() <= 1e-9 * dense.max()
-    (f0,), (seed_grid,), (power,), (error,) = _spectral_seed(t[None], p[None])
+    (f0,), (error,) = _spectral_seed(p[None], np.array([f_nyq]))
     if error is not None:
-        # a short noisy trace can miss the 4x-median floor or peak at the
-        # Nyquist edge; the dense DFT (the jittered grid) must then fail too
+        # a short noisy trace can miss the 4x-median floor or peak at the Nyquist edge
         assert isinstance(error, NoOscillationError)
-        assert isinstance(_spectral_seed(t_off[None], p[None])[3][0], NoOscillationError)
         return
-    assert_allclose(seed_grid, grid, rtol=1e-12)
-    assert np.array_equal(power, fft)
-    lo = max(2, int(0.01 * len(grid)))
-    assert f0 == seed_grid[lo + int(np.argmax(dense[lo:]))]
+    # the bin times f_nyq / (M - 1) is the value linspace puts there, bit for bit
+    lo = max(2, int(0.01 * m))
+    assert f0 == grid[lo + int(np.argmax(dense[lo:]))]
 
 
-@_PROPERTY
-@given(st.floats(10.0, 60.0), st.floats(3.0, 6.0), st.integers(40, 100), st.floats(1.0, 10.0),
-       st.floats(-np.pi, np.pi), _seeds)
-def test_nonuniform_trace_seeds_and_fits(f, periods, n, tphi_spans, phi, seed):
-    span = periods / f * 1e3
-    dt = span / (n - 1)
-    t = dt * (np.arange(n) + np.random.default_rng(seed).uniform(-0.4, 0.4, n))
-    assert not _is_uniform(t, np.median(np.diff(t)))  # takes the dense-DFT path
-    fit = fit_damped_cosine(t, damped_cosine(t, 0.3, f, phi, tphi_spans * span, 0.5))
-    assert_allclose(fit.f, f, rtol=1e-6)
-    assert_allclose(fit.a, 0.3, rtol=1e-5)
+def test_off_grid_rows_read_nan_with_the_grid_reason():
+    # a row jittered by 1e-6 of a step, a reversed row and a row with a
+    # repeated time fail before the seed: the other rows keep every bit of a
+    # stack without them, and each bad trace alone raises
+    t = np.linspace(0.0, 300.0, 61)
+    rng = np.random.default_rng(3)
+    good = np.array([rng.binomial(500, damped_cosine(t, 0.3, f, 0.4, 200.0, 0.5)) / 500
+                     for f in (20.0, 35.0, 50.0)])
+    jittered = t.copy()
+    jittered[30] += 1e-6 * (t[1] - t[0])
+    repeated = t.copy()
+    repeated[30] = repeated[29]
+    bad = {1: jittered, 2: t[::-1], 4: repeated}
+    grids, p = [t] * 3, list(good)
+    for k in sorted(bad):
+        grids.insert(k, bad[k])
+        p.insert(k, damped_cosine(bad[k], 0.3, 35.0, 0.4, 200.0, 0.5))
+    mixed, clean = fit_damped_cosine(np.array(grids), np.array(p)), fit_damped_cosine(t, good)
+    ok = [k for k in range(len(p)) if k not in bad]
+    for k in bad:
+        assert mixed.reason[k] == "time points must increase in equal steps"
+        assert np.all(np.isnan(_fields(mixed)[:, k])) and np.all(np.isnan(mixed.covariance[k]))
+        with pytest.raises(ValueError, match="equal steps"):
+            fit_damped_cosine(bad[k], p[k])
+    assert list(mixed.reason[ok]) == [""] * len(ok)
+    assert np.array_equal(_fields(mixed)[:, ok], _fields(clean))
+    assert np.array_equal(mixed.covariance[ok], clean.covariance)
 
 
 def test_visible_periods_in_valence_bond_regime():
@@ -432,7 +454,7 @@ def trf_reference_fit(t, p) -> FitResult:
     """
     t = np.asarray(t, dtype=float)
     p = np.asarray(p, dtype=float)
-    start, _ = fitting._seed(t[None], p[None])
+    start, _ = fitting._seed(t[None], p[None], _nyquist(t[None]))
     x0, lower, upper = start[:, 0].copy()
     x0[3], lower[3], upper[3] = x0[3] ** -0.5, upper[3] ** -0.5, lower[3] ** -0.5
     res = least_squares(lambda x: _model(t, *x) - p, x0=np.clip(x0, lower, upper),
@@ -500,9 +522,10 @@ def test_fit_stays_in_box_and_matches_trf_on_any_envelope(n, span, periods, grow
     assume(4 * periods <= n - 1)
     t, p = _shot_trace(n, span, periods, a, phi, growth, shots, seed)
     fit, ref = fit_damped_cosine(t, p), trf_reference_fit(t, p)
-    (f0,), (grid,), _, _ = _spectral_seed(t[None], p[None])
+    f_nyq = _nyquist(t[None])
+    (f0,), _ = _spectral_seed(p[None], f_nyq)
     assert 0.0 <= fit.a <= 10 * (p.max() - p.min())
-    assert 0.0 <= fit.f <= 2 * f0 + grid[-1]
+    assert 0.0 <= fit.f <= 2 * f0 + f_nyq[0]
     assert -np.pi <= fit.phi <= np.pi
     assert 1e-3 * span <= fit.tphi <= TPHI_MAX_NS
     assert np.isfinite(fit.a0)
@@ -520,7 +543,7 @@ def _best_trial_grid_residual(t, p):
     with (a, phi, a0) from the linear least-squares solve at its (f, tphi), as
     the seed's variable-projection grid once chose them.
     """
-    (x0, lower, upper), _ = fitting._seed(t[None], p[None])
+    (x0, lower, upper), _ = fitting._seed(t[None], p[None], _nyquist(t[None]))
     f0, span = x0[0, 1], np.ptp(t)
     starts = []
     for f in (0.97 * f0, f0, 1.03 * f0):
@@ -591,9 +614,9 @@ def _fields(fit):
        st.sampled_from((50, 500, 5000)), _seeds)
 def test_stack_fit_equals_fits_of_its_rows(rows, n, per_row_t, jittered_row, shots, seed):
     # shot-noise traces with their own frequency, phase and decay; per_row_t gives
-    # each its own span, and jittered_row moves one row off its uniform grid so
-    # that row takes the dense DFT while the others share one batched FFT; the rows
-    # stop after different numbers of steps, some rejected, and leave the batch
+    # each its own span, and jittered_row moves one row off its equal-step grid so
+    # that row reads the grid reason while the others are fitted; the rows stop
+    # after different numbers of steps, some rejected, and leave the batch
     rng = np.random.default_rng(seed)
     spans = rng.uniform(150.0, 400.0, rows) if per_row_t else np.full(rows, 300.0)
     t = np.linspace(0.0, spans, n, axis=-1)
@@ -603,9 +626,9 @@ def test_stack_fit_equals_fits_of_its_rows(rows, n, per_row_t, jittered_row, sho
     truth = damped_cosine(t, 0.3, f[:, None], rng.uniform(-np.pi, np.pi, (rows, 1)),
                           rng.uniform(0.5, 3.0, (rows, 1)) * spans[:, None], 0.5)
     p = rng.binomial(shots, np.clip(truth, 0.0, 1.0)) / shots
-    if jittered_row:
-        assert not _is_uniform(t[0], np.median(np.diff(t[0])))
     stack = fit_damped_cosine(t if per_row_t or jittered_row else t[0], p)
+    if jittered_row:
+        assert stack.reason[0] == "time points must increase in equal steps"
     assert stack.f.shape == stack.reason.shape == (rows,)
     assert stack.covariance.shape == (rows, 5, 5)
     for k in range(rows):
@@ -665,13 +688,13 @@ def test_late_start_row_keeps_the_pinv_seed():
     assert list(fit.reason) == ["", "", ""]
     late = fit_damped_cosine(t[1], p[1])
     assert np.array_equal(_fields(fit)[:, 1], _fields(late))
-    (f0,), _, _, _ = _spectral_seed(t[1:2], p[1:2])
+    (f0,), _ = _spectral_seed(p[1:2], _nyquist(t[1:2]))
     theta = 2 * np.pi * 1e-3 * f0 * t[1]
     env = np.exp(-((t[1] / (2 * np.ptp(t[1]))) ** 2))
     assert not env.any()
     design = np.column_stack([np.cos(theta) * env, -np.sin(theta) * env, np.ones_like(t[1])])
     c1, c2, a0 = np.linalg.pinv(design) @ p[1]
-    start, _ = fitting._seed(t, p)
+    start, _ = fitting._seed(t, p, _nyquist(t))
     x0, lower, upper = start[:, 1]
     scale = np.ptp(p[1])
     expected = [max(np.hypot(c1, c2), 1e-4 * scale), f0, np.arctan2(c2, c1), x0[3], a0]

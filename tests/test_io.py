@@ -85,6 +85,15 @@ def test_sequence_amplitude_init_round_trip():
     assert_allclose(seq.init.amplitudes, amp, atol=0)
 
 
+def test_malformed_amplitude_token_is_a_value_error_naming_it():
+    # complex() of three parts raised a TypeError that the command line printed as a traceback
+    text = "init amplitudes global_singlet_2 1:0:0 0:0\n" + _HOLD + "\n"
+    with pytest.raises(ValueError, match=r"sequence line 1: amplitude '1:0:0'"):
+        sequence_from_text(text)
+    seq = sequence_from_text("init amplitudes global_singlet_2 1 0:0\n" + _HOLD + "\n")
+    assert_allclose(seq.init.amplitudes, [1.0, 0.0], atol=0)
+
+
 def test_sequence_requires_init():
     with pytest.raises(ValueError, match="no init"):
         sequence_from_text("segment hold j12=1 j34=1 j23=1 j14=1 dur=1\n")
