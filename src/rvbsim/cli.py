@@ -60,8 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--sigma-f", type=_checked(float, NoiseModel), default=0.0,
                      help="quasi-static frequency noise std (MHz)")
     sim.add_argument("--samples", type=_checked(int, lambda n: NoiseModel(0.0, n)), default=16,
-                     help="noise ensemble size in Gauss-Hermite quadrature nodes "
-                          f"(1..{MAX_QUADRATURE_NODES})")
+                     help="Gauss-Hermite quadrature nodes of a noise average that has no "
+                          f"closed form (1..{MAX_QUADRATURE_NODES})")
     sim.add_argument("--shots", type=_checked(int, _shot_count), default=0,
                      help="also sample this many readout shots per dwell point")
     return parser

@@ -41,21 +41,35 @@ Quasi-static noise: each trajectory carries one Gaussian frequency offset
 ``1 + offset/f_ref``, which shifts any exchange-set oscillation frequency
 by that offset (all such frequencies are degree-1 homogeneous in the
 couplings).  ``f_ref`` defaults to the singlet-singlet frequency of the
-dwell configuration.  The trajectories are the nodes of a Gauss-Hermite
-rule and the ensemble average is their weighted sum, which integrates the
-Gaussian characteristic function <exp(-i phi)> = exp(-sigma_phi^2 / 2)
-without sampling error: at the default 16 nodes every figure's ensemble
-average lies within 2.3e-6 of a 128-node one.  Ramp segments are
-evaluated at nominal couplings; only constant-coupling segments are
-rescaled per trajectory.
+dwell configuration.  Ramp segments are evaluated at nominal couplings;
+only constant-coupling segments are rescaled per trajectory.
+
+A column's ensemble average is exact when its dwell has no Zeeman term, all
+its noise nodes enter the dwell in bit-identical states (after instant
+switches and nominal-coupling ramps) and no node is clipped.  Its dwell
+Hamiltonian is then lam * H, whose eigenvectors V do not depend on the node,
+and with H's energies E and the entering coordinates c = V^dagger psi every
+readout probability is a sum over eigenvalue pairs:
+p_o(t) = sum_jl c_j c_l^* <v_l|P_o|v_j> exp(-i w_jl t) exp(-(w_jl t sigma_f/f_ref)^2 / 2),
+w_jl = W2PI (E_j - E_l), the Gaussian characteristic function in closed form;
+in the 2-dim singlet block it is A cos(2 pi f t) exp(-(t/T_phi)^2) + A0.
+Such a column costs one ``eigh`` of H.  Every other column (a timed pulse
+before the dwell, a Zeeman field, a clipped node, a run without noise or
+without a dwell grid) runs the trajectories at the nodes of a Gauss-Hermite rule and averages them with
+its weights, which integrates the same characteristic function without
+sampling error.  Against the closed form, the default 16 nodes are off by
+2.4e-6 at most on fig4b (dwell to ~2.7 T_phi), 4.5e-7 on fig3d, 8.2e-8 on
+fig3e, 7.7e-9 on fig3c, and by round-off on the singlet-block maps, which
+dwell to ~1.2 T_phi.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -237,8 +251,11 @@ class NoiseModel:
     ``n_samples`` the number of quadrature nodes (1 to
     :data:`MAX_QUADRATURE_NODES`): an n-node rule averages any polynomial of
     degree below 2n in the offset exactly (Golub & Welsch, Math. Comp. 23,
-    221 (1969)).  The rule is deterministic, so ``seed`` does not affect a
-    run; it is kept so that existing callers still construct the model.
+    221 (1969)).  The rule serves the columns that have no closed-form
+    average (module docstring) and :attr:`SequenceResult.amplitudes`; it also
+    decides, through the clipped weight, which columns have one.  The rule is
+    deterministic, so ``seed`` does not affect a run; it is kept so that
+    existing callers still construct the model.
     """
 
     sigma_f: float
@@ -423,8 +440,26 @@ class PulseSequence(_ValueEquality):
 
 
 @dataclass(frozen=True)
+class DwellSpectra:
+    """Nominal dwell spectra of the columns whose noise average has a closed form.
+
+    Per such column, in column order: ``energies`` (n, d) and ``vectors``
+    (n, d, d), the ``eigh`` of the dwell Hamiltonian at nominal couplings;
+    ``coords`` (n, d), the state entering the dwell in that eigenbasis;
+    ``spread`` (n,), sigma_f / f_ref; and ``times``, the dwell grid, shape
+    (1 or n, n_dwell).
+    """
+
+    energies: np.ndarray
+    vectors: np.ndarray
+    coords: np.ndarray
+    spread: np.ndarray
+    times: np.ndarray
+
+
+@dataclass(frozen=True)
 class SequenceResult:
-    """States returned by :func:`run_sequence`.
+    """States returned by :func:`run_sequence`, or the spectra that stand for them.
 
     ``amplitudes`` holds the states in the invariant sector the sequence
     ran in, shape ([n_columns,] n_nodes, n_dwell, d) with ``sector`` the
@@ -437,12 +472,29 @@ class SequenceResult:
     the total weight of nodes whose coupling scale factor ``1 + offset/f_ref``
     was negative and clipped to 0: a float, or one per column, shape
     (n_columns,).
+
+    ``exact`` (column shape, bool) marks the columns whose Gaussian ensemble
+    average is read out in closed form from ``spectra`` (module docstring);
+    ``quadrature_amplitudes`` holds the amplitudes, (n, n_nodes, n_dwell, d),
+    of the other n columns in order.  ``amplitudes`` covers every column: when
+    a column is exact it is built on first access by the same node evolution
+    as the other columns, bit for bit what it would be had no column been
+    exact.
     """
 
-    amplitudes: np.ndarray
     sector: Basis
     weights: np.ndarray
     clipped_weight: float | np.ndarray
+    exact: np.ndarray
+    spectra: DwellSpectra | None
+    quadrature_amplitudes: np.ndarray
+    _build: Callable[[], np.ndarray] = field(repr=False)
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        """Sector amplitudes ([n_columns,] n_nodes, n_dwell, d) of every column."""
+        amps = self.quadrature_amplitudes if self.spectra is None else self._build()
+        return amps.reshape(self.exact.shape + amps.shape[1:])
 
     @property
     def states(self) -> np.ndarray:
@@ -686,7 +738,9 @@ def run_sequence(
 
     With ``noise``, every constant-coupling segment is rescaled per
     quadrature node by ``1 + offset/f_ref``, clipped at 0 (see the module
-    docstring); ramps run at nominal couplings.  ``noise_reference_mhz``
+    docstring); ramps run at nominal couplings.  A column whose average has
+    the closed form keeps one ``eigh`` of its nominal dwell Hamiltonian in
+    ``spectra`` in place of node trajectories.  ``noise_reference_mhz``
     (f_ref) is a scalar or one value per column; by default each column takes
     the singlet-singlet frequency of its final segment's couplings.
     """
@@ -738,12 +792,34 @@ def run_sequence(
             # a zero-length segment keeps its column's state exactly
             states = np.where(dur[:, None] > 0, moved, states)
 
-    if seq.dwell_times is None:
-        out = states[:, None, :]
-    else:
-        grid = np.asarray(seq.dwell_times)
-        times = grid[None, :] if grid.ndim == 1 else np.repeat(grid, n_nodes, axis=0)
-        out = _evolve_ensemble(states, couplings[-1], bonds, zh, lam, times)
-    amplitudes = out.reshape(*cols, n_nodes, *out.shape[1:])
+    grid = None if seq.dwell_times is None else np.asarray(seq.dwell_times)
+    nodes = states.reshape(n_cols, n_nodes, -1)
+    # with no Zeeman term the dwell Hamiltonian is lam * H, whose eigenvectors do not
+    # depend on the node: a column whose nodes all enter the dwell alike and none
+    # clipped has the closed-form Gaussian average of the module docstring
+    exact = np.zeros(n_cols, dtype=bool)
+    if noise is not None and grid is not None and not np.any(zh):
+        exact = (nodes == nodes[:, :1]).all(axis=(1, 2)) & (clipped_weight == 0)
+
+    def dwell(columns: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """Quadrature amplitudes (n, n_nodes, n_dwell, d) of the n columns ``columns`` selects."""
+        start = nodes[columns]
+        if grid is None:
+            return start[:, :, None, :]
+        if not len(start):
+            return np.empty((0, n_nodes, grid.shape[-1], start.shape[-1]), dtype=complex)
+        times = grid[None, :] if grid.ndim == 1 else np.repeat(grid[columns], n_nodes, axis=0)
+        out = _evolve_ensemble(start.reshape(-1, start.shape[-1]), couplings[-1][columns], bonds,
+                               zh, lam.reshape(n_cols, n_nodes)[columns].ravel(), times)
+        return out.reshape(len(start), n_nodes, *out.shape[1:])
+
+    spectra, on_nodes = None, slice(None)
+    if exact.any():
+        w, v = np.linalg.eigh(np.einsum("cb,bij->cij", couplings[-1][exact], bonds))
+        coords = (v.conj() * nodes[exact, 0][:, :, None]).sum(axis=1)
+        spectra = DwellSpectra(w, v, coords, noise.sigma_f / f_ref[exact],
+                               grid[None, :] if grid.ndim == 1 else grid[exact])
+        on_nodes = ~exact
     # indexing by () makes a column-free weight a float and leaves (columns,) as it is
-    return SequenceResult(amplitudes, sector, weights, clipped_weight.reshape(cols)[()])
+    return SequenceResult(sector, weights, clipped_weight.reshape(cols)[()], exact.reshape(cols),
+                          spectra, dwell(on_nodes), dwell)

@@ -57,7 +57,7 @@ from .dynamics import (
 )
 from .fitting import CalibrationMap, find_ellipse_center, find_frequency_minimum, fit_damped_cosine
 from .io import write_csv, write_json
-from .readout import ReadoutDirection, ensemble_probabilities, sample_shots
+from .readout import PROBABILITY_FLOOR, ReadoutDirection, ensemble_probabilities, sample_shots
 
 #: outcome column index per joint result (readout.OUTCOMES order), first readout pair first
 IDX_SS, IDX_ST = 0, 1
@@ -301,12 +301,12 @@ def _theory_columns(sweep: SweepModel, dvp, law, names) -> dict[str, np.ndarray]
 
 
 def _write_map_csv(path, sweep_name, sweep_values, t_ns, ideal, shots=None) -> str:
-    """Write a (sweep, t) map, ``p_ideal`` round-off below 1e-15 as 0; return its path."""
+    """Write a (sweep, t) map, ``p_ideal`` below ``PROBABILITY_FLOOR`` as 0; return its path."""
     n_sweep, n_t = ideal.shape
     columns = {
         sweep_name: np.repeat(sweep_values, n_t),
         "t_ns": np.tile(t_ns, n_sweep),
-        "p_ideal": np.where(np.abs(ideal) < 1e-15, 0.0, ideal).ravel(),
+        "p_ideal": np.where(np.abs(ideal) < PROBABILITY_FLOOR, 0.0, ideal).ravel(),
     }
     if shots is not None:
         columns["p_shot"] = shots.ravel()

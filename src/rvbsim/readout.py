@@ -14,7 +14,8 @@ sector (rank <= d, built once per direction and basis), so a noisy ensemble
 is read out without lifting it to 16 dims.  :func:`ensemble_probabilities`
 is the one reader of a :class:`~rvbsim.dynamics.SequenceResult`: it reads
 the sector amplitudes in their sector and weights the quadrature nodes of
-each column, for a stacked sweep in blocks of columns.
+each column, or evaluates a column's closed-form Gaussian average from its
+dwell spectrum, for a stacked sweep in blocks of columns.
 
 Shots are drawn per point as multinomial counts of the outcomes, one
 draw for a whole stack of points, from the stream :func:`rng` names
@@ -30,10 +31,14 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import Basis, DIM_FULL, Pair, pair_singlet_projector, subspace_projector
-from .dynamics import BLOCK_STATES
+from .dynamics import BLOCK_STATES, W2PI
 
 #: Joint-outcome order used everywhere: (first pair, second pair).
 OUTCOMES = ("SS", "ST", "TS", "TT")
+
+#: Outcome probabilities at or below this are round-off: shot draws take them
+#: as exactly 0, and the map files write ``p_ideal`` below it as 0.
+PROBABILITY_FLOOR = 1e-15
 
 
 class ReadoutDirection(enum.Enum):
@@ -108,26 +113,62 @@ def pair_probabilities_batch(
     return (amps.real**2 + amps.imag**2) @ s
 
 
+def _spectral_probabilities(spectra, direction: ReadoutDirection, basis: Basis) -> np.ndarray:
+    """Closed-form Gaussian ensemble average (n, n_dwell, 4) of the columns in ``spectra``.
+
+    With V, w and c a column's dwell eigenvectors, energies and entering
+    coordinates, D_jl = W2PI (w_j - w_l) and s = sigma_f / f_ref,
+    p_o(t) = sum_jl B^o_jl exp(-i D_jl t) exp(-(D_jl t s)^2 / 2), where
+    B^o_jl = c_j c_l^* sum_{f in o} (V^T F)_jf (V^T F)^*_lf and F are the outcome
+    factors of :func:`_outcome_factors`.  The pairs j < l are summed as twice the
+    real part.  Every sum over the small d, pair and factor axes is an elementwise
+    product and sum, so a column's bits do not depend on the others.
+    """
+    f, s = _outcome_factors(direction, basis)
+    w, v = spectra.energies, spectra.vectors
+    a = spectra.coords[:, :, None] * (v[..., None] * f[:, None, :]).sum(axis=1)  # (n, d, R)
+    j, l = np.triu_indices(w.shape[-1], 1)
+    diag = ((a.real**2 + a.imag**2)[..., None] * s).sum(axis=-2).sum(axis=1)  # (n, 4)
+    pairs = ((a[:, j] * a[:, l].conj())[..., None] * s).sum(axis=-2)  # (n, pairs, 4)
+    gaps = W2PI * (w[:, j] - w[:, l])
+    times, spread = spectra.times, spectra.spread
+    out = np.empty((len(w), times.shape[-1], 4))
+    step = max(1, BLOCK_STATES // (len(j) * times.shape[-1]))
+    for i in range(0, len(out), step):
+        cols = slice(i, i + step)
+        theta = gaps[cols, :, None] * (times if len(times) == 1 else times[cols])[:, None, :]
+        decay = np.exp(-1j * theta - 0.5 * (theta * spread[cols, None, None]) ** 2)
+        out[cols] = diag[cols, None, :] + 2 * (pairs[cols, :, None, :] * decay[..., None]
+                                               ).real.sum(axis=1)
+    return out
+
+
 def ensemble_probabilities(result, direction: ReadoutDirection) -> np.ndarray:
     """Ensemble-averaged joint outcome probabilities (..., n_dwell, 4) of a sequence result.
 
-    Reads ``result.amplitudes``, shape (..., n_nodes, n_dwell, d), in
-    ``result.sector`` and sums each column's nodes with ``result.weights``;
-    a noiseless result is a one-node ensemble, and the result of a sweep,
-    which has a leading column axis, reads out to (n_columns, n_dwell, 4).
-    Columns are read out in blocks of about
-    :data:`~rvbsim.dynamics.BLOCK_STATES` states.
+    A column on the quadrature reads its amplitudes, (n_nodes, n_dwell, d) in
+    ``result.sector``, and sums its nodes with ``result.weights``; a noiseless
+    result is a one-node ensemble.  A column marked in ``result.exact`` is the
+    closed-form Gaussian average of its ``result.spectra``, whatever the node
+    count.  The result of a sweep, which has a leading column axis, reads out to
+    (n_columns, n_dwell, 4).  Columns are read out in blocks of about
+    :data:`~rvbsim.dynamics.BLOCK_STATES` states, or phase factors.
     """
-    amps = result.amplitudes
-    n_nodes, n_dwell, d = amps.shape[-3:]
-    columns = amps.reshape(-1, n_nodes, n_dwell, d)
+    exact = result.exact.reshape(-1)
+    amps = result.quadrature_amplitudes
+    n_nodes, n_dwell = amps.shape[1:3]
+    quad = np.empty((len(amps), n_dwell * 4))
     step = max(1, BLOCK_STATES // (n_nodes * n_dwell))
     # one (nodes,) x (nodes, n_dwell * 4) product per column
-    mean = np.concatenate([
-        result.weights @ pair_probabilities_batch(columns[i:i + step], direction,
-                                                  result.sector).reshape(-1, n_nodes, n_dwell * 4)
-        for i in range(0, len(columns), step)])
-    return mean.reshape(amps.shape[:-3] + (n_dwell, 4))
+    for i in range(0, len(amps), step):
+        quad[i:i + step] = result.weights @ pair_probabilities_batch(
+            amps[i:i + step], direction, result.sector).reshape(-1, n_nodes, n_dwell * 4)
+    mean = quad.reshape(-1, n_dwell, 4)
+    if result.spectra is not None:
+        mean = np.empty((len(exact), n_dwell, 4))
+        mean[~exact] = quad.reshape(-1, n_dwell, 4)
+        mean[exact] = _spectral_probabilities(result.spectra, direction, result.sector)
+    return mean.reshape(result.exact.shape + (n_dwell, 4))
 
 
 @dataclass(frozen=True)
@@ -170,9 +211,12 @@ def rng(seed: int, *key: int) -> np.random.Generator:
 def sample_shots(probs, n_shots: int, key: int | tuple[int, ...]) -> ShotRecord:
     """Draw ``n_shots`` shots at every point of a (..., 4) probability stack.
 
-    The outcome counts of a point are multinomial in its probabilities ``p``
-    (validated, clipped at 0 and renormalised), drawn for the whole stack in
-    one call.  Deterministic given ``key``, an int or a key tuple for
+    The outcome counts of a point are multinomial in its probabilities ``p``,
+    drawn for the whole stack in one call.  ``p`` must be finite, non-negative
+    to 1e-12 and sum to 1 to 1e-9; a value at or below
+    :data:`PROBABILITY_FLOOR` is set to exactly 0 and the point renormalised,
+    so round-off on a forbidden outcome does not change how the draw uses its
+    stream.  Deterministic given ``key``, an int or a key tuple for
     :func:`rng`.
     """
     if n_shots < 1:
@@ -180,9 +224,14 @@ def sample_shots(probs, n_shots: int, key: int | tuple[int, ...]) -> ShotRecord:
     p = np.asarray(probs, dtype=float)
     if p.ndim < 1 or p.shape[-1] != len(OUTCOMES):
         raise ValueError("expected 4 joint outcome probabilities along the last axis")
-    if np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-9) or np.any(p < -1e-12):
-        raise ValueError("outcome probabilities must be non-negative and sum to 1")
-    p = np.clip(p, 0, None)
+    # a NaN or an infinity makes the sum NaN or infinite, so it fails the sum test
+    bad = ~(np.abs(p.sum(axis=-1) - 1.0) <= 1e-9) | (p < -1e-12).any(axis=-1)
+    if bad.any():
+        point = np.unravel_index(np.argmax(bad), bad.shape)
+        at = f"point {tuple(map(int, point))} has" if point else "got"
+        raise ValueError("outcome probabilities must be finite, non-negative and sum to 1; "
+                         f"{at} {p[point].tolist()}")
+    p = np.where(p <= PROBABILITY_FLOOR, 0.0, p)
     p = p / p.sum(axis=-1, keepdims=True)
     key = key if isinstance(key, tuple) else (key,)
     counts = rng(*key).multinomial(n_shots, p)

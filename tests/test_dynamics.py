@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hamiltonian_blocks import singlet_block
+from quadrature_reference import quadrature_readout
 from rvbsim import dynamics, readout
 from rvbsim.basis import (
     Basis,
@@ -585,6 +586,73 @@ def test_run_sequence_noise_deterministic_and_enveloped():
     assert_allclose(px, expected, rtol=0, atol=1e-6)
 
 
+_SWEEP_ROWS = np.array([[12.0, 40.0, 3.0, 25.0], [50.0, 50.0, 50.0, 50.0], [5.0, 30.0, 22.0, 1.0]])
+
+
+@pytest.mark.parametrize("init", [singlet_x(), ST_INIT, TPTM_INIT, MIXED_SZ_INIT],
+                         ids=["singlet_2", "triplet_3", "sz0_6", "full"])
+def test_closed_form_at_zero_sigma_is_the_noiseless_readout(init):
+    seq = PulseSequence(init, (set_diabatic(_SWEEP_ROWS[::-1]), hold(_SWEEP_ROWS, 0.0)),
+                        np.linspace(0.0, 400.0, 41))
+    res = run_sequence(seq, NoiseModel(sigma_f=0.0))
+    assert res.exact.all()
+    clean = run_sequence(seq)
+    for direction in ReadoutDirection:
+        assert_allclose(ensemble_probabilities(res, direction),
+                        ensemble_probabilities(clean, direction), rtol=0, atol=1e-12)
+
+
+def test_singlet_block_column_is_the_gaussian_damped_cosine():
+    # A cos(2 pi f t) exp(-(t/T_phi)^2) + A0 with f = f_ss and the default f_ref = f_ss
+    couplings = [(50.0, 50.0), (30.0, 80.0), (110.0, 20.0)]
+    rows = np.array([ExchangeConfig.balanced(jx, jy).as_array() for jx, jy in couplings])
+    t = np.linspace(0.0, 500.0, 251)
+    noise = NoiseModel(sigma_f=sigma_from_tphi(130.0))
+    res = run_sequence(PulseSequence(singlet_x(), (hold(rows, 0.0),), t), noise)
+    assert res.exact.all() and res.sector is Basis.GLOBAL_SINGLET_2
+    p_h = ensemble_probabilities(res, ReadoutDirection.HORIZONTAL)[..., 0]
+    p_v = ensemble_probabilities(res, ReadoutDirection.VERTICAL)[..., 0]
+    for c, (jx, jy) in enumerate(couplings):
+        px, py = singlet_singlet_probabilities(jx, jy, t, sigma_f=noise.sigma_f)
+        assert_allclose(p_h[c], px, rtol=0, atol=1e-12)
+        assert_allclose(p_v[c], py, rtol=0, atol=1e-12)
+
+
+def test_amplitudes_of_closed_form_columns_are_the_quadrature_evolution():
+    # built on first access, by the evolution the quadrature runs, so their bits
+    # are those of a run on which no column is exact
+    grid = np.linspace(0.0, 300.0, 31)
+    noise = NoiseModel(sigma_f=2.0, n_samples=7)
+    refs = np.array([25.0, 4.0, 40.0])  # 4 MHz clips the outer nodes
+    seq = PulseSequence(ST_INIT, (set_diabatic(_SWEEP_ROWS[::-1]), hold(_SWEEP_ROWS, 0.0)), grid)
+    res = run_sequence(seq, noise, noise_reference_mhz=refs)
+    assert res.exact.tolist() == [True, False, True] and res.clipped_weight[1] > 0
+    assert res.quadrature_amplitudes.shape == (1, 7, len(grid), 3)
+    _, q, _, bonds = _sector(lift(ST_INIT.amplitudes, ST_INIT.basis), None)
+    offsets, _ = noise.quadrature()
+    lam = np.maximum(1.0 + offsets[None, :] / refs[:, None], 0.0).ravel()
+    start = np.tile(q @ lift(ST_INIT.amplitudes, ST_INIT.basis), (len(lam), 1))
+    expected = dynamics._evolve_ensemble(start, _SWEEP_ROWS, bonds, 0.0, lam, grid[None, :])
+    assert np.array_equal(res.amplitudes, expected.reshape(3, 7, len(grid), 3))
+    assert np.array_equal(res.quadrature_amplitudes, res.amplitudes[~res.exact])
+    for direction in ReadoutDirection:
+        # the clipped column keeps the node-weighted readout bit for bit
+        assert np.array_equal(ensemble_probabilities(res, direction)[1],
+                              quadrature_readout(res, direction)[1])
+
+
+@pytest.mark.parametrize("init", [singlet_x(), ST_INIT, MIXED_SZ_INIT])
+def test_zeeman_runs_keep_the_quadrature_bits(init):
+    seq = PulseSequence(init, (set_diabatic(_SWEEP_ROWS[::-1]), hold(_SWEEP_ROWS, 0.0)),
+                        np.linspace(0.0, 300.0, 31))
+    res = run_sequence(seq, NoiseModel(sigma_f=1.5), zeeman=ZeemanConfig())
+    assert not res.exact.any() and res.spectra is None
+    assert np.array_equal(res.amplitudes, res.quadrature_amplitudes)
+    for direction in ReadoutDirection:
+        assert np.array_equal(ensemble_probabilities(res, direction),
+                              quadrature_readout(res, direction))
+
+
 _GENERIC16 = np.array([1.0, 1j]) @ np.random.default_rng(11).normal(size=(2, 16))
 #: init and Zeeman field per sector a stack can run in
 _STACK_SECTORS = {
@@ -623,12 +691,16 @@ _RAMP_COLUMNS = [([50.0, 50.0, 0.5, 0.5, 50.0, 50.0, 50.0, 50.0], 0.0, 2.0),
 @example("full_zeeman", _EXAMPLE_COLUMNS, "scalar", True, dynamics.BLOCK_STATES, "ramp")
 @example("singlet_2", _RAMP_COLUMNS, "default", True, 4, "ramp")
 @example("m1_4", _RAMP_COLUMNS, "per_column", False, 1, "ramp")
+@example("triplet_3", _EXAMPLE_COLUMNS, "default", True, 4, "pulse")
+@example("full", _EXAMPLE_COLUMNS, "default", True, 1, "pulse")
+@example("singlet_2", _EXAMPLE_COLUMNS, "default", True, dynamics.BLOCK_STATES, "pulse")
 def test_stack_equals_its_columns_run_one_at_a_time(sector, columns, noise_mode, with_dwell, block,
                                                     prefix):
     # a stacked solve is bit for bit the per-column runs: amplitudes, clipped
     # weights and ensemble readout, in every sector, with zero-length prefixes,
     # with a pulse or with a ramp from each column's own start couplings, also
-    # when the stack is evolved and read out in blocks of ``block`` states
+    # when the stack is evolved and read out in blocks of ``block`` states, and
+    # for the noisy columns read out in closed form as for those on the quadrature
     init, zeeman, basis = _STACK_SECTORS[sector]
     bonds = np.array([b for b, *_ in columns])
     j0, j1 = bonds[:, :4], bonds[:, 4:]
@@ -660,10 +732,17 @@ def test_stack_equals_its_columns_run_one_at_a_time(sector, columns, noise_mode,
     assert stacked.sector is basis
     assert stacked.amplitudes.shape[:2] == (len(columns), 1 if noise is None else 5)
     assert stacked.clipped_weight.shape == (len(columns),)
+    if prefix == "pulse":
+        # a column is exact when its nodes enter the dwell alike (a zero-length
+        # pulse), unclipped and without a Zeeman term
+        exact = (noise is not None and zeeman is None and with_dwell) & (duration == 0) \
+            & (stacked.clipped_weight == 0)
+        assert stacked.exact.tolist() == exact.tolist()
     for c, (seq, ref) in enumerate(zip(seqs, refs)):
         alone = run_sequence(seq, noise, zeeman=zeeman, noise_reference_mhz=ref)
         assert np.array_equal(stacked.amplitudes[c], alone.amplitudes)
         assert stacked.clipped_weight[c] == alone.clipped_weight
+        assert stacked.exact[c] == alone.exact
         for direction in ReadoutDirection:
             assert np.array_equal(stacked_probs[direction][c],
                                   ensemble_probabilities(alone, direction))
@@ -780,8 +859,12 @@ _GRID_COLUMN = st.tuples(st.lists(st.floats(0.5, 60.0), min_size=8, max_size=8),
                        (_EXAMPLE_COLUMNS[1][0], 13.0, [5.0, 5.0, 0.0, 250.0])], True)
 @example("full_zeeman", [([1.0, 2.0, 3.0, 4.0, 50.0, 50.0, 50.0, 50.0], 2.0, [0.0, 1.0, 2.0, 3.0])],
          False)
+@example("triplet_3", [(_EXAMPLE_COLUMNS[0][0], 0.0, [0.0, 7.5, 31.0, 90.0]),
+                       (_EXAMPLE_COLUMNS[1][0], 0.0, [5.0, 5.0, 0.0, 250.0]),
+                       (_EXAMPLE_COLUMNS[2][0], 3.0, [1.0, 2.0, 3.0, 4.0])], True)
 def test_per_column_dwell_grids_equal_each_column_run_alone_on_its_grid(sector, columns, noisy):
-    # row c of a (columns, n_dwell) grid is column c's own 1-D grid, at every noise node
+    # row c of a (columns, n_dwell) grid is column c's own 1-D grid, at every noise
+    # node and in the closed-form readout
     init, zeeman, _ = _STACK_SECTORS[sector]
     bonds = np.array([b for b, *_ in columns])
     j0, j1 = bonds[:, :4], bonds[:, 4:]
@@ -799,6 +882,10 @@ def test_per_column_dwell_grids_equal_each_column_run_alone_on_its_grid(sector, 
         alone = run_sequence(seq, noise, zeeman=zeeman)
         assert np.array_equal(stacked.amplitudes[c], alone.amplitudes)
         assert stacked.clipped_weight[c] == alone.clipped_weight
+        assert stacked.exact[c] == alone.exact
+        for direction in ReadoutDirection:
+            assert np.array_equal(ensemble_probabilities(stacked, direction)[c],
+                                  ensemble_probabilities(alone, direction))
 
 
 def test_per_column_grid_joins_the_column_broadcast():

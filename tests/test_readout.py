@@ -20,6 +20,7 @@ from rvbsim.dynamics import NoiseModel, PulseSequence, hold, run_sequence
 from rvbsim.hamiltonians import ExchangeConfig, ZeemanConfig
 from rvbsim.readout import (
     OUTCOMES,
+    PROBABILITY_FLOOR,
     ReadoutDirection,
     ShotRecord,
     ensemble_probabilities,
@@ -132,7 +133,8 @@ def test_ensemble_probabilities_is_weighted_projector_readout_of_full_states(ini
                         dwell_times=(0.0, 6.5, 23.0))
     noise = NoiseModel(sigma_f=1.5, n_samples=5)
     res = run_sequence(seq, noise, zeeman=zeeman)
-    assert res.sector is sector and res.states.shape == (5, 3, 16)
+    # the timed first hold rescales each node: every run here is on the quadrature
+    assert not res.exact and res.sector is sector and res.states.shape == (5, 3, 16)
     eye = np.eye(16)
     for direction in ReadoutDirection:
         first, second = (pair_singlet_projector(p) for p in direction.pairs)
@@ -193,6 +195,33 @@ def test_sample_shots_stack_is_multinomial_in_recorded_probabilities():
         sample_shots(np.full((5, 3), 1 / 3), 20000, (1, 2))
     with pytest.raises(ValueError, match="sum to 1"):
         sample_shots(np.full((5, 4), 0.3), 20000, (1, 2))
+
+
+@pytest.mark.parametrize("probs, where", [
+    ([np.nan, 0.5, 0.25, 0.25], r"got \[nan, 0\.5, 0\.25, 0\.25\]"),
+    ([[0.25] * 4, [0.25] * 4, [np.inf, 0.0, 0.0, 0.0]], r"point \(2,\) has \[inf, 0\.0, 0\.0, 0\.0\]"),
+    ([[[0.25] * 4, [0.5, np.nan, 0.5, 0.0]], [[np.nan] * 4] * 2], r"point \(0, 1\) has \[0\.5, nan,"),
+])
+def test_sample_shots_rejects_non_finite_probabilities_naming_the_point(probs, where):
+    # a NaN passed the sum and sign checks and reached numpy's multinomial, which
+    # raised "pvals < 0, pvals > 1 or pvals contains NaNs"
+    with pytest.raises(ValueError, match="must be finite, non-negative and sum to 1; " + where):
+        sample_shots(probs, 100, (3, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 3), st.floats(5e-324, PROBABILITY_FLOOR),
+       st.integers(1, 2000), st.integers(0, 2**32 - 1))
+def test_round_off_on_a_forbidden_outcome_leaves_the_counts(key, forbidden, eps, n_shots, seed):
+    # Generator.multinomial uses its stream differently for an exact 0: without the
+    # floor, 1e-37 in place of a 0 changed nearly every count drawn under the key
+    p = np.random.default_rng(seed).dirichlet(np.ones(3), size=12)
+    exact = np.insert(p, forbidden, 0.0, axis=-1)
+    rounded = exact.copy()
+    rounded[:, forbidden] = eps
+    rounded /= rounded.sum(axis=-1, keepdims=True)
+    assert np.array_equal(sample_shots(rounded, n_shots, (key, 5)).recorded,
+                          sample_shots(exact, n_shots, (key, 5)).recorded)
 
 
 def test_shot_record_standard_errors_vectorised():
