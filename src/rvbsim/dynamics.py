@@ -42,23 +42,25 @@ Quasi-static noise: each trajectory carries one Gaussian frequency offset
 by that offset (all such frequencies are degree-1 homogeneous in the
 couplings).  ``f_ref`` defaults to the singlet-singlet frequency of the
 dwell configuration.  Ramp segments are evaluated at nominal couplings;
-only constant-coupling segments are rescaled per trajectory.
+only constant-coupling segments are rescaled per trajectory.  A factor below 0
+is kept, as in the closed form; for a real dwell Hamiltonian and entering state
+it reads as its magnitude, averaging over the frequency |f_ref + offset|.
 
-A column's ensemble average is exact when its dwell has no Zeeman term, all
-its noise nodes enter the dwell in bit-identical states (after instant
-switches and nominal-coupling ramps) and no node is clipped.  Its dwell
-Hamiltonian is then lam * H, whose eigenvectors V do not depend on the node,
-and with H's energies E and the entering coordinates c = V^dagger psi every
-readout probability is a sum over eigenvalue pairs:
+A column's ensemble average is exact when its dwell has no Zeeman term and
+all its noise nodes enter the dwell in bit-identical states (after instant
+switches and nominal-coupling ramps).  Its dwell Hamiltonian is then lam * H,
+whose eigenvectors V do not depend on the node, and with H's energies E and
+the entering coordinates c = V^dagger psi every readout probability is a sum
+over eigenvalue pairs:
 p_o(t) = sum_jl c_j c_l^* <v_l|P_o|v_j> exp(-i w_jl t) exp(-(w_jl t sigma_f/f_ref)^2 / 2),
 w_jl = W2PI (E_j - E_l), the Gaussian characteristic function in closed form;
 in the 2-dim singlet block it is A cos(2 pi f t) exp(-(t/T_phi)^2) + A0.
 Such a column costs one ``eigh`` of H.  Every other column (a timed pulse
-before the dwell, a Zeeman field, a clipped node, a run without noise or
-without a dwell grid) runs the trajectories at the nodes of a Gauss-Hermite rule and averages them with
-its weights, which integrates the same characteristic function without
-sampling error.  Against the closed form, the default 16 nodes are off by
-2.4e-6 at most on fig4b (dwell to ~2.7 T_phi), 4.5e-7 on fig3d, 8.2e-8 on
+before the dwell, a Zeeman field, a run without noise or without a dwell
+grid) runs the trajectories at the nodes of a Gauss-Hermite rule and averages
+them with its weights, which integrates the same characteristic function
+without sampling error.  Against the closed form, the default 16 nodes are off
+by 2.4e-6 at most on fig4b (dwell to ~2.7 T_phi), 4.5e-7 on fig3d, 8.2e-8 on
 fig3e, 7.7e-9 on fig3c, and by round-off on the singlet-block maps, which
 dwell to ~1.2 T_phi.
 """
@@ -251,11 +253,11 @@ class NoiseModel:
     ``n_samples`` the number of quadrature nodes (1 to
     :data:`MAX_QUADRATURE_NODES`): an n-node rule averages any polynomial of
     degree below 2n in the offset exactly (Golub & Welsch, Math. Comp. 23,
-    221 (1969)).  The rule serves the columns that have no closed-form
-    average (module docstring) and :attr:`SequenceResult.amplitudes`; it also
-    decides, through the clipped weight, which columns have one.  The rule is
-    deterministic, so ``seed`` does not affect a run; it is kept so that
-    existing callers still construct the model.
+    221 (1969)).  The rule serves only the columns that have no closed-form
+    average (module docstring) and :attr:`SequenceResult.amplitudes`; which
+    columns have one does not depend on it.  The rule is deterministic, so
+    ``seed`` does not affect a run; it is kept so that existing callers still
+    construct the model.
     """
 
     sigma_f: float
@@ -265,11 +267,11 @@ class NoiseModel:
     def __post_init__(self):
         if not 0 <= self.sigma_f < math.inf:
             raise ValueError(f"sigma_f must be finite and non-negative, got {self.sigma_f!r}")
-        if not 1 <= self.n_samples <= MAX_QUADRATURE_NODES:
-            raise ValueError(
-                f"n_samples counts quadrature nodes and must be in 1..{MAX_QUADRATURE_NODES}, "
-                f"got {self.n_samples}"
-            )
+        n = self.n_samples  # a bool is an int, but no node count
+        if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+                or not 1 <= n <= MAX_QUADRATURE_NODES):
+            raise ValueError(f"n_samples counts quadrature nodes and must be an integer in "
+                             f"1..{MAX_QUADRATURE_NODES}, got {n!r}")
 
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         """(offsets in MHz, weights summing to 1) of the n_samples-node rule."""
@@ -461,17 +463,13 @@ class DwellSpectra:
 class SequenceResult:
     """States returned by :func:`run_sequence`, or the spectra that stand for them.
 
-    ``amplitudes`` holds the states in the invariant sector the sequence
-    ran in, shape ([n_columns,] n_nodes, n_dwell, d) with ``sector`` the
-    basis of the d coordinates: the leading column axis is there exactly
-    when the sequence has one.  A noiseless run is a one-node ensemble, and
-    without a dwell grid the n_dwell axis is 1.  ``weights`` are the
-    quadrature weights of the noise nodes (``[1.0]`` without noise), shared
-    by all columns.  Read a result out with
-    :func:`rvbsim.readout.ensemble_probabilities`.  ``clipped_weight`` is
-    the total weight of nodes whose coupling scale factor ``1 + offset/f_ref``
-    was negative and clipped to 0: a float, or one per column, shape
-    (n_columns,).
+    ``amplitudes`` holds the states in the invariant sector the sequence ran
+    in, shape ([n_columns,] n_nodes, n_dwell, d) with ``sector`` the basis of
+    the d coordinates: the leading column axis is there exactly when the
+    sequence has one.  A noiseless run is a one-node ensemble, and without a
+    dwell grid the n_dwell axis is 1.  ``weights`` are the quadrature weights
+    of the noise nodes (``[1.0]`` without noise), shared by all columns.  Read
+    a result out with :func:`rvbsim.readout.ensemble_probabilities`.
 
     ``exact`` (column shape, bool) marks the columns whose Gaussian ensemble
     average is read out in closed form from ``spectra`` (module docstring);
@@ -484,7 +482,6 @@ class SequenceResult:
 
     sector: Basis
     weights: np.ndarray
-    clipped_weight: float | np.ndarray
     exact: np.ndarray
     spectra: DwellSpectra | None
     quadrature_amplitudes: np.ndarray
@@ -736,13 +733,13 @@ def run_sequence(
     grid serves every column.  A constant segment of duration 0 leaves a
     column's state exactly as it was.
 
-    With ``noise``, every constant-coupling segment is rescaled per
-    quadrature node by ``1 + offset/f_ref``, clipped at 0 (see the module
-    docstring); ramps run at nominal couplings.  A column whose average has
-    the closed form keeps one ``eigh`` of its nominal dwell Hamiltonian in
-    ``spectra`` in place of node trajectories.  ``noise_reference_mhz``
-    (f_ref) is a scalar or one value per column; by default each column takes
-    the singlet-singlet frequency of its final segment's couplings.
+    With ``noise``, every constant-coupling segment is rescaled per quadrature
+    node by ``1 + offset/f_ref``, unclipped (module docstring); ramps run at
+    nominal couplings.  A column whose average has the closed form keeps one
+    ``eigh`` of its nominal dwell Hamiltonian in ``spectra`` in place of node
+    trajectories.  ``noise_reference_mhz`` (f_ref) is finite and positive, one
+    value or one per column; by default each column takes the singlet-singlet
+    frequency of its final segment's couplings.
     """
     cols = seq.durations.shape[1:]  # () or (columns,)
     couplings = seq.couplings.reshape(len(seq.kinds), -1, 4)  # (segments, columns, 4)
@@ -760,17 +757,20 @@ def run_sequence(
             jx, jy = j[:, 0] + j[:, 1], j[:, 3] + j[:, 2]  # as ExchangeConfig.jx, .jy
             f_ref = np.sqrt(jx**2 + jy**2 - jx * jy)  # f_ss, 0 only at jx = jy = 0
         else:
-            f_ref = np.broadcast_to(np.asarray(noise_reference_mhz, dtype=float), (n_cols,))
+            f_ref = np.asarray(noise_reference_mhz, dtype=float)
+            if f_ref.shape not in ((), (n_cols,)):
+                raise ValueError(f"noise_reference_mhz has shape {f_ref.shape}, not () or the "
+                                 f"column shape {cols}")
+            f_ref = np.broadcast_to(f_ref, (n_cols,))
         if not np.all(f_ref > 0):
             raise ValueError("noise needs a positive reference frequency")
+        if not np.all(f_ref < np.inf):
+            raise ValueError("noise needs a finite reference frequency")
         offsets, weights = noise.quadrature()
-        scale = 1.0 + offsets[None, :] / f_ref[:, None]  # (columns, nodes)
-        lam = np.maximum(scale, 0.0)
-        clipped_weight = np.array([weights[s < 0].sum() for s in scale])
+        lam = 1.0 + offsets[None, :] / f_ref[:, None]  # (columns, nodes)
     else:
         # a noiseless run is a one-trajectory ensemble
         lam, weights = np.ones((n_cols, 1)), np.ones(1)
-        clipped_weight = np.zeros(n_cols)
     n_nodes = lam.shape[1]
     lam = lam.ravel()
 
@@ -795,11 +795,11 @@ def run_sequence(
     grid = None if seq.dwell_times is None else np.asarray(seq.dwell_times)
     nodes = states.reshape(n_cols, n_nodes, -1)
     # with no Zeeman term the dwell Hamiltonian is lam * H, whose eigenvectors do not
-    # depend on the node: a column whose nodes all enter the dwell alike and none
-    # clipped has the closed-form Gaussian average of the module docstring
+    # depend on the node: a column whose nodes all enter the dwell alike has the
+    # closed-form Gaussian average of the module docstring
     exact = np.zeros(n_cols, dtype=bool)
     if noise is not None and grid is not None and not np.any(zh):
-        exact = (nodes == nodes[:, :1]).all(axis=(1, 2)) & (clipped_weight == 0)
+        exact = (nodes == nodes[:, :1]).all(axis=(1, 2))
 
     def dwell(columns: np.ndarray | slice = slice(None)) -> np.ndarray:
         """Quadrature amplitudes (n, n_nodes, n_dwell, d) of the n columns ``columns`` selects."""
@@ -820,6 +820,4 @@ def run_sequence(
         spectra = DwellSpectra(w, v, coords, noise.sigma_f / f_ref[exact],
                                grid[None, :] if grid.ndim == 1 else grid[exact])
         on_nodes = ~exact
-    # indexing by () makes a column-free weight a float and leaves (columns,) as it is
-    return SequenceResult(sector, weights, clipped_weight.reshape(cols)[()], exact.reshape(cols),
-                          spectra, dwell(on_nodes), dwell)
+    return SequenceResult(sector, weights, exact.reshape(cols), spectra, dwell(on_nodes), dwell)

@@ -67,14 +67,11 @@ def _parse_scalar(value: str):
     low = value.lower()
     if low in ("true", "false"):
         return low == "true"
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        pass
+    for convert in (int, float):
+        try:
+            return convert(value)
+        except ValueError:
+            pass
     return value
 
 
@@ -163,16 +160,23 @@ _SEGMENT_KINDS = {
     "ramp": SegmentKind.LINEAR_RAMP,
 }
 
+#: The form of each directive, quoted in the error for a line short of a token.
+_FORMS = {
+    "init": "'init state <name>', 'init product <label> <pair> <label> <pair>' or "
+            "'init amplitudes <basis> <re:im> ...'",
+    "segment": "'segment <kind> j12=<MHz> j34=<MHz> j23=<MHz> j14=<MHz> [dur=<ns>]'",
+    "dwell": "'dwell <t_ns> ...' or 'dwell range <start> <stop> <step>'",
+}
+
 
 def sequence_from_text(text: str) -> PulseSequence:
     init: SpinState | None = None
     segments: list[PulseSegment] = []
     dwell: tuple[float, ...] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         try:
             if tokens[0] == "init":
                 if init is not None:
@@ -186,7 +190,10 @@ def sequence_from_text(text: str) -> PulseSequence:
                 dwell = _parse_dwell(tokens[1:])
             else:
                 raise ValueError(f"unknown directive {tokens[0]!r}")
-        except (IndexError, KeyError, ValueError) as exc:
+        except IndexError:  # the line lacks a token its form needs
+            raise ValueError(f"sequence line {lineno}: malformed {tokens[0]} line: expected "
+                             f"{_FORMS[tokens[0]]}") from None
+        except (KeyError, ValueError) as exc:
             raise ValueError(f"sequence line {lineno}: {exc}") from exc
     if init is None:
         raise ValueError("sequence file has no init line")
@@ -201,11 +208,8 @@ def _parse_init(tokens: list[str]) -> SpinState:
     if tokens[0] == "state":
         return _NAMED_INITS[tokens[1].lower()]()
     if tokens[0] == "product":
-        label_a, pair_a, label_b, pair_b = tokens[1:5]
-        return pair_product_state(
-            PairState(Pair[pair_a.upper()], _LABELS[label_a]),
-            PairState(Pair[pair_b.upper()], _LABELS[label_b]),
-        )
+        return pair_product_state(*(PairState(Pair[tokens[k + 1].upper()], _LABELS[tokens[k]])
+                                    for k in (1, 3)))
     if tokens[0] == "amplitudes":
         basis = Basis[tokens[1].upper()]
         for tok in tokens[2:]:
@@ -218,17 +222,13 @@ def _parse_init(tokens: list[str]) -> SpinState:
 
 def _parse_segment(tokens: list[str]) -> PulseSegment:
     kind = _SEGMENT_KINDS[tokens[0]]
-    keys = [tok.split("=", 1)[0] for tok in tokens[1:]]
-    kv = dict(tok.split("=", 1) for tok in tokens[1:])
-    if len(kv) < len(keys):
+    fields = [tok.split("=", 1) for tok in tokens[1:]]
+    kv = {f[0]: f[1] for f in fields}  # a field without "=" has no f[1]
+    if len(kv) < len(fields):
+        keys = [f[0] for f in fields]
         repeated = sorted({k for k in keys if keys.count(k) > 1})
         raise ValueError(f"repeated segment fields {repeated}")
-    config = ExchangeConfig(
-        j12=float(kv.pop("j12")),
-        j34=float(kv.pop("j34")),
-        j23=float(kv.pop("j23")),
-        j14=float(kv.pop("j14")),
-    )
+    config = ExchangeConfig(**{k: float(kv.pop(k)) for k in ("j12", "j34", "j23", "j14")})
     duration = float(kv.pop("dur", 0.0))
     if kind is SegmentKind.LINEAR_RAMP and kv.pop("mode", "voltage") != "voltage":
         raise ValueError("ramp mode must be 'voltage'")
@@ -239,7 +239,7 @@ def _parse_segment(tokens: list[str]) -> PulseSegment:
 
 def _parse_dwell(tokens: list[str]) -> tuple[float, ...]:
     if tokens[0] == "range":
-        start, stop, step = map(float, tokens[1:4])
+        start, stop, step = (float(tokens[k]) for k in (1, 2, 3))
         if not (0 < step < np.inf and start <= stop):
             raise ValueError(f"dwell range {start:g} {stop:g} {step:g} makes no grid: it needs "
                              "start <= stop and a positive, finite step")

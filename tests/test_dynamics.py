@@ -268,6 +268,14 @@ def test_noise_quadrature_rule_and_node_cap():
             NoiseModel(sigma_f=1.0, n_samples=n)
 
 
+@pytest.mark.parametrize("n", [2.5, 16.0, True, "16"])
+def test_noise_node_count_must_be_an_integer(n):
+    # 2.5 used to construct and fail in hermegauss; True ran a one-node rule
+    with pytest.raises(ValueError, match=f"must be an integer in 1..128, got {n!r}"):
+        NoiseModel(sigma_f=1.0, n_samples=n)
+    assert NoiseModel(sigma_f=1.0, n_samples=np.int64(16)).quadrature()[0].shape == (16,)
+
+
 _J = ExchangeConfig.balanced(50, 50)
 
 
@@ -322,23 +330,19 @@ def test_quadrature_matches_monte_carlo_reference(kind, seed, bonds, duration, r
                         ensemble_probabilities(mc, direction), rtol=0, atol=tol)
 
 
-def test_clipped_weight_counts_negative_scale_factors():
-    seq = PulseSequence(init=singlet_x(), segments=(set_diabatic(ExchangeConfig.balanced(50, 50)),
-                                                    hold(ExchangeConfig.balanced(50, 50), 0.0)),
-                        dwell_times=(0.0, 10.0))
-    noise = NoiseModel(sigma_f=2.0)
-    assert run_sequence(seq).clipped_weight == 0.0
-    assert run_sequence(seq, noise).clipped_weight == 0.0  # f_ref = 50 MHz >> sigma_f
-    res = run_sequence(seq, noise, noise_reference_mhz=7.0)  # f_ref < 4 sigma_f
-    offsets, weights = noise.quadrature()
-    clipped = 1.0 + offsets / 7.0 < 0
-    # a node scaled to 0 has no exchange: it stays in the initial state
-    assert clipped.any()
-    start = np.broadcast_to(singlet_x().amplitudes, (clipped.sum(), 2, 16))
-    assert_allclose(res.states[clipped], start, rtol=0, atol=1e-15)
-    assert np.abs(res.states[~clipped][:, 1] - singlet_x().amplitudes).max() > 0.1
-    assert res.clipped_weight > 0
-    assert_allclose(res.clipped_weight, weights[clipped].sum(), rtol=0, atol=0)
+@pytest.mark.parametrize("init", [singlet_x(), ST_INIT, d_wave(Basis.FULL16)])
+def test_a_node_at_negative_scale_reads_as_its_mirror(init):
+    # real Hamiltonians, starts and projectors: a trajectory under -lam H is the
+    # complex conjugate of one under +lam H, so every readout probability agrees
+    psi16 = lift(init.amplitudes, init.basis)
+    basis, q, _, bonds = _sector(psi16, None)
+    lam, times = np.array([0.7, -0.7]), np.linspace(0.0, 300.0, 31)[None, :]
+    amps = dynamics._evolve_ensemble(np.tile(q @ psi16, (2, 1)), _SWEEP_ROWS[:1], bonds, 0.0, lam,
+                                     times)
+    for direction in ReadoutDirection:
+        plus, minus = pair_probabilities_batch(amps, direction, basis)
+        assert_allclose(minus, plus, rtol=0, atol=1e-14)
+        assert np.ptp(plus, axis=0).max() > 0.1  # the state moves
 
 
 def test_run_sequence_single_hold_matches_evolve():
@@ -430,8 +434,8 @@ def test_run_sequence_matches_full_space_evolution(kind, seed, bonds, duration, 
         res = res_own
 
     hz = zeeman_full(zeeman) if zeeman is not None else 0.0
-    # each node scales the couplings by 1 + offset/f_ref, clipped at 0
-    scales = np.maximum(1 + noise.quadrature()[0] / f_ss(j1.jx, j1.jy), 0) if with_noise else [1.0]
+    # each node scales the couplings by 1 + offset/f_ref
+    scales = 1 + noise.quadrature()[0] / f_ss(j1.jx, j1.jy) if with_noise else [1.0]
     expected = []
     for s in scales:
         mid = evolve(init, s * heisenberg_full(j0) + hz, duration)
@@ -623,20 +627,27 @@ def test_amplitudes_of_closed_form_columns_are_the_quadrature_evolution():
     # are those of a run on which no column is exact
     grid = np.linspace(0.0, 300.0, 31)
     noise = NoiseModel(sigma_f=2.0, n_samples=7)
-    refs = np.array([25.0, 4.0, 40.0])  # 4 MHz clips the outer nodes
-    seq = PulseSequence(ST_INIT, (set_diabatic(_SWEEP_ROWS[::-1]), hold(_SWEEP_ROWS, 0.0)), grid)
+    refs = np.array([25.0, 4.0, 40.0])  # 4 MHz takes the outer nodes to negative scale
+    pulse = np.array([0.0, 5.0, 0.0])  # the timed pulse keeps column 1 on the quadrature
+    seq = PulseSequence(ST_INIT, (set_diabatic(_SWEEP_ROWS[::-1]),
+                                  exchange_pulse(_SWEEP_ROWS[::-1], pulse),
+                                  set_diabatic(_SWEEP_ROWS), hold(_SWEEP_ROWS, 0.0)), grid)
     res = run_sequence(seq, noise, noise_reference_mhz=refs)
-    assert res.exact.tolist() == [True, False, True] and res.clipped_weight[1] > 0
+    assert res.exact.tolist() == [True, False, True]
     assert res.quadrature_amplitudes.shape == (1, 7, len(grid), 3)
     _, q, _, bonds = _sector(lift(ST_INIT.amplitudes, ST_INIT.basis), None)
     offsets, _ = noise.quadrature()
-    lam = np.maximum(1.0 + offsets[None, :] / refs[:, None], 0.0).ravel()
+    lam = (1.0 + offsets[None, :] / refs[:, None]).ravel()
+    assert (lam < 0).any()
     start = np.tile(q @ lift(ST_INIT.amplitudes, ST_INIT.basis), (len(lam), 1))
+    dur = np.repeat(pulse, 7)[:, None]
+    pulsed = dynamics._evolve_ensemble(start, _SWEEP_ROWS[::-1], bonds, 0.0, lam, dur)[:, 0]
+    start = np.where(dur > 0, pulsed, start)
     expected = dynamics._evolve_ensemble(start, _SWEEP_ROWS, bonds, 0.0, lam, grid[None, :])
     assert np.array_equal(res.amplitudes, expected.reshape(3, 7, len(grid), 3))
     assert np.array_equal(res.quadrature_amplitudes, res.amplitudes[~res.exact])
     for direction in ReadoutDirection:
-        # the clipped column keeps the node-weighted readout bit for bit
+        # the pulsed column keeps the node-weighted readout bit for bit
         assert np.array_equal(ensemble_probabilities(res, direction)[1],
                               quadrature_readout(res, direction)[1])
 
@@ -696,8 +707,8 @@ _RAMP_COLUMNS = [([50.0, 50.0, 0.5, 0.5, 50.0, 50.0, 50.0, 50.0], 0.0, 2.0),
 @example("singlet_2", _EXAMPLE_COLUMNS, "default", True, dynamics.BLOCK_STATES, "pulse")
 def test_stack_equals_its_columns_run_one_at_a_time(sector, columns, noise_mode, with_dwell, block,
                                                     prefix):
-    # a stacked solve is bit for bit the per-column runs: amplitudes, clipped
-    # weights and ensemble readout, in every sector, with zero-length prefixes,
+    # a stacked solve is bit for bit the per-column runs: amplitudes and
+    # ensemble readout, in every sector, with zero-length prefixes,
     # with a pulse or with a ramp from each column's own start couplings, also
     # when the stack is evolved and read out in blocks of ``block`` states, and
     # for the noisy columns read out in closed form as for those on the quadrature
@@ -731,17 +742,14 @@ def test_stack_equals_its_columns_run_one_at_a_time(sector, columns, noise_mode,
         stacked_probs = {d: ensemble_probabilities(stacked, d) for d in ReadoutDirection}
     assert stacked.sector is basis
     assert stacked.amplitudes.shape[:2] == (len(columns), 1 if noise is None else 5)
-    assert stacked.clipped_weight.shape == (len(columns),)
     if prefix == "pulse":
         # a column is exact when its nodes enter the dwell alike (a zero-length
-        # pulse), unclipped and without a Zeeman term
-        exact = (noise is not None and zeeman is None and with_dwell) & (duration == 0) \
-            & (stacked.clipped_weight == 0)
+        # pulse) and without a Zeeman term
+        exact = (noise is not None and zeeman is None and with_dwell) & (duration == 0)
         assert stacked.exact.tolist() == exact.tolist()
     for c, (seq, ref) in enumerate(zip(seqs, refs)):
         alone = run_sequence(seq, noise, zeeman=zeeman, noise_reference_mhz=ref)
         assert np.array_equal(stacked.amplitudes[c], alone.amplitudes)
-        assert stacked.clipped_weight[c] == alone.clipped_weight
         assert stacked.exact[c] == alone.exact
         for direction in ReadoutDirection:
             assert np.array_equal(stacked_probs[direction][c],
@@ -813,11 +821,8 @@ def test_column_axis_follows_the_targets_and_durations():
         assert seq.couplings.shape == (2, *cols, 4) and seq.durations.shape == (2, *cols)
         res = run_sequence(seq, noise)
         assert res.amplitudes.shape == (*cols, 3, 2, 2)
-        assert np.shape(res.clipped_weight) == cols
+        assert np.shape(res.exact) == cols
         assert ensemble_probabilities(res, ReadoutDirection.HORIZONTAL).shape == (*cols, 2, 4)
-    assert isinstance(res.clipped_weight, np.ndarray)
-    assert isinstance(run_sequence(PulseSequence(singlet_x(), (hold(j, 1.0),))).clipped_weight,
-                      float)
     seq = PulseSequence(singlet_x(), (exchange_pulse(j, [0.0, 2.0, 4.0]), hold(j, 0.0)))
     assert seq.couplings.shape == (2, 3, 4) and seq.durations.tolist() == [[0, 2, 4], [0, 0, 0]]
     assert seq.segments[0].duration == [0.0, 2.0, 4.0]  # as stated
@@ -881,7 +886,6 @@ def test_per_column_dwell_grids_equal_each_column_run_alone_on_its_grid(sector, 
                                    hold(second, 0.0)), tuple(grids[c]))
         alone = run_sequence(seq, noise, zeeman=zeeman)
         assert np.array_equal(stacked.amplitudes[c], alone.amplitudes)
-        assert stacked.clipped_weight[c] == alone.clipped_weight
         assert stacked.exact[c] == alone.exact
         for direction in ReadoutDirection:
             assert np.array_equal(ensemble_probabilities(stacked, direction)[c],
@@ -924,8 +928,43 @@ def test_noise_reference_is_checked_per_column_before_the_frequency_law():
     with pytest.raises(ValueError, match="noise needs a positive reference frequency"):
         run_sequence(stack, noise, noise_reference_mhz=[25.0, 0.0])
     res = run_sequence(stack, noise, noise_reference_mhz=[25.0, 25.0])
-    assert res.clipped_weight.tolist() == [0.0, 0.0]
+    assert res.exact.tolist() == [True, True]
     run_sequence(stack)  # without noise there is nothing to scale
+
+
+@pytest.mark.parametrize("refs, message", [
+    ([25.0, 25.0, 25.0], r"shape \(3,\), not \(\) or the column shape \(2,\)"),
+    ([[25.0, 25.0]], r"shape \(1, 2\), not \(\) or the column shape \(2,\)"),
+    (np.inf, "noise needs a finite reference frequency"),
+    ([25.0, np.inf], "noise needs a finite reference frequency"),
+], ids=["three-for-two", "two-dim", "inf", "inf-column"])
+def test_noise_reference_must_be_finite_and_one_per_column(refs, message):
+    # a wrong count used to fail in numpy's broadcast, and inf silently turned the noise off
+    stack = PulseSequence(singlet_x(), (hold(_ROWS[:2], 0.0),), (0.0, 1.0))
+    with pytest.raises(ValueError, match=message):
+        run_sequence(stack, NoiseModel(sigma_f=1.0), noise_reference_mhz=refs)
+
+
+_HOLD_COUPLINGS = st.lists(st.floats(0.5, 60.0), min_size=4, max_size=4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(("singlet_2", "triplet_3")), _HOLD_COUPLINGS, st.floats(0.0, 2.0))
+@example("singlet_2", [12.5, 12.5, 12.5, 12.5], 0.8)  # f_ref = 25 MHz, sigma_f = 20 MHz
+@example("triplet_3", [5.0, 30.0, 22.0, 1.0], 2.0)
+def test_closed_form_readout_does_not_depend_on_the_node_count(sector, couplings, rel_sigma):
+    # the node count sets only the quadrature, never which model a column gets,
+    # even where sigma_f reaches 2 f_ref and many nodes scale the couplings below 0
+    init = _STACK_SECTORS[sector][0]
+    j = ExchangeConfig(*couplings)
+    seq = PulseSequence(init, (set_diabatic(j), hold(j, 0.0)), np.linspace(0.0, 300.0, 31))
+    sigma_f = rel_sigma * f_ss(j.jx, j.jy)
+    runs = [run_sequence(seq, NoiseModel(sigma_f, n)) for n in (1, 2, 16, 128)]
+    assert all(res.exact for res in runs)
+    for direction in ReadoutDirection:
+        first = ensemble_probabilities(runs[0], direction)
+        for res in runs[1:]:
+            assert np.array_equal(ensemble_probabilities(res, direction), first)
 
 
 def test_ramp_requires_previous_segment():

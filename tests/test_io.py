@@ -175,6 +175,30 @@ def test_repeated_directive_or_field_rejected(text, error):
         sequence_from_text(text)
 
 
+_INIT_FORMS = r"'init state <name>', 'init product <label> <pair> <label> <pair>' or 'init amp"
+_SEGMENT_FORM = r"'segment <kind> j12=<MHz> j34=<MHz> j23=<MHz> j14=<MHz> \[dur=<ns>\]'$"
+_DWELL_FORMS = r"'dwell <t_ns> \.\.\.' or 'dwell range <start> <stop> <step>'$"
+
+
+@pytest.mark.parametrize("line, directive, form", [
+    ("dwell", "dwell", _DWELL_FORMS),
+    ("segment", "segment", _SEGMENT_FORM),
+    ("init state", "init", _INIT_FORMS),
+    ("init amplitudes", "init", _INIT_FORMS),
+    ("init product S Q12", "init", _INIT_FORMS),
+    ("dwell range 0 1", "dwell", _DWELL_FORMS),
+    ("segment hold j12=1 j34=1 j23=1 j14=1 dur", "segment", _SEGMENT_FORM),
+], ids=["dwell", "segment", "init-state", "init-amplitudes", "init-product", "dwell-range",
+        "field"])
+def test_malformed_line_names_its_directive_and_form(line, directive, form):
+    # these used to report "list index out of range" or a failed unpacking
+    text = f"{line}\n" if directive == "init" else f"init state sx\n{line}\n"
+    lineno = 1 if directive == "init" else 2
+    with pytest.raises(ValueError, match=f"^sequence line {lineno}: malformed {directive} line: "
+                                         f"expected {form}"):
+        sequence_from_text(text)
+
+
 def test_load_sequence(tmp_path):
     path = tmp_path / "seq.txt"
     path.write_text(SEQ_TEXT)
