@@ -6,10 +6,10 @@ a pass/fail verdict with a one-line detail.  ``CHECKS`` lists the checks
 in criterion order; the CLI ``verify`` command runs each, prints its
 :func:`format_line` and exits nonzero on any failure.
 
-A check solves its cases as one stack: one sweep of per-column dwell grids,
-one batched ``eigh``, one stacked fit.  Loops are left where they draw the
-cases, so each seed draws the same cases in the same order as one loop per
-case did, and where a check calls a scalar function under test (``evolve``,
+A check draws each quantity of its cases in one call to its own stream,
+``stream(seed, criterion)``, and solves them as one stack: one sweep of
+per-column dwell grids, one batched ``eigh``, one stacked fit.  Loops are left
+only where a check calls a scalar function under test (``evolve``,
 ``f_st_perturbative``, ``p_st_degenerate``) on each case.
 """
 
@@ -82,8 +82,7 @@ def _frequency_law_traces(seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     Each case starts in the horizontal singlet product at its own (jx, jy) and
     dwells 3.2 periods on its own grid; all 100 run as one sweep.
     """
-    rng = stream(seed, 1)
-    jx, jy = np.array([rng.uniform(5.0, 120.0, size=2) for _ in range(100)]).T
+    jx, jy = stream(seed, 1).uniform(5.0, 120.0, size=(2, 100))
     f_law = np.sqrt(jx**2 + jy**2 - jx * jy)  # f_ss of each case
     grids = np.linspace(0.0, 3.2e3 / f_law, 64, axis=-1)
     j = np.column_stack([jx / 2, jx / 2, jy / 2, jy / 2])  # ExchangeConfig.balanced rows
@@ -109,8 +108,7 @@ def check_frequency_law(seed: int = 0) -> CheckResult:
 def check_visibility_law(seed: int = 0) -> CheckResult:
     """Simulated peak-to-peak amplitudes match the closed forms to 1e-6."""
     start = time.perf_counter()
-    rng = stream(seed, 2)
-    cases = [(50.0, 50.0), (40.0, 0.0)] + [tuple(rng.uniform(2.0, 120.0, size=2)) for _ in range(40)]
+    cases = [(50.0, 50.0), (40.0, 0.0), *stream(seed, 2).uniform(2.0, 120.0, size=(40, 2))]
     worst = 0.0
     anti_ok = True
     sx = singlet_x()
@@ -150,12 +148,11 @@ def check_perturbative_frequency(seed: int = 0) -> CheckResult:
     """Perturbative swap frequency error shrinks ~16x when imbalances halve."""
     start = time.perf_counter()
     rng = stream(seed, 3)
-    cases = []
-    for _ in range(20):
-        jx = rng.uniform(30.0, 120.0)
-        jy = float(np.clip(jx + rng.choice([-1, 1]) * rng.uniform(0.35, 0.8) * jx, 15.0, 200.0))
-        dvx, dvy = rng.uniform(0.5, 2.0, size=2)  # kappa * 2 mV = 0.118 <= 0.12
-        cases.append((jx, jy, dvx, dvy))
+    jx = rng.uniform(30.0, 120.0, size=20)
+    jy = np.clip(jx + rng.choice([-1, 1], size=20) * rng.uniform(0.35, 0.8, size=20) * jx,
+                 15.0, 200.0)
+    dvx, dvy = rng.uniform(0.5, 2.0, size=(2, 20))  # kappa * 2 mV = 0.118 <= 0.12
+    cases = np.column_stack([jx, jy, dvx, dvy]).tolist()
     # each case at full and at half imbalance
     configs = [exchange_from_voltages(ExchangeVoltageModel(j0x=jx, j0y=jy), s * dvx, s * dvy)
                for jx, jy, dvx, dvy in cases for s in (1.0, 0.5)]
@@ -179,13 +176,10 @@ def check_degenerate_formula(seed: int = 0) -> CheckResult:
     start = time.perf_counter()
     rng = stream(seed, 4)
     init = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
-    cases = []
-    for _ in range(40):
-        j = rng.uniform(15.0, 80.0)
-        dx = rng.uniform(-0.3, 0.3) * j
-        dy = rng.uniform(-0.3, 0.3) * j
-        cases.append((j, dx, dy, rng.uniform(0.0, 2000.0)))
-    j, dx, dy, t = np.array(cases).T
+    j = rng.uniform(15.0, 80.0, size=40)
+    dx, dy = rng.uniform(-0.3, 0.3, size=(2, 40)) * j
+    t = rng.uniform(0.0, 2000.0, size=40)
+    cases = np.column_stack([j, dx, dy, t]).tolist()
     # ExchangeConfig.from_directional(j, j, dx, dy) of each case
     couplings = np.column_stack([(j + dx) / 2, (j - dx) / 2, (j + dy) / 2, (j - dy) / 2])
     w, v = np.linalg.eigh(triplet_block_transformed(couplings))
@@ -341,8 +335,7 @@ def check_fit_recovery(seed: int = 0) -> CheckResult:
     truth_f, truth_tphi = 50.0, 130.0
     p_mean = 0.375 * np.cos(2 * np.pi * 1e-3 * truth_f * t) * np.exp(-((t / truth_tphi) ** 2)) + 0.625
     trials = 200
-    data = np.array([stream(seed, 9, k).binomial(500, np.clip(p_mean, 0.0, 1.0)) / 500.0
-                     for k in range(trials)])
+    data = stream(seed, 9).binomial(500, np.clip(p_mean, 0.0, 1.0), size=(trials, len(t))) / 500.0
     # a trace the fit rejects reads NaN, which is within no tolerance
     fit = fit_damped_cosine(t, data)
     good = int(np.sum((np.abs(fit.f - truth_f) / truth_f < 0.02)
@@ -377,7 +370,7 @@ def check_conservation_suite(seed: int = 0) -> CheckResult:
     st_init = pair_product_state(PairState(Pair.Q12, PairLabel.S),
                                  PairState(Pair.Q34, PairLabel.T_MINUS))
     dwell = np.linspace(0.0, 60.0, 13)
-    jx, jy = np.array([rng.uniform(5.0, 120.0, size=2) for _ in range(5)]).T
+    jx, jy = rng.uniform(5.0, 120.0, size=(2, 5))
     j = np.column_stack([jx / 2, jx / 2, jy / 2, jy / 2])  # ExchangeConfig.balanced rows
     h = heisenberg_full(j)
     sub_worst = 0.0

@@ -126,7 +126,7 @@ class SpinState(_ValueEquality):
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
+        amp = np.array(self.amplitudes, dtype=complex)  # a copy, so the caller's stays writeable
         if amp.shape != (self.basis.dim,):
             raise ValueError(
                 f"amplitudes shape {amp.shape} does not match basis "

@@ -131,9 +131,9 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     from .dynamics import run_sequence
-    from .experiments import SHOT_STREAMS
+    from .experiments import BOTH_READOUTS, _scan
     from .io import load_sequence, write_csv
-    from .readout import OUTCOMES, ReadoutDirection, ensemble_probabilities, sample_shots
+    from .readout import OUTCOMES
 
     noise = None
     if args.sigma_f > 0:
@@ -147,19 +147,20 @@ def cmd_simulate(args) -> int:
 
     t = np.asarray(seq.dwell_times) if seq.dwell_times is not None else np.array([0.0])
     columns: dict[str, np.ndarray] = {"t_ns": t}
-    # each direction keys its shots by its place here, whichever are tabulated
-    for panel, direction in enumerate((ReadoutDirection.HORIZONTAL, ReadoutDirection.VERTICAL)):
+    # each direction draws its shots as the panel of its place here, whichever are tabulated
+    for panel, direction in enumerate(BOTH_READOUTS):
         if args.direction not in ("both", direction.name.lower()):
             continue
         tag = direction.name.lower()[0]
-        probs = ensemble_probabilities(result, direction)
-        for k, outcome in enumerate(OUTCOMES):
-            columns[f"p_{outcome.lower()}_{tag}"] = probs[:, k]
         if args.shots > 0:
-            key = (args.seed, SHOT_STREAMS["simulate"], panel, 0)
-            sampled = sample_shots(probs, args.shots, key).probabilities()
+            probs, sampled = _scan(result, (direction,), slice(None),
+                                   (args.seed, "simulate", panel), args.shots)
+            tables = {"p": probs[0], "shots": sampled[0]}
+        else:
+            tables = {"p": _scan(result, (direction,), slice(None))[0]}
+        for prefix, table in tables.items():
             for k, outcome in enumerate(OUTCOMES):
-                columns[f"shots_{outcome.lower()}_{tag}"] = sampled[:, k]
+                columns[f"{prefix}_{outcome.lower()}_{tag}"] = table[:, k]
 
     args.out.mkdir(parents=True, exist_ok=True)
     out_path = args.out / (args.sequence.stem + "_result.csv")

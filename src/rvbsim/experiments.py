@@ -12,8 +12,8 @@ outcome probability against dwell time.  A figure states its sweep as one
 couplings from the vectorized ``SweepModel``/``SyntheticDevice`` laws and whose
 durations may be (columns,) arrays, runs it with one ``run_sequence`` call,
 ramps included, and hands the result to :func:`_scan`, which owns the ensemble
-readout and, given a stream ``(seed, figure, panel)``, draws column k of
-direction i from the shot key ``(seed, SHOT_STREAMS[figure], panel + i, k)``.
+readout and, given a stream ``(seed, product, panel)``, draws every point read in
+direction i in one call under the shot key ``(seed, SHOT_STREAMS[product], panel + i)``.
 A fig3e/fig4ef column or fig4b panel whose fit fails reads NaN, with a RuntimeWarning.
 """
 
@@ -204,34 +204,28 @@ def _noise(params: dict, tphi_key: str) -> NoiseModel:
     return NoiseModel(sigma_from_tphi(params[tphi_key]), params["noise.n_samples"])
 
 
-#: The ``figure`` part of a shot-stream key (seed, figure, panel, column), per
-#: product that draws shots; fig4ef fits the fig4cd maps and so reads their streams.
+#: The ``stream`` part of a shot key (seed, stream, panel), per product that draws
+#: shots; fig4ef fits the fig4cd maps and so reads their streams.
 SHOT_STREAMS = {"fig3c": 1, "fig3d": 2, "fig3e": 3, "fig4b": 4, "fig4cd": 5, "fig5ab": 6,
                 "fig5ef": 7, "calibrate": 8, "simulate": 9}
 
 
-def _shot_column(mean_probs, outcome: int, n_shots: int, key: tuple) -> np.ndarray:
-    """Shot frequency of one outcome at each point of a (points, 4) stack, drawn in one call."""
-    return sample_shots(mean_probs, n_shots, key).probabilities()[:, outcome]
-
-
 def _scan(result, directions, outcome, stream=None, n_shots=None):
-    """Ensemble probability of ``outcome`` over a sweep, shape (directions, columns, dwell).
+    """Ensemble probability of ``outcome`` per direction, shape (directions, *result points).
 
-    ``result`` is the run of one sweep, whose leading column axis is the sweep.
-    ``outcome`` may be a slice.  A ``stream`` adds ``n_shots``-shot
-    frequencies (module docstring).
+    ``result`` is the run of one sequence or sweep; ``outcome`` may be a slice.
+    A ``stream`` adds ``n_shots``-shot frequencies of the same shape, one draw
+    per direction (module docstring).
     """
     probs = np.array([ensemble_probabilities(result, d) for d in directions])
     if stream is None:
         return probs[..., outcome]
-    seed, figure, panel = stream
+    seed, product, panel = stream
     shots = np.array([
-        [_shot_column(p, outcome, n_shots, (seed, SHOT_STREAMS[figure], panel + i, k))
-         for k, p in enumerate(column)]
-        for i, column in enumerate(probs)
+        sample_shots(p, n_shots, (seed, SHOT_STREAMS[product], panel + i)).probabilities()
+        for i, p in enumerate(probs)
     ])
-    return probs[..., outcome], shots
+    return probs[..., outcome], shots[..., outcome]
 
 
 def st_scan(couplings, direction: ReadoutDirection, dwell, outcome=IDX_ST) -> np.ndarray:
@@ -391,14 +385,14 @@ def figure_fig4b(out_dir: Path, params: dict, seed: int) -> list[str]:
     """Equal-exchange singlet-singlet oscillation traces, both readouts."""
     j = ExchangeConfig.balanced(2 * params["fig4b.j_pair_mhz"], 2 * params["fig4b.j_pair_mhz"])
     t = np.linspace(0.0, params["fig4b.t_max_ns"], params["fig4b.t_points"])
-    seq = PulseSequence(singlet_y(), (hold(j.as_array()[None], 0.0),), t)  # a column for _scan
+    seq = PulseSequence(singlet_y(), (hold(j, 0.0),), t)
     columns: dict[str, np.ndarray] = {"t_ns": t}
     for panel, (label, direction) in enumerate(zip("xy", BOTH_READOUTS)):
         ideal, shots = _scan(run_sequence(seq, _noise(params, f"fig4b.tphi_{label}_ns")),
                              (direction,), IDX_SS, (seed, "fig4b", panel),
                              params["readout.n_shots"])
-        columns[f"p_ss_{label}_ideal"] = ideal[0, 0]
-        columns[f"p_ss_{label}_shot"] = shots[0, 0]
+        columns[f"p_ss_{label}_ideal"] = ideal[0]
+        columns[f"p_ss_{label}_shot"] = shots[0]
     # both panels in one stacked fit: a panel the fit rejects reads NaN and warns
     fit = fit_damped_cosine(t, np.stack([columns["p_ss_x_shot"], columns["p_ss_y_shot"]]))
     fit_payload = {}
@@ -649,10 +643,11 @@ def run_calibration(out_dir, seed: int = 0, overrides: dict | None = None) -> Ca
         dvx = center[0] + np.linspace(-half, half, n)
         dvy = center[1] + np.linspace(-half, half, n)
         grid = device.config(0.0, dvx[:, None], dvy[None, :]).reshape(-1, 4)
-        probs = st_scan(grid, ReadoutDirection.HORIZONTAL, [t_map], outcome=slice(None))[:, 0]
-        # the whole map is one draw under one key per iteration
-        shots = _shot_column(probs, IDX_ST, params["readout.n_shots"],
-                             (seed, SHOT_STREAMS["calibrate"], 0, iterations - 1))
+        seq = PulseSequence(st_product_state(ReadoutDirection.HORIZONTAL), (hold(grid, 0.0),),
+                            [t_map])
+        # the whole map is one draw, each iteration its own panel of the stream
+        _, shots = _scan(run_sequence(seq), (ReadoutDirection.HORIZONTAL,), IDX_ST,
+                         (seed, "calibrate", iterations - 1), params["readout.n_shots"])
         cal = CalibrationMap(dvx=dvx, dvy=dvy, values=shots.reshape(n, n))
         ellipse = find_ellipse_center(cal)
         shift = np.array(ellipse.center) - center

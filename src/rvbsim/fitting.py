@@ -495,9 +495,9 @@ class CalibrationMap:
     values: np.ndarray
 
     def __post_init__(self):
-        dvx = np.asarray(self.dvx, dtype=float)
-        dvy = np.asarray(self.dvy, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        dvx = np.array(self.dvx, dtype=float)
+        dvy = np.array(self.dvy, dtype=float)
+        values = np.array(self.values, dtype=float)
         if values.shape != (len(dvx), len(dvy)):
             raise ValueError("values must have shape (len(dvx), len(dvy))")
         if not np.isfinite(values).all():  # one NaN would spoil every FFT-correlation score
@@ -505,7 +505,7 @@ class CalibrationMap:
         for g in (dvx, dvy):
             if len(g) < 3 or np.ptp(np.diff(g)) > 1e-9 * max(1.0, np.ptp(g)):
                 raise ValueError("grids must be uniform with at least 3 points")
-        for arr in (dvx, dvy, values):
+        for arr in (dvx, dvy, values):  # copies, so the caller's arrays stay writeable
             arr.setflags(write=False)
         object.__setattr__(self, "dvx", dvx)
         object.__setattr__(self, "dvy", dvy)

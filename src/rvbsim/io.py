@@ -20,8 +20,10 @@ mode, may be left out, and other segments take no ``mode``)::
 ``triplet_minus_3``, ``triplet_minus_plus_q_4`` or ``sz_zero_6``, with 16, 2, 3,
 4 or 6 coordinates).  A file has one ``init`` line and at most one
 ``dwell`` line, and a segment line names each field once; a repeat is
-rejected with its line number.  Couplings and times must be finite and >= 0,
-and a ``dwell range`` makes at most :data:`MAX_DWELL_POINTS` points.
+rejected with its line number, as is an ``init state``, ``init product`` or
+``dwell range`` line with a token past its form.  Couplings and times must
+be finite and >= 0, and a ``dwell range`` makes at most
+:data:`MAX_DWELL_POINTS` points.
 
 CSV emitters format floats with %.10g so reruns are byte-identical, a block
 of rows (``_CSV_BLOCK_ROWS``) in one ``%`` operation, so a long table
@@ -168,6 +170,9 @@ _FORMS = {
     "dwell": "'dwell <t_ns> ...' or 'dwell range <start> <stop> <step>'",
 }
 
+#: Tokens on a line of each fixed-length form, by its first two; a line with more is malformed.
+_FIXED_LENGTHS = {("init", "state"): 3, ("init", "product"): 6, ("dwell", "range"): 5}
+
 
 def sequence_from_text(text: str) -> PulseSequence:
     init: SpinState | None = None
@@ -178,6 +183,8 @@ def sequence_from_text(text: str) -> PulseSequence:
         if not tokens:
             continue
         try:
+            if len(tokens) > _FIXED_LENGTHS.get(tuple(tokens[:2]), len(tokens)):
+                raise IndexError  # reported as malformed, as a missing token is
             if tokens[0] == "init":
                 if init is not None:
                     raise ValueError("repeated init directive")

@@ -19,7 +19,7 @@ dwell spectrum, for a stacked sweep in blocks of columns.
 
 Shots are drawn per point as multinomial counts of the outcomes, one
 draw for a whole stack of points, from the stream :func:`rng` names
-by a key such as (seed, figure, panel, column).
+by a key such as (seed, stream, panel).
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ class ShotRecord:
     n_shots: int
 
     def __post_init__(self):
-        arr = np.asarray(self.recorded)
+        arr = np.array(self.recorded)  # a copy, so the caller's stays writeable
         if arr.ndim < 1 or arr.shape[-1] != len(OUTCOMES):
             raise ValueError("recorded counts must have shape (..., 4)")
         if np.any(arr.sum(axis=-1) != self.n_shots):
@@ -216,11 +216,11 @@ def sample_shots(probs, n_shots: int, key: int | tuple[int, ...]) -> ShotRecord:
     to 1e-12 and sum to 1 to 1e-9; a value at or below
     :data:`PROBABILITY_FLOOR` is set to exactly 0 and the point renormalised,
     so round-off on a forbidden outcome does not change how the draw uses its
-    stream.  Deterministic given ``key``, an int or a key tuple for
-    :func:`rng`.
+    stream.  ``n_shots`` is an int, not a bool.  Deterministic given ``key``,
+    an int or a key tuple for :func:`rng`.
     """
-    if n_shots < 1:
-        raise ValueError("n_shots must be at least 1")
+    if isinstance(n_shots, bool) or not isinstance(n_shots, (int, np.integer)) or n_shots < 1:
+        raise ValueError(f"n_shots must be at least 1 and an integer, got {n_shots!r}")
     p = np.asarray(probs, dtype=float)
     if p.ndim < 1 or p.shape[-1] != len(OUTCOMES):
         raise ValueError("expected 4 joint outcome probabilities along the last axis")

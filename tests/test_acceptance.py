@@ -51,10 +51,9 @@ def test_frequency_law_traces_equal_one_run_per_case(seed):
     # criterion 1's one sweep on 100 grids against its cases run one at a time
     f_law, grids, traces = _frequency_law_traces(seed)
     assert traces.shape == grids.shape == (100, 64)
-    rng = stream(seed, 1)
+    jxs, jys = stream(seed, 1).uniform(5.0, 120.0, size=(2, 100))
     init = SpinState(Basis.GLOBAL_SINGLET_2, np.array([1.0, 0.0], dtype=complex))
-    for k in range(100):
-        jx, jy = rng.uniform(5.0, 120.0, size=2)
+    for k, (jx, jy) in enumerate(zip(jxs, jys)):
         t = np.linspace(0.0, 3.2e3 / f_ss(jx, jy), 64)
         j = ExchangeConfig.balanced(jx, jy)
         alone = run_sequence(PulseSequence(init, (set_diabatic(j), hold(j, 0.0)), tuple(t)))

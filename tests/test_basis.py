@@ -117,6 +117,15 @@ def test_change_basis_consistent_with_full_space_overlaps():
         assert_allclose(coords_y.amplitudes[0], overlap_full, atol=1e-12)
 
 
+def test_spin_state_leaves_the_callers_amplitudes_writeable():
+    amp = np.array([1.0, 0.0], dtype=complex)
+    state = SpinState(Basis.GLOBAL_SINGLET_2, amp)
+    amp[:] = [0.0, 1.0]
+    assert state.amplitudes.tolist() == [1.0, 0.0]
+    with pytest.raises(ValueError, match="read-only"):
+        state.amplitudes[0] = 0.0
+
+
 def test_total_spin_operators_are_the_same_read_only_arrays_on_every_call():
     first, again = total_spin_operators(), total_spin_operators()
     for op, same in zip(first, again):

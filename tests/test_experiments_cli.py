@@ -395,9 +395,10 @@ def test_cli_calibrate(tmp_path, capsys):
     assert "center estimate" in out and "converged: True" in out
 
 
-def test_shot_streams_are_distinct_per_column(tmp_path, monkeypatch):
-    # every (figure, panel, column) shot key drawn at default sizes is used once and
-    # names its own stream; fig4ef fits the fig4cd maps, so it is not run separately
+def test_shot_keys_are_one_per_product_panel_and_direction(tmp_path, monkeypatch):
+    # every product draws all points of a panel and direction in one call under the key
+    # (seed, stream, panel); the keys differ and so do their first draws.  fig4ef fits
+    # the fig4cd maps, so it is not run separately
     from rvbsim import experiments, readout
 
     keys = []
@@ -411,14 +412,17 @@ def test_shot_streams_are_distinct_per_column(tmp_path, monkeypatch):
     monkeypatch.setattr(readout, "sample_shots", recording)
     for name in ("fig3c", "fig3d", "fig3e", "fig4b", "fig4cd", "fig5ab", "fig5ef"):
         run_figure(name, tmp_path / name, seed=0)
-    run_calibration(tmp_path / "calibrate", seed=0)
+    iterations = run_calibration(tmp_path / "calibrate", seed=0).iterations
     seq = tmp_path / "hold.txt"
     seq.write_text("init state sx\nsegment hold j12=25 j34=25 j23=25 j14=25 dur=0\n"
                    "dwell range 0 40 4\n")
     assert main(["simulate", str(seq), "--out", str(tmp_path / "sim"), "--shots", "50"]) == 0
 
-    assert all(isinstance(k, tuple) and len(k) == 4 and k[0] == 0 for k in keys)
-    assert {k[1] for k in keys} == set(experiments.SHOT_STREAMS.values())
+    # (product, panels): a panel per direction read, or per calibration iteration
+    panels = [("fig3c", 1), ("fig3d", 1), ("fig3e", 2), ("fig4b", 2), ("fig4cd", 2),
+              ("fig5ab", 2), ("fig5ef", 2), ("calibrate", iterations), ("simulate", 2)]
+    assert sorted(keys) == sorted((0, experiments.SHOT_STREAMS[product], panel)
+                                  for product, n in panels for panel in range(n))
     assert len(set(keys)) == len(keys)
     firsts = {tuple(readout.rng(*k).integers(0, 2**63, size=2)) for k in keys}
     assert len(firsts) == len(keys)

@@ -422,6 +422,19 @@ def test_calibration_map_validation_and_csv(tmp_path):
     assert_allclose(back["dvy_mv"], np.repeat(cal.dvy[None, :], 5, axis=0), atol=1e-9)
 
 
+def test_calibration_map_leaves_the_callers_arrays_writeable():
+    # the map used to freeze the caller's float arrays in place
+    grid = np.linspace(-1.0, 1.0, 3)
+    values = np.zeros((3, 3))
+    cal = CalibrationMap(dvx=grid, dvy=grid, values=values)
+    grid[0] = -2.0
+    values[0, 0] = 1.0
+    assert cal.dvx[0] == cal.dvy[0] == -1.0 and cal.values[0, 0] == 0.0
+    for arr in (cal.dvx, cal.dvy, cal.values):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
 def test_calibration_map_rejects_non_finite_values():
     values = _symmetric_map(nx=5, ny=7).values.copy()
     values[0, 0] = np.nan

@@ -42,8 +42,10 @@ SMALL = {
 PRODUCTS = (*FIGURES, "calibrate")
 
 #: At ``SMALL`` sizes fig4cd's 21-point dwell grid resolves up to 62.5 MHz, so
-#: fig4ef's two most negative sweep rows (105 and 68 MHz) read NaN and warn.
-EXPECTED_WARNINGS = {"fig4ef": r"^fig4ef panel [xy] column [01]: model frequency"}
+#: fig4ef's two most negative sweep rows (105 and 68 MHz) read NaN and warn; the
+#: seed-0 shots of panel y, column 5 show no spectral peak, so it reads NaN too.
+EXPECTED_WARNINGS = {"fig4ef": r"^fig4ef panel ([xy] column [01]: model frequency"
+                               r"|y column 5: no spectral peak above the noise floor$)"}
 
 
 def product_hashes(name: str, out: Path) -> dict[str, str]:

@@ -188,10 +188,14 @@ _DWELL_FORMS = r"'dwell <t_ns> \.\.\.' or 'dwell range <start> <stop> <step>'$"
     ("init product S Q12", "init", _INIT_FORMS),
     ("dwell range 0 1", "dwell", _DWELL_FORMS),
     ("segment hold j12=1 j34=1 j23=1 j14=1 dur", "segment", _SEGMENT_FORM),
+    ("init state sx sy", "init", _INIT_FORMS),
+    ("init product S Q12 T- Q34 S Q23", "init", _INIT_FORMS),
+    ("dwell range 0 10 5 99", "dwell", _DWELL_FORMS),
 ], ids=["dwell", "segment", "init-state", "init-amplitudes", "init-product", "dwell-range",
-        "field"])
+        "field", "init-state-extra", "init-product-extra", "dwell-range-extra"])
 def test_malformed_line_names_its_directive_and_form(line, directive, form):
-    # these used to report "list index out of range" or a failed unpacking
+    # a short line used to report "list index out of range" or a failed unpacking, and
+    # an extra token was ignored: sx sy started in sx, and "range 0 10 5 99" made 0, 5, 10
     text = f"{line}\n" if directive == "init" else f"init state sx\n{line}\n"
     lineno = 1 if directive == "init" else 2
     with pytest.raises(ValueError, match=f"^sequence line {lineno}: malformed {directive} line: "

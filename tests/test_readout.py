@@ -236,4 +236,22 @@ def test_shot_record_standard_errors_vectorised():
 def test_sample_shots_needs_a_shot():
     with pytest.raises(ValueError, match="n_shots must be at least 1"):
         sample_shots([0.25, 0.25, 0.25, 0.25], 0, 1)
+
+
+@pytest.mark.parametrize("n_shots", [2.5, 3.0, True, "3"])
+def test_sample_shots_rejects_a_shot_count_that_is_not_an_integer(n_shots):
+    # 2.5 used to fail later with "recorded counts must sum to n_shots", and True drew a shot
+    with pytest.raises(ValueError, match=f"^n_shots must be at least 1 and an integer, "
+                                         f"got {n_shots!r}$"):
+        sample_shots([0.25, 0.25, 0.25, 0.25], n_shots, 1)
+    assert sample_shots([0.25, 0.25, 0.25, 0.25], np.int64(3), 1).n_shots == 3
+
+
+def test_shot_record_leaves_the_callers_counts_writeable():
+    counts = np.array([[1, 2, 3, 4]])
+    rec = ShotRecord(counts, n_shots=10)
+    counts[0, 0] = 5
+    assert rec.recorded[0, 0] == 1
+    with pytest.raises(ValueError, match="read-only"):
+        rec.recorded[0, 0] = 5
     assert OUTCOMES == ("SS", "ST", "TS", "TT")
