@@ -14,7 +14,9 @@ durations may be (columns,) arrays, runs it with one ``run_sequence`` call,
 ramps included, and hands the result to :func:`_scan`, which owns the ensemble
 readout and, given a stream ``(seed, product, panel)``, draws every point read in
 direction i in one call under the shot key ``(seed, SHOT_STREAMS[product], panel + i)``.
-A fig3e/fig4ef column or fig4b panel whose fit fails reads NaN, with a RuntimeWarning.
+fig3e and fig4ef fit both panels' maps in one stacked call, as fig4b fits its two
+traces; a fig3e/fig4ef column or fig4b panel whose fit fails reads NaN, with a
+RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -239,32 +241,36 @@ def st_scan(couplings, direction: ReadoutDirection, dwell, outcome=IDX_ST) -> np
     return _scan(run_sequence(seq), (direction,), outcome)[0]
 
 
-def _fit_rows(t, traces, f_model, figure: str, panel: str) -> np.ndarray:
-    """Fitted (frequency, visibility) per row of ``traces``, shape (rows, 2).
+def _fit_rows(t, traces, f_model, figure: str, panels) -> np.ndarray:
+    """Fitted (frequency, visibility) per row of each panel, shape (panels, rows, 2).
 
-    A row whose model frequency ``f_model[k]`` (MHz) reaches the Nyquist frequency
-    of ``t`` would alias and is not fitted; the other rows are fitted in one
-    stacked call.  A row the fit rejects (a grid under 10 points rejects every
-    row, and a grid of one point has no Nyquist frequency) and an aliased row
-    read NaN and raise a ``RuntimeWarning`` naming figure, panel, column and
-    reason, in column order.
+    ``traces`` (panels, rows, n) holds one map per name in ``panels``, on the
+    dwell grid ``t``.  A row whose model frequency (MHz; ``f_model`` is
+    (panels, rows), or (rows,) shared by the panels) reaches the Nyquist
+    frequency of ``t`` would alias and is not fitted; all other rows of all
+    panels are fitted in one stacked call, each as if alone, so the figure
+    pays the fit's fixed cost once.  A row the fit rejects (a grid under 10
+    points rejects every row, and a grid of one point has no Nyquist
+    frequency) and an aliased row read NaN and raise a ``RuntimeWarning``
+    naming figure, panel, column and reason, panel by panel in column order.
     """
     f_nyq = 0.5e3 / (t[1] - t[0]) if len(t) > 1 else np.inf
-    aliased = np.asarray(f_model) >= f_nyq
-    rows = np.full((len(traces), 2), np.nan)
-    reasons = np.full(len(traces), "", dtype=object)
+    f_model = np.broadcast_to(f_model, traces.shape[:-1])
+    aliased = f_model >= f_nyq
+    rows = np.full(aliased.shape + (2,), np.nan)
+    reasons = np.full(aliased.shape, "", dtype=object)
     try:
         fit = fit_damped_cosine(t, traces[~aliased])
         rows[~aliased] = np.column_stack([fit.f, fit.visibility])
         reasons[~aliased] = fit.reason
     except ValueError as err:
         reasons[~aliased] = str(err)
-    for k, reason in enumerate(reasons):
-        if aliased[k]:
-            reason = (f"model frequency {f_model[k]:.1f} MHz is at or above the dwell grid's "
+    for (i, k), reason in np.ndenumerate(reasons):
+        if aliased[i, k]:
+            reason = (f"model frequency {f_model[i, k]:.1f} MHz is at or above the dwell grid's "
                       f"Nyquist frequency {f_nyq:.1f} MHz")
         if reason:
-            warnings.warn(f"{figure} panel {panel} column {k}: {reason}", RuntimeWarning,
+            warnings.warn(f"{figure} panel {panels[i]} column {k}: {reason}", RuntimeWarning,
                           stacklevel=2)
     return rows
 
@@ -352,23 +358,24 @@ def figure_fig3e(out_dir: Path, params: dict, seed: int) -> list[str]:
     noise = _noise(params, "fig3e.tphi_ns")
     sums = np.stack(sweep.sums(dvp), axis=-1)
     targets = sweep.config(dvp)
-    files, j_fit = [], {}
+    names, files, maps = ("vertical", "horizontal"), [], []
     # the vertical readout oscillates at jx/2 (sums column 0), the horizontal one at jy/2
-    for panel, (name, direction) in enumerate(zip(("vertical", "horizontal"), BOTH_READOUTS[::-1])):
+    for panel, (name, direction) in enumerate(zip(names, BOTH_READOUTS[::-1])):
         seq = PulseSequence(st_product_state(direction), (hold(targets, 0.0),), t)
         ref = sums[:, panel] / 2
         ideal, shots = _scan(run_sequence(seq, noise, noise_reference_mhz=ref), (direction,),
                              IDX_ST, (seed, "fig3e", panel), params["readout.n_shots"])
         files.append(_write_map_csv(out_dir / f"fig3e_map_{name}.csv", "dvp_mv", dvp, t,
                                     ideal[0], shots[0]))
-        j_fit[name] = 2 * _fit_rows(t, shots[0], sums[:, panel] / 2, "fig3e", name)[:, 0]
+        maps.append(shots[0])
+    j_fit = 2 * _fit_rows(t, np.array(maps), sums.T / 2, "fig3e", names)[..., 0]
 
     sigmas = np.array([_calibration_sigmas(sweep, jx, jy) for jx, jy in sums])
     path = out_dir / "fig3e_exchange.csv"
     write_csv(path, {
         "dvp_mv": dvp,
-        "jx_fit_mhz": j_fit["vertical"],
-        "jy_fit_mhz": j_fit["horizontal"],
+        "jx_fit_mhz": j_fit[0],
+        "jy_fit_mhz": j_fit[1],
         "jx_model_mhz": sums[:, 0],
         "jy_model_mhz": sums[:, 1],
         "sigma_jx_mhz": sigmas[:, 0],
@@ -431,13 +438,12 @@ def figure_fig4ef(out_dir: Path, params: dict, seed: int) -> list[str]:
     sweep, dvp, t, _, shots = _fig4cd_maps(params, seed)
     theory = _theory_columns(sweep, dvp, lambda jx, jy: (f_ss(jx, jy), *visibilities(jx, jy)),
                              ("f_{}_mhz", "vx_{}", "vy_{}"))
-    fits = [(panel, _fit_rows(t, s, theory["f_theory_mhz"], "fig4ef", panel))
-            for panel, s in zip("xy", shots)]
+    fits = _fit_rows(t, shots, theory["f_theory_mhz"], "fig4ef", "xy")
     path = out_dir / "fig4ef_extraction.csv"
     write_csv(path, {
         "dvp_mv": dvp,
-        **{f"f_fit_{panel}_mhz": fit[:, 0] for panel, fit in fits},
-        **{f"vis_fit_{panel}": fit[:, 1] for panel, fit in fits},
+        **{f"f_fit_{panel}_mhz": fit[:, 0] for panel, fit in zip("xy", fits)},
+        **{f"vis_fit_{panel}": fit[:, 1] for panel, fit in zip("xy", fits)},
         **theory,
     })
     return [str(path)]

@@ -27,8 +27,10 @@ be finite and >= 0, and a ``dwell range`` makes at most
 
 CSV emitters format floats with %.10g so reruns are byte-identical, a block
 of rows (``_CSV_BLOCK_ROWS``) in one ``%`` operation, so a long table
-never holds more than one block as Python values and text; JSON files are
-strict JSON, with a NaN or infinite float written as ``null``.
+never holds more than one block as Python values and text; a map's axis
+column, a shorter column repeated or tiled, formats each of its values once.
+JSON files are strict JSON, with a NaN or infinite float written as
+``null``, written in one piece.
 """
 
 from __future__ import annotations
@@ -87,6 +89,8 @@ def load_config(path) -> dict:
 
 #: Rows :func:`write_csv` formats in one ``%`` operation.
 _CSV_BLOCK_ROWS = 4096
+#: Fewest rows at which :func:`write_csv` looks for repeated or tiled columns.
+_CSV_AXIS_MIN_ROWS = 256
 
 
 def write_csv(path, columns: dict[str, np.ndarray]) -> None:
@@ -94,13 +98,24 @@ def write_csv(path, columns: dict[str, np.ndarray]) -> None:
 
     Rows are formatted in blocks of ``_CSV_BLOCK_ROWS``: the block's
     values, interleaved row by row, fill the row format repeated once per row.
+    In a table of at least ``_CSV_AXIS_MIN_ROWS`` rows, a float64 or int64
+    column that is ``np.repeat`` or ``np.tile`` of a shorter one, bit for bit
+    (a map's sweep and time axes), formats each value of that shorter column
+    once and enters the row format as those strings (:func:`_axis_strings`);
+    the bytes are the same.
     """
     names = list(columns)
     arrays = [np.asarray(columns[name]).ravel() for name in names]
     n = len(arrays[0])
     if any(len(a) != n for a in arrays):
         raise ValueError("all columns must have the same length")
-    row = ",".join("%d" if np.issubdtype(a.dtype, np.integer) else "%.10g" for a in arrays) + "\n"
+    formats = ["%d" if np.issubdtype(a.dtype, np.integer) else "%.10g" for a in arrays]
+    if n >= _CSV_AXIS_MIN_ROWS:
+        for k, (a, fmt) in enumerate(zip(arrays, formats)):
+            strings = _axis_strings(a, fmt)
+            if strings is not None:
+                arrays[k], formats[k] = strings, "%s"
+    row = ",".join(formats) + "\n"
     width = len(arrays)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
@@ -110,6 +125,29 @@ def write_csv(path, columns: dict[str, np.ndarray]) -> None:
             for k, column in enumerate(block):
                 values[k::width] = column
             fh.write(row * len(block[0]) % tuple(values))
+
+
+def _axis_strings(a: np.ndarray, fmt: str) -> np.ndarray | None:
+    """``a``'s cells as ``fmt`` strings (an object array) if it repeats or tiles a shorter column.
+
+    A float64 or int64 column ``a`` of n cells qualifies as ``np.repeat(v, k)``,
+    k > 1 the length of its first run, or as ``np.tile(v, n // p)``, 1 < p < n
+    the first place its first value recurs; each value of ``v`` is formatted
+    once.  Cells compare as their int64 view, so -0.0 and each NaN payload
+    are values of their own.  Any other column returns None and is formatted
+    cell by cell.  The check is a few passes over ``a``.
+    """
+    if a.dtype not in (np.float64, np.int64) or len(a) < 2:
+        return None
+    bits = a.view(np.int64)
+    n = len(bits)
+    k = int(np.argmax(bits != bits[0])) or n  # no other value: one run of n
+    if k > 1 and n % k == 0 and (bits.reshape(-1, k) == bits[::k, None]).all():
+        return np.repeat(np.array([fmt % x for x in a[::k].tolist()], dtype=object), k)
+    p = int(np.argmax(bits[1:] == bits[0])) + 1  # 1 also when the first value never recurs
+    if p > 1 and n % p == 0 and np.array_equal(bits[p:], bits[:-p]):
+        return np.tile(np.array([fmt % x for x in a[:p].tolist()], dtype=object), n // p)
+    return None
 
 
 def read_csv(path) -> dict[str, np.ndarray]:
@@ -134,10 +172,14 @@ def _finite_or_none(value):
 
 
 def write_json(path, payload: dict) -> None:
-    """Write ``payload`` as strict JSON: a non-finite float becomes ``null``."""
+    """Write ``payload`` as strict JSON: a non-finite float becomes ``null``.
+
+    The text, with its trailing newline, is built whole and written in one
+    call (``json.dump`` writes each of its encoder's chunks on its own).
+    """
+    text = json.dumps(_finite_or_none(payload), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", newline="\n") as fh:
-        json.dump(_finite_or_none(payload), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -618,8 +618,9 @@ def test_fig3e_failed_column_fits_read_nan(tmp_path):
     # that column reads NaN and warns, the figure still completes
     with pytest.warns(RuntimeWarning, match=r"^fig3e panel vertical column \d+: trace spans") as record:
         run_figure("fig3e", tmp_path, seed=0, overrides=FAR_SWEEP)
-    failed = sorted(int(re.search(r"column (\d+)", str(w.message)).group(1)) for w in record)
+    failed = [int(re.search(r"column (\d+)", str(w.message)).group(1)) for w in record]
     data = read_csv(tmp_path / "fig3e_exchange.csv")
+    # warned in column order
     assert failed and failed == np.flatnonzero(np.isnan(data["jx_fit_mhz"])).tolist()
     ok = np.ones(len(data["dvp_mv"]), dtype=bool)
     ok[failed] = False
@@ -627,6 +628,26 @@ def test_fig3e_failed_column_fits_read_nan(tmp_path):
     for name, column in data.items():
         if name != "jx_fit_mhz":
             assert np.all(np.isfinite(column)), name
+
+
+#: The panels of each figure that fits maps, in the order it warns about them.
+_PANELS = {"fig3e": ("vertical", "horizontal"), "fig4ef": ("x", "y")}
+
+
+@pytest.mark.parametrize("name, rows, n", [("fig3e", 24, 151), ("fig4ef", 24, 81)])
+def test_fig3e_and_fig4ef_fit_both_panels_in_one_call(tmp_path, monkeypatch, name, rows, n):
+    # the figure pays the fit's fixed cost once: one stacked call of every row of both panels
+    from rvbsim import experiments
+
+    stacks = []
+
+    def counted(t, p):
+        stacks.append(np.shape(p))
+        return fit_damped_cosine(t, p)
+
+    monkeypatch.setattr(experiments, "fit_damped_cosine", counted)
+    run_figure(name, tmp_path, seed=0)
+    assert stacks == [(2 * rows, n)]
 
 
 @pytest.mark.parametrize("name, grid, csv, fitted", [
@@ -639,10 +660,10 @@ def test_one_point_dwell_grid_reads_nan_rows_with_warnings(tmp_path, name, grid,
     overrides = {f"{grid}.t_points": 1, "fig3e.dvp_points": 3, "noise.n_samples": 4}
     with pytest.warns(RuntimeWarning) as record:
         run_figure(name, tmp_path, seed=0, overrides=overrides)
-    messages = sorted(str(w.message) for w in record)
-    panels = {"fig3e": ("horizontal", "vertical"), "fig4ef": ("x", "y")}[name]
+    messages = [str(w.message) for w in record]
+    # panel by panel, in column order
     assert messages == [f"{name} panel {panel} column {k}: need at least 10 points to fit"
-                        for panel in panels for k in range(3)]
+                        for panel in _PANELS[name] for k in range(3)]
     data = read_csv(tmp_path / csv)
     for column in data:
         assert np.all(np.isnan(data[column]) == (column in fitted)), column
@@ -676,8 +697,13 @@ def test_rows_above_nyquist_read_nan(tmp_path, name, csv, grid, model):
     # from -60 mV up jx runs 838, 365, 159, ... MHz against the dwell grid's 250 MHz
     # Nyquist frequency; a row's model frequency (jx/2, jy/2 or f_ss) decides whether it aliases
     overrides = {"fig3e.dvp_min_mv": -60.0, "fig3e.dvp_points": 6, "noise.n_samples": 8}
-    with pytest.warns(RuntimeWarning, match=rf"^{name} panel \w+ column \d+: model frequency"):
+    with pytest.warns(RuntimeWarning, match=rf"^{name} panel \w+ column \d+: model frequency") \
+            as record:
         run_figure(name, tmp_path, seed=0, overrides=overrides)
+    warned = [re.match(rf"{name} panel (\w+) column (\d+): ", str(w.message)).groups()
+              for w in record]
+    order = [(_PANELS[name].index(panel), int(k)) for panel, k in warned]
+    assert order == sorted(order)  # panel by panel, in column order
     params = resolve_params(overrides)
     f_nyq = 0.5e3 * (params[f"{grid}.t_points"] - 1) / params[f"{grid}.t_max_ns"]
     data = read_csv(tmp_path / csv)

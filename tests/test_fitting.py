@@ -658,6 +658,28 @@ def test_stack_fit_equals_fits_of_its_rows(rows, n, per_row_t, jittered_row, sho
         assert_allclose(stack.sigmas[k][finite], fit.sigmas[finite], rtol=1e-12)
 
 
+@_PROPERTY
+@given(st.integers(1, 8), st.integers(40, 151), st.integers(0, 1), _seeds)
+def test_panel_stack_fit_equals_the_fit_of_each_panel(rows, n, flat_panel, seed):
+    # a figure fits both panels' maps (2, rows, n) in one call: every field, the
+    # covariance and the reason equal those of the two (rows, n) fits bit for bit,
+    # a row the fit rejects (one flat row, in either panel) included
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 300.0, n)
+    f = rng.uniform(5.0, 0.2 * (n - 1), (2, rows, 1)) / 300.0 * 1e3
+    truth = damped_cosine(t, 0.3, f, rng.uniform(-np.pi, np.pi, (2, rows, 1)),
+                          rng.uniform(100.0, 600.0, (2, rows, 1)), 0.5)
+    p = rng.binomial(500, np.clip(truth, 0.0, 1.0)) / 500
+    p[flat_panel, rng.integers(rows)] = 0.5
+    stack = fit_damped_cosine(t, p)
+    panels = [fit_damped_cosine(t, p[i]) for i in range(2)]
+    assert "no spectral peak above the noise floor" in stack.reason[flat_panel]
+    for i, alone in enumerate(panels):
+        assert np.array_equal(_fields(stack)[:, i], _fields(alone), equal_nan=True)
+        assert np.array_equal(stack.covariance[i], alone.covariance, equal_nan=True)
+        assert np.array_equal(stack.reason[i], alone.reason)
+
+
 def test_stack_fit_rows_that_fail_read_nan_with_their_reason():
     # a flat row, a row peaked at the Nyquist frequency and a row under 1.5
     # periods fail alone: the other rows keep every bit of a stack without them

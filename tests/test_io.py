@@ -308,6 +308,88 @@ def test_csv_longer_than_one_block_matches_the_row_formatter(tmp_path):
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
+def _block_csv(path, columns) -> None:
+    """``write_csv`` before it looked for axis columns, every cell formatted on its own:
+    the oracle of its axis strings."""
+    names = list(columns)
+    arrays = [np.asarray(columns[name]).ravel() for name in names]
+    n = len(arrays[0])
+    row = ",".join("%d" if np.issubdtype(a.dtype, np.integer) else "%.10g" for a in arrays) + "\n"
+    width = len(arrays)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(names) + "\n")
+        for lo in range(0, n, io._CSV_BLOCK_ROWS):
+            block = [a[lo:lo + io._CSV_BLOCK_ROWS].tolist() for a in arrays]
+            values = [None] * (width * len(block[0]))
+            for k, column in enumerate(block):
+                values[k::width] = column
+            fh.write(row * len(block[0]) % tuple(values))
+
+
+#: axis values: few distinct ones, so that a value repeats inside one period, and any float
+_AXIS_FLOATS = st.one_of(st.sampled_from((0.0, -0.0, 1.0, np.nan)), st.sampled_from(_SPECIAL_FLOATS),
+                         st.floats())
+_AXIS_INTS = st.one_of(st.integers(-1, 1), st.integers(-(2**62), 2**62))
+#: edits of one cell of an axis column, on its int64 view: the sign bit (0.0 to -0.0),
+#: the last bit (a period that misses by one bit), or a NaN of its own payload
+_AXIS_EDITS = {
+    "sign": lambda bits: bits ^ np.iinfo(np.int64).min,
+    "bit": lambda bits: bits ^ 1,
+    "nan": lambda bits: np.array(np.nan).view(np.int64) | 1,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans(), st.integers(1, 8), st.integers(1, 8), st.sampled_from([None, *_AXIS_EDITS]),
+       st.sampled_from([1, 3, io._CSV_AXIS_MIN_ROWS]), st.integers(1, 40), st.data())
+def test_axis_csv_bytes_match_the_block_formatter(tmp_path_factory, ints, m, k, edit, least,
+                                                  block, data):
+    # a map table: a sweep column repeated, a time column tiled, a value column; ints,
+    # NaN, +-0, subnormals and floored values, an axis cell edited inside its run or
+    # period, and tables above and below the row count where axis columns are looked for
+    values = _AXIS_INTS if ints else _AXIS_FLOATS
+    dtype = np.int64 if ints else float
+    sweep, t = (np.array(data.draw(st.lists(values, min_size=size, max_size=size)), dtype=dtype)
+                for size in (m, k))
+    cols = {"sweep": np.repeat(sweep, k), "t_ns": np.tile(t, m),
+            "p": np.array(data.draw(st.lists(_CSV_COLUMNS["snapped"][0], min_size=m * k,
+                                             max_size=m * k)))}
+    if edit is not None:
+        column = cols[data.draw(st.sampled_from(["sweep", "t_ns"]))].view(np.int64)
+        cell = data.draw(st.integers(0, m * k - 1))
+        column[cell] = _AXIS_EDITS[edit](column[cell])
+    tmp = tmp_path_factory.mktemp("csv")
+    with mock.patch.object(io, "_CSV_BLOCK_ROWS", block):
+        _block_csv(tmp / "reference.csv", cols)
+        with mock.patch.object(io, "_CSV_AXIS_MIN_ROWS", least):
+            write_csv(tmp / "axes.csv", cols)
+    assert (tmp / "axes.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
+
+
+def test_axis_strings_take_only_bit_exact_repeats_and_tiles():
+    v = np.array([0.0, 1.5, np.nan, -2.0, 5e-324])
+    strings = ["0", "1.5", "nan", "-2", "4.940656458e-324"]
+    assert io._axis_strings(np.repeat(v, 3), "%.10g").tolist() == list(np.repeat(strings, 3))
+    assert io._axis_strings(np.tile(v, 3), "%.10g").tolist() == strings * 3
+    assert io._axis_strings(np.full(4, -0.0), "%.10g").tolist() == ["-0"] * 4
+    assert io._axis_strings(np.tile(np.arange(4), 2), "%d").tolist() == ["0", "1", "2", "3"] * 2
+    # a -0.0 in a run of 0.0, a NaN of another payload, a period one bit off: cell by cell
+    run = np.repeat(v, 3)
+    run[1] = -0.0
+    assert io._axis_strings(run, "%.10g") is None
+    run = np.repeat(v, 3)
+    run.view(np.int64)[7] |= 1
+    assert np.isnan(run[7]) and io._axis_strings(run, "%.10g") is None
+    tiled = np.tile(v, 3)
+    tiled.view(np.int64)[-2] ^= 1
+    assert io._axis_strings(tiled, "%.10g") is None
+    # the first value recurring inside the period, a column of other values, too short a
+    # column and a column of another type are formatted cell by cell as well
+    for column in (np.tile([1.0, 2.0, 1.0, 3.0], 3), np.arange(12.0), np.array([7.0]),
+                   np.repeat(np.arange(4, dtype=np.int32), 3), np.repeat(v, 3).astype(np.float32)):
+        assert io._axis_strings(column, "%.10g") is None
+
+
 def test_json_writes_non_finite_floats_as_null(tmp_path):
     path = tmp_path / "payload.json"
     write_json(path, {"a": np.nan, "b": [1.5, np.float64(np.inf), (-np.inf, 2)],
