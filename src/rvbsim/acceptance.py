@@ -112,12 +112,12 @@ def check_visibility_law(seed: int = 0) -> CheckResult:
     worst = 0.0
     anti_ok = True
     sx = singlet_x()
+    p0_x = pair_probabilities_batch(sx.amplitudes, ReadoutDirection.HORIZONTAL)[0]
+    p0_y = pair_probabilities_batch(sx.amplitudes, ReadoutDirection.VERTICAL)[0]
     for jx, jy in cases:
         vx, vy = visibilities(jx, jy) if (jx or jy) else (0, 0)
         h = heisenberg_full(ExchangeConfig.balanced(jx, jy))
         half = 0.5e3 / f_ss(jx, jy)
-        p0_x = pair_probabilities_batch(sx.amplitudes, ReadoutDirection.HORIZONTAL)[0]
-        p0_y = pair_probabilities_batch(sx.amplitudes, ReadoutDirection.VERTICAL)[0]
         psi = evolve(sx, h, half)
         ph_x = pair_probabilities_batch(psi.amplitudes, ReadoutDirection.HORIZONTAL)[0]
         ph_y = pair_probabilities_batch(psi.amplitudes, ReadoutDirection.VERTICAL)[0]

@@ -55,23 +55,22 @@ over eigenvalue pairs:
 p_o(t) = sum_jl c_j c_l^* <v_l|P_o|v_j> exp(-i w_jl t) exp(-(w_jl t sigma_f/f_ref)^2 / 2),
 w_jl = W2PI (E_j - E_l), the Gaussian characteristic function in closed form;
 in the 2-dim singlet block it is A cos(2 pi f t) exp(-(t/T_phi)^2) + A0.
-Such a column costs one ``eigh`` of H.  Every other column (a timed pulse
-before the dwell, a Zeeman field, a run without noise or without a dwell
-grid) runs the trajectories at the nodes of a Gauss-Hermite rule and averages
-them with its weights, which integrates the same characteristic function
-without sampling error.  Against the closed form, the default 16 nodes are off
-by 2.4e-6 at most on fig4b (dwell to ~2.7 T_phi), 4.5e-7 on fig3d, 8.2e-8 on
-fig3e, 7.7e-9 on fig3c, and by round-off on the singlet-block maps, which
-dwell to ~1.2 T_phi.
+Such a column costs one ``eigh`` of H and keeps that spectrum, no amplitudes.
+Every other column (a timed pulse before the dwell, a Zeeman field, a run
+without noise or without a dwell grid) runs the trajectories at the nodes of a
+Gauss-Hermite rule and averages them with its weights, which integrates the
+same characteristic function without sampling error.  Against the closed
+form, the default 16 nodes are off by 2.4e-6 at most on fig4b (dwell to ~2.7
+T_phi), 4.5e-7 on fig3d, 8.2e-8 on fig3e, 7.7e-9 on fig3c, and by round-off on
+the singlet-block maps, which dwell to ~1.2 T_phi.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -254,10 +253,10 @@ class NoiseModel:
     :data:`MAX_QUADRATURE_NODES`): an n-node rule averages any polynomial of
     degree below 2n in the offset exactly (Golub & Welsch, Math. Comp. 23,
     221 (1969)).  The rule serves only the columns that have no closed-form
-    average (module docstring) and :attr:`SequenceResult.amplitudes`; which
-    columns have one does not depend on it.  The rule is deterministic, so
-    ``seed`` does not affect a run; it is kept so that existing callers still
-    construct the model.
+    average (module docstring), the columns of :attr:`SequenceResult.amplitudes`;
+    which columns have one does not depend on it.  The rule is deterministic,
+    so ``seed`` does not affect a run; it is kept so that existing callers
+    still construct the model.
     """
 
     sigma_f: float
@@ -463,39 +462,29 @@ class DwellSpectra:
 class SequenceResult:
     """States returned by :func:`run_sequence`, or the spectra that stand for them.
 
-    ``amplitudes`` holds the states in the invariant sector the sequence ran
-    in, shape ([n_columns,] n_nodes, n_dwell, d) with ``sector`` the basis of
-    the d coordinates: the leading column axis is there exactly when the
-    sequence has one.  A noiseless run is a one-node ensemble, and without a
-    dwell grid the n_dwell axis is 1.  ``weights`` are the quadrature weights
-    of the noise nodes (``[1.0]`` without noise), shared by all columns.  Read
-    a result out with :func:`rvbsim.readout.ensemble_probabilities`.
-
     ``exact`` (column shape, bool) marks the columns whose Gaussian ensemble
     average is read out in closed form from ``spectra`` (module docstring);
-    ``quadrature_amplitudes`` holds the amplitudes, (n, n_nodes, n_dwell, d),
-    of the other n columns in order.  ``amplitudes`` covers every column: when
-    a column is exact it is built on first access by the same node evolution
-    as the other columns, bit for bit what it would be had no column been
-    exact.
+    such a column keeps its spectrum only.  ``amplitudes`` holds the states of
+    the other columns in the invariant sector the sequence ran in, with
+    ``sector`` the basis of their d coordinates.  When no column is exact it
+    covers every column, shape ([n_columns,] n_nodes, n_dwell, d), the leading
+    column axis there exactly when the sequence has one; otherwise it holds the
+    n columns not exact, in column order, shape (n, n_nodes, n_dwell, d).  A
+    noiseless run is a one-node ensemble, and without a dwell grid the n_dwell
+    axis is 1.  ``weights`` are the quadrature weights of the noise nodes
+    (``[1.0]`` without noise), shared by all columns.  Read a result out with
+    :func:`rvbsim.readout.ensemble_probabilities`.
     """
 
     sector: Basis
     weights: np.ndarray
     exact: np.ndarray
     spectra: DwellSpectra | None
-    quadrature_amplitudes: np.ndarray
-    _build: Callable[[], np.ndarray] = field(repr=False)
-
-    @cached_property
-    def amplitudes(self) -> np.ndarray:
-        """Sector amplitudes ([n_columns,] n_nodes, n_dwell, d) of every column."""
-        amps = self.quadrature_amplitudes if self.spectra is None else self._build()
-        return amps.reshape(self.exact.shape + amps.shape[1:])
+    amplitudes: np.ndarray
 
     @property
     def states(self) -> np.ndarray:
-        """Full-space states (..., n_nodes, n_dwell, 16), lifted from the amplitudes on each access."""
+        """Full-space states (..., n_nodes, n_dwell, 16) of ``amplitudes``, lifted per access."""
         return lift(self.amplitudes, self.sector)
 
 
@@ -801,23 +790,22 @@ def run_sequence(
     if noise is not None and grid is not None and not np.any(zh):
         exact = (nodes == nodes[:, :1]).all(axis=(1, 2))
 
-    def dwell(columns: np.ndarray | slice = slice(None)) -> np.ndarray:
-        """Quadrature amplitudes (n, n_nodes, n_dwell, d) of the n columns ``columns`` selects."""
-        start = nodes[columns]
-        if grid is None:
-            return start[:, :, None, :]
-        if not len(start):
-            return np.empty((0, n_nodes, grid.shape[-1], start.shape[-1]), dtype=complex)
-        times = grid[None, :] if grid.ndim == 1 else np.repeat(grid[columns], n_nodes, axis=0)
-        out = _evolve_ensemble(start.reshape(-1, start.shape[-1]), couplings[-1][columns], bonds,
-                               zh, lam.reshape(n_cols, n_nodes)[columns].ravel(), times)
-        return out.reshape(len(start), n_nodes, *out.shape[1:])
-
-    spectra, on_nodes = None, slice(None)
+    spectra = None
     if exact.any():
         w, v = np.linalg.eigh(np.einsum("cb,bij->cij", couplings[-1][exact], bonds))
         coords = (v.conj() * nodes[exact, 0][:, :, None]).sum(axis=1)
         spectra = DwellSpectra(w, v, coords, noise.sigma_f / f_ref[exact],
                                grid[None, :] if grid.ndim == 1 else grid[exact])
-        on_nodes = ~exact
-    return SequenceResult(sector, weights, exact.reshape(cols), spectra, dwell(on_nodes), dwell)
+    # every other column runs its node trajectories over the dwell grid
+    start, d = nodes[~exact], nodes.shape[-1]
+    if grid is None:
+        amps = start[:, :, None, :]
+    elif not len(start):
+        amps = np.empty((0, n_nodes, grid.shape[-1], d), dtype=complex)
+    else:
+        times = grid[None, :] if grid.ndim == 1 else np.repeat(grid[~exact], n_nodes, axis=0)
+        amps = _evolve_ensemble(start.reshape(-1, d), couplings[-1][~exact], bonds, zh,
+                                lam.reshape(n_cols, n_nodes)[~exact].ravel(), times)
+        amps = amps.reshape(len(start), n_nodes, -1, d)
+    return SequenceResult(sector, weights, exact.reshape(cols), spectra,
+                          amps if exact.any() else amps.reshape(cols + amps.shape[1:]))

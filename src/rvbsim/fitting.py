@@ -353,10 +353,10 @@ def _bounded_lm(t, p, x, lower, upper) -> np.ndarray:
     is not amplified; mu starts at 1e-6, near Gauss-Newton, because the seed
     is close, and follows Nielsen's gain-ratio update (Madsen, Nielsen &
     Tingleff 2004).  A parameter on a bound whose gradient points out of the
-    box is held (the active set); the others take the damped
-    Gauss-Newton step, projected back into the box.  A step is kept when it
-    lowers the cost ||r||^2.  Stops, without taking it, at the first
-    unprojected step whose predicted reduction is at most _FTOL cost +
+    box, or that the damped Gauss-Newton step pushes out, is held (the active
+    set); the others take that step, projected back into the box.  A step is
+    kept when it lowers the cost ||r||^2.  Stops, without taking it, at the
+    first unprojected step whose predicted reduction is at most _FTOL cost +
     (_XTOL ||p||)^2, i.e. nothing left to gain above round-off, or after
     _MAX_EVAL model evaluations.  A kappa that the same floor cannot tell
     from its lower bound is then put on it.
@@ -375,13 +375,15 @@ def _bounded_lm(t, p, x, lower, upper) -> np.ndarray:
         d2 = np.maximum(d2, jtj[:, diag, diag])
         d2 = np.maximum(d2, 1e-15 * d2.max(axis=-1, keepdims=True))
         held = ((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0))
-        m = jtj.copy()
-        m[:, diag, diag] += mu[:, None] * d2
-        # identity rows and columns pin the held steps to 0
-        m[held[:, :, None] | held[:, None, :]] = 0.0
-        m[:, diag, diag] = np.where(held, 1.0, m[:, diag, diag])
-        trial = x + np.linalg.solve(m, np.where(held, 0.0, -g)[..., None])[..., 0]
+        trial = x + _held_step(jtj, mu[:, None] * d2, g, held)
         x_new = np.minimum(np.maximum(trial, lower), upper)
+        # a bound parameter that the coupled step pushes out is held too, its row re-solved
+        pushed = (x_new != trial) & (x_new == x)
+        if pushed.any():
+            held, again = held | pushed, pushed.any(axis=-1)
+            trial[again] = x[again] + _held_step(jtj[again], mu[again, None] * d2[again],
+                                                 g[again], held[again])
+            x_new = np.minimum(np.maximum(trial, lower), upper)
         step = x_new - x
         predicted = -(2 * np.einsum("ki,ki->k", g, step)
                       + np.einsum("ki,kij,kj->k", step, jtj, step))
@@ -410,6 +412,15 @@ def _bounded_lm(t, p, x, lower, upper) -> np.ndarray:
         nu = np.where(up, 2.0, 2 * nu)
     out[rows] = _snap_to_undamped(x, jac, lower, floor)
     return out
+
+
+def _held_step(jtj, damping, g, held) -> np.ndarray:
+    """Solve (jtj + diag(damping)) step = -g per row (rows, 5), the held steps pinned to 0."""
+    m, diag = jtj.copy(), np.arange(5)
+    m[:, diag, diag] += damping
+    m[held[:, :, None] | held[:, None, :]] = 0.0  # identity rows and columns
+    m[:, diag, diag] = np.where(held, 1.0, m[:, diag, diag])
+    return np.linalg.solve(m, np.where(held, 0.0, -g)[..., None])[..., 0]
 
 
 def _gram(jac: np.ndarray) -> np.ndarray:

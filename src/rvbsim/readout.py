@@ -146,27 +146,27 @@ def _spectral_probabilities(spectra, direction: ReadoutDirection, basis: Basis) 
 def ensemble_probabilities(result, direction: ReadoutDirection) -> np.ndarray:
     """Ensemble-averaged joint outcome probabilities (..., n_dwell, 4) of a sequence result.
 
-    A column on the quadrature reads its amplitudes, (n_nodes, n_dwell, d) in
-    ``result.sector``, and sums its nodes with ``result.weights``; a noiseless
-    result is a one-node ensemble.  A column marked in ``result.exact`` is the
-    closed-form Gaussian average of its ``result.spectra``, whatever the node
-    count.  The result of a sweep, which has a leading column axis, reads out to
-    (n_columns, n_dwell, 4).  Columns are read out in blocks of about
+    A column on the quadrature reads its ``result.amplitudes``, (n_nodes,
+    n_dwell, d) in ``result.sector``, and sums its nodes with ``result.weights``;
+    a noiseless result is a one-node ensemble.  A column marked in
+    ``result.exact`` has no amplitudes: it is the closed-form Gaussian average
+    of its ``result.spectra``, whatever the node count.  The result of a sweep,
+    which has a leading column axis, reads out to (n_columns, n_dwell, 4).
+    Columns are read out in blocks of about
     :data:`~rvbsim.dynamics.BLOCK_STATES` states, or phase factors.
     """
     exact = result.exact.reshape(-1)
-    amps = result.quadrature_amplitudes
-    n_nodes, n_dwell = amps.shape[1:3]
+    n_nodes, n_dwell, d = result.amplitudes.shape[-3:]
+    amps = result.amplitudes.reshape(-1, n_nodes, n_dwell, d)
     quad = np.empty((len(amps), n_dwell * 4))
     step = max(1, BLOCK_STATES // (n_nodes * n_dwell))
     # one (nodes,) x (nodes, n_dwell * 4) product per column
     for i in range(0, len(amps), step):
         quad[i:i + step] = result.weights @ pair_probabilities_batch(
             amps[i:i + step], direction, result.sector).reshape(-1, n_nodes, n_dwell * 4)
-    mean = quad.reshape(-1, n_dwell, 4)
+    mean = np.empty((len(exact), n_dwell, 4))
+    mean[~exact] = quad.reshape(-1, n_dwell, 4)
     if result.spectra is not None:
-        mean = np.empty((len(exact), n_dwell, 4))
-        mean[~exact] = quad.reshape(-1, n_dwell, 4)
         mean[exact] = _spectral_probabilities(result.spectra, direction, result.sector)
     return mean.reshape(result.exact.shape + (n_dwell, 4))
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hamiltonian_blocks import singlet_block
-from quadrature_reference import quadrature_readout
+from quadrature_reference import quadrature_readout, reference_run
 from rvbsim import dynamics, readout
 from rvbsim.basis import (
     Basis,
@@ -403,6 +403,7 @@ _OWN_BASIS = {"singlet_x": Basis.GLOBAL_SINGLET_2, "singlet_y": Basis.GLOBAL_SIN
 @example("m1", 3, [20.0, 5.0, 30.0, 8.0, 12.0, 40.0, 3.0, 25.0], 13.0, True, True, True)
 @example("tptm", 4, [20.0, 5.0, 30.0, 8.0, 12.0, 40.0, 3.0, 25.0], 13.0, True, True, True)
 @example("singlet_x", 5, [20.0, 5.0, 30.0, 8.0, 12.0, 40.0, 3.0, 25.0], 13.0, True, True, True)
+@example("singlet_x", 0, [1.0] * 8, 0.0, False, True, False)  # read out in closed form
 def test_run_sequence_matches_full_space_evolution(kind, seed, bonds, duration, with_zeeman,
                                                    with_noise, in_own_basis):
     # every sector choice, noise and field setting reproduces per-trajectory
@@ -441,7 +442,13 @@ def test_run_sequence_matches_full_space_evolution(kind, seed, bonds, duration, 
         mid = evolve(init, s * heisenberg_full(j0) + hz, duration)
         expected.append([evolve(mid, s * heisenberg_full(j1) + hz, t).amplitudes for t in dwell])
     expected = np.array(expected)
-    assert_allclose(res.states, expected, atol=1e-10)
+    states = res.states
+    if res.exact:
+        # a closed-form column keeps its spectrum: node s is V exp(-i W2PI s E t) c
+        spectra = res.spectra
+        phases = np.exp(-1j * W2PI * np.multiply.outer(np.outer(scales, dwell), spectra.energies[0]))
+        states = lift((phases * spectra.coords[0]) @ spectra.vectors[0].T, res.sector)
+    assert_allclose(states, expected, atol=1e-10)
 
 
 def test_adiabatic_ramp_prepares_ground_state():
@@ -537,20 +544,24 @@ def test_singlet_block_start_leaving_block_under_zeeman_returns_full_space():
 
 
 def test_sequence_result_keeps_sector_amplitudes_and_lifts_on_access():
+    # a column read out in closed form keeps its spectrum and no amplitudes
     dwell = (0.0, 5.0, 9.0)
     j = ExchangeConfig.balanced(30, 50)
     noise = NoiseModel(sigma_f=1.0, n_samples=4, seed=5)
-    for init, noisy, sector in ((s_wave(), None, Basis.GLOBAL_SINGLET_2),
-                                (ST_INIT, noise, Basis.TRIPLET_MINUS_3)):
+    for init, noisy, zeeman, sector, n_amps in (
+            (s_wave(), None, None, Basis.GLOBAL_SINGLET_2, ()),
+            (ST_INIT, noise, None, Basis.TRIPLET_MINUS_3, (0,)),
+            (ST_INIT, noise, ZeemanConfig(), Basis.TRIPLET_MINUS_PLUS_Q_4, ())):
         seq = PulseSequence(init=init, segments=(set_diabatic(j), hold(j, 0.0)), dwell_times=dwell)
-        res = run_sequence(seq, noisy)
+        res = run_sequence(seq, noisy, zeeman=zeeman)
         n = 1 if noisy is None else noise.n_samples
         assert res.sector is sector
         assert_allclose(res.weights.sum(), 1.0, rtol=0, atol=1e-14)
         assert res.weights.shape == (n,)
-        assert res.amplitudes.shape == (n, len(dwell), sector.dim)
+        assert (res.spectra is None) == (n_amps == ()) == (not res.exact)
+        assert res.amplitudes.shape == (*n_amps, n, len(dwell), sector.dim)
         lifted = res.amplitudes @ subspace_projector(sector).conj()
-        assert res.states.shape == (n, len(dwell), 16)
+        assert res.states.shape == (*n_amps, n, len(dwell), 16)
         assert_allclose(res.states, lifted, rtol=0, atol=0)
 
 
@@ -580,11 +591,15 @@ def test_run_sequence_noise_deterministic_and_enveloped():
     noise = NoiseModel(sigma_f=sigma_from_tphi(130.0))
     res1 = run_sequence(seq, noise)
     res2 = run_sequence(seq, noise)
-    assert_allclose(res1.states, res2.states, atol=0)
-    assert res1.states.shape == (noise.n_samples, len(dwell), 16)
+    assert res1.exact and res1.states.shape == (0, noise.n_samples, len(dwell), 16)
+    for a, b in zip(vars(res1.spectra).values(), vars(res2.spectra).values()):
+        assert np.array_equal(a, b)
 
+    # the node trajectories the closed form stands for, weighted
+    nodes = reference_run(seq, noise)
+    assert nodes.states.shape == (noise.n_samples, len(dwell), 16)
     sx = singlet_x().amplitudes
-    px = res1.weights @ np.abs(res1.states @ sx.conj()) ** 2
+    px = nodes.weights @ np.abs(nodes.states @ sx.conj()) ** 2
     t = np.array(dwell)
     expected, _ = singlet_singlet_probabilities(50, 50, t, sigma_f=noise.sigma_f)
     assert_allclose(px, expected, rtol=0, atol=1e-6)
@@ -622,9 +637,9 @@ def test_singlet_block_column_is_the_gaussian_damped_cosine():
         assert_allclose(p_v[c], py, rtol=0, atol=1e-12)
 
 
-def test_amplitudes_of_closed_form_columns_are_the_quadrature_evolution():
-    # built on first access, by the evolution the quadrature runs, so their bits
-    # are those of a run on which no column is exact
+def test_only_columns_on_the_quadrature_keep_node_amplitudes():
+    # the amplitudes hold the one column on the quadrature, as the node evolution
+    # gives it; the reference evolves every column so, exact ones included
     grid = np.linspace(0.0, 300.0, 31)
     noise = NoiseModel(sigma_f=2.0, n_samples=7)
     refs = np.array([25.0, 4.0, 40.0])  # 4 MHz takes the outer nodes to negative scale
@@ -634,7 +649,8 @@ def test_amplitudes_of_closed_form_columns_are_the_quadrature_evolution():
                                   set_diabatic(_SWEEP_ROWS), hold(_SWEEP_ROWS, 0.0)), grid)
     res = run_sequence(seq, noise, noise_reference_mhz=refs)
     assert res.exact.tolist() == [True, False, True]
-    assert res.quadrature_amplitudes.shape == (1, 7, len(grid), 3)
+    assert res.amplitudes.shape == (1, 7, len(grid), 3)
+    assert res.spectra.energies.shape == (2, 3)
     _, q, _, bonds = _sector(lift(ST_INIT.amplitudes, ST_INIT.basis), None)
     offsets, _ = noise.quadrature()
     lam = (1.0 + offsets[None, :] / refs[:, None]).ravel()
@@ -644,12 +660,35 @@ def test_amplitudes_of_closed_form_columns_are_the_quadrature_evolution():
     pulsed = dynamics._evolve_ensemble(start, _SWEEP_ROWS[::-1], bonds, 0.0, lam, dur)[:, 0]
     start = np.where(dur > 0, pulsed, start)
     expected = dynamics._evolve_ensemble(start, _SWEEP_ROWS, bonds, 0.0, lam, grid[None, :])
-    assert np.array_equal(res.amplitudes, expected.reshape(3, 7, len(grid), 3))
-    assert np.array_equal(res.quadrature_amplitudes, res.amplitudes[~res.exact])
+    expected = expected.reshape(3, 7, len(grid), 3)
+    reference = reference_run(seq, noise, noise_reference_mhz=refs)
+    assert np.array_equal(reference.amplitudes, expected)
+    assert np.array_equal(res.amplitudes, expected[~res.exact])
     for direction in ReadoutDirection:
         # the pulsed column keeps the node-weighted readout bit for bit
         assert np.array_equal(ensemble_probabilities(res, direction)[1],
-                              quadrature_readout(res, direction)[1])
+                              quadrature_readout(res, direction)[0])
+        assert np.array_equal(ensemble_probabilities(res, direction)[1],
+                              quadrature_readout(reference, direction)[1])
+
+
+def test_reading_a_result_evolves_no_nodes():
+    # fig4cd's maps: a noisy hold of a sweep whose columns all read out in closed form,
+    # with one timed pulse on the quadrature; the run evolves its nodes once, and
+    # reading the result out evolves none
+    grid = np.linspace(0.0, 160.0, 81)
+    pulse = np.array([0.0, 0.0, 5.0])
+    seq = PulseSequence(singlet_x(), (exchange_pulse(_SWEEP_ROWS, pulse), set_diabatic(_SWEEP_ROWS),
+                                      hold(_SWEEP_ROWS, 0.0)), grid)
+    with mock.patch.object(dynamics, "_evolve_ensemble", wraps=dynamics._evolve_ensemble) as spy:
+        res = run_sequence(seq, NoiseModel(sigma_from_tphi(130.0)))
+        evolved = spy.call_count
+        amplitudes, states = res.amplitudes, res.states
+        for direction in ReadoutDirection:
+            ensemble_probabilities(res, direction)
+        assert spy.call_count == evolved
+    assert res.exact.tolist() == [True, True, False]
+    assert amplitudes.shape == (1, 16, len(grid), 2) and states.shape == (1, 16, len(grid), 16)
 
 
 @pytest.mark.parametrize("init", [singlet_x(), ST_INIT, MIXED_SZ_INIT])
@@ -658,7 +697,8 @@ def test_zeeman_runs_keep_the_quadrature_bits(init):
                         np.linspace(0.0, 300.0, 31))
     res = run_sequence(seq, NoiseModel(sigma_f=1.5), zeeman=ZeemanConfig())
     assert not res.exact.any() and res.spectra is None
-    assert np.array_equal(res.amplitudes, res.quadrature_amplitudes)
+    reference = reference_run(seq, NoiseModel(sigma_f=1.5), zeeman=ZeemanConfig())
+    assert np.array_equal(res.amplitudes, reference.amplitudes)
     for direction in ReadoutDirection:
         assert np.array_equal(ensemble_probabilities(res, direction),
                               quadrature_readout(res, direction))
@@ -686,6 +726,22 @@ _RAMP_COLUMNS = [([50.0, 50.0, 0.5, 0.5, 50.0, 50.0, 50.0, 50.0], 0.0, 2.0),
                  ([40.0, 45.0, 0.5, 2.0, 50.0, 45.0, 55.0, 60.0], 4000.0, 0.7)]
 
 
+def _column(res, c):
+    """Column c of a result, as the arrays that hold it: its node amplitudes, or its spectrum."""
+    exact = np.atleast_1d(res.exact)
+    if not exact[c]:
+        return [res.amplitudes.reshape(-1, *res.amplitudes.shape[-3:])[np.sum(~exact[:c])]]
+    k, spectra = np.sum(exact[:c]), res.spectra
+    times = np.broadcast_to(spectra.times, (len(spectra.spread), spectra.times.shape[-1]))
+    return [spectra.energies[k], spectra.vectors[k], spectra.coords[k], spectra.spread[k], times[k]]
+
+
+def _same_column(stacked, c, alone):
+    """Column c of a stacked result holds the same bits as the one-column result ``alone``."""
+    a, b = _column(stacked, c), _column(alone, 0)
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(sorted(_STACK_SECTORS)), st.lists(_COLUMN, min_size=1, max_size=4),
        st.sampled_from(("off", "default", "scalar", "per_column")), st.booleans(),
@@ -707,8 +763,8 @@ _RAMP_COLUMNS = [([50.0, 50.0, 0.5, 0.5, 50.0, 50.0, 50.0, 50.0], 0.0, 2.0),
 @example("singlet_2", _EXAMPLE_COLUMNS, "default", True, dynamics.BLOCK_STATES, "pulse")
 def test_stack_equals_its_columns_run_one_at_a_time(sector, columns, noise_mode, with_dwell, block,
                                                     prefix):
-    # a stacked solve is bit for bit the per-column runs: amplitudes and
-    # ensemble readout, in every sector, with zero-length prefixes,
+    # a stacked solve is bit for bit the per-column runs: amplitudes or
+    # closed-form spectra, and ensemble readout, in every sector, with zero-length prefixes,
     # with a pulse or with a ramp from each column's own start couplings, also
     # when the stack is evolved and read out in blocks of ``block`` states, and
     # for the noisy columns read out in closed form as for those on the quadrature
@@ -741,7 +797,7 @@ def test_stack_equals_its_columns_run_one_at_a_time(sector, columns, noise_mode,
                                noise_reference_mhz=stacked_ref)
         stacked_probs = {d: ensemble_probabilities(stacked, d) for d in ReadoutDirection}
     assert stacked.sector is basis
-    assert stacked.amplitudes.shape[:2] == (len(columns), 1 if noise is None else 5)
+    assert stacked.amplitudes.shape[:2] == ((~stacked.exact).sum(), 1 if noise is None else 5)
     if prefix == "pulse":
         # a column is exact when its nodes enter the dwell alike (a zero-length
         # pulse) and without a Zeeman term
@@ -749,8 +805,8 @@ def test_stack_equals_its_columns_run_one_at_a_time(sector, columns, noise_mode,
         assert stacked.exact.tolist() == exact.tolist()
     for c, (seq, ref) in enumerate(zip(seqs, refs)):
         alone = run_sequence(seq, noise, zeeman=zeeman, noise_reference_mhz=ref)
-        assert np.array_equal(stacked.amplitudes[c], alone.amplitudes)
         assert stacked.exact[c] == alone.exact
+        assert _same_column(stacked, c, alone)
         for direction in ReadoutDirection:
             assert np.array_equal(stacked_probs[direction][c],
                                   ensemble_probabilities(alone, direction))
@@ -819,9 +875,11 @@ def test_column_axis_follows_the_targets_and_durations():
                          (np.tile(j.as_array(), (2, 1)), (2,))):
         seq = PulseSequence(singlet_x(), (set_diabatic(j), hold(target, 0.0)), (0.0, 5.0))
         assert seq.couplings.shape == (2, *cols, 4) and seq.durations.shape == (2, *cols)
-        res = run_sequence(seq, noise)
-        assert res.amplitudes.shape == (*cols, 3, 2, 2)
-        assert np.shape(res.exact) == cols
+        assert run_sequence(seq).amplitudes.shape == (*cols, 1, 2, 2)
+        res = run_sequence(seq, noise)  # every column in closed form
+        assert np.shape(res.exact) == cols and res.exact.all()
+        assert res.amplitudes.shape == (0, 3, 2, 2)
+        assert res.spectra.energies.shape == (int(np.prod(cols)), 2)
         assert ensemble_probabilities(res, ReadoutDirection.HORIZONTAL).shape == (*cols, 2, 4)
     seq = PulseSequence(singlet_x(), (exchange_pulse(j, [0.0, 2.0, 4.0]), hold(j, 0.0)))
     assert seq.couplings.shape == (2, 3, 4) and seq.durations.tolist() == [[0, 2, 4], [0, 0, 0]]
@@ -879,14 +937,14 @@ def test_per_column_dwell_grids_equal_each_column_run_alone_on_its_grid(sector, 
     sweep = PulseSequence(init, (exchange_pulse(j0, pulse), set_diabatic(j1), hold(j1, 0.0)), grids)
     assert sweep.dwell_times.shape == grids.shape
     stacked = run_sequence(sweep, noise, zeeman=zeeman)
-    assert stacked.amplitudes.shape[:3] == (len(columns), 1 if noise is None else 5, 4)
+    assert stacked.amplitudes.shape[:3] == ((~stacked.exact).sum(), 1 if noise is None else 5, 4)
     for c in range(len(columns)):
         first, second = ExchangeConfig(*j0[c]), ExchangeConfig(*j1[c])
         seq = PulseSequence(init, (exchange_pulse(first, pulse[c]), set_diabatic(second),
                                    hold(second, 0.0)), tuple(grids[c]))
         alone = run_sequence(seq, noise, zeeman=zeeman)
-        assert np.array_equal(stacked.amplitudes[c], alone.amplitudes)
         assert stacked.exact[c] == alone.exact
+        assert _same_column(stacked, c, alone)
         for direction in ReadoutDirection:
             assert np.array_equal(ensemble_probabilities(stacked, direction)[c],
                                   ensemble_probabilities(alone, direction))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from quadrature_reference import quadrature_readout
+from quadrature_reference import quadrature_readout, reference_run
 from rvbsim.cli import main
 from rvbsim.dynamics import MAX_QUADRATURE_NODES
 from rvbsim.experiments import FIGURES, resolve_params, run_calibration, run_figure
@@ -525,8 +525,9 @@ def noisy_figure_runs(tmp_path_factory):
 
 
 def test_closed_form_agrees_with_a_128_node_quadrature_on_every_figure(noisy_figure_runs):
-    # the oracle of the quadrature is the exact Gaussian average, where it applies
-    from rvbsim.dynamics import NoiseModel, run_sequence
+    # the oracle of the quadrature is the exact Gaussian average, where it applies;
+    # the node evolutions are the reference's, which the run keeps none of
+    from rvbsim.dynamics import NoiseModel
     from rvbsim.readout import ReadoutDirection, ensemble_probabilities
 
     exact_columns, error_16 = {}, {}
@@ -535,13 +536,14 @@ def test_closed_form_agrees_with_a_128_node_quadrature_on_every_figure(noisy_fig
         exact_columns[name] = exact_columns.get(name, 0) + int(exact.sum())
         if not exact.any():
             continue
-        fine = run_sequence(seq, NoiseModel(noise.sigma_f, MAX_QUADRATURE_NODES), **kwargs)
+        fine = reference_run(seq, NoiseModel(noise.sigma_f, MAX_QUADRATURE_NODES), **kwargs)
+        coarse = reference_run(seq, noise, **kwargs)
         for direction in ReadoutDirection:
             closed = ensemble_probabilities(res, direction).reshape(exact.size, -1, 4)[exact]
             fine_p = quadrature_readout(fine, direction).reshape(exact.size, -1, 4)[exact]
-            coarse = quadrature_readout(res, direction).reshape(exact.size, -1, 4)[exact]
+            coarse_p = quadrature_readout(coarse, direction).reshape(exact.size, -1, 4)[exact]
             assert np.all(np.abs(closed - fine_p) <= ROUND_OFF), name
-            error_16[name] = max(error_16.get(name, 0.0), float(np.abs(closed - coarse).max()))
+            error_16[name] = max(error_16.get(name, 0.0), float(np.abs(closed - coarse_p).max()))
     # fig5ef has one zero-length pulse; its timed ones stay on the quadrature
     assert exact_columns == {"fig3c": 21, "fig3d": 21, "fig3e": 48, "fig4b": 2, "fig4cd": 24,
                              "fig4ef": 24, "fig5ab": 45, "fig5c": 24, "fig5ef": 1, "figS9": 41}
@@ -551,20 +553,22 @@ def test_closed_form_agrees_with_a_128_node_quadrature_on_every_figure(noisy_fig
 
 
 def test_figure_columns_off_the_closed_form_keep_the_quadrature_bits(noisy_figure_runs):
-    # fig5ef's timed pulses read out as the quadrature always did, and their
-    # amplitudes are the ones the readout used
+    # fig5ef's timed pulses read out as the quadrature always did: their amplitudes
+    # are the reference node evolution's, bit for bit, and the readout weights them
     from rvbsim.readout import ReadoutDirection, ensemble_probabilities
 
     checked = set()
-    for name, _, _, _, res in noisy_figure_runs:
+    for name, seq, noise, kwargs, res in noisy_figure_runs:
         exact = np.atleast_1d(res.exact)
         if exact.all():
             continue
         checked.add(name)
-        assert np.array_equal(res.amplitudes[~exact], res.quadrature_amplitudes)
+        reference = reference_run(seq, noise, **kwargs)
+        columns = reference.amplitudes.reshape(exact.size, *reference.amplitudes.shape[-3:])
+        assert np.array_equal(res.amplitudes.reshape(columns[~exact].shape), columns[~exact])
         for direction in ReadoutDirection:
-            assert np.array_equal(ensemble_probabilities(res, direction)[~exact],
-                                  quadrature_readout(res, direction)[~exact])
+            quad = quadrature_readout(reference, direction).reshape(exact.size, -1, 4)
+            assert np.array_equal(ensemble_probabilities(res, direction)[~exact], quad[~exact])
     assert checked == {"fig5ef"}
 
 

@@ -607,6 +607,26 @@ def test_undamped_trace_lands_on_tphi_bound(f, phi, a):
     assert fit.residual_rms < 1e-13
 
 
+def test_bound_parameter_the_coupled_step_pushes_out_is_held():
+    # criterion 1's 100 undamped traces: kappa starts on its lower bound with a
+    # gradient pointing into the box, and the Gauss-Newton step of the other
+    # parameters pushes it out; held at once, it costs no damping rounds
+    from rvbsim.acceptance import _frequency_law_traces
+
+    evaluations = []
+    kappa_model = fitting._kappa_model
+
+    def counting(*args):
+        evaluations.append(1)
+        return kappa_model(*args)
+
+    f_law, grids, traces = _frequency_law_traces(0)
+    with mock.patch.object(fitting, "_kappa_model", counting):
+        fit = fit_damped_cosine(grids, traces)
+    assert len(evaluations) <= 7
+    assert np.max(np.abs(fit.f - f_law) / f_law) <= 1e-12
+
+
 def test_growing_envelope_stays_in_box():
     # exp(+(t/200 ns)^2) has no Gaussian decay: kappa stops on its lower bound
     t = np.linspace(0.0, 240.0, 121)
